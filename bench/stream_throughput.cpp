@@ -694,6 +694,32 @@ int main(int argc, char** argv) {
         {std::string("shard-k4:") + kPipelines[0].cmd, four});
   }
 
+  // Sharded fold: uniq -c's output is as large as its input, so at k=4 the
+  // collector's boundary fold (stitch2, one carried line per slice) does
+  // real work next to the k=1 window node. Recorded for CI's baseline
+  // diff: a collector that holds the combined output again reads as a
+  // multiple of the k=4 RSS baseline.
+  {
+    Compiled fold = compile_one("uniq -c", cache);
+    std::cout << "\nsharded fold: uniq -c\n";
+    Measurement one = run_isolated(
+        [&] { return run_streaming_file(fold, path, 1, config); });
+    Measurement four = run_isolated(
+        [&] { return run_streaming_file(fold, path, 4, config); });
+    std::cout << "  k=1: " << one.seconds << " s, RSS growth "
+              << (one.rss_growth >> 20) << " MiB\n"
+              << "  k=4: " << four.seconds << " s, RSS growth "
+              << (four.rss_growth >> 20) << " MiB\n";
+    if (!one.ok || !four.ok) all_ok = false;
+    if (one.out_bytes != four.out_bytes) {
+      std::cout << "  ERROR: output size mismatch (k=1 " << one.out_bytes
+                << " vs k=4 " << four.out_bytes << ")\n";
+      all_ok = false;
+    }
+    gate_records.push_back({"shard-k1:uniq -c", one});
+    gate_records.push_back({"shard-k4:uniq -c", four});
+  }
+
   // Prefix early-exit: head -n 10 must cancel the upstream reader after
   // O(blocks), not drain the input — a bytes-read budget, not a timing.
   {

@@ -69,8 +69,8 @@ std::string rss_model(const compile::PlannedStage& planned,
   switch (lowered.memory_class) {
     case exec::MemoryClass::kStreaming:
       if (lowered.shardable)
-        return "O(parallelism x slice): sharded stream sub-chains feed an "
-               "incremental combining tree";
+        return "O(parallelism x slice): sharded stream sub-chains feed a "
+               "boundary fold";
       return "O(parallelism x block): chunk outputs stream through";
     case exec::MemoryClass::kStatelessStream:
       return "O(block): fused per-block stream chain";

@@ -255,7 +255,9 @@ void print_stream_stats(const kq::ExecResult& result) {
               << "      memory=" << n.memory
               << (n.parallel ? " parallel" : "")
               << (n.sharded ? " sharded" : "")
-              << (n.streamed_combine ? " streamed-combine" : "") << "\n"
+              << (n.streamed_combine ? " streamed-combine" : "");
+    if (n.parallel) std::cerr << " combine=" << format_ms(n.combine_ns);
+    std::cerr << "\n"
               << "      blocks=" << n.chunks << " records=" << n.records_in
               << "/" << n.records_out << " bytes=" << n.in_bytes << "/"
               << n.out_bytes << "\n"

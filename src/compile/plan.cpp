@@ -140,6 +140,14 @@ std::vector<exec::ExecStage> lower_plan(const Plan& plan) {
             dsl::EvalContext ctx{command.get()};
             return combiner.apply_k(parts, ctx);
           };
+      // The collector folds with the primary combiner alone: its boundary
+      // form emits as it goes, so unlike apply_k it cannot fall back to a
+      // sibling once a part is rejected (the run is combine-undefined).
+      if (!stage.defer_combine && combiner.primary()) {
+        stage.fold = [primary = *combiner.primary(), command] {
+          return dsl::Fold(primary, dsl::EvalContext{command.get()});
+        };
+      }
     }
     // Memory class: how the streaming runtime may bound this stage. A
     // declared-streamable command runs per block through a fused

@@ -48,46 +48,41 @@ bool legal_rec(const Node& b, std::string_view y) {
   }
 }
 
-namespace {
-
-bool legal_struct(const Node& s, std::string_view y) {
-  if (y == "\n") return true;
-  if (!text::is_stream(y)) return false;
-  auto ls = text::lines(y);
+bool struct_line_legal(const Node& s, std::string_view line) {
   switch (s.op) {
     case Op::kStitch:
-      for (std::string_view l : ls)
-        if (!legal_rec(*s.child1, l)) return false;
-      return true;
-    case Op::kStitch2:
-      for (std::string_view l : ls) {
-        TableLine t = parse_table_line(l, s.delim, /*require_padding=*/true);
-        if (!t.ok) return false;
-        if (!legal_rec(*s.child1, t.head)) return false;
-        if (!legal_rec(*s.child2, t.tail)) return false;
-      }
-      return true;
-    case Op::kOffset:
-      for (std::string_view l : ls) {
-        if (l.empty()) continue;  // nil lines are allowed
-        TableLine t = parse_table_line(l, s.delim, /*require_padding=*/false);
-        if (!t.ok) return false;
-        if (!legal_rec(*s.child1, t.head)) return false;
-      }
-      return true;
+      return legal_rec(*s.child1, line);
+    case Op::kStitch2: {
+      TableLine t = parse_table_line(line, s.delim, /*require_padding=*/true);
+      return t.ok && legal_rec(*s.child1, t.head) &&
+             legal_rec(*s.child2, t.tail);
+    }
+    case Op::kOffset: {
+      if (line.empty()) return true;  // nil lines are allowed
+      TableLine t = parse_table_line(line, s.delim, /*require_padding=*/false);
+      return t.ok && legal_rec(*s.child1, t.head);
+    }
     default:
       return false;
   }
 }
 
-}  // namespace
+bool struct_lines_legal(const Node& s, std::string_view y) {
+  if (!text::is_stream(y)) return false;
+  for (std::size_t start = 0; start < y.size();) {
+    const std::size_t nl = y.find('\n', start);  // found: y ends in '\n'
+    if (!struct_line_legal(s, y.substr(start, nl - start))) return false;
+    start = nl + 1;
+  }
+  return true;
+}
 
 bool legal(const Combiner& g, std::string_view y) {
   switch (op_class(g.node->op)) {
     case OpClass::kRec:
       return legal_rec(*g.node, y);
     case OpClass::kStruct:
-      return legal_struct(*g.node, y);
+      return y == "\n" || struct_lines_legal(*g.node, y);
     case OpClass::kRun:
       if (g.node->op == Op::kRerun) return true;
       // merge: legal inputs are streams already sorted under the flags.

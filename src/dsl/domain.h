@@ -22,6 +22,16 @@ bool legal_rec(const Node& b, std::string_view y);
 // `merge_spec` supplies the comparator for kMerge).
 bool legal(const Combiner& g, std::string_view y);
 
+// True iff `line` (without its newline) may appear in an operand of
+// StructOp `s`: stitch b needs line ∈ L(b); stitch2 d b1 b2 a padded table
+// line with head ∈ L(b1) and tail ∈ L(b2); offset d b an empty line or a
+// table line with head ∈ L(b). False for every other operator.
+bool struct_line_legal(const Node& s, std::string_view line);
+
+// True iff `y` is a stream whose every line is struct_line_legal. Scans
+// once, without splitting `y` into a line vector.
+bool struct_lines_legal(const Node& s, std::string_view y);
+
 // A line of the form  pad ++ head ++ d ++ tail  with head ∈ L(b1) and
 // d ∉ head; used by stitch2/offset legality and evaluation.
 struct TableLine {

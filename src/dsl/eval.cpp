@@ -82,46 +82,15 @@ std::optional<std::string> eval_rec(const Node& b, std::string_view y1,
 // when the split boundary carries empty lines on both sides (uniq merges
 // them; the special rule would not). We therefore treat "\n" uniformly,
 // which preserves the paper's synthesis results and fixes that corner.
+//
+// stitch2 d b1 b2 is the table-shaped stitch: lines look like
+// `pad head d tail` (the uniq -c shape); on equal tails the heads are
+// combined with b1 and re-padded to the first operand's column width. It
+// keeps Figure 6's "\n" rule: a "\n" operand concatenates.
 std::optional<std::string> eval_stitch(const Node& s, std::string_view y1,
                                        std::string_view y2) {
-  for (std::string_view y : {y1, y2}) {
-    if (!text::is_stream(y)) return std::nullopt;
-    for (std::string_view l : text::lines(y))
-      if (!legal_rec(*s.child1, l)) return std::nullopt;
-  }
-  auto last = text::split_last_line(y1);
-  auto first = text::split_first_line(y2);
-  if (!last.ok || !first.ok) return std::nullopt;
-  if (last.line != first.line) {
-    std::string out(y1);
-    out.append(y2);
-    return out;
-  }
-  auto v = eval_rec(*s.child1, last.line, first.line);
-  if (!v) return std::nullopt;
-  std::string out(last.head);
-  out += *v;
-  out.push_back('\n');
-  out.append(first.tail);
-  return out;
-}
-
-// stitch2 d b1 b2: table-shaped stitch. Lines look like
-// `pad head d tail` (the uniq -c shape); on equal tails the heads are
-// combined with b1 and re-padded to the first operand's column width.
-std::optional<std::string> eval_stitch2(const Node& s, std::string_view y1,
-                                        std::string_view y2) {
-  for (std::string_view y : {y1, y2}) {
-    if (y == "\n") continue;
-    if (!text::is_stream(y)) return std::nullopt;
-    for (std::string_view l : text::lines(y)) {
-      TableLine t = parse_table_line(l, s.delim, /*require_padding=*/true);
-      if (!t.ok || !legal_rec(*s.child1, t.head) ||
-          !legal_rec(*s.child2, t.tail))
-        return std::nullopt;
-    }
-  }
-  if (y1 == "\n" || y2 == "\n") {
+  if (!operand_legal(s, y1) || !operand_legal(s, y2)) return std::nullopt;
+  if (s.op == Op::kStitch2 && (y1 == "\n" || y2 == "\n")) {
     std::string out(y1);
     out.append(y2);
     return out;
@@ -129,22 +98,15 @@ std::optional<std::string> eval_stitch2(const Node& s, std::string_view y1,
   auto last = text::split_last_line(y1);
   auto first = text::split_first_line(y2);
   if (!last.ok || !first.ok) return std::nullopt;
-  TableLine t1 = parse_table_line(last.line, s.delim, true);
-  TableLine t2 = parse_table_line(first.line, s.delim, true);
-  if (!t1.ok || !t2.ok) return std::nullopt;
-  if (t1.tail != t2.tail) {
+  Seam seam = stitch_seam(s, last.line, first.line);
+  if (!seam.defined) return std::nullopt;
+  if (!seam.joined) {
     std::string out(y1);
     out.append(y2);
     return out;
   }
-  auto head = eval_rec(*s.child1, t1.head, t2.head);
-  if (!head) return std::nullopt;
-  auto tail = eval_rec(*s.child2, t1.tail, t2.tail);
-  if (!tail) return std::nullopt;
-  std::string combined =
-      text::pad_to_width(*head, *tail, s.delim, t1.pad + t1.head.size());
   std::string out(last.head);
-  out += combined;
+  out += seam.line;
   out.push_back('\n');
   out.append(first.tail);
   return out;
@@ -155,37 +117,71 @@ std::optional<std::string> eval_stitch2(const Node& s, std::string_view y1,
 // adjustment shape).
 std::optional<std::string> eval_offset(const Node& s, std::string_view y1,
                                        std::string_view y2) {
-  for (std::string_view y : {y1, y2}) {
-    if (y == "\n") continue;
-    if (!text::is_stream(y)) return std::nullopt;
-    for (std::string_view l : text::lines(y)) {
-      if (l.empty()) continue;
-      TableLine t = parse_table_line(l, s.delim, /*require_padding=*/false);
-      if (!t.ok || !legal_rec(*s.child1, t.head)) return std::nullopt;
-    }
-  }
+  if (!operand_legal(s, y1) || !operand_legal(s, y2)) return std::nullopt;
   auto last = text::split_last_nonempty_line(y1);
   if (!last.ok) return std::nullopt;
-  TableLine t1 = parse_table_line(last.line, s.delim, false);
-  if (!t1.ok) return std::nullopt;
   std::string out(y1);
-  for (std::string_view l : text::lines(y2)) {
-    if (l.empty()) {
-      out.push_back('\n');
-      continue;
-    }
-    TableLine t2 = parse_table_line(l, s.delim, false);
-    if (!t2.ok) return std::nullopt;
-    auto head = eval_rec(*s.child1, t1.head, t2.head);
-    if (!head) return std::nullopt;
-    out += text::pad_to_width(*head, t2.tail, s.delim,
-                              t2.pad + t2.head.size());
-    out.push_back('\n');
-  }
+  if (!offset_rewrite(s, last.line, y2, &out)) return std::nullopt;
   return out;
 }
 
 }  // namespace
+
+bool operand_legal(const Node& s, std::string_view y) {
+  if (s.op != Op::kStitch && y == "\n") return true;
+  return struct_lines_legal(s, y);
+}
+
+Seam stitch_seam(const Node& s, std::string_view last,
+                 std::string_view first) {
+  Seam seam;
+  if (s.op == Op::kStitch) {
+    seam.defined = true;
+    if (last != first) return seam;
+    auto v = eval_rec(*s.child1, last, first);
+    if (!v) return Seam{};
+    seam.joined = true;
+    seam.line = std::move(*v);
+    return seam;
+  }
+  TableLine t1 = parse_table_line(last, s.delim, /*require_padding=*/true);
+  TableLine t2 = parse_table_line(first, s.delim, /*require_padding=*/true);
+  if (!t1.ok || !t2.ok) return seam;
+  seam.defined = true;
+  if (t1.tail != t2.tail) return seam;
+  auto head = eval_rec(*s.child1, t1.head, t2.head);
+  if (!head) return Seam{};
+  auto tail = eval_rec(*s.child2, t1.tail, t2.tail);
+  if (!tail) return Seam{};
+  seam.joined = true;
+  seam.line =
+      text::pad_to_width(*head, *tail, s.delim, t1.pad + t1.head.size());
+  return seam;
+}
+
+bool offset_rewrite(const Node& s, std::string_view last, std::string_view y2,
+                    std::string* out) {
+  TableLine t1 = parse_table_line(last, s.delim, /*require_padding=*/false);
+  if (!t1.ok) return false;
+  for (std::size_t start = 0; start < y2.size();) {  // text::lines(y2)
+    std::size_t nl = y2.find('\n', start);
+    if (nl == std::string_view::npos) nl = y2.size();
+    const std::string_view l = y2.substr(start, nl - start);
+    start = nl + 1;
+    if (l.empty()) {
+      out->push_back('\n');
+      continue;
+    }
+    TableLine t2 = parse_table_line(l, s.delim, /*require_padding=*/false);
+    if (!t2.ok) return false;
+    auto head = eval_rec(*s.child1, t1.head, t2.head);
+    if (!head) return false;
+    *out += text::pad_to_width(*head, t2.tail, s.delim,
+                               t2.pad + t2.head.size());
+    out->push_back('\n');
+  }
+  return true;
+}
 
 std::optional<std::string> eval(const Combiner& g, std::string_view y1,
                                 std::string_view y2, const EvalContext& ctx) {
@@ -193,9 +189,8 @@ std::optional<std::string> eval(const Combiner& g, std::string_view y1,
   const Node& n = *g.node;
   switch (n.op) {
     case Op::kStitch:
-      return eval_stitch(n, y1, y2);
     case Op::kStitch2:
-      return eval_stitch2(n, y1, y2);
+      return eval_stitch(n, y1, y2);
     case Op::kOffset:
       return eval_offset(n, y1, y2);
     case Op::kRerun: {

@@ -69,16 +69,19 @@ std::vector<std::string> map_chunks_chain(
 
 std::string run_slice_fused(const std::vector<const cmd::Command*>& chain,
                             std::string_view slice, std::size_t step,
-                            char delimiter) {
+                            char delimiter, bool* last_fed) {
   if (step == 0) step = 1;
   std::string owned;
   std::string_view cur = slice;
   const std::size_t n = chain.size();
+  bool fed = !slice.empty();  // the last stage's input so far
+  if (last_fed) *last_fed = fed;
   if (n == 0) return std::string(slice);
   std::size_t i = 0;
   while (i < n) {
     // Streamability speaks about '\n'-delimited records; under a custom
     // delimiter every stage runs whole (same rule as the runtime).
+    if (i + 1 == n) fed = !cur.empty();
     if (delimiter != '\n' ||
         chain[i]->streamability() == cmd::Streamability::kNone) {
       owned = chain[i]->run(cur);
@@ -113,15 +116,21 @@ std::string run_slice_fused(const std::vector<const cmd::Command*>& chain,
     std::string out;
     std::vector<std::string> bufs(m);   // intermediates, reused per step
     std::vector<bool> done(m, false);   // output complete (kPrefix bound)
+    // The chain's last stage is in this run: the window, else procs[m - 1].
+    // Its input so far decides `fed`.
+    const bool last_in_run = j == n;
+    if (last_in_run && m + (window ? 1 : 0) > 1) fed = false;
     auto feed = [&](std::string_view data, std::size_t from) {
       std::string_view c = data;
       for (std::size_t p = from; p < m; ++p) {
         if (done[p]) return;  // complete: the rest of the run saw all
+        if (last_in_run && !window && p + 1 == m && !c.empty()) fed = true;
         bufs[p].clear();
         if (!procs[p]->process(c, &bufs[p])) done[p] = true;
         c = bufs[p];
       }
       if (window) {
+        if (last_in_run && !c.empty()) fed = true;
         if (!c.empty()) window->push(c, &out);
       } else {
         out.append(c);
@@ -158,6 +167,7 @@ std::string run_slice_fused(const std::vector<const cmd::Command*>& chain,
     cur = owned;
     i = j;
   }
+  if (last_fed) *last_fed = fed;
   if (cur.data() == slice.data() && cur.size() == slice.size())
     return std::string(slice);
   return owned;

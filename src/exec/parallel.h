@@ -32,8 +32,11 @@ std::vector<std::string> map_chunks_chain(
 // (records longer than a step travel whole). Byte-identical to chaining
 // Command::run by the streamability contract — this is the single slice
 // executor behind both the batch mapper and the sharded streaming workers.
+// When `last_fed` is non-null it is set to whether the chain's last stage
+// received any input (a combine drops the parts of slices whose combining
+// stage saw nothing: they are f(""), and x ++ "" = x).
 std::string run_slice_fused(const std::vector<const cmd::Command*>& chain,
                             std::string_view slice, std::size_t step,
-                            char delimiter = '\n');
+                            char delimiter = '\n', bool* last_fed = nullptr);
 
 }  // namespace kq::exec

@@ -13,6 +13,22 @@ double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
+// The parts a combine sees: outputs whose chunk was empty are f(""), and
+// since x ++ "" = x, leaving them out is exact for every command — where
+// folding them in trusts the combiner on an input it was never certified
+// on (`second` would keep the empty last part of `grep a | tail -n 1`). If
+// no chunk had input, f("") is the whole answer.
+std::vector<std::string> parts_with_input(
+    std::vector<std::string> outputs,
+    const std::vector<std::string_view>& chunks) {
+  std::vector<std::string> parts;
+  parts.reserve(outputs.size());
+  for (std::size_t i = 0; i < outputs.size(); ++i)
+    if (!chunks[i].empty()) parts.push_back(std::move(outputs[i]));
+  if (parts.empty() && !outputs.empty()) parts.push_back(std::move(outputs[0]));
+  return parts;
+}
+
 }  // namespace
 
 RunResult run_pipeline(const std::vector<ExecStage>& stages,
@@ -76,7 +92,9 @@ RunResult run_pipeline(const std::vector<ExecStage>& stages,
         current.clear();
       } else {
         std::optional<std::string> combined;
-        if (stage.combine) combined = stage.combine(outputs);
+        if (stage.combine)
+          combined =
+              stage.combine(parts_with_input(std::move(outputs), chunks));
         if (!combined) {
           // Correctness guard: if k-way combination is undefined on these
           // outputs, fall back to running the stage serially.

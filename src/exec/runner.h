@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "dsl/kway.h"
 #include "exec/splitter.h"
 #include "exec/thread_pool.h"
 #include "unixcmd/command.h"
@@ -34,8 +35,11 @@ using KWayCombine =
 // falls back to its declared sequential tier). Prose walkthrough:
 // docs/ARCHITECTURE.md.
 enum class MemoryClass {
-  // Bounded by construction: chunk outputs stream through (concat
-  // emission) or fold into an accumulator of output size.
+  // Bounded by construction: chunk outputs fold in order through the
+  // stage's boundary fold (dsl::Fold), which emits each part's settled
+  // bytes at once and carries only the seam — nothing for concat, one line
+  // for stitch/stitch2/offset, the (small) whole result for RecOps like
+  // wc's add. O(k · slice) in flight plus that boundary.
   kStreaming,
   // Order-insensitive under a sort comparator: bounded runs can spill to
   // disk sorted and re-stream through an external k-way merge
@@ -83,6 +87,11 @@ inline const char* memory_class_name(MemoryClass m) {
 struct ExecStage {
   cmd::CommandPtr command;
   KWayCombine combine;             // null for sequential stages
+  // The incremental form of `combine` for the streaming collector: a fresh
+  // boundary fold of the primary combiner per run. Bound by lower_plan
+  // next to `combine`, except for deferred (merge/rerun) stages, whose
+  // parts wait for one k-way `combine` at end of stream.
+  std::function<dsl::Fold()> fold;
   bool parallel = false;           // data-parallel execution planned
   bool eliminate_combiner = false; // Theorem 5 optimization applies
   // Plain concat is plausible and outputs are newline-terminated streams:

@@ -18,6 +18,10 @@
 //   worker busy        — wall time the segment's shard workers spent
 //                        executing slices (summed across workers; compare
 //                        against the node's span for parallel efficiency)
+//   combine            — wall time a parallel node's collector spent
+//                        combining: boundary-fold pushes, the deferred
+//                        k-way combine, the spill merge (less its
+//                        downstream pushes) and the rerun
 //   sqe batches        — io_uring submission batches the node's I/O engine
 //                        entered (0 on the poll backend)
 //   cqe waits          — blocking completion waits the engine entered
@@ -57,6 +61,7 @@ struct StageCounters {
   std::atomic<std::uint64_t> spill_bytes{0};
   std::atomic<std::uint64_t> shard_slices{0};
   std::atomic<std::uint64_t> worker_busy_ns{0};
+  std::atomic<std::uint64_t> combine_ns{0};
   std::atomic<std::uint64_t> sqe_batches{0};
   std::atomic<std::uint64_t> cqe_waits{0};
   std::atomic<int> early_exit{static_cast<int>(EarlyExit::kNone)};

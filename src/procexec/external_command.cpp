@@ -2,6 +2,8 @@
 
 #include <fcntl.h>
 #include <poll.h>
+#include <pthread.h>
+#include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -64,6 +66,27 @@ std::optional<Pipe> make_pipe() {
 void set_nonblocking(int fd) {
   int flags = ::fcntl(fd, F_GETFL, 0);
   if (flags >= 0) ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
+}
+
+// write(2) to a child's stdin that fails with EPIPE instead of killing the
+// process when the child exits between poll and write (`head` closing its
+// input early). The SIGPIPE such a write raises is directed at this
+// thread: it is blocked around the write and consumed if it arrived.
+ssize_t write_without_sigpipe(int fd, const char* data, std::size_t size) {
+  sigset_t pipe_set, old_set;
+  sigemptyset(&pipe_set);
+  sigaddset(&pipe_set, SIGPIPE);
+  ::pthread_sigmask(SIG_BLOCK, &pipe_set, &old_set);
+  const ssize_t n = ::write(fd, data, size);
+  const int err = errno;
+  if (n < 0 && err == EPIPE) {
+    const struct timespec no_wait = {0, 0};
+    while (::sigtimedwait(&pipe_set, nullptr, &no_wait) < 0 && errno == EINTR) {
+    }
+  }
+  ::pthread_sigmask(SIG_SETMASK, &old_set, nullptr);
+  errno = err;
+  return n;
 }
 
 }  // namespace
@@ -144,8 +167,9 @@ std::optional<cmd::Result> run_process(const std::vector<std::string>& argv,
         stdin_pipe->write_end.reset();
         stdin_open = false;
       } else {
-        ssize_t n = ::write(stdin_pipe->write_end.get(),
-                            input.data() + written, input.size() - written);
+        ssize_t n = write_without_sigpipe(stdin_pipe->write_end.get(),
+                                          input.data() + written,
+                                          input.size() - written);
         if (n > 0) written += static_cast<std::size_t>(n);
         if ((n < 0 && errno != EAGAIN && errno != EINTR) ||
             written == input.size()) {

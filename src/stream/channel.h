@@ -33,6 +33,9 @@ using sync::MutexLock;
 struct Chunk {
   std::size_t index = 0;  // position in the segment's input order
   std::string bytes;
+  // A worker's part whose combining stage got no input: f(""), which the
+  // collector leaves out of the combine (x ++ "" = x).
+  bool no_input = false;
 };
 
 // Chunks with this index are control nudges, not data (see dataflow.cpp).

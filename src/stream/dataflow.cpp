@@ -55,7 +55,6 @@ struct Segment {
   // (exec::run_slice_fused) over contiguous record-aligned slices instead
   // of whole-slice Command::run hops; the collector is its combining tree.
   bool sharded = false;
-  bool emit_concat = false;  // combiner is concat: emit instead of folding
   const exec::ExecStage* combine_stage = nullptr;
 
   std::string display() const {
@@ -152,7 +151,6 @@ std::vector<Segment> build_segments(const std::vector<exec::ExecStage>& stages,
         seg.chain.push_back(&stages[i]);
       }
       seg.combine_stage = seg.chain.back();
-      seg.emit_concat = seg.combine_stage->concat_combiner;
       // Sharded mode: every fused member was recorded shard-eligible by
       // lower_plan AND the chain shape admits a processor cascade — all
       // non-terminal members per-record, the terminal per-record or window
@@ -347,6 +345,7 @@ void run_feeder(ParallelCtx& ctx, NodeMetrics& metrics, const Pull& pull,
         }
         const auto busy_start = Clock::now();
         std::string current;
+        bool fed = true;  // the combining (last) stage got input
         if (c->sharded) {
           // Per-shard sub-chain: the slice cascades through fresh
           // StreamProcessors (window terminal included) in cascade_step
@@ -354,11 +353,13 @@ void run_feeder(ParallelCtx& ctx, NodeMetrics& metrics, const Pull& pull,
           // byte-identical to the Command::run hops by the streamability
           // contract.
           current = exec::run_slice_fused(c->chain, data, c->cascade_step,
-                                          c->delimiter);
+                                          c->delimiter, &fed);
         } else {
           current = std::move(data);
-          for (const cmd::Command* stage : c->chain)
+          for (const cmd::Command* stage : c->chain) {
+            fed = !current.empty();
             current = stage->run(current);
+          }
         }
         if (t->counters) {
           t->counters->shard_slices.fetch_add(1, std::memory_order_relaxed);
@@ -370,7 +371,7 @@ void run_feeder(ParallelCtx& ctx, NodeMetrics& metrics, const Pull& pull,
               std::memory_order_relaxed);
         }
         span.arg("bytes_out", current.size());
-        c->results.push(Chunk{idx, std::move(current)});
+        c->results.push(Chunk{idx, std::move(current), !fed});
       } catch (const std::exception& e) {
         sh->fail(std::string("worker failed: ") + e.what());
       }
@@ -402,40 +403,96 @@ void run_feeder(ParallelCtx& ctx, NodeMetrics& metrics, const Pull& pull,
   ctx.results.push(Chunk{kControlChunk, {}});  // wake the collector
 }
 
-// Collector: the segment's combining tree. Restores input order, then
-// either emits chunk outputs immediately (concat combiners: early handoff
-// in shard order) or folds them incrementally with doubling group sizes
-// (total fold work O(output · log chunks)); merge-mode combiners past the
-// spill threshold hand the tree to SpillMerger. While waiting for the next
-// part it steals queued pool tasks — often this segment's own straggler
-// slices — so the tree keeps merging instead of idling. `out_closed`
-// distinguishes a push that failed because downstream closed its read side
-// (clean early exit: cancel upstream, no error) from a combine failure;
-// `cancel_upstream` stops this segment's feeder and read-closes its input.
+// Adds a timed section's wall time to StageCounters::combine_ns; reads the
+// clock only when stats are on. Downstream pushes made inside the section
+// are the node's hand-off, not combining: run them through exclude().
+class CombineTimer {
+ public:
+  explicit CombineTimer(obs::StageCounters* counters) : counters_(counters) {
+    if (counters_) start_ = Clock::now();
+  }
+  ~CombineTimer() {
+    if (counters_)
+      counters_->combine_ns.fetch_add(nanos_since(start_) - excluded_,
+                                      std::memory_order_relaxed);
+  }
+  CombineTimer(const CombineTimer&) = delete;
+  CombineTimer& operator=(const CombineTimer&) = delete;
+
+  template <typename Fn>
+  bool exclude(Fn&& fn) {
+    if (!counters_) return fn();
+    const auto start = Clock::now();
+    const bool ok = fn();
+    excluded_ += nanos_since(start);
+    return ok;
+  }
+
+ private:
+  static std::uint64_t nanos_since(Clock::time_point start) {
+    return static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
+                                                             start)
+            .count());
+  }
+
+  obs::StageCounters* counters_;
+  Clock::time_point start_{};
+  std::uint64_t excluded_ = 0;
+};
+
+// Collector: the segment's combining tree. Restores input order and folds
+// each part in through the combining stage's boundary fold (dsl::Fold):
+// what no later part can change goes downstream at once — the part's own
+// buffer, moved — and only the seam is carried (one line for stitch,
+// stitch2 and offset), not the output. Merge and rerun combiners (no
+// fold) hold their parts for one k-way combine at end of stream; past the
+// spill threshold the held parts hand over to SpillMerger (sorted runs)
+// or a RawSpool (the rerun's input). A part whose combining stage got no input
+// is f("") and is left out (x ++ "" = x), unless no part had input. While
+// waiting for the next part it steals queued pool tasks — often this
+// segment's own straggler slices — so the tree keeps combining instead of
+// idling. `out_closed` distinguishes a push that failed because downstream
+// closed its read side (clean early exit: cancel upstream, no error) from
+// a combine failure; `cancel_upstream` stops this segment's feeder and
+// read-closes its input.
 void run_collector(const Segment& seg, ParallelCtx& ctx, NodeMetrics& metrics,
                    const Push& push, const std::function<void()>& close_out,
                    const std::function<bool()>& out_closed,
                    const std::function<void()>& cancel_upstream,
                    const NodeTelemetry& tele, Shared& shared,
                    exec::ThreadPool& pool, const StreamConfig& config) {
-  std::map<std::size_t, std::string> out_of_order;
+  std::map<std::size_t, Chunk> out_of_order;
   std::size_t next_emit = 0;
-  std::string acc;
-  bool have_acc = false;
-  std::vector<std::string> group;
-  std::size_t group_bytes = 0;
+  const exec::ExecStage& cstage = *seg.combine_stage;
 
-  // Merge-mode combiners (defer + sortable) stop deferring once the held
-  // parts exceed the spill threshold: each part is a sorted run, so batches
-  // spill to disk and one streaming k-way merge feeds the sink directly —
-  // O(threshold) resident instead of O(sum of chunk outputs). Engaged
-  // lazily so sub-threshold runs keep the exact apply_k path (including
-  // composite-combiner fallback, which the spill path gives up: a part
-  // failing the merge legality check below fails the run as
+  // The stage's boundary fold. A stage built without one (not through
+  // lower_plan) streams when concat is plausible and otherwise defers to
+  // one k-way `combine`, like merge and rerun.
+  std::optional<dsl::Fold> fold;
+  if (cstage.fold) {
+    fold = cstage.fold();
+  } else if (cstage.concat_combiner) {
+    fold.emplace(dsl::combiner_concat());
+  }
+  metrics.streamed_combine = fold && fold->streams();
+  std::vector<std::string> pieces;    // one push's settled output
+  std::string partial;                // a trailing record still open
+  std::vector<std::string> deferred;  // held parts, no fold
+  std::size_t deferred_bytes = 0;
+  bool any_input = false;              // some part's combining stage had input
+  std::optional<std::string> no_input;  // f(""), while no part had input
+
+  // Merge-mode combiners (defer + sortable) stop holding their parts once
+  // those exceed the spill threshold: each part is a sorted run, so
+  // batches spill to disk and one streaming k-way merge feeds the sink
+  // directly — O(threshold) resident instead of O(sum of chunk outputs).
+  // Engaged lazily so sub-threshold runs keep the exact apply_k path
+  // (including composite-combiner fallback, which the spill path gives up:
+  // a part failing the merge legality check below fails the run as
   // combine-undefined instead of trying a sibling combiner).
   // (Requires '\n' records: the merged result is newline-joined lines, so
   // under any other delimiter the re-blocked pushes could split records.)
-  const exec::ExecStage& cstage = *seg.combine_stage;
   const bool spillable_merge =
       cstage.defer_combine && cstage.sort_spec != nullptr &&
       cstage.memory_class == exec::MemoryClass::kSortableSpill &&
@@ -458,24 +515,6 @@ void run_collector(const Segment& seg, ParallelCtx& ctx, NodeMetrics& metrics,
                             cstage.sort_spec->is_sorted_stream(part));
   };
 
-  auto flush_group = [&]() -> bool {
-    if (group.empty()) return true;
-    auto span = obs::span(tele.tracer, "combine-fold", "combine");
-    span.arg("parts", group.size() + (have_acc ? 1 : 0));
-    span.arg("bytes", group_bytes + acc.size());
-    std::vector<std::string> parts;
-    parts.reserve(group.size() + 1);
-    if (have_acc) parts.push_back(std::move(acc));
-    for (std::string& p : group) parts.push_back(std::move(p));
-    group.clear();
-    group_bytes = 0;
-    std::optional<std::string> combined = seg.combine_stage->combine(parts);
-    if (!combined) return false;
-    acc = std::move(*combined);
-    have_acc = true;
-    return true;
-  };
-
   auto spill_part = [&](std::string&& part) -> bool {
     if (!mergeable_part(part)) return false;  // combine undefined
     if (!merger->add(std::move(part))) {
@@ -495,56 +534,79 @@ void run_collector(const Segment& seg, ParallelCtx& ctx, NodeMetrics& metrics,
     return true;
   };
 
-  auto take_part = [&](std::string&& part) -> bool {
-    if (seg.emit_concat) {
-      // Concat early handoff: the part is next in shard order, so it goes
-      // downstream the moment it arrives — no accumulation.
-      auto span = obs::span(tele.tracer, "combine-emit", "combine");
-      span.arg("bytes", part.size());
-      metrics.out_bytes += part.size();
-      if (part.empty()) return true;
-      return push(std::move(part));
-    }
-    if (merger) return spill_part(std::move(part));
-    if (spool) return spool_part(part);
-    group_bytes += part.size();
-    group.push_back(std::move(part));
-    if (cstage.defer_combine) {
-      // Merge/rerun combiners hold their partial outputs whole, so a single
-      // k-way combine at end of stream beats incremental folding — until
-      // the group outgrows the spill threshold and migrates to disk:
-      // sorted runs for merge combiners, a raw spool for rerun combiners.
-      // (Single parts stay on the apply_k path, which passes them through
-      // unchecked; spilling engages only once there are parts to combine.)
-      if (group_bytes >= config.spill_threshold && group.size() > 1) {
-        if (spillable_merge) {
-          merger = std::make_unique<SpillMerger>(
-              cstage.sort_spec, SpillMerger::Input::kSortedParts,
-              config.spill_threshold, &shared.gauge, config.io,
-              tele.counters);
-          merger->set_telemetry(tele.tracer, tele.label);
-          for (std::string& held : group) {
-            if (!spill_part(std::move(held))) return false;
-          }
-          group.clear();
-          group_bytes = 0;
-        } else if (spoolable_rerun) {
-          spool = std::make_unique<RawSpool>(config.spill_threshold,
-                                             &shared.gauge, config.io,
-                                             tele.counters);
-          spool->set_telemetry(tele.tracer, tele.label);
-          for (const std::string& held : group) {
-            if (!spool_part(held)) return false;
-          }
-          group.clear();
-          group_bytes = 0;
-        }
-      }
+  // Settled output goes downstream at record boundaries: a piece that ends
+  // mid-record (a custom delimiter, an unterminated concat part) holds its
+  // open record back for the next piece. A '\n' stream moves through whole.
+  auto emit = [&](std::string&& piece) -> bool {
+    metrics.out_bytes += piece.size();
+    if (partial.empty() && !piece.empty() && piece.back() == config.delimiter)
+      return push(std::move(piece));
+    partial += piece;
+    const std::size_t cut = partial.rfind(config.delimiter);
+    if (cut == std::string::npos) return true;
+    std::string open = partial.substr(cut + 1);
+    partial.resize(cut + 1);
+    const bool ok = push(std::move(partial));
+    partial = std::move(open);
+    return ok;
+  };
+
+  auto take_part = [&](Chunk&& part) -> bool {
+    if (part.no_input) {
+      if (!any_input && !no_input) no_input = std::move(part.bytes);
       return true;
     }
-    if (group_bytes >= std::max(config.block_size, acc.size()))
-      return flush_group();
+    any_input = true;
+    no_input.reset();
+    if (merger) return spill_part(std::move(part.bytes));
+    if (spool) return spool_part(part.bytes);
+    if (fold) {
+      {
+        auto span = obs::span(tele.tracer, "combine-fold", "combine");
+        span.arg("part", part.index);
+        span.arg("bytes", part.bytes.size());
+        CombineTimer timer(tele.counters);
+        if (!fold->push(std::move(part.bytes), &pieces)) return false;
+      }
+      for (std::string& piece : pieces)
+        if (!emit(std::move(piece))) return false;
+      pieces.clear();
+      return true;
+    }
+    deferred_bytes += part.bytes.size();
+    deferred.push_back(std::move(part.bytes));
+    // Held parts migrate to disk once they outgrow the spill threshold:
+    // sorted runs for merge combiners, a raw spool for rerun combiners. (A
+    // single part stays on the combine path, which passes it through
+    // unchecked; spilling engages only once there are parts to combine.)
+    if (deferred_bytes >= config.spill_threshold && deferred.size() > 1) {
+      if (spillable_merge) {
+        merger = std::make_unique<SpillMerger>(
+            cstage.sort_spec, SpillMerger::Input::kSortedParts,
+            config.spill_threshold, &shared.gauge, config.io, tele.counters);
+        merger->set_telemetry(tele.tracer, tele.label);
+        for (std::string& held : deferred)
+          if (!spill_part(std::move(held))) return false;
+      } else if (spoolable_rerun) {
+        spool = std::make_unique<RawSpool>(config.spill_threshold,
+                                           &shared.gauge, config.io,
+                                           tele.counters);
+        spool->set_telemetry(tele.tracer, tele.label);
+        for (const std::string& held : deferred)
+          if (!spool_part(held)) return false;
+      }
+      if (merger || spool) {
+        deferred.clear();
+        deferred_bytes = 0;
+      }
+    }
     return true;
+  };
+
+  auto fail_undefined = [&] {
+    shared.combine_undefined.store(true);
+    shared.fail("incremental combine undefined for stage '" +
+                cstage.command->display_name() + "'");
   };
 
   bool failed_here = false;
@@ -571,10 +633,11 @@ void run_collector(const Segment& seg, ParallelCtx& ctx, NodeMetrics& metrics,
       break;
     }
     if (chunk->index == kControlChunk) continue;  // nudge: recheck expected
-    out_of_order[chunk->index] = std::move(chunk->bytes);
+    const std::size_t index = chunk->index;
+    out_of_order[index] = std::move(*chunk);
     while (!out_of_order.empty() &&
            out_of_order.begin()->first == next_emit) {
-      std::string part = std::move(out_of_order.begin()->second);
+      Chunk part = std::move(out_of_order.begin()->second);
       out_of_order.erase(out_of_order.begin());
       bool ok = take_part(std::move(part));
       ctx.slots.release();
@@ -589,9 +652,7 @@ void run_collector(const Segment& seg, ParallelCtx& ctx, NodeMetrics& metrics,
                   obs::EarlyExit::kDownstreamClosed);
             cancel_upstream();
           } else {
-            shared.combine_undefined.store(true);
-            shared.fail("incremental combine undefined for stage '" +
-                        seg.combine_stage->command->display_name() + "'");
+            fail_undefined();
           }
         }
         failed_here = true;
@@ -602,11 +663,18 @@ void run_collector(const Segment& seg, ParallelCtx& ctx, NodeMetrics& metrics,
   }
 
   if (!failed_here && !shared.halted()) {
-    if (merger) {
-      bool ok = merger->finish(
+    // No part had input (an empty stream): f("") is the output.
+    bool ok = true;
+    if (!any_input && no_input)
+      ok = take_part(Chunk{next_emit, std::move(*no_input)});
+    if (!ok) {
+      if (!shared.halted() && !out_closed()) fail_undefined();
+    } else if (merger) {
+      CombineTimer timer(tele.counters);
+      ok = merger->finish(
           [&](std::string&& block) {
             metrics.out_bytes += block.size();
-            return push(std::move(block));
+            return timer.exclude([&] { return push(std::move(block)); });
           },
           config.block_size);
       if (!ok && !shared.halted() && !out_closed())
@@ -624,29 +692,39 @@ void run_collector(const Segment& seg, ParallelCtx& ctx, NodeMetrics& metrics,
         auto span =
             obs::span(tele.tracer, tele.label + ": combine-rerun", "combine");
         span.arg("bytes_in", joined.size());
-        cmd::Result rerun = cstage.command->execute(joined);
+        cmd::Result rerun;
+        {
+          CombineTimer timer(tele.counters);
+          rerun = cstage.command->execute(joined);
+        }
         joined.clear();
         joined.shrink_to_fit();
         if (!rerun.ok()) {
-          shared.combine_undefined.store(true);
-          shared.fail("incremental combine undefined for stage '" +
-                      cstage.command->display_name() + "'");
+          fail_undefined();
         } else {
           metrics.out_bytes += rerun.out.size();
           emit_blocks(rerun.out, push, config);
         }
       }
     } else {
-      bool ok = flush_group();
-      if (ok && !seg.emit_concat && have_acc) {
-        metrics.out_bytes += acc.size();
-        ok = emit_blocks(acc, push, config);
+      // The fold's carried boundary, or the deferred k-way combine.
+      std::optional<std::string> rest;
+      {
+        CombineTimer timer(tele.counters);
+        if (fold) {
+          rest = fold->finish();
+        } else {
+          rest = cstage.combine(deferred);
+        }
       }
-      if (!ok && !shared.halted() && !out_closed()) {
-        shared.combine_undefined.store(true);
-        shared.fail("incremental combine undefined for stage '" +
-                    seg.combine_stage->command->display_name() + "'");
+      deferred.clear();
+      ok = rest.has_value();
+      if (ok) {
+        metrics.out_bytes += rest->size();
+        partial += *rest;
+        ok = emit_blocks(partial, push, config);
       }
+      if (!ok && !shared.halted() && !out_closed()) fail_undefined();
     }
   }
   if (merger) {
@@ -1171,7 +1249,6 @@ StreamResult run_streaming_core(const std::vector<exec::ExecStage>& stages,
   for (std::size_t i = 0; i < n; ++i) {
     result.nodes[i].commands = segments[i].display();
     result.nodes[i].parallel = segments[i].parallel;
-    result.nodes[i].streamed_combine = segments[i].emit_concat;
     result.nodes[i].per_block = segments[i].stream;
     result.nodes[i].window = segments[i].window;
     result.nodes[i].sharded = segments[i].sharded;
@@ -1422,6 +1499,7 @@ StreamResult run_streaming_core(const std::vector<exec::ExecStage>& stages,
       m.pool_misses = c.pool_misses.load(std::memory_order_relaxed);
       m.shard_slices = c.shard_slices.load(std::memory_order_relaxed);
       m.worker_busy_ns = c.worker_busy_ns.load(std::memory_order_relaxed);
+      m.combine_ns = c.combine_ns.load(std::memory_order_relaxed);
       m.sqe_batches = c.sqe_batches.load(std::memory_order_relaxed);
       m.cqe_waits = c.cqe_waits.load(std::memory_order_relaxed);
       m.early_exit = obs::early_exit_name(c.early_exit_cause());

@@ -27,12 +27,13 @@
 //     through the external merge — sealed first so cross-record residue
 //     survives, and re-streamed capped at the window's output limit;
 //   - all pipeline segments run concurrently instead of in stage barriers;
-//   - combining is incremental: each segment's combiner folds chunk
-//     outputs as they arrive in input order (doubling group sizes keep the
-//     total fold work near one k-way combine) instead of waiting for all
-//     chunks. Segments whose combiner is plain concat over
-//     newline-terminated outputs skip accumulation entirely and emit chunk
-//     outputs downstream the moment they are next in order;
+//   - combining is incremental: each segment folds chunk outputs in input
+//     order through its combiner's boundary form (dsl::Fold), emitting
+//     what no later chunk can change the moment it is settled and carrying
+//     only the seam — nothing for concat, one line for stitch/stitch2/
+//     offset — so a fold costs O(output) in total and O(boundary)
+//     resident; merge and rerun combiners hold their chunk outputs for one
+//     k-way combine at end of stream;
 //   - accumulation past `spill_threshold` moves to disk (stream/spill.*,
 //     per the stage's exec::MemoryClass): merge-mode combiners spill chunk
 //     outputs as sorted runs and k-way-merge them back to the stream,
@@ -107,7 +108,7 @@ struct StreamConfig {
 struct NodeMetrics {
   std::string commands;           // fused chain display, " | " separated
   bool parallel = false;
-  bool streamed_combine = false;  // concat emission, no accumulation
+  bool streamed_combine = false;  // combined output streams as parts arrive
   bool per_block = false;         // stream-chain node (kStatelessStream)
   bool window = false;            // chain ends in a window stage (kWindow)
   // Parallel segment ran sharded: each worker executed a fused
@@ -134,6 +135,7 @@ struct NodeMetrics {
   std::uint64_t pool_misses = 0;       // BufferPool acquires fresh
   std::uint64_t shard_slices = 0;      // slices shard workers executed
   std::uint64_t worker_busy_ns = 0;    // summed shard-worker execution time
+  std::uint64_t combine_ns = 0;        // collector time spent combining
   std::uint64_t sqe_batches = 0;       // io_uring submit batches (0 on poll)
   std::uint64_t cqe_waits = 0;         // io_uring completion waits (0 on poll)
   std::string early_exit;              // why input stopped early ("" = ran

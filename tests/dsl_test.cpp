@@ -1,8 +1,12 @@
 // Tests for the combiner DSL: sizes, printing, legal domains, the big-step
 // semantics of every operator (Figure 6), candidate enumeration (including
-// the paper's exact space sizes), and k-way generalization.
+// the paper's exact space sizes), k-way generalization, and the boundary
+// fold's agreement with eval's left fold.
 
 #include <gtest/gtest.h>
+
+#include <random>
+#include <set>
 
 #include "dsl/domain.h"
 #include "dsl/enumerate.h"
@@ -306,6 +310,181 @@ TEST(KWay, PairwiseFoldForStructOps) {
 TEST(KWay, SingletonAndEmpty) {
   EXPECT_EQ(combine_k(combiner_concat(), {}).value(), "");
   EXPECT_EQ(combine_k(combiner_stitch_first(), {"a\n"}).value(), "a\n");
+}
+
+// ------------------------------------------------------- boundary fold --
+
+// The certified reference: eval's pairwise left fold.
+std::optional<std::string> eval_fold(const Combiner& g,
+                                     const std::vector<std::string>& parts,
+                                     const EvalContext& ctx = {}) {
+  if (parts.empty()) return std::string();
+  std::string acc = parts.front();
+  for (std::size_t i = 1; i < parts.size(); ++i) {
+    auto next = eval(g, acc, parts[i], ctx);
+    if (!next) return std::nullopt;
+    acc = std::move(*next);
+  }
+  return acc;
+}
+
+// Fold's pushes and finish, concatenated.
+std::optional<std::string> boundary_fold(const Combiner& g,
+                                         const std::vector<std::string>& parts,
+                                         const EvalContext& ctx = {}) {
+  Fold fold(g, ctx);
+  std::vector<std::string> pieces;
+  std::string out;
+  for (const std::string& p : parts) {
+    if (!fold.push(p, &pieces)) return std::nullopt;
+    for (const std::string& piece : pieces) out += piece;
+    pieces.clear();
+  }
+  return out + fold.finish();
+}
+
+TEST(Fold, StreamsOnlyWhereTheCombinerHasASuffixBoundary) {
+  EXPECT_TRUE(Fold(combiner_concat()).streams());
+  EXPECT_TRUE(Fold(combiner_stitch_first()).streams());
+  EXPECT_TRUE(Fold(combiner_stitch2_add_first(' ')).streams());
+  EXPECT_TRUE(Fold(combiner_offset_add(' ')).streams());
+  EXPECT_FALSE(Fold(swapped(combiner_concat())).streams());
+  EXPECT_FALSE(Fold(swapped(combiner_stitch_first())).streams());
+  EXPECT_FALSE(Fold(combiner_back_add('\n')).streams());
+  EXPECT_FALSE(Fold(combiner_merge("")).streams());
+}
+
+TEST(Fold, EmitsSettledLinesAndCarriesOneBoundaryLine) {
+  Fold fold(combiner_stitch2_add_first(' '));
+  std::vector<std::string> out;
+  ASSERT_TRUE(fold.push("      1 a\n      2 b\n", &out));
+  EXPECT_EQ(out, std::vector<std::string>{"      1 a\n"});
+  out.clear();
+  // b's run straddles the seam: the joined line is still the boundary.
+  ASSERT_TRUE(fold.push("      3 b\n", &out));
+  EXPECT_TRUE(out.empty());
+  ASSERT_TRUE(fold.push("      1 b\n      1 c\n      4 d\n", &out));
+  EXPECT_EQ(out, std::vector<std::string>{"      6 b\n      1 c\n"});
+  EXPECT_EQ(fold.finish(), "      4 d\n");
+}
+
+// Random record-aligned splits of inputs whose runs straddle the seams:
+// Fold, combine_k and eval's left fold agree with each other and with the
+// command on the whole input.
+TEST(Fold, AgreesWithEvalFoldAndTheCommandOnRandomSplits) {
+  struct Case {
+    const char* command;
+    Combiner g;
+  };
+  const Case cases[] = {
+      {"uniq", combiner_stitch_first()},
+      {"uniq -c", combiner_stitch2_add_first(' ')},
+      {"wc -l", combiner_back_add('\n')},
+      {"tail -n 1", combiner_second()},
+  };
+  std::mt19937 rng(20221);
+  const char* words[] = {"apple", "pear", "fig", ""};
+  for (const Case& c : cases) {
+    cmd::CommandPtr command = cmd::make_command_line(c.command);
+    ASSERT_NE(command, nullptr) << c.command;
+    for (int trial = 0; trial < 150; ++trial) {
+      // Runs of 1-4 equal lines, so runs cross most cut points.
+      std::vector<std::string> lines;
+      const int runs = 1 + static_cast<int>(rng() % 40);
+      for (int r = 0; r < runs; ++r) {
+        const std::string word = words[rng() % 4];
+        for (int n = 1 + static_cast<int>(rng() % 4); n > 0; --n)
+          lines.push_back(word);
+      }
+      // 1-20 non-empty slices cut at distinct line boundaries.
+      const std::size_t want =
+          std::min<std::size_t>(1 + rng() % 20, lines.size());
+      std::set<std::size_t> cuts = {0, lines.size()};
+      while (cuts.size() < want + 1) cuts.insert(1 + rng() % lines.size());
+      std::string whole;
+      std::vector<std::string> parts;
+      for (auto it = cuts.begin(); std::next(it) != cuts.end(); ++it) {
+        std::string slice;
+        for (std::size_t i = *it; i < *std::next(it); ++i)
+          slice += lines[i] + "\n";
+        whole += slice;
+        parts.push_back(command->run(slice));
+      }
+      const std::string expect = command->run(whole);
+      SCOPED_TRACE(std::string(c.command) + " trial " +
+                   std::to_string(trial) + ", " +
+                   std::to_string(parts.size()) + " parts");
+      EXPECT_EQ(eval_fold(c.g, parts), expect);
+      EXPECT_EQ(boundary_fold(c.g, parts), expect);
+      EXPECT_EQ(combine_k(c.g, parts), expect);
+    }
+  }
+}
+
+// Every sequence of up to four hand-picked parts — "", "\n", unterminated
+// parts, a uniq -c count that fills its 7-column pad, wc -l FILE tables —
+// is defined under Fold exactly when it is under eval's left fold, with the
+// same output. This pins the checks Fold spreads across pushes: a lone part
+// passes unchecked, and a joined seam line (999999 + 1 outgrows the pad) or
+// an offset-rewritten line is checked only when another part arrives.
+TEST(Fold, DefinednessMatchesEvalFoldExactly) {
+  struct Case {
+    Combiner g;
+    std::vector<std::string> atoms;
+  };
+  const std::vector<std::string> lines_atoms = {
+      "", "\n", "a\n", "a", "a\nb\n", "b\nb\n", "\n\n"};
+  const std::vector<std::string> table_atoms = {
+      "",          "\n",          "      1 a\n", "      1 a",
+      " 999999 a\n", "9999999 a\n", "      2 a\n      1 b\n",
+      "      1 b\n"};
+  const std::vector<std::string> offset_atoms = {
+      "",       "\n",          "3 f1\n", "10 f2\n1 f3\n", "\t5 g\n",
+      "5 h",    "x f\n",       "\n2 f\n\n"};
+  const Case cases[] = {
+      {combiner_stitch_first(), lines_atoms},
+      {swapped(combiner_stitch_first()), lines_atoms},
+      {combiner_concat(), lines_atoms},
+      {combiner_stitch2_add_first(' '), table_atoms},
+      {swapped(combiner_stitch2_add_first(' ')), table_atoms},
+      {combiner_offset_add(' '), offset_atoms},
+      {combiner_back_add('\n'), {"", "\n", "3\n", "4", "12\n"}},
+  };
+  for (const Case& c : cases) {
+    std::vector<std::vector<std::string>> frontier = {{}};
+    for (int len = 1; len <= 4; ++len) {
+      std::vector<std::vector<std::string>> next;
+      for (const auto& prefix : frontier) {
+        for (const std::string& atom : c.atoms) {
+          std::vector<std::string> parts = prefix;
+          parts.push_back(atom);
+          const auto expect = eval_fold(c.g, parts);
+          std::string shown;
+          for (const std::string& p : parts) shown += "[" + p + "]";
+          EXPECT_EQ(boundary_fold(c.g, parts), expect)
+              << to_string(c.g) << " over " << shown;
+          EXPECT_EQ(combine_k(c.g, parts), expect)
+              << to_string(c.g) << " over " << shown;
+          next.push_back(std::move(parts));
+        }
+      }
+      frontier = std::move(next);
+    }
+  }
+}
+
+TEST(Fold, JoinedSeamLineIsCheckedByTheNextPush) {
+  // 999999 + 1 widens the count past uniq -c's pad: the joined line is not
+  // a padded table line, so folding a third part in is undefined — even
+  // once that line has been emitted and another carries the seam.
+  const Combiner saf = combiner_stitch2_add_first(' ');
+  EXPECT_EQ(boundary_fold(saf, {" 999999 a\n", "      1 a\n      1 b\n"}),
+            "1000000 a\n      1 b\n");
+  EXPECT_FALSE(boundary_fold(
+      saf, {" 999999 a\n", "      1 a\n      1 b\n", "      1 c\n"}));
+  // A lone part passes unchecked; as a left operand it is checked.
+  EXPECT_EQ(boundary_fold(saf, {"9999999 a\n"}), "9999999 a\n");
+  EXPECT_FALSE(boundary_fold(saf, {"9999999 a\n", "      1 b\n"}));
 }
 
 }  // namespace

@@ -241,6 +241,55 @@ TEST(Runner, CombineFailureFallsBackToSerial) {
   EXPECT_TRUE(r.stages[0].combine_fallback);
 }
 
+TEST(Runner, ChunksWithoutInputAreLeftOutOfTheCombine) {
+  // grep apple | tail -n 1 / uniq -c: the eliminated grep hands the second
+  // stage its substreams, and a match-free chunk arrives empty. Its output
+  // is f(""), which `second` would keep as the answer and stitch2 rejects;
+  // the combine sees only the parts whose chunk had input, and f("") when
+  // none had.
+  auto stages_with = [](const char* second, dsl::Combiner g) {
+    std::vector<ExecStage> stages;
+    ExecStage grep;
+    grep.command = cmd::make_command_line("grep apple");
+    grep.parallel = true;
+    grep.eliminate_combiner = true;
+    grep.combine = [](const std::vector<std::string>& parts) {
+      return dsl::combine_k(dsl::combiner_concat(), parts);
+    };
+    stages.push_back(std::move(grep));
+    ExecStage s;
+    s.command = cmd::make_command_line(second);
+    s.parallel = true;
+    s.combine = [g](const std::vector<std::string>& parts) {
+      return dsl::combine_k(g, parts);
+    };
+    stages.push_back(std::move(s));
+    return stages;
+  };
+  std::string apples_then_pears;
+  for (int i = 0; i < 200; ++i)
+    apples_then_pears +=
+        (i < 110 ? "apple " : "pear ") + std::to_string(i) + "\n";
+  const std::string pears = "pear 1\npear 2\npear 3\npear 4\n";
+  const std::string* inputs[] = {&apples_then_pears, &pears};
+
+  ThreadPool pool(4);
+  for (auto stages : {stages_with("tail -n 1", dsl::combiner_second()),
+                      stages_with("uniq -c",
+                                  dsl::combiner_stitch2_add_first(' '))}) {
+    for (const std::string* input : inputs) {
+      const std::string serial = run_serial(stages, *input).output;
+      for (int k : {2, 4, 8}) {
+        RunResult r = run_pipeline(stages, *input, pool, {k, true});
+        const std::string name = stages[1].command->display_name();
+        EXPECT_EQ(r.output, serial) << name << " k=" << k;
+        EXPECT_TRUE(r.stages[0].combiner_eliminated) << name;
+        EXPECT_FALSE(r.stages[1].combine_fallback) << name << " k=" << k;
+      }
+    }
+  }
+}
+
 TEST(Runner, ParallelismOneIsSerial) {
   auto stages = word_count_stages();
   std::string input = sample_words();

@@ -273,6 +273,38 @@ TEST(Counters, StatsOffLeavesMetricsZero) {
   EXPECT_EQ(r.nodes[0].early_exit, "");
 }
 
+TEST(Counters, CombineTimeOnlyUnderStats) {
+  // A sharded uniq -c folds every slice's output through its collector:
+  // with stats on, that work shows up as combine time without a trace;
+  // with stats off the clock is never read and the counter stays zero.
+  auto stages = stages_for("uniq -c");
+  std::string input;
+  for (int i = 0; i < 20000; ++i)
+    input += "key-" + std::to_string(i / 3) + "\n";
+  const std::string golden = exec::run_serial(stages, input).output;
+  exec::ThreadPool pool(4);
+  for (bool stats : {true, false}) {
+    stream::StreamConfig config;
+    config.parallelism = 4;
+    config.block_size = 4096;
+    config.stats = stats;
+    std::string output;
+    stream::StreamResult r =
+        stream::run_streaming_string(stages, input, &output, pool, config);
+    ASSERT_TRUE(r.ok) << r.error;
+    EXPECT_FALSE(r.batch_fallback);
+    EXPECT_EQ(output, golden);
+    ASSERT_EQ(r.nodes.size(), 1u);
+    EXPECT_TRUE(r.nodes[0].sharded);
+    EXPECT_TRUE(r.nodes[0].streamed_combine);
+    if (stats) {
+      EXPECT_GT(r.nodes[0].combine_ns, 0u);
+    } else {
+      EXPECT_EQ(r.nodes[0].combine_ns, 0u);
+    }
+  }
+}
+
 // ------------------------------------- blocked time and early-exit cause --
 
 TEST(Counters, SendBlockedTimeAccruesAgainstSlowConsumer) {

@@ -1,9 +1,10 @@
 // Tests for sharded streaming execution: eligible parallel segments run as
 // per-shard stream sub-chains (exec::run_slice_fused) feeding the
-// incremental combining tree. Cross-validates the whole 70-script catalog
+// collector's boundary fold. Cross-validates the whole 70-script catalog
 // at k in {2, 4, 8} against the serial oracle, plus a forced-spill sharded
 // run, a downstream-close (`| head`) early exit that cancels in-flight
-// shards, and the shard-eligibility/telemetry contracts.
+// shards, slices whose combining stage gets no input, and the
+// shard-eligibility/telemetry contracts.
 
 #include <gtest/gtest.h>
 
@@ -172,6 +173,65 @@ TEST(ShardDataflow, DownstreamHeadCancelsInflightShards) {
   // reader long before the ~6 MiB input drains.
   EXPECT_LT(r.bytes_read, input.size() / 4)
       << "early exit did not cancel in-flight shards";
+}
+
+// ------------------------------------------ slices with no combining input --
+
+// In a fused segment like `grep apple | tail -n 1`, a slice without a match
+// hands the combining stage no input, so its part is f(""). Folding that
+// part in trusts the combiner where it was never certified: `second` kept
+// the empty last part (a silent empty answer) and stitch rejects "" (the
+// run failed as combine-undefined). The collector leaves such parts out —
+// x ++ "" = x — and answers f("") when no slice had input.
+TEST(ShardDataflow, SlicesWithoutCombiningInputAreLeftOut) {
+  std::string apples_then_pears;
+  const int n = 20000;
+  for (int i = 0; i < n; ++i)
+    apples_then_pears += (i < n * 55 / 100 ? "apple " : "pear ") +
+                         std::to_string(i) + "\n";
+  std::string pears;
+  for (int i = 0; i < 5000; ++i) pears += "pear " + std::to_string(i) + "\n";
+
+  for (const char* pipeline :
+       {"grep apple | tail -n 1", "grep apple | uniq -c", "grep apple | uniq",
+        "grep apple | wc -l"}) {
+    auto stages = compile_stages(pipeline);
+    for (const std::string* input : {&apples_then_pears, &pears}) {
+      const std::string serial = exec::run_serial(stages, *input).output;
+      for (int k : {2, 4, 8}) {
+        kq::ExecOptions options = stream_options(k, 4096);
+        options.stats = true;
+        kq::Executor executor(options);
+        kq::ExecResult r = executor.run_collect(stages, *input);
+        EXPECT_TRUE(r.ok) << pipeline << " k=" << k << ": " << r.error;
+        EXPECT_FALSE(r.batch_fallback) << pipeline << " k=" << k;
+        EXPECT_EQ(r.output, serial) << pipeline << " k=" << k;
+        ASSERT_EQ(r.nodes.size(), 1u) << pipeline;
+        EXPECT_TRUE(r.nodes[0].sharded) << pipeline;
+      }
+    }
+  }
+}
+
+// A fold's settled bytes go downstream at record boundaries. `tr -d '\n'`
+// is concat-combined but its parts end mid-record, so pushing each part as
+// its own block would let the next segment's slices cut words in two
+// (`wc -w` over "...ab" + "cd..." counts two words where there is one).
+TEST(ShardDataflow, UnterminatedPartsStayRecordAligned) {
+  auto stages = compile_stages("tr -d '\\n' | wc -w");
+  ASSERT_EQ(stages.size(), 2u);
+  std::string input;
+  for (int i = 0; i < 20000; ++i) input += "ab cd\nef gh\n";
+  const std::string serial = exec::run_serial(stages, input).output;
+  for (int k : {2, 4, 8}) {
+    kq::Executor executor(stream_options(k, 4096));
+    kq::ExecResult r = executor.run_collect(stages, input);
+    EXPECT_TRUE(r.ok) << "k=" << k << ": " << r.error;
+    EXPECT_FALSE(r.batch_fallback) << "k=" << k;
+    EXPECT_EQ(r.output, serial) << "k=" << k;
+    ASSERT_EQ(r.nodes.size(), 2u) << "k=" << k;
+    EXPECT_TRUE(r.nodes[0].streamed_combine) << "k=" << k;
+  }
 }
 
 // ------------------------------------------------ catalog cross-validation --
