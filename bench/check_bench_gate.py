@@ -28,11 +28,6 @@ reads ~64 KiB of a 16 MiB input — a reader that stops noticing cancel
 drains everything, two orders of magnitude past the limit). Scenarios
 whose baseline predates a counter simply skip that check.
 
-A scenario may carry a "skipped" reason instead of numbers (the runner
-could not execute it in its environment — e.g. the io_uring kernel probe
-failed). Skipped scenarios are reported and excluded from the diff; only
-a scenario absent from the artifact entirely counts as missing.
-
 Exit status: 0 clean, 1 regression or missing scenario, 2 usage/IO error.
 """
 
@@ -77,18 +72,6 @@ def main() -> int:
         got = measured.get(name)
         if got is None:
             failures.append(f"{name}: missing from artifact")
-            continue
-        if "skipped" in got:
-            # The runner recorded why the scenario could not execute in its
-            # environment (e.g. the io_uring kernel probe failed). That is
-            # an environmental gap, not a regression.
-            print(f"  {name}: skipped ({got['skipped']})")
-            continue
-        if "skipped" in base:
-            # Baseline was recorded in an environment that could not run the
-            # scenario; there is nothing to diff against.
-            print(f"  {name}: no baseline (recorded as skipped: "
-                  f"{base['skipped']})")
             continue
         rss_limit = max(
             base["rss_growth_bytes"] * RSS_REL,

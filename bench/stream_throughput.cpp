@@ -4,14 +4,6 @@
 //   ./build/bench/stream_throughput [--mb=N] [--block-kb=N] [--k=N]
 //                                   [--spill-mb=N] [--no-speed-check]
 //                                   [--no-memory-check] [--json=PATH]
-//                                   [--io-backend=auto|uring|poll]
-//
-// --io-backend forces the kq::io engine for every streaming scenario
-// (default auto: kernel probe). Independent of that, the saturating-read
-// scenario always measures poll and io_uring explicitly side by side; its
-// io_uring leg records a skipped marker in the --json artifact when the
-// kernel probe fails, so the baseline diff reports the gap instead of
-// flagging a missing scenario.
 //
 // --no-memory-check skips the RSS verdicts (the input-relative bound and
 // the absolute 16 MiB window gate) for sanitizer builds, where shadow
@@ -60,7 +52,6 @@
 #include "compile/optimize.h"
 #include "compile/plan.h"
 #include "exec/executor.h"
-#include "io/engine.h"
 #include "obs/trace.h"
 
 namespace {
@@ -246,10 +237,9 @@ Measurement run_streaming_file(const Compiled& compiled,
 }
 
 // The fd-source twin: drives the run from a real file descriptor so the
-// SOURCE read path routes through the configured kq::io engine — the
+// source read goes through the kq::io engine's poll(2)+read loop — the
 // istream adapter used by run_streaming_file only exercises the engine on
-// spill I/O. This is the harness for the per-backend saturating-read
-// scenario.
+// spill I/O. This is the harness for the saturating-read scenario.
 Measurement run_streaming_fd_file(const Compiled& compiled,
                                   const std::string& path, int k,
                                   kq::ExecOptions options) {
@@ -342,11 +332,6 @@ struct GateRecord {
       : name(std::move(name_)), m(m_) {}
   std::string name;
   Measurement m;
-  // Set when the scenario could not run in this environment (e.g. the
-  // io_uring kernel probe failed): the artifact carries the reason instead
-  // of numbers, and check_bench_gate.py reports it rather than treating
-  // the scenario as missing.
-  std::string skipped;
 };
 
 void write_json(const std::string& path, std::size_t input_mb,
@@ -355,12 +340,6 @@ void write_json(const std::string& path, std::size_t input_mb,
   out << "{\n  \"input_mb\": " << input_mb << ",\n  \"scenarios\": [\n";
   for (std::size_t i = 0; i < records.size(); ++i) {
     const GateRecord& r = records[i];
-    if (!r.skipped.empty()) {
-      out << "    {\"name\": \"" << r.name << "\", \"skipped\": \""
-          << r.skipped << "\"}" << (i + 1 < records.size() ? "," : "")
-          << "\n";
-      continue;
-    }
     out << "    {\"name\": \"" << r.name << "\", \"wall_s\": " << r.m.seconds
         << ", \"rss_growth_bytes\": " << r.m.rss_growth
         << ", \"bytes_read\": " << r.m.bytes_read
@@ -387,16 +366,6 @@ int main(int argc, char** argv) {
   const bool speed_check = !has_flag(argc, argv, "--no-speed-check");
   const bool memory_check = !has_flag(argc, argv, "--no-memory-check");
   const std::string json_path = arg_string(argc, argv, "--json");
-  io::Backend io_backend = io::Backend::kAuto;
-  {
-    std::string value = arg_string(argc, argv, "--io-backend");
-    if (!value.empty() && !io::parse_backend(value, &io_backend)) {
-      std::cerr << "stream_throughput: --io-backend must be auto, uring, or "
-                   "poll (got '"
-                << value << "')\n";
-      return 2;
-    }
-  }
   std::vector<GateRecord> gate_records;
   std::size_t input_bytes = input_mb << 20;
 
@@ -404,7 +373,6 @@ int main(int argc, char** argv) {
   config.parallelism = k;
   config.block_size = block_kb << 10;
   config.spill_threshold = spill_mb << 20;
-  config.io_backend = io_backend;
   std::size_t budget =
       (2 * static_cast<std::size_t>(k) + 2) * config.block_size;
 
@@ -740,69 +708,20 @@ int main(int argc, char** argv) {
   }
 
   // Saturating read: the folding pipeline driven from a real file
-  // descriptor, once per I/O backend. The fold's output is tiny and its
-  // per-record work is cheap, so the run is read-dominated — exactly where
-  // a submission-batched backend has to show up. The gate (full size only)
-  // requires the io_uring leg to match or beat poll on wall clock at
-  // equal-or-lower RSS growth modulo the fixed ring overhead; at smoke
-  // sizes both legs are still recorded for CI's baseline diff.
-  bool io_backend_ok = true;
+  // descriptor. The fold's output is tiny and its per-record work is
+  // cheap, so the run is read-dominated; the row records the fd source
+  // for CI's baseline diff.
   {
     const Compiled& compiled = compiled_pipelines[1];
     std::cout << "\nsaturating read (fd source): " << kPipelines[1].cmd
               << "\n";
-    kq::ExecOptions io_config = config;
-    io_config.io_backend = io::Backend::kPoll;
-    Measurement pollm = run_isolated(
-        [&] { return run_streaming_fd_file(compiled, path, k, io_config); });
-    std::cout << "  poll:  " << pollm.seconds << " s ("
-              << mib_per_s(input_bytes, pollm.seconds) << " MiB/s), RSS growth "
-              << (pollm.rss_growth >> 20) << " MiB\n";
-    if (!pollm.ok) all_ok = false;
-    gate_records.push_back(
-        {std::string("io-poll:") + kPipelines[1].cmd, pollm});
-    if (io::uring_supported()) {
-      io_config.io_backend = io::Backend::kUring;
-      Measurement uring = run_isolated([&] {
-        return run_streaming_fd_file(compiled, path, k, io_config);
-      });
-      std::cout << "  uring: " << uring.seconds << " s ("
-                << mib_per_s(input_bytes, uring.seconds)
-                << " MiB/s), RSS growth " << (uring.rss_growth >> 20)
-                << " MiB\n";
-      if (!uring.ok) all_ok = false;
-      if (pollm.out_bytes != uring.out_bytes) {
-        std::cout << "  ERROR: backends disagree on output size (poll "
-                  << pollm.out_bytes << " vs uring " << uring.out_bytes
-                  << ")\n";
-        all_ok = false;
-      }
-      gate_records.push_back(
-          {std::string("io-uring:") + kPipelines[1].cmd, uring});
-      const bool enforce_io =
-          speed_check && input_mb >= 64 && !fork_fallback_used;
-      if (enforce_io && uring.seconds > pollm.seconds * 1.05 + 0.05) {
-        std::cout << "  ERROR: io_uring is slower than poll on a "
-                     "read-dominated pipeline\n";
-        io_backend_ok = false;
-      }
-      // Equal-or-lower memory, with a fixed floor: the ring and its
-      // registered staging slots cost a bounded amount that smoke sizes
-      // would read as ratio noise.
-      if (enforce_io && memory_check &&
-          uring.rss_growth > pollm.rss_growth + (std::size_t(4) << 20)) {
-        std::cout << "  ERROR: io_uring RSS growth exceeds poll by more "
-                     "than the fixed ring overhead\n";
-        io_backend_ok = false;
-      }
-    } else {
-      std::cout << "  uring: skipped (io_uring unavailable on this "
-                   "kernel)\n";
-      GateRecord rec;
-      rec.name = std::string("io-uring:") + kPipelines[1].cmd;
-      rec.skipped = "io_uring unavailable on this kernel";
-      gate_records.push_back(std::move(rec));
-    }
+    Measurement m = run_isolated(
+        [&] { return run_streaming_fd_file(compiled, path, k, config); });
+    std::cout << "  " << m.seconds << " s ("
+              << mib_per_s(input_bytes, m.seconds) << " MiB/s), RSS growth "
+              << (m.rss_growth >> 20) << " MiB\n";
+    if (!m.ok) all_ok = false;
+    gate_records.push_back({std::string("io-poll:") + kPipelines[1].cmd, m});
   }
 
   if (!json_path.empty()) {
@@ -836,17 +755,12 @@ int main(int argc, char** argv) {
             << "; sharded scaling "
             << (shard_scaling_ok ? "ok (or not enforced at this size)"
                                  : "FAILED")
-            << "; io backend "
-            << (!io::uring_supported()
-                    ? "comparison skipped (io_uring unavailable)"
-                    : (io_backend_ok ? "ok (or not enforced at this size)"
-                                     : "io_uring REGRESSED vs poll"))
             << "\n";
   std::remove(path.c_str());
   if (fork_fallback_used) bounded = window_bounded = true;  // unreliable
   if (!all_ok) std::cout << "verdict: FAILED (run or output error above)\n";
   return (all_ok && all_faster && bounded && window_bounded &&
-          telemetry_cheap && shard_scaling_ok && io_backend_ok)
+          telemetry_cheap && shard_scaling_ok)
              ? 0
              : 1;
 }

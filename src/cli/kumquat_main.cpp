@@ -275,11 +275,6 @@ void print_stream_stats(const kq::ExecResult& result) {
       std::cerr << "      shard slice=" << n.shard_slice_bytes
                 << " bytes slices=" << n.shard_slices
                 << " worker-busy=" << format_ms(n.worker_busy_ns) << "\n";
-    // io_uring submission activity (source reads + spill writes routed
-    // through this node's engines); always zero on the poll backend.
-    if (n.sqe_batches != 0 || n.cqe_waits != 0)
-      std::cerr << "      io sqe-batches=" << n.sqe_batches
-                << " cqe-waits=" << n.cqe_waits << "\n";
   }
 }
 
@@ -302,8 +297,7 @@ void print_batch_stats(const kq::ExecResult& result) {
 int cmd_run(const std::string& pipeline, int k, bool optimize, bool streaming,
             std::size_t block_size, std::size_t spill_threshold,
             char delimiter, bool rewrite, bool stats,
-            const std::string& trace_path, bool check_only,
-            io::Backend io_backend) {
+            const std::string& trace_path, bool check_only) {
   // --check: static analysis of the exact plan this run would execute,
   // then exit with the analyzer's verdict instead of reading stdin.
   if (check_only) {
@@ -344,7 +338,6 @@ int cmd_run(const std::string& pipeline, int k, bool optimize, bool streaming,
   options.block_size = block_size;
   options.spill_threshold = spill_threshold;
   options.delimiter = delimiter;
-  options.io_backend = io_backend;
   options.stats = stats;
   options.tracer = tracer.get();
   kq::Executor executor(options);
@@ -393,9 +386,8 @@ int cmd_run(const std::string& pipeline, int k, bool optimize, bool streaming,
   }
   std::cerr << "kumquat: " << result.seconds << " s at k=" << resolved_k;
   if (streaming) {
-    std::cerr << ", streaming";
-    if (!result.io_backend.empty())
-      std::cerr << " (io=" << result.io_backend << ")";
+    // kqbench/run.py fingerprints a run by this "(io=...)" field.
+    std::cerr << ", streaming (io=" << result.io_backend << ")";
     std::cerr << ", read " << result.bytes_read
               << " input bytes, peak " << result.peak_inflight_bytes
               << " bytes in flight";
@@ -461,7 +453,7 @@ void usage() {
                "[--stream|--batch]\n"
                "              [--block-size N[K|M|G]] "
                "[--spill-threshold N[K|M|G]|0]\n"
-               "              [--delimiter C] [--io-backend auto|uring|poll]\n"
+               "              [--delimiter C]\n"
                "              [--stats] [--trace-json FILE]\n"
                "              [--check] '<pipeline>'  (stdin -> stdout)\n"
                "\n"
@@ -471,14 +463,11 @@ void usage() {
                "  accumulate more than --spill-threshold (default 64M) spill\n"
                "  to disk; 0 disables spilling. --delimiter sets the record\n"
                "  byte the streaming reader realigns on (default \\n; accepts\n"
-               "  \\t \\n \\0 escapes). --batch selects the in-memory staged\n"
+               "  \\t \\n \\0 escapes; under any other byte, parallel stages\n"
+               "  run sequentially). --batch selects the in-memory staged\n"
                "  runner, which ignores the streaming-only flags. --jobs\n"
                "  (alias -k) defaults to the hardware thread count (max 16)\n"
-               "  and applies identically in both modes. --io-backend picks\n"
-               "  the stream-mode I/O engine for the stdin source and spill\n"
-               "  files (default auto: io_uring where the kernel supports\n"
-               "  it, else poll; KQ_IO_BACKEND overrides auto — see\n"
-               "  docs/IO.md).\n"
+               "  and applies identically in both modes.\n"
                "\n"
                "  compile and run fuse bounded top-N patterns by default\n"
                "  ('sort | head -n N', 'uniq -c | sort -rn | head -n K')\n"
@@ -593,7 +582,6 @@ int main(int argc, char** argv) {
     std::size_t block_size = 1 << 20;
     std::size_t spill_threshold = 64 << 20;
     char delimiter = '\n';
-    io::Backend io_backend = io::Backend::kAuto;
     bool stats = false;
     bool check_only = false;
     std::string trace_path;
@@ -638,12 +626,6 @@ int main(int argc, char** argv) {
           std::cerr << "kumquat: " << error << "\n";
           return 2;
         }
-      } else if (std::strcmp(argv[i], "--io-backend") == 0 && i + 1 < argc) {
-        if (!io::parse_backend(argv[++i], &io_backend)) {
-          std::cerr << "kumquat: --io-backend must be auto, uring, or poll "
-                       "(got '" << argv[i] << "')\n";
-          return 2;
-        }
       } else if (std::strcmp(argv[i], "--stats") == 0) {
         stats = true;
       } else if (std::strcmp(argv[i], "--trace-json") == 0 && i + 1 < argc) {
@@ -671,7 +653,7 @@ int main(int argc, char** argv) {
     }
     return cmd_run(pipeline, k, optimize, streaming, block_size,
                    spill_threshold, delimiter, rewrite, stats, trace_path,
-                   check_only, io_backend);
+                   check_only);
   }
   usage();
   return 2;

@@ -46,7 +46,7 @@ ExecResult from_stream_result(stream::StreamResult&& r) {
   out.peak_inflight_bytes = r.peak_inflight_bytes;
   out.spilled_bytes = r.spilled_bytes;
   out.bytes_read = r.bytes_read;
-  out.io_backend = std::move(r.io_backend);
+  out.io_backend = "poll";
   out.stopped_early = r.stopped_early;
   out.combine_undefined = r.combine_undefined;
   out.batch_fallback = r.batch_fallback;
@@ -137,8 +137,7 @@ ExecResult Executor::run_stream(const std::vector<exec::ExecStage>& stages,
   config.delimiter = options_.delimiter;
   config.spill_threshold = options_.spill_threshold;
   config.shard_slice = options_.shard_slice;
-  config.io.backend = options_.io_backend;
-  config.io.faults = options_.fault_plan;
+  config.faults = options_.fault_plan;
   config.stats = options_.stats;
   config.tracer = options_.tracer;
 

@@ -69,13 +69,9 @@ struct ExecOptions {
   char delimiter = '\n';
   std::size_t spill_threshold = 64 << 20;
   std::size_t shard_slice = 0;       // 0 derives 2 · block_size
-  // Stream-mode I/O backend for the fd source and every spill file
-  // (src/io/engine.h): kAuto resolves via KQ_IO_BACKEND and the kernel
-  // probe; the CLI's --io-backend lands here. kBatch/kSerial slurp through
-  // plain read(2) and ignore it.
-  io::Backend io_backend = io::Backend::kAuto;
   // Deterministic fault-injection seam (tests only): scripted failpoints
-  // every engine built for the run consults. Must outlive the run.
+  // the stream run's fd source and spill files consult (src/io/fault.h).
+  // Must outlive the run.
   io::FaultPlan* fault_plan = nullptr;
   bool stats = false;
   obs::Tracer* tracer = nullptr;
@@ -120,8 +116,9 @@ struct ExecResult {
   std::size_t peak_inflight_bytes = 0;  // stream: channel high-water mark
   std::size_t spilled_bytes = 0;        // stream: total spilled to disk
   std::size_t bytes_read = 0;           // stream: input bytes delivered
-  // Resolved I/O backend a stream run used ("poll" or "uring"); empty for
-  // batch/serial runs, which bypass the engine layer.
+  // The I/O engine a stream run used: always "poll" (src/io/engine.h);
+  // empty for batch/serial runs. Kept because the benchmark's result
+  // fingerprint reads it (kqbench/layers.cpp).
   std::string io_backend;
   bool stopped_early = false;      // the sink returned false (ok stays true)
   bool combine_undefined = false;  // !ok: a combiner bailed mid-fold

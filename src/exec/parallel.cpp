@@ -19,12 +19,11 @@ namespace {
 // longer than a step travel whole) and hands each to `fn`; stops early when
 // `fn` returns false. Same cut rule as the runtime's emit_blocks.
 template <typename Fn>
-void for_each_step(std::string_view data, std::size_t step, char delimiter,
-                   Fn&& fn) {
+void for_each_step(std::string_view data, std::size_t step, Fn&& fn) {
   while (data.size() > step) {
-    std::size_t cut = data.rfind(delimiter, step - 1);
+    std::size_t cut = data.rfind('\n', step - 1);
     if (cut == std::string_view::npos) {
-      cut = data.find(delimiter, step);
+      cut = data.find('\n', step);
       if (cut == std::string_view::npos) break;
     }
     if (!fn(data.substr(0, cut + 1))) return;
@@ -69,7 +68,7 @@ std::vector<std::string> map_chunks_chain(
 
 std::string run_slice_fused(const std::vector<const cmd::Command*>& chain,
                             std::string_view slice, std::size_t step,
-                            char delimiter, bool* last_fed) {
+                            bool* last_fed) {
   if (step == 0) step = 1;
   std::string owned;
   std::string_view cur = slice;
@@ -79,11 +78,8 @@ std::string run_slice_fused(const std::vector<const cmd::Command*>& chain,
   if (n == 0) return std::string(slice);
   std::size_t i = 0;
   while (i < n) {
-    // Streamability speaks about '\n'-delimited records; under a custom
-    // delimiter every stage runs whole (same rule as the runtime).
     if (i + 1 == n) fed = !cur.empty();
-    if (delimiter != '\n' ||
-        chain[i]->streamability() == cmd::Streamability::kNone) {
+    if (chain[i]->streamability() == cmd::Streamability::kNone) {
       owned = chain[i]->run(cur);
       cur = owned;
       ++i;
@@ -141,7 +137,7 @@ std::string run_slice_fused(const std::vector<const cmd::Command*>& chain,
         if (done[p]) return true;
       return false;
     };
-    for_each_step(cur, step, delimiter, [&](std::string_view piece) {
+    for_each_step(cur, step, [&](std::string_view piece) {
       feed(piece, 0);
       return !input_done();
     });

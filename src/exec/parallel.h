@@ -37,6 +37,6 @@ std::vector<std::string> map_chunks_chain(
 // stage saw nothing: they are f(""), and x ++ "" = x).
 std::string run_slice_fused(const std::vector<const cmd::Command*>& chain,
                             std::string_view slice, std::size_t step,
-                            char delimiter = '\n', bool* last_fed = nullptr);
+                            bool* last_fed = nullptr);
 
 }  // namespace kq::exec

@@ -1,9 +1,8 @@
-// Deterministic fault injection for the I/O engines (src/io/engine.h).
+// Deterministic fault injection for the I/O engine (src/io/engine.h).
 //
-// Both backends — the poll(2) fallback and io_uring — consult one
-// FaultPlan at the same logical point: immediately before each I/O
-// *attempt* (a source read, a spill write chunk, a spill read chunk).
-// A matching fault then replaces or perturbs that attempt:
+// The engine consults one FaultPlan immediately before each I/O
+// *attempt* (a source read, a spill write chunk, a spill read chunk). A
+// matching fault then replaces or perturbs that attempt:
 //
 //   - kShortOp clamps the attempt's byte count, forcing the short-read /
 //     partial-write continuation paths that real kernels exercise rarely.
@@ -15,10 +14,9 @@
 //     BlockReader::cancel) and then retries, landing a cancellation at an
 //     exact mid-fill attempt index.
 //
-// Because the consultation point is *inside* kq::io and shared by both
-// engines, a scenario scripted once in tests/io_fault_test.cpp asserts
-// identical observable behavior on poll and uring — fault parity is the
-// backend-equivalence contract, not integration luck.
+// Because the consultation point is *inside* kq::io, a scenario scripted
+// once in tests/io_fault_test.cpp drives the same retry and error paths
+// that a real kernel would, at an exact attempt index.
 //
 // Thread safety: next() is fully synchronized (engines on different
 // threads may share one plan); the hooks run outside the lock. The lock

@@ -22,10 +22,6 @@
 //                        combining: boundary-fold pushes, the deferred
 //                        k-way combine, the spill merge (less its
 //                        downstream pushes) and the rerun
-//   sqe batches        — io_uring submission batches the node's I/O engine
-//                        entered (0 on the poll backend)
-//   cqe waits          — blocking completion waits the engine entered
-//                        (0 on the poll backend)
 //   early_exit         — why the node stopped consuming input early
 //
 // Disabled cost: when stats collection is off no StageCounters exists and
@@ -62,8 +58,6 @@ struct StageCounters {
   std::atomic<std::uint64_t> shard_slices{0};
   std::atomic<std::uint64_t> worker_busy_ns{0};
   std::atomic<std::uint64_t> combine_ns{0};
-  std::atomic<std::uint64_t> sqe_batches{0};
-  std::atomic<std::uint64_t> cqe_waits{0};
   std::atomic<int> early_exit{static_cast<int>(EarlyExit::kNone)};
 
   void note_early_exit(EarlyExit cause) {

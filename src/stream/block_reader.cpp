@@ -46,14 +46,10 @@ BlockReader::ReadFn stream_source(std::istream& in, std::shared_ptr<int> error,
   };
 }
 
-// The fd source delegates the poll-vs-uring syscall strategy to the I/O
-// engine (src/io/engine.h) — the poll engine's loop is the one that used
-// to live right here; the engine seam is what makes the backend swappable
-// and the cancellation/idle/wait contract testable on both. The lambda
-// captures the reader's shared flag state and hands the engine a SourceCtl
-// view of it per read.
+// The fd source: the engine's poll(2)+read loop (src/io/engine.h), handed a
+// SourceCtl view of the reader's shared flag state per read.
 BlockReader::ReadFn engine_source(
-    io::Engine* engine, int fd, std::shared_ptr<int> error,
+    io::Engine engine, int fd, std::shared_ptr<int> error,
     std::shared_ptr<std::atomic<bool>> cancel,
     std::shared_ptr<std::atomic<bool>> idle,
     std::shared_ptr<std::atomic<bool>> time_waits,
@@ -68,7 +64,7 @@ BlockReader::ReadFn engine_source(
     ctl.time_waits = time_waits.get();
     ctl.wait_ns = wait_ns.get();
     ctl.error = error.get();
-    return engine->read_source(fd, buf, n, ctl);
+    return engine.read_source(fd, buf, n, ctl);
   };
 }
 
@@ -77,18 +73,10 @@ BlockReader::ReadFn engine_source(
 BlockReader::BlockReader(std::istream& in, BlockReaderOptions options)
     : read_(stream_source(in, error_, cancel_)), options_(sanitize(options)) {}
 
-BlockReader::BlockReader(int fd, BlockReaderOptions options)
-    : owned_engine_(io::make_engine()),
-      engine_(owned_engine_.get()),
-      read_(engine_source(engine_, fd, error_, cancel_, idle_, time_waits_,
-                          wait_ns_)),
-      options_(sanitize(options)) {}
-
-BlockReader::BlockReader(int fd, io::Engine* engine,
-                         BlockReaderOptions options)
-    : engine_(engine),
-      read_(engine_source(engine_, fd, error_, cancel_, idle_, time_waits_,
-                          wait_ns_)),
+BlockReader::BlockReader(int fd, BlockReaderOptions options,
+                         io::FaultPlan* faults)
+    : read_(engine_source(io::Engine(faults), fd, error_, cancel_, idle_,
+                          time_waits_, wait_ns_)),
       options_(sanitize(options)) {}
 
 BlockReader::BlockReader(ReadFn read, BlockReaderOptions options)

@@ -26,7 +26,7 @@
 #include <string>
 
 namespace kq::io {
-class Engine;
+class FaultPlan;
 }
 
 namespace kq::obs {
@@ -55,13 +55,11 @@ class BlockReader {
   using ReadFn = std::function<std::size_t(char* buf, std::size_t n)>;
 
   BlockReader(std::istream& in, BlockReaderOptions options = {});
-  // The fd source reads through a kq::io::Engine (src/io/engine.h). The
-  // two-argument form builds its own engine with default IoOptions
-  // (backend resolved from KQ_IO_BACKEND / the kernel probe); the runtime
-  // passes an engine it configured and owns — `engine` must outlive the
-  // reader and its single-owner thread is the reader's thread.
-  BlockReader(int fd, BlockReaderOptions options = {});
-  BlockReader(int fd, io::Engine* engine, BlockReaderOptions options = {});
+  // The fd source reads through a kq::io::Engine (src/io/engine.h), which
+  // consults `faults` (a test-only seam, must outlive the reader) before
+  // every read attempt.
+  BlockReader(int fd, BlockReaderOptions options = {},
+              io::FaultPlan* faults = nullptr);
   BlockReader(ReadFn read, BlockReaderOptions options = {});
 
   // The next record-aligned block, or nullopt once the source is exhausted.
@@ -100,9 +98,6 @@ class BlockReader {
   // read loop never touches the clock.
   void enable_wait_timing() { time_waits_->store(true); }
 
-  // The I/O engine behind an fd source (null for istream/callback
-  // sources) — the runtime attaches per-node counters through it.
-  io::Engine* engine() const { return engine_; }
   // Nanoseconds the fd source spent waiting for readability (the node-0
   // recv-blocked time in the --stats table). 0 unless wait timing is on.
   std::uint64_t wait_ns() const { return wait_ns_->load(); }
@@ -127,10 +122,6 @@ class BlockReader {
   std::shared_ptr<std::atomic<std::uint64_t>> wait_ns_ =
       std::make_shared<std::atomic<std::uint64_t>>(0);
   std::atomic<obs::Tracer*> tracer_{nullptr};
-  // Declared before read_: the fd-source lambda captures a raw engine
-  // pointer, so the lambda must be destroyed before an owned engine is.
-  std::unique_ptr<io::Engine> owned_engine_;
-  io::Engine* engine_ = nullptr;
   ReadFn read_;
   BlockReaderOptions options_;
   std::string pending_;  // bytes read but not yet delivered

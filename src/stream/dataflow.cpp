@@ -67,12 +67,16 @@ struct Segment {
   }
 };
 
-// True when the runtime will actually fan this stage out to workers (the
-// plan wanted parallelism and the config allows it). A plan-parallel stage
-// at k = 1 falls back to a sequential node, where declared streamability
-// is strictly better than the materialize drain.
+// True when the runtime will actually fan this stage out to workers: the
+// plan wanted parallelism, the config allows it, and records are '\n'
+// lines. Slices are cut at the record delimiter, so under a custom one a
+// slice can end mid-line and every line-based command (and combiner)
+// would see a truncated line. A plan-parallel stage that does not run
+// parallel (k = 1, or a custom delimiter) is a sequential node, where
+// declared streamability is strictly better than the materialize drain.
 bool runs_parallel(const exec::ExecStage& stage, const StreamConfig& config) {
-  return stage.parallel && config.parallelism > 1 && stage.combine != nullptr;
+  return stage.parallel && config.parallelism > 1 &&
+         stage.combine != nullptr && config.delimiter == '\n';
 }
 
 // True when the stage may run as (part of) a per-block stream-chain node.
@@ -104,7 +108,6 @@ bool window_stage(const exec::ExecStage& stage, const StreamConfig& config) {
 std::vector<Segment> build_segments(const std::vector<exec::ExecStage>& stages,
                                     const StreamConfig& config) {
   std::vector<Segment> segments;
-  const bool parallel_ok = config.parallelism > 1;
   std::size_t i = 0;
   while (i < stages.size()) {
     Segment seg;
@@ -135,7 +138,7 @@ std::vector<Segment> build_segments(const std::vector<exec::ExecStage>& stages,
           break;
         }
       }
-    } else if (stages[i].parallel && parallel_ok && stages[i].combine) {
+    } else if (runs_parallel(stages[i], config)) {
       seg.parallel = true;
       // Mirror the batch runner's elimination condition: a stage whose
       // concat combiner is eliminated feeds its substreams straight into
@@ -144,8 +147,7 @@ std::vector<Segment> build_segments(const std::vector<exec::ExecStage>& stages,
       // own stream-chain node (head fused into a worker chain would lose
       // the early exit that makes it O(blocks)).
       while (config.use_elimination && seg.chain.back()->eliminate_combiner &&
-             i + 1 < stages.size() && stages[i + 1].parallel &&
-             stages[i + 1].combine &&
+             i + 1 < stages.size() && runs_parallel(stages[i + 1], config) &&
              !stream_chain_stage(stages[i + 1], config)) {
         ++i;
         seg.chain.push_back(&stages[i]);
@@ -155,27 +157,23 @@ std::vector<Segment> build_segments(const std::vector<exec::ExecStage>& stages,
       // lower_plan AND the chain shape admits a processor cascade — all
       // non-terminal members per-record, the terminal per-record or window
       // (a window's emission happens at slice end, so nothing can cascade
-      // behind it inside a shard). Streamability is a statement about
-      // '\n'-delimited records, so a custom delimiter keeps the whole-slice
-      // worker path.
-      if (config.delimiter == '\n') {
-        bool ok = true;
-        for (std::size_t j = 0; j < seg.chain.size(); ++j) {
-          const exec::ExecStage* s = seg.chain[j];
-          if (!s->shardable || !s->command) {
-            ok = false;
-            break;
-          }
-          const cmd::Streamability sb = s->command->streamability();
-          const bool terminal = j + 1 == seg.chain.size();
-          if (sb != cmd::Streamability::kPerRecord &&
-              !(terminal && sb == cmd::Streamability::kWindow)) {
-            ok = false;
-            break;
-          }
+      // behind it inside a shard).
+      bool ok = true;
+      for (std::size_t j = 0; j < seg.chain.size(); ++j) {
+        const exec::ExecStage* s = seg.chain[j];
+        if (!s->shardable || !s->command) {
+          ok = false;
+          break;
         }
-        seg.sharded = ok;
+        const cmd::Streamability sb = s->command->streamability();
+        const bool terminal = j + 1 == seg.chain.size();
+        if (sb != cmd::Streamability::kPerRecord &&
+            !(terminal && sb == cmd::Streamability::kWindow)) {
+          ok = false;
+          break;
+        }
       }
+      seg.sharded = ok;
     }
     ++i;
     segments.push_back(std::move(seg));
@@ -257,7 +255,6 @@ struct ParallelCtx {
   bool sharded = false;
   std::size_t slice_bytes = 0;   // the feeder's coalescing target
   std::size_t cascade_step = 0;  // block size inside a shard's cascade
-  char delimiter = '\n';
   std::atomic<std::ptrdiff_t> expected{-1};  // chunk count, once known
   // Set by the collector when downstream closed its read side: the feeder
   // stops pulling (its own input channel is also read-closed, but node 0
@@ -352,8 +349,8 @@ void run_feeder(ParallelCtx& ctx, NodeMetrics& metrics, const Pull& pull,
           // blocks — O(block + window) resident per shard, and
           // byte-identical to the Command::run hops by the streamability
           // contract.
-          current = exec::run_slice_fused(c->chain, data, c->cascade_step,
-                                          c->delimiter, &fed);
+          current =
+              exec::run_slice_fused(c->chain, data, c->cascade_step, &fed);
         } else {
           current = std::move(data);
           for (const cmd::Command* stage : c->chain) {
@@ -491,12 +488,10 @@ void run_collector(const Segment& seg, ParallelCtx& ctx, NodeMetrics& metrics,
   // (including composite-combiner fallback, which the spill path gives up:
   // a part failing the merge legality check below fails the run as
   // combine-undefined instead of trying a sibling combiner).
-  // (Requires '\n' records: the merged result is newline-joined lines, so
-  // under any other delimiter the re-blocked pushes could split records.)
   const bool spillable_merge =
       cstage.defer_combine && cstage.sort_spec != nullptr &&
       cstage.memory_class == exec::MemoryClass::kSortableSpill &&
-      config.spill_threshold != 0 && config.delimiter == '\n';
+      config.spill_threshold != 0;
   std::unique_ptr<SpillMerger> merger;
 
   // Rerun combiners concatenate all partial outputs and rerun the command
@@ -535,8 +530,8 @@ void run_collector(const Segment& seg, ParallelCtx& ctx, NodeMetrics& metrics,
   };
 
   // Settled output goes downstream at record boundaries: a piece that ends
-  // mid-record (a custom delimiter, an unterminated concat part) holds its
-  // open record back for the next piece. A '\n' stream moves through whole.
+  // mid-record (an unterminated concat part) holds its open record back for
+  // the next piece. A '\n' stream moves through whole.
   auto emit = [&](std::string&& piece) -> bool {
     metrics.out_bytes += piece.size();
     if (partial.empty() && !piece.empty() && piece.back() == config.delimiter)
@@ -583,14 +578,13 @@ void run_collector(const Segment& seg, ParallelCtx& ctx, NodeMetrics& metrics,
       if (spillable_merge) {
         merger = std::make_unique<SpillMerger>(
             cstage.sort_spec, SpillMerger::Input::kSortedParts,
-            config.spill_threshold, &shared.gauge, config.io, tele.counters);
+            config.spill_threshold, &shared.gauge, config.faults);
         merger->set_telemetry(tele.tracer, tele.label);
         for (std::string& held : deferred)
           if (!spill_part(std::move(held))) return false;
       } else if (spoolable_rerun) {
         spool = std::make_unique<RawSpool>(config.spill_threshold,
-                                           &shared.gauge, config.io,
-                                           tele.counters);
+                                           &shared.gauge, config.faults);
         spool->set_telemetry(tele.tracer, tele.label);
         for (const std::string& held : deferred)
           if (!spool_part(held)) return false;
@@ -775,8 +769,7 @@ void run_sequential(const Segment& seg, NodeMetrics& metrics, const Pull& pull,
 
   if (spec) {
     SpillMerger sorter(std::move(spec), SpillMerger::Input::kUnsortedBlocks,
-                       config.spill_threshold, &shared.gauge, config.io,
-                       tele.counters);
+                       config.spill_threshold, &shared.gauge, config.faults);
     sorter.set_telemetry(tele.tracer, tele.label);
     bool ok = true;
     while (auto piece = pull()) {
@@ -826,8 +819,7 @@ void run_sequential(const Segment& seg, NodeMetrics& metrics, const Pull& pull,
     return;
   }
 
-  RawSpool spool(config.spill_threshold, &shared.gauge, config.io,
-                 tele.counters);
+  RawSpool spool(config.spill_threshold, &shared.gauge, config.faults);
   spool.set_telemetry(tele.tracer, tele.label);
   bool ok = true;
   while (auto piece = pull()) {
@@ -952,7 +944,7 @@ void run_stream_chain(const Segment& seg, NodeMetrics& metrics,
     if (!merger) {
       merger = std::make_unique<SpillMerger>(
           wspec, SpillMerger::Input::kSortedParts, config.spill_threshold,
-          &shared.gauge, config.io, tele.counters);
+          &shared.gauge, config.faults);
       merger->set_telemetry(tele.tracer, tele.label);
     }
     if (!merger->add(std::move(run))) {
@@ -1153,16 +1145,14 @@ StreamConfig sanitize(StreamConfig config) {
   if (config.max_inflight == 0)
     config.max_inflight =
         2 * static_cast<std::size_t>(config.parallelism) + 2;
-  // Resolve kAuto once so every spill file and the result label agree on
-  // the backend (KQ_IO_BACKEND / kernel probe; see src/io/engine.h).
-  config.io.backend = io::resolve_backend(config.io.backend);
   return config;
 }
 
 // The memory class the runtime *actually* gives this node — mirrors the
 // dispatch in run_streaming_core/run_sequential rather than echoing the
-// plan's label (a plan-sortable stage under a custom delimiter
-// materializes; a parallel segment's residency is its combiner's).
+// plan's label (under a custom delimiter a plan-parallel stage runs
+// sequential and a plan-sortable one materializes; a parallel segment's
+// residency is its combiner's).
 const char* node_memory_label(const Segment& seg, const StreamConfig& config) {
   if (seg.window) return "window-stream";
   if (seg.stream) return "stateless-stream";
@@ -1191,7 +1181,6 @@ StreamResult run_streaming_core(const std::vector<exec::ExecStage>& stages,
                                 const StreamConfig& raw_config) {
   const StreamConfig config = sanitize(raw_config);
   StreamResult result;
-  result.io_backend = io::backend_name(config.io.backend);
   auto start = Clock::now();
 
   auto read_error_message = [&config](int err) {
@@ -1281,7 +1270,6 @@ StreamResult run_streaming_core(const std::vector<exec::ExecStage>& stages,
       ctxs[i]->sharded = segments[i].sharded;
       ctxs[i]->slice_bytes = slice;
       ctxs[i]->cascade_step = config.block_size;
-      ctxs[i]->delimiter = config.delimiter;
       for (const exec::ExecStage* s : segments[i].chain)
         ctxs[i]->chain.push_back(s->command.get());
       // A feeder stalled on the in-flight bound is send-blocked: its
@@ -1291,10 +1279,6 @@ StreamResult run_streaming_core(const std::vector<exec::ExecStage>& stages,
     }
   }
   if (config.stats) {
-    // Node 0 pulls straight from the reader: its fd-source engine's
-    // sqe_batches/cqe_waits belong to node 0's counters (null engine for
-    // istream sources; spill engines attach in their constructors).
-    if (reader.engine()) reader.engine()->set_counters(counters[0].get());
     // links[i] connects node i's push side to node i+1's pull side. All
     // telemetry wiring (these calls, the semaphore attach above, and
     // reader.enable_wait_timing/set_tracer) completes before the `threads`
@@ -1500,8 +1484,6 @@ StreamResult run_streaming_core(const std::vector<exec::ExecStage>& stages,
       m.shard_slices = c.shard_slices.load(std::memory_order_relaxed);
       m.worker_busy_ns = c.worker_busy_ns.load(std::memory_order_relaxed);
       m.combine_ns = c.combine_ns.load(std::memory_order_relaxed);
-      m.sqe_batches = c.sqe_batches.load(std::memory_order_relaxed);
-      m.cqe_waits = c.cqe_waits.load(std::memory_order_relaxed);
       m.early_exit = obs::early_exit_name(c.early_exit_cause());
     }
     // Node 0 pulls straight from the BlockReader: its input-side blocked
@@ -1548,10 +1530,7 @@ StreamResult run_streaming_fd(const std::vector<exec::ExecStage>& stages,
                               int input_fd, const Sink& sink,
                               exec::ThreadPool& pool,
                               const StreamConfig& config) {
-  // The fd source's engine is built from the run's IoOptions so backend
-  // overrides and the fault seam reach the source path, not just spills.
-  std::unique_ptr<io::Engine> engine = io::make_engine(config.io);
-  BlockReader reader(input_fd, engine.get(), reader_options(config));
+  BlockReader reader(input_fd, reader_options(config), config.faults);
   return run_streaming_core(stages, reader, sink, pool, config);
 }
 

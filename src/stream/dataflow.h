@@ -40,8 +40,10 @@
 //     sequential built-in sort stages run as an external merge sort, and
 //     rerun combiners and materialize stages spool their drain through a
 //     temp file — so with '\n' records every node's resident footprint is
-//     bounded, not just the parallel ones. (The sort/merge spill paths are
-//     line-based and stay in memory under a custom delimiter.)
+//     bounded, not just the parallel ones. (Under a custom delimiter a
+//     plan-parallel stage runs as a sequential node — a slice cut at the
+//     delimiter could end mid-line — and the line-based sort/merge spill
+//     paths stay in memory.)
 //
 // Output is byte-identical to the batch runner whenever the synthesized
 // combiners satisfy their defining property g(f(x), f(y)) = f(x · y) —
@@ -59,7 +61,10 @@
 
 #include "exec/runner.h"
 #include "exec/thread_pool.h"
-#include "io/engine.h"
+
+namespace kq::io {
+class FaultPlan;
+}
 
 namespace kq::obs {
 class Tracer;
@@ -90,11 +95,9 @@ struct StreamConfig {
   // slot count down so the byte budget (max_inflight · block_size) is
   // unchanged.
   std::size_t shard_slice = 0;
-  // I/O backend selection and the fault-injection seam (src/io/engine.h):
-  // the fd source and every spill file route their syscalls through a
-  // kq::io::Engine built from this. kAuto resolves via KQ_IO_BACKEND and
-  // the kernel probe.
-  io::IoOptions io;
+  // Deterministic fault-injection seam (src/io/fault.h, tests only): the
+  // fd source and every spill file consult it before each I/O attempt.
+  io::FaultPlan* faults = nullptr;
   // Telemetry (src/obs/). `stats` allocates per-node obs::StageCounters and
   // wires blocked-time/record/pool accounting through the run — the
   // extended NodeMetrics fields below are zero without it. A non-null
@@ -136,8 +139,6 @@ struct NodeMetrics {
   std::uint64_t shard_slices = 0;      // slices shard workers executed
   std::uint64_t worker_busy_ns = 0;    // summed shard-worker execution time
   std::uint64_t combine_ns = 0;        // collector time spent combining
-  std::uint64_t sqe_batches = 0;       // io_uring submit batches (0 on poll)
-  std::uint64_t cqe_waits = 0;         // io_uring completion waits (0 on poll)
   std::string early_exit;              // why input stopped early ("" = ran
                                        // to end of stream)
 
@@ -158,9 +159,6 @@ struct StreamResult {
   // Input bytes the BlockReader delivered — far below the input size when
   // a prefix-bounded stage (head) cancelled the upstream early.
   std::size_t bytes_read = 0;
-  // Resolved I/O backend the run used ("poll" or "uring") — what kAuto
-  // landed on, for the --stats footer and backend-equivalence tests.
-  std::string io_backend;
   std::vector<NodeMetrics> nodes;
   bool stopped_early = false;      // the sink returned false (ok stays true)
   bool combine_undefined = false;  // !ok because a combiner bailed mid-fold

@@ -78,9 +78,7 @@ class RunCursor {
 
 // -------------------------------------------------------------- SpillFile --
 
-SpillFile::SpillFile(io::IoOptions io, obs::StageCounters* counters)
-    : engine_(io::make_engine(io)) {
-  engine_->set_counters(counters);
+SpillFile::SpillFile(io::FaultPlan* faults) : engine_(faults) {
   const char* dir = std::getenv("TMPDIR");
   if (dir == nullptr || *dir == '\0') dir = "/tmp";
   std::string path = std::string(dir) + "/kumquat-spill-XXXXXX";
@@ -93,21 +91,16 @@ SpillFile::SpillFile(io::IoOptions io, obs::StageCounters* counters)
 }
 
 SpillFile::~SpillFile() {
-  // The engine may still hold queued async writes against fd_: destroy it
-  // (which drains its ring) before closing the descriptor.
-  engine_.reset();
   if (fd_ >= 0) ::close(fd_);
 }
 
 bool SpillFile::append(std::string_view bytes) {
   if (fd_ < 0) return false;
   if (!error_.empty()) return false;
-  // Appends are offset writes at the logical size: the uring engine queues
-  // them and overlaps the device with the owner's next sort/merge batch,
-  // so size_ advances with the queue (completion errors — including the
-  // partial-write-then-ENOSPC shape that used to truncate a run silently —
-  // surface as coded [KQ-IO] errors here or at the pre-read flush).
-  if (!engine_->write_at(fd_, bytes, size_, &error_)) return false;
+  // Appends are offset writes at the logical size; a failure (including
+  // the partial-write-then-ENOSPC shape that used to truncate a run
+  // silently) surfaces as a coded [KQ-IO] error.
+  if (!engine_.write_at(fd_, bytes, size_, &error_)) return false;
   size_ += bytes.size();
   return true;
 }
@@ -115,15 +108,14 @@ bool SpillFile::append(std::string_view bytes) {
 bool SpillFile::read_exact(std::size_t offset, char* buf,
                            std::size_t n) const {
   if (!error_.empty()) return false;
-  if (!engine_->flush(fd_, &error_)) return false;
-  return engine_->read_at(fd_, buf, n, offset, &error_);
+  return engine_.read_at(fd_, buf, n, offset, &error_);
 }
 
 // --------------------------------------------------------------- RawSpool --
 
 RawSpool::RawSpool(std::size_t threshold, MemoryGauge* gauge,
-                   io::IoOptions io, obs::StageCounters* counters)
-    : threshold_(threshold), gauge_(gauge), io_(io), counters_(counters) {}
+                   io::FaultPlan* faults)
+    : threshold_(threshold), gauge_(gauge), faults_(faults) {}
 
 RawSpool::~RawSpool() {
   if (gauge_) gauge_->sub(buffer_.size());
@@ -137,7 +129,7 @@ bool RawSpool::add(std::string_view bytes) {
   if (threshold_ == 0 || buffer_.size() < threshold_) return true;
   auto span = obs::span(tracer_, label_ + ": spool-spill", "spill");
   span.arg("bytes", buffer_.size());
-  if (!file_) file_ = std::make_unique<SpillFile>(io_, counters_);
+  if (!file_) file_ = std::make_unique<SpillFile>(faults_);
   if (!file_->append(buffer_)) {
     error_ = file_->error();
     return false;
@@ -180,10 +172,9 @@ bool RawSpool::take(std::string* out) {
 
 SpillMerger::SpillMerger(std::shared_ptr<const cmd::SortSpec> spec,
                          Input mode, std::size_t threshold,
-                         MemoryGauge* gauge, io::IoOptions io,
-                         obs::StageCounters* counters)
+                         MemoryGauge* gauge, io::FaultPlan* faults)
     : spec_(std::move(spec)), mode_(mode), threshold_(threshold),
-      gauge_(gauge), io_(io), counters_(counters) {}
+      gauge_(gauge), faults_(faults) {}
 
 SpillMerger::~SpillMerger() { drop_mem(mem_bytes_); }
 
@@ -228,7 +219,7 @@ bool SpillMerger::flush_run() {
   if (run.empty()) return true;
   auto span = obs::span(tracer_, label_ + ": spill-run", "spill");
   span.arg("bytes", run.size());
-  if (!file_) file_ = std::make_unique<SpillFile>(io_, counters_);
+  if (!file_) file_ = std::make_unique<SpillFile>(faults_);
   if (!file_->valid()) {
     error_ = file_->error();
     return false;

@@ -51,7 +51,6 @@ class SortSpec;
 
 namespace kq::obs {
 class Tracer;
-struct StageCounters;
 }
 
 namespace kq::stream {
@@ -60,13 +59,11 @@ class MemoryGauge;
 
 // An unlinked temp file (in $TMPDIR, else /tmp): append writes, positioned
 // reads, auto-reclaimed on destruction or process death. All I/O goes
-// through a kq::io::Engine built from `io` — on the uring backend appends
-// are queued asynchronously (size() counts queued bytes; errors surface on
-// a later append or the pre-read flush), on poll they complete in place.
+// through a kq::io::Engine that consults `faults` (a test-only seam; null
+// in production) before every attempt; appends complete in place.
 class SpillFile {
  public:
-  explicit SpillFile(io::IoOptions io = {},
-                     obs::StageCounters* counters = nullptr);
+  explicit SpillFile(io::FaultPlan* faults = nullptr);
   ~SpillFile();
   SpillFile(const SpillFile&) = delete;
   SpillFile& operator=(const SpillFile&) = delete;
@@ -77,12 +74,11 @@ class SpillFile {
 
   std::size_t size() const { return size_; }
   bool append(std::string_view bytes);
-  // Reads exactly `n` bytes at `offset`, after waiting out any queued
-  // appends; false on I/O error or short read.
+  // Reads exactly `n` bytes at `offset`; false on I/O error or short read.
   bool read_exact(std::size_t offset, char* buf, std::size_t n) const;
 
  private:
-  std::unique_ptr<io::Engine> engine_;
+  io::Engine engine_;
   int fd_ = -1;
   std::size_t size_ = 0;
   mutable std::string error_;
@@ -94,8 +90,7 @@ class SpillFile {
 class RawSpool {
  public:
   explicit RawSpool(std::size_t threshold, MemoryGauge* gauge = nullptr,
-                    io::IoOptions io = {},
-                    obs::StageCounters* counters = nullptr);
+                    io::FaultPlan* faults = nullptr);
   ~RawSpool();
 
   bool add(std::string_view bytes);
@@ -118,8 +113,7 @@ class RawSpool {
  private:
   const std::size_t threshold_;
   MemoryGauge* const gauge_;
-  const io::IoOptions io_;
-  obs::StageCounters* const counters_;
+  io::FaultPlan* const faults_;
   obs::Tracer* tracer_ = nullptr;
   std::string label_;
   std::string buffer_;
@@ -144,8 +138,7 @@ class SpillMerger {
   // the in-memory batch budget; 0 means never spill (single in-memory run).
   SpillMerger(std::shared_ptr<const cmd::SortSpec> spec, Input mode,
               std::size_t threshold, MemoryGauge* gauge = nullptr,
-              io::IoOptions io = {},
-              obs::StageCounters* counters = nullptr);
+              io::FaultPlan* faults = nullptr);
   ~SpillMerger();
 
   // False on spill I/O error (see error()).
@@ -184,8 +177,7 @@ class SpillMerger {
   const Input mode_;
   const std::size_t threshold_;
   MemoryGauge* const gauge_;
-  const io::IoOptions io_;
-  obs::StageCounters* const counters_;
+  io::FaultPlan* const faults_;
   obs::Tracer* tracer_ = nullptr;
   std::string label_;
 

@@ -1,31 +1,28 @@
-// Backend-equivalence tests for the I/O engine layer (src/io/): the whole
-// 70-script crossval catalog runs under BOTH backends (poll and io_uring)
-// at k in {1, 4} from a real file descriptor source — so source reads AND
-// spill I/O route through the engine under test — and every run must be
-// byte-identical to the serial oracle. A telemetry leg reconciles the
-// per-node counters across backends (bytes/records are deterministic and
-// must match exactly; sqe_batches/cqe_waits are uring-only and must stay
-// zero on poll), and a static-analysis leg pins the check::analyze RSS
-// model as backend-independent: switching the syscall strategy must not
-// move the memory model. The uring legs skip with a logged reason when the
-// kernel probe fails.
+// Fd-source tests for the streaming runtime. The whole 70-script crossval
+// catalog runs from a real file descriptor — so source reads AND spill I/O
+// route through the I/O engine (src/io/) — at k in {1, 4}, under the
+// default '\n' record delimiter and under a custom ';' delimiter over the
+// same inputs with a ';' written every 37 bytes, so records end mid-line.
+// Every run must be byte-identical to the serial oracle. The custom-
+// delimiter repros (grep -c, grep, uniq -c at k in {1, 2, 4}) pin the rule
+// that a plan-parallel stage runs sequentially under a custom delimiter:
+// a slice cut at ';' can end mid-line, which every line-based command
+// would see as a truncated line.
 
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
 #include <cctype>
-#include <cstdlib>
+#include <random>
 #include <string>
 #include <vector>
 
 #include "bench_support/catalog.h"
-#include "check/check.h"
 #include "compile/optimize.h"
 #include "compile/plan.h"
 #include "exec/executor.h"
 #include "exec/runner.h"
-#include "io/engine.h"
 #include "unixcmd/registry.h"
 
 namespace kq {
@@ -42,12 +39,12 @@ vfs::Vfs& shared_fs() {
 }
 
 // An unlinked temp file holding `content`; rewind() re-arms it for the
-// next run (the engines read via file-position semantics, so a reset
+// next run (the engine reads via file-position semantics, so a reset
 // offset replays the same stream).
 class FdInput {
  public:
   explicit FdInput(const std::string& content) {
-    char path[] = "/tmp/kq-io-backend-XXXXXX";
+    char path[] = "/tmp/kq-fd-source-XXXXXX";
     fd_ = ::mkstemp(path);
     EXPECT_GE(fd_, 0);
     ::unlink(path);
@@ -66,35 +63,46 @@ class FdInput {
   int fd_ = -1;
 };
 
-std::vector<io::Backend> available_backends() {
-  std::vector<io::Backend> backends{io::Backend::kPoll};
-  if (io::uring_supported()) backends.push_back(io::Backend::kUring);
-  return backends;
-}
-
-kq::ExecOptions backend_options(io::Backend backend, int k,
-                                std::size_t spill_threshold = 64 << 20) {
+kq::ExecOptions stream_options(int k, char delimiter,
+                               std::size_t block_size = 2048) {
   kq::ExecOptions o;
   o.mode = kq::ExecMode::kStream;
   o.parallelism = k;
-  o.block_size = 2048;
-  o.spill_threshold = spill_threshold;
-  o.io_backend = backend;
+  o.block_size = block_size;
+  o.delimiter = delimiter;
   return o;
+}
+
+std::vector<exec::ExecStage> compile_stages(const std::string& pipeline) {
+  auto parsed = compile::parse_pipeline(pipeline);
+  EXPECT_TRUE(parsed.has_value()) << pipeline;
+  compile::Plan plan = compile::compile_pipeline(*parsed, shared_cache(), {});
+  compile::rewrite_bounded_windows(plan);
+  compile::eliminate_intermediate_combiners(plan);
+  return compile::lower_plan(plan);
+}
+
+// `input` with a ';' written after every 37th byte: ';'-delimited records
+// that end mid-line.
+std::string with_semicolons(const std::string& input) {
+  std::string out;
+  out.reserve(input.size() + input.size() / 37 + 1);
+  for (std::size_t i = 0; i < input.size(); ++i) {
+    out += input[i];
+    if ((i + 1) % 37 == 0) out += ';';
+  }
+  return out;
 }
 
 // ------------------------------------------------------- catalog crossval --
 
-class IoBackendCrossval
+class FdSourceCrossval
     : public ::testing::TestWithParam<const bench::Script*> {};
 
-TEST_P(IoBackendCrossval, PollAndUringAreByteIdenticalToSerial) {
+TEST_P(FdSourceCrossval, ByteIdenticalToSerialUnderEachDelimiter) {
   const bench::Script& script = *GetParam();
-  std::string input = bench::prepare_input(script, 24 * 1024, 7, shared_fs());
-  if (!io::uring_supported())
-    std::fprintf(stderr,
-                 "io_backend_test: io_uring unavailable on this kernel; "
-                 "crossval covers poll only\n");
+  const std::string lines =
+      bench::prepare_input(script, 24 * 1024, 7, shared_fs());
 
   for (const std::string& pipeline : script.pipelines) {
     auto parsed = compile::parse_pipeline(pipeline);
@@ -104,27 +112,28 @@ TEST_P(IoBackendCrossval, PollAndUringAreByteIdenticalToSerial) {
     compile::eliminate_intermediate_combiners(plan);
     auto stages = compile::lower_plan(plan);
 
-    std::string serial = exec::run_serial(stages, input).output;
-    FdInput fd(input);
-    for (io::Backend backend : available_backends()) {
+    for (char delimiter : {'\n', ';'}) {
+      const std::string input =
+          delimiter == '\n' ? lines : with_semicolons(lines);
+      const std::string serial = exec::run_serial(stages, input).output;
+      FdInput fd(input);
       for (int k : {1, 4}) {
-        kq::Executor executor(backend_options(backend, k));
+        kq::Executor executor(stream_options(k, delimiter));
         kq::ExecResult r = executor.run_collect(
             stages, kq::Source::from_fd(fd.rewind()));
-        ASSERT_TRUE(r.ok) << pipeline << " backend="
-                          << io::backend_name(backend) << " k=" << k << ": "
-                          << r.error;
-        EXPECT_EQ(r.io_backend, io::backend_name(backend));
-        EXPECT_EQ(r.output, serial)
-            << script.suite << "/" << script.name << ": " << pipeline
-            << " backend=" << io::backend_name(backend) << " k=" << k;
+        SCOPED_TRACE(::testing::Message()
+                     << script.suite << "/" << script.name << ": "
+                     << pipeline << " delimiter="
+                     << (delimiter == '\n' ? "\\n" : ";") << " k=" << k);
+        ASSERT_TRUE(r.ok) << r.error;
+        EXPECT_EQ(r.output, serial);
       }
     }
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    AllScripts, IoBackendCrossval,
+    AllScripts, FdSourceCrossval,
     ::testing::ValuesIn([] {
       std::vector<const bench::Script*> ptrs;
       for (const bench::Script& s : bench::all_scripts()) ptrs.push_back(&s);
@@ -138,111 +147,56 @@ INSTANTIATE_TEST_SUITE_P(
       return out;
     });
 
-// ------------------------------------------------- counter reconciliation --
+// ------------------------------------------------ custom-delimiter repros --
 
-std::vector<exec::ExecStage> compile_stages(const std::string& pipeline) {
-  auto parsed = compile::parse_pipeline(pipeline);
-  EXPECT_TRUE(parsed.has_value()) << pipeline;
-  compile::Plan plan = compile::compile_pipeline(*parsed, shared_cache(), {});
-  compile::rewrite_bounded_windows(plan);
-  compile::eliminate_intermediate_combiners(plan);
-  return compile::lower_plan(plan);
+// Runs `pipeline` from an fd at --delimiter ';' --block-size 512, the
+// shape of `kumquat run -k K --delimiter ';' --block-size 512`.
+std::string run_semicolon(const std::string& pipeline,
+                          const std::string& input, int k) {
+  FdInput fd(input);
+  kq::Executor executor(stream_options(k, ';', /*block_size=*/512));
+  kq::ExecResult r = executor.run_collect(compile_stages(pipeline),
+                                          kq::Source::from_fd(fd.rewind()));
+  EXPECT_TRUE(r.ok) << pipeline << " k=" << k << ": " << r.error;
+  return r.output;
 }
 
-std::string crossval_input(int n) {
+// 4000 records alternating `xxappleyy;` and `xxyy;`, with no '\n': the
+// whole input is one line. A slice cut at ';' would end mid-line, and a
+// per-slice grep would count (or print) that line once per slice.
+std::string apple_records() {
   std::string out;
-  for (int i = 0; i < n; ++i)
-    out += "w-" + std::to_string(i * 2654435761u % 977) + "\n";
+  for (int i = 0; i < 4000; ++i) out += i % 2 == 0 ? "xxappleyy;" : "xxyy;";
   return out;
 }
 
-TEST(IoBackendCounters, TelemetryReconcilesAcrossBackends) {
-  auto stages = compile_stages("sort | uniq -c");
-  const std::string input = crossval_input(4000);
-  FdInput fd(input);
-
-  std::vector<kq::ExecResult> results;
-  for (io::Backend backend : available_backends()) {
-    kq::ExecOptions options =
-        backend_options(backend, 2, /*spill_threshold=*/4096);
-    options.stats = true;
-    kq::Executor executor(options);
-    kq::ExecResult r =
-        executor.run_collect(stages, kq::Source::from_fd(fd.rewind()));
-    ASSERT_TRUE(r.ok) << io::backend_name(backend) << ": " << r.error;
-    // The whole input went through on every backend.
-    EXPECT_EQ(r.bytes_read, input.size()) << io::backend_name(backend);
-    for (const stream::NodeMetrics& n : r.nodes) {
-      if (backend == io::Backend::kPoll) {
-        // The submission counters are io_uring-only by contract.
-        EXPECT_EQ(n.sqe_batches, 0u) << n.commands;
-        EXPECT_EQ(n.cqe_waits, 0u) << n.commands;
-      }
-    }
-    if (backend == io::Backend::kUring) {
-      // Forced spilling routed writes through the ring somewhere: at least
-      // one node must show submission activity.
-      std::uint64_t total_batches = 0;
-      for (const stream::NodeMetrics& n : r.nodes)
-        total_batches += n.sqe_batches;
-      EXPECT_GT(total_batches, 0u);
-    }
-    results.push_back(std::move(r));
-  }
-  if (results.size() < 2) {
-    GTEST_SKIP() << "io_uring unavailable on this kernel; nothing to "
-                    "reconcile against poll";
-  }
-  // Deterministic per-node counters must agree exactly between backends:
-  // the engine changes *how* bytes move, never how many or where.
-  const kq::ExecResult& poll = results[0];
-  const kq::ExecResult& uring = results[1];
-  ASSERT_EQ(poll.nodes.size(), uring.nodes.size());
-  EXPECT_EQ(poll.output, uring.output);
-  EXPECT_EQ(poll.spilled_bytes, uring.spilled_bytes);
-  for (std::size_t i = 0; i < poll.nodes.size(); ++i) {
-    EXPECT_EQ(poll.nodes[i].records_in, uring.nodes[i].records_in)
-        << poll.nodes[i].commands;
-    EXPECT_EQ(poll.nodes[i].records_out, uring.nodes[i].records_out)
-        << poll.nodes[i].commands;
-    EXPECT_EQ(poll.nodes[i].in_bytes, uring.nodes[i].in_bytes)
-        << poll.nodes[i].commands;
-    EXPECT_EQ(poll.nodes[i].out_bytes, uring.nodes[i].out_bytes)
-        << poll.nodes[i].commands;
-    EXPECT_EQ(poll.nodes[i].spilled_bytes, uring.nodes[i].spilled_bytes)
-        << poll.nodes[i].commands;
-  }
+TEST(CustomDelimiter, GrepCountSeesOneLineAtEveryK) {
+  const std::string input = apple_records();
+  for (int k : {1, 2, 4})
+    EXPECT_EQ(run_semicolon("grep -c apple", input, k), "1\n") << "k=" << k;
 }
 
-// ------------------------------------------------ rss model independence --
+TEST(CustomDelimiter, GrepPrintsTheWholeLineOnceAtEveryK) {
+  const std::string input = apple_records();
+  for (int k : {1, 2, 4})
+    EXPECT_EQ(run_semicolon("grep apple", input, k), input + "\n")
+        << "k=" << k;
+}
 
-TEST(IoBackendCheck, RssModelIsBackendIndependent) {
-  // The static analyzer models node residency from the plan alone — the
-  // I/O backend moves syscalls, not memory classes. Pin that: the report
-  // (including every stage's rss_model) is identical no matter which
-  // backend the environment selects.
-  auto parsed = compile::parse_pipeline("tr A-Z a-z | sort | uniq -c");
-  ASSERT_TRUE(parsed.has_value());
-  compile::Plan plan = compile::compile_pipeline(*parsed, shared_cache(), {});
-  compile::rewrite_bounded_windows(plan);
-  compile::eliminate_intermediate_combiners(plan);
-  auto stages = compile::lower_plan(plan);
-
-  auto analyze_with_env = [&](const char* backend) {
-    ::setenv("KQ_IO_BACKEND", backend, 1);
-    check::Report report = check::analyze(plan, stages, {});
-    ::unsetenv("KQ_IO_BACKEND");
-    return report;
-  };
-  check::Report under_poll = analyze_with_env("poll");
-  check::Report under_uring = analyze_with_env("uring");
-  ASSERT_EQ(under_poll.stages.size(), under_uring.stages.size());
-  for (std::size_t i = 0; i < under_poll.stages.size(); ++i) {
-    EXPECT_EQ(under_poll.stages[i].rss_model,
-              under_uring.stages[i].rss_model)
-        << "stage " << i;
+TEST(CustomDelimiter, UniqCountMatchesTheWholeInputAtEveryK) {
+  // Records (c\n){1,3}; — runs of equal lines, and ";c" lines, straddle
+  // the ';' record boundaries.
+  std::mt19937 rng(11);
+  std::string input;
+  for (int i = 0; i < 4000; ++i) {
+    for (int j = 0, n = 1 + static_cast<int>(rng() % 3); j < n; ++j)
+      input += "c\n";
+    input += ';';
   }
-  EXPECT_EQ(under_poll.diagnostics.size(), under_uring.diagnostics.size());
+  const std::string expect =
+      exec::run_serial(compile_stages("uniq -c"), input).output;
+  for (int k : {1, 2, 4})
+    EXPECT_EQ(run_semicolon("uniq -c", input, k), expect) << "k=" << k;
 }
 
 }  // namespace

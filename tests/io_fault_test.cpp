@@ -1,12 +1,9 @@
-// Fault-injection tests for the I/O engine layer (src/io/). Every scenario
-// is a scripted io::FaultPlan — short reads, EINTR storms, EAGAIN, hard
+// Fault-injection tests for the I/O engine (src/io/). Every scenario is a
+// scripted io::FaultPlan — short reads, EINTR storms, EAGAIN, hard
 // ENOSPC/EIO on spill writes, cancellation landing mid-fill — replayed as
-// a deterministic unit test and asserted on BOTH backends: the whole suite
-// is parameterized over {poll, uring}, with the uring leg skipping (and
-// logging why) only when the kernel probe fails. Fault parity is the
-// backend-equivalence contract: the seam sits inside kq::io, so a scenario
-// scripted once must produce byte-identical output or the same coded
-// [KQ-IO] error regardless of which engine ran it.
+// a deterministic unit test. The seam sits inside kq::io, so each scenario
+// must produce byte-identical output or a coded [KQ-IO] error, never a
+// silently truncated stream.
 
 #include <gtest/gtest.h>
 
@@ -23,7 +20,6 @@
 #include "compile/plan.h"
 #include "exec/executor.h"
 #include "exec/runner.h"
-#include "io/engine.h"
 #include "io/fault.h"
 #include "stream/block_reader.h"
 #include "stream/spill.h"
@@ -94,25 +90,9 @@ io::Fault fault(io::FaultOp op, io::Fault::Kind kind, std::size_t at,
   return f;
 }
 
-class IoFaultTest : public ::testing::TestWithParam<io::Backend> {
- protected:
-  void SetUp() override {
-    if (GetParam() == io::Backend::kUring && !io::uring_supported())
-      GTEST_SKIP() << "io_uring unavailable on this kernel "
-                      "(io_uring_setup probe failed); skipping uring leg";
-  }
-
-  io::IoOptions opts(io::FaultPlan* plan) const {
-    io::IoOptions o;
-    o.backend = GetParam();
-    o.faults = plan;
-    return o;
-  }
-};
-
 // ------------------------------------------------------- source failpoints --
 
-TEST_P(IoFaultTest, ShortReadsDeliverByteIdenticalStream) {
+TEST(IoFaultTest, ShortReadsDeliverByteIdenticalStream) {
   const std::string content = lines(400);
   TempInput input(content);
   io::FaultPlan plan;
@@ -120,15 +100,13 @@ TEST_P(IoFaultTest, ShortReadsDeliverByteIdenticalStream) {
   // realign on record boundaries and nothing may be dropped or duplicated.
   plan.add(fault(io::FaultOp::kSourceRead, io::Fault::Kind::kShortOp,
             /*at=*/0, /*repeat=*/8, /*cap=*/5));
-  auto engine = io::make_engine(opts(&plan));
-  EXPECT_STREQ(engine->name(), io::backend_name(GetParam()));
-  stream::BlockReader reader(input.fd(), engine.get(), {/*block_size=*/64});
+  stream::BlockReader reader(input.fd(), {/*block_size=*/64}, &plan);
   EXPECT_EQ(drain(reader), content);
   EXPECT_EQ(reader.error(), 0);
   EXPECT_EQ(plan.fired(), 8u);
 }
 
-TEST_P(IoFaultTest, EintrStormIsInvisibleToTheStream) {
+TEST(IoFaultTest, EintrStormIsInvisibleToTheStream) {
   const std::string content = lines(100);
   TempInput input(content);
   io::FaultPlan plan;
@@ -138,34 +116,31 @@ TEST_P(IoFaultTest, EintrStormIsInvisibleToTheStream) {
             /*at=*/0, /*repeat=*/50));
   plan.add(fault(io::FaultOp::kSourceRead, io::Fault::Kind::kEintr,
             /*at=*/55, /*repeat=*/10));
-  auto engine = io::make_engine(opts(&plan));
-  stream::BlockReader reader(input.fd(), engine.get(), {/*block_size=*/128});
+  stream::BlockReader reader(input.fd(), {/*block_size=*/128}, &plan);
   EXPECT_EQ(drain(reader), content);
   EXPECT_EQ(reader.error(), 0);
   EXPECT_GE(plan.fired(), 50u);
 }
 
-TEST_P(IoFaultTest, EagainRetriesWithoutDataLoss) {
+TEST(IoFaultTest, EagainRetriesWithoutDataLoss) {
   const std::string content = lines(60);
   TempInput input(content);
   io::FaultPlan plan;
   plan.add(fault(io::FaultOp::kSourceRead, io::Fault::Kind::kEagain,
             /*at=*/1, /*repeat=*/4));
-  auto engine = io::make_engine(opts(&plan));
-  stream::BlockReader reader(input.fd(), engine.get(), {/*block_size=*/64});
+  stream::BlockReader reader(input.fd(), {/*block_size=*/64}, &plan);
   EXPECT_EQ(drain(reader), content);
   EXPECT_EQ(reader.error(), 0);
   EXPECT_EQ(plan.fired(), 4u);
 }
 
-TEST_P(IoFaultTest, HardReadErrorSurfacesErrnoAndTruncates) {
+TEST(IoFaultTest, HardReadErrorSurfacesErrnoAndTruncates) {
   const std::string content = lines(200);
   TempInput input(content);
   io::FaultPlan plan;
   plan.add(fault(io::FaultOp::kSourceRead, io::Fault::Kind::kErrno,
             /*at=*/2, /*repeat=*/1, /*cap=*/0, /*err=*/EIO));
-  auto engine = io::make_engine(opts(&plan));
-  stream::BlockReader reader(input.fd(), engine.get(), {/*block_size=*/64});
+  stream::BlockReader reader(input.fd(), {/*block_size=*/64}, &plan);
   std::string got = drain(reader);
   EXPECT_EQ(reader.error(), EIO);
   // The delivered stream is a strict prefix of the input, never garbage.
@@ -173,12 +148,11 @@ TEST_P(IoFaultTest, HardReadErrorSurfacesErrnoAndTruncates) {
   EXPECT_EQ(content.compare(0, got.size(), got), 0);
 }
 
-TEST_P(IoFaultTest, CancellationLandsMidFillAsCleanEof) {
+TEST(IoFaultTest, CancellationLandsMidFillAsCleanEof) {
   const std::string content = lines(500);
   TempInput input(content);
   io::FaultPlan plan;
-  auto engine = io::make_engine(opts(&plan));
-  stream::BlockReader reader(input.fd(), engine.get(), {/*block_size=*/64});
+  stream::BlockReader reader(input.fd(), {/*block_size=*/64}, &plan);
   // The 4th read attempt cancels the reader from "another thread" (the
   // hook runs synchronously, which pins the cancellation to an exact
   // attempt index — the replayable version of a racing downstream close).
@@ -198,11 +172,11 @@ TEST_P(IoFaultTest, CancellationLandsMidFillAsCleanEof) {
 
 // -------------------------------------------------------- spill failpoints --
 
-TEST_P(IoFaultTest, SpillWriteEnospcSurfacesCodedError) {
+TEST(IoFaultTest, SpillWriteEnospcSurfacesCodedError) {
   io::FaultPlan plan;
   plan.add(fault(io::FaultOp::kSpillWrite, io::Fault::Kind::kErrno,
             /*at=*/0, /*repeat=*/1, /*cap=*/0, /*err=*/ENOSPC));
-  stream::SpillFile file(opts(&plan));
+  stream::SpillFile file(&plan);
   ASSERT_TRUE(file.valid());
   EXPECT_FALSE(file.append("doomed bytes\n"));
   EXPECT_NE(file.error().find("[KQ-IO]"), std::string::npos) << file.error();
@@ -210,7 +184,7 @@ TEST_P(IoFaultTest, SpillWriteEnospcSurfacesCodedError) {
   EXPECT_EQ(plan.fired(), 1u);
 }
 
-TEST_P(IoFaultTest, PartialWriteThenEnospcNeverTruncatesSilently) {
+TEST(IoFaultTest, PartialWriteThenEnospcNeverTruncatesSilently) {
   io::FaultPlan plan;
   // First chunk lands short (3 bytes), the continuation hits ENOSPC: the
   // run must surface the coded error — the historical bug was ignoring the
@@ -219,28 +193,20 @@ TEST_P(IoFaultTest, PartialWriteThenEnospcNeverTruncatesSilently) {
             /*at=*/0, /*repeat=*/1, /*cap=*/3));
   plan.add(fault(io::FaultOp::kSpillWrite, io::Fault::Kind::kErrno,
             /*at=*/1, /*repeat=*/1, /*cap=*/0, /*err=*/ENOSPC));
-  stream::SpillFile file(opts(&plan));
+  stream::SpillFile file(&plan);
   ASSERT_TRUE(file.valid());
-  bool ok = file.append("twelve bytes\n");
-  if (ok) {
-    // The uring engine may queue the faulted chunks and surface the
-    // completion error at the flush barrier instead — either way the
-    // error is coded, never swallowed.
-    char buf[13];
-    ok = file.read_exact(0, buf, sizeof buf);
-  }
-  EXPECT_FALSE(ok);
+  EXPECT_FALSE(file.append("twelve bytes\n"));
   EXPECT_NE(file.error().find("[KQ-IO]"), std::string::npos) << file.error();
   EXPECT_EQ(plan.fired(), 2u);
 }
 
-TEST_P(IoFaultTest, ShortWritesRoundTripByteIdentical) {
+TEST(IoFaultTest, ShortWritesRoundTripByteIdentical) {
   io::FaultPlan plan;
   // Every one of the first 20 write attempts is clamped to 7 bytes: the
-  // engines' continuation paths must reassemble the exact byte sequence.
+  // engine's continuation path must reassemble the exact byte sequence.
   plan.add(fault(io::FaultOp::kSpillWrite, io::Fault::Kind::kShortOp,
             /*at=*/0, /*repeat=*/20, /*cap=*/7));
-  stream::SpillFile file(opts(&plan));
+  stream::SpillFile file(&plan);
   ASSERT_TRUE(file.valid());
   const std::string payload = lines(40);
   ASSERT_TRUE(file.append(payload)) << file.error();
@@ -251,9 +217,9 @@ TEST_P(IoFaultTest, ShortWritesRoundTripByteIdentical) {
   EXPECT_GT(plan.fired(), 0u);
 }
 
-TEST_P(IoFaultTest, SpillReadEioSurfacesCodedError) {
+TEST(IoFaultTest, SpillReadEioSurfacesCodedError) {
   io::FaultPlan plan;
-  stream::SpillFile file(opts(&plan));
+  stream::SpillFile file(&plan);
   ASSERT_TRUE(file.valid());
   ASSERT_TRUE(file.append("some spilled bytes\n"));
   plan.add(fault(io::FaultOp::kSpillRead, io::Fault::Kind::kErrno,
@@ -264,9 +230,9 @@ TEST_P(IoFaultTest, SpillReadEioSurfacesCodedError) {
   EXPECT_NE(file.error().find("EIO"), std::string::npos) << file.error();
 }
 
-TEST_P(IoFaultTest, SpillReadEintrRetriesToFullRead) {
+TEST(IoFaultTest, SpillReadEintrRetriesToFullRead) {
   io::FaultPlan plan;
-  stream::SpillFile file(opts(&plan));
+  stream::SpillFile file(&plan);
   ASSERT_TRUE(file.valid());
   const std::string payload = lines(30);
   ASSERT_TRUE(file.append(payload));
@@ -278,13 +244,13 @@ TEST_P(IoFaultTest, SpillReadEintrRetriesToFullRead) {
   EXPECT_EQ(plan.fired(), 6u);
 }
 
-TEST_P(IoFaultTest, RawSpoolSurvivesShortWriteStorm) {
+TEST(IoFaultTest, RawSpoolSurvivesShortWriteStorm) {
   io::FaultPlan plan;
   plan.add(fault(io::FaultOp::kSpillWrite, io::Fault::Kind::kShortOp,
             /*at=*/0, /*repeat=*/64, /*cap=*/11));
   plan.add(fault(io::FaultOp::kSpillWrite, io::Fault::Kind::kEintr,
             /*at=*/64, /*repeat=*/8));
-  stream::RawSpool spool(/*threshold=*/256, nullptr, opts(&plan));
+  stream::RawSpool spool(/*threshold=*/256, nullptr, &plan);
   const std::string payload = lines(120);
   for (std::size_t i = 0; i < payload.size(); i += 100)
     ASSERT_TRUE(spool.add(payload.substr(i, 100))) << spool.error();
@@ -295,7 +261,7 @@ TEST_P(IoFaultTest, RawSpoolSurvivesShortWriteStorm) {
   EXPECT_GT(plan.fired(), 0u);
 }
 
-TEST_P(IoFaultTest, SpillMergerEnospcFailsCleanly) {
+TEST(IoFaultTest, SpillMergerEnospcFailsCleanly) {
   io::FaultPlan plan;
   plan.add(fault(io::FaultOp::kSpillWrite, io::Fault::Kind::kErrno,
             /*at=*/0, /*repeat=*/1, /*cap=*/0, /*err=*/ENOSPC));
@@ -303,7 +269,7 @@ TEST_P(IoFaultTest, SpillMergerEnospcFailsCleanly) {
   ASSERT_TRUE(spec.has_value());
   stream::SpillMerger merger(std::make_shared<const cmd::SortSpec>(*spec),
                              stream::SpillMerger::Input::kUnsortedBlocks,
-                             /*threshold=*/64, nullptr, opts(&plan));
+                             /*threshold=*/64, nullptr, &plan);
   bool ok = true;
   for (int i = 0; i < 64 && ok; ++i)
     ok = merger.add("zw-" + std::to_string(i) + "\n");
@@ -316,7 +282,7 @@ TEST_P(IoFaultTest, SpillMergerEnospcFailsCleanly) {
 
 // --------------------------------------------------- whole-pipeline faults --
 
-TEST_P(IoFaultTest, PipelineSurvivesSourceFaultStorm) {
+TEST(IoFaultTest, PipelineSurvivesSourceFaultStorm) {
   const std::string content = lines(3000);
   const std::string expect =
       exec::run_serial(compile_stages("sort | uniq -c"), content).output;
@@ -335,18 +301,16 @@ TEST_P(IoFaultTest, PipelineSurvivesSourceFaultStorm) {
   options.parallelism = 2;
   options.block_size = 1024;
   options.spill_threshold = 4096;  // force the spill path under the faults
-  options.io_backend = GetParam();
   options.fault_plan = &plan;
   kq::Executor executor(options);
   kq::ExecResult result = executor.run_collect(
       compile_stages("sort | uniq -c"), kq::Source::from_fd(input.fd()));
   ASSERT_TRUE(result.ok) << result.error;
   EXPECT_EQ(result.output, expect);
-  EXPECT_EQ(result.io_backend, io::backend_name(GetParam()));
   EXPECT_GT(plan.fired(), 0u);
 }
 
-TEST_P(IoFaultTest, PipelineEnospcFailsWithCodedErrorNotTruncation) {
+TEST(IoFaultTest, PipelineEnospcFailsWithCodedErrorNotTruncation) {
   const std::string content = lines(3000);
   TempInput input(content);
   io::FaultPlan plan;
@@ -358,7 +322,6 @@ TEST_P(IoFaultTest, PipelineEnospcFailsWithCodedErrorNotTruncation) {
   options.parallelism = 2;
   options.block_size = 1024;
   options.spill_threshold = 2048;
-  options.io_backend = GetParam();
   options.fault_plan = &plan;
   kq::Executor executor(options);
   kq::ExecResult result = executor.run_collect(
@@ -369,13 +332,6 @@ TEST_P(IoFaultTest, PipelineEnospcFailsWithCodedErrorNotTruncation) {
   EXPECT_NE(result.error.find("[KQ-IO]"), std::string::npos) << result.error;
   EXPECT_EQ(plan.fired(), 1u);
 }
-
-INSTANTIATE_TEST_SUITE_P(Backends, IoFaultTest,
-                         ::testing::Values(io::Backend::kPoll,
-                                           io::Backend::kUring),
-                         [](const auto& info) {
-                           return std::string(io::backend_name(info.param));
-                         });
 
 }  // namespace
 }  // namespace kq

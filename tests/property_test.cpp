@@ -9,8 +9,8 @@
 //
 // Plus an I/O-layer property rider: randomized record lengths straddling
 // the block size and max_record_size caps, round-tripped through the spill
-// path on both engine backends (src/io/) — byte identity and the EMSGSIZE
-// contract must not depend on which syscall strategy moved the bytes.
+// file and the fd BlockReader (src/io/) — byte identity and the EMSGSIZE
+// contract.
 
 #include <gtest/gtest.h>
 
@@ -22,7 +22,6 @@
 
 #include "dsl/enumerate.h"
 #include "exec/splitter.h"
-#include "io/engine.h"
 #include "shape/generate.h"
 #include "stream/block_reader.h"
 #include "stream/spill.h"
@@ -197,13 +196,7 @@ INSTANTIATE_TEST_SUITE_P(Widths, KWaySweep, ::testing::Values(2, 3, 5, 8, 16),
                            return name;
                          });
 
-// ------------------------------------------------ I/O backend properties --
-
-std::vector<io::Backend> available_backends() {
-  std::vector<io::Backend> backends{io::Backend::kPoll};
-  if (io::uring_supported()) backends.push_back(io::Backend::kUring);
-  return backends;
-}
+// ------------------------------------------------------- I/O properties --
 
 // Random record lengths chosen to straddle the interesting boundaries:
 // well under the block size, exactly at it, just over it, and past the
@@ -230,86 +223,69 @@ std::string random_records(std::mt19937_64& rng, std::size_t block_size,
 }
 
 // Spill round-trip: appends of random sizes, positioned reads of random
-// extents — the reassembled bytes are identical on every backend, so the
-// uring engine's chunking/queuing and the poll engine's synchronous loop
-// are observationally the same function.
-TEST(IoSpillProperty, RandomRecordLengthsRoundTripOnBothBackends) {
-  for (io::Backend backend : available_backends()) {
-    std::mt19937_64 rng(0x5eed ^ static_cast<std::uint64_t>(backend));
-    for (int trial = 0; trial < 12; ++trial) {
-      const std::size_t block = 64 + rng() % 192;
-      std::string payload =
-          random_records(rng, block, /*record_cap=*/4 * block,
-                         /*allow_oversized=*/false, 40);
-      io::IoOptions opts;
-      opts.backend = backend;
-      stream::SpillFile file(opts);
-      ASSERT_TRUE(file.valid());
-      // Appends sliced at random offsets, including mid-record cuts.
-      for (std::size_t at = 0; at < payload.size();) {
-        std::size_t n =
-            std::min<std::size_t>(1 + rng() % (2 * block),
-                                  payload.size() - at);
-        ASSERT_TRUE(file.append(payload.substr(at, n))) << file.error();
-        at += n;
-      }
-      ASSERT_EQ(file.size(), payload.size());
-      // Positioned reads of random extents, in random order.
-      std::string back(payload.size(), '\0');
-      for (std::size_t at = 0; at < payload.size();) {
-        std::size_t n =
-            std::min<std::size_t>(1 + rng() % (3 * block),
-                                  payload.size() - at);
-        ASSERT_TRUE(file.read_exact(at, back.data() + at, n))
-            << file.error();
-        at += n;
-      }
-      EXPECT_EQ(back, payload)
-          << "backend=" << io::backend_name(backend) << " trial=" << trial;
+// extents — the reassembled bytes are identical to what was appended.
+TEST(IoSpillProperty, RandomRecordLengthsRoundTrip) {
+  std::mt19937_64 rng(0x5eec);
+  for (int trial = 0; trial < 12; ++trial) {
+    const std::size_t block = 64 + rng() % 192;
+    std::string payload =
+        random_records(rng, block, /*record_cap=*/4 * block,
+                       /*allow_oversized=*/false, 40);
+    stream::SpillFile file;
+    ASSERT_TRUE(file.valid());
+    // Appends sliced at random offsets, including mid-record cuts.
+    for (std::size_t at = 0; at < payload.size();) {
+      std::size_t n =
+          std::min<std::size_t>(1 + rng() % (2 * block),
+                                payload.size() - at);
+      ASSERT_TRUE(file.append(payload.substr(at, n))) << file.error();
+      at += n;
     }
+    ASSERT_EQ(file.size(), payload.size());
+    // Positioned reads of random extents, in random order.
+    std::string back(payload.size(), '\0');
+    for (std::size_t at = 0; at < payload.size();) {
+      std::size_t n =
+          std::min<std::size_t>(1 + rng() % (3 * block),
+                                payload.size() - at);
+      ASSERT_TRUE(file.read_exact(at, back.data() + at, n)) << file.error();
+      at += n;
+    }
+    EXPECT_EQ(back, payload) << "trial=" << trial;
   }
 }
 
 // BlockReader record-cap contract: a stream whose records all fit under
 // max_record_size is delivered byte-identically; one oversized record
-// ends the stream with EMSGSIZE — on both backends, at the same record.
-TEST(IoSpillProperty, RecordCapContractIsBackendIndependent) {
-  for (io::Backend backend : available_backends()) {
-    std::mt19937_64 rng(0xca9 ^ static_cast<std::uint64_t>(backend));
-    for (int trial = 0; trial < 8; ++trial) {
-      const std::size_t block = 64;
-      const std::size_t cap = 256;
-      const bool oversized = (trial % 2) == 1;
-      std::string payload =
-          random_records(rng, block, cap, oversized, 24);
-      if (oversized)  // guarantee at least one cap-busting record
-        payload += std::string(cap + 40, 'Z') + "\n";
+// ends the stream with EMSGSIZE.
+TEST(IoSpillProperty, RecordCapContract) {
+  std::mt19937_64 rng(0xca8);
+  for (int trial = 0; trial < 8; ++trial) {
+    const std::size_t block = 64;
+    const std::size_t cap = 256;
+    const bool oversized = (trial % 2) == 1;
+    std::string payload = random_records(rng, block, cap, oversized, 24);
+    if (oversized)  // guarantee at least one cap-busting record
+      payload += std::string(cap + 40, 'Z') + "\n";
 
-      char path[] = "/tmp/kq-prop-io-XXXXXX";
-      int fd = ::mkstemp(path);
-      ASSERT_GE(fd, 0);
-      ::unlink(path);
-      ASSERT_EQ(::write(fd, payload.data(), payload.size()),
-                static_cast<ssize_t>(payload.size()));
-      ASSERT_EQ(::lseek(fd, 0, SEEK_SET), 0);
+    char path[] = "/tmp/kq-prop-io-XXXXXX";
+    int fd = ::mkstemp(path);
+    ASSERT_GE(fd, 0);
+    ::unlink(path);
+    ASSERT_EQ(::write(fd, payload.data(), payload.size()),
+              static_cast<ssize_t>(payload.size()));
+    ASSERT_EQ(::lseek(fd, 0, SEEK_SET), 0);
 
-      io::IoOptions opts;
-      opts.backend = backend;
-      auto engine = io::make_engine(opts);
-      stream::BlockReader reader(fd, engine.get(), {block, '\n', cap});
-      std::string got;
-      while (auto b = reader.next()) got += *b;
-      if (oversized) {
-        EXPECT_EQ(reader.error(), EMSGSIZE)
-            << "backend=" << io::backend_name(backend);
-      } else {
-        EXPECT_EQ(reader.error(), 0)
-            << "backend=" << io::backend_name(backend);
-        EXPECT_EQ(got, payload)
-            << "backend=" << io::backend_name(backend) << " trial=" << trial;
-      }
-      ::close(fd);
+    stream::BlockReader reader(fd, {block, '\n', cap});
+    std::string got;
+    while (auto b = reader.next()) got += *b;
+    if (oversized) {
+      EXPECT_EQ(reader.error(), EMSGSIZE) << "trial=" << trial;
+    } else {
+      EXPECT_EQ(reader.error(), 0) << "trial=" << trial;
+      EXPECT_EQ(got, payload) << "trial=" << trial;
     }
+    ::close(fd);
   }
 }
 
