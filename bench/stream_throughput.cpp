@@ -307,8 +307,7 @@ Measurement run_batch_file(const Compiled& compiled, const std::string& path,
   auto start = std::chrono::steady_clock::now();
   std::ifstream in(path, std::ios::binary);
   // The istream source is slurped inside the facade, so the measured wall
-  // time still covers reading the file — same span the old inline slurp
-  // + run_pipeline timed.
+  // time covers reading the file as well as the batch run.
   kq::ExecResult r = executor.run_collect(compiled.stages, in);
   m.seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                             start)

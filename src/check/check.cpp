@@ -149,8 +149,9 @@ class Analyzer {
   }
 
   // KQ-EXEC: the registry resolved the stage to nothing, so `kumquat run`
-  // would emit a failure marker instead of output. Always an error — the
-  // pipeline cannot produce correct results.
+  // refuses the pipeline (exit 2, before reading stdin; a library caller
+  // running lower_plan's stages gets a failure marker instead of output).
+  // Always an error — the pipeline cannot produce correct results.
   void check_exec(int i) {
     const compile::PlannedStage& p = planned(i);
     if (p.command) return;

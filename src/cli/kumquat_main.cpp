@@ -17,9 +17,12 @@
 // the same facade. --jobs (alias -k) defaults to the hardware thread
 // count, capped at 16, identically in both modes.
 //
-// Commands resolve to built-ins when known, otherwise to real binaries
-// through fork/exec — new commands work without any registry change,
-// which is the point of the paper.
+// `synthesize` resolves a command to a built-in when known, otherwise to a
+// real binary through fork/exec — synthesis needs nothing from a command
+// but its behaviour, which is the point of the paper. `run`, `compile` and
+// `check` resolve built-ins only: a stage that names no built-in (or a
+// built-in with an unsupported flag) is KQ-EXEC, and `run` refuses it with
+// exit 2 before reading stdin.
 
 #include <malloc.h>
 #include <unistd.h>
@@ -327,6 +330,21 @@ int cmd_run(const std::string& pipeline, int k, bool optimize, bool streaming,
 
   auto compiled = compile_line(pipeline, rewrite, tracer.get());
   if (!compiled) return 2;
+  // A stage that resolved to no built-in cannot run (lower_plan's marker
+  // command would print an error line as its output): refuse the plan
+  // before reading stdin, with the diagnostic `kumquat check` calls KQ-EXEC.
+  bool unresolved = false;
+  for (std::size_t i = 0; i < compiled->plan.stages.size(); ++i) {
+    const compile::PlannedStage& stage = compiled->plan.stages[i];
+    if (stage.command) continue;
+    std::cerr << "kumquat: KQ-EXEC: stage [" << i << "] '"
+              << stage.parsed.display << "' cannot execute: "
+              << (stage.seq_detail.empty() ? "command did not resolve"
+                                           : stage.seq_detail)
+              << "\n";
+    unresolved = true;
+  }
+  if (unresolved) return 2;
 
   // One facade for both modes: --jobs/-k, elimination, and the streaming
   // knobs resolve identically whether the staged runner or the dataflow
@@ -379,8 +397,11 @@ int cmd_run(const std::string& pipeline, int k, bool optimize, bool streaming,
   std::cout.flush();
   bool trace_ok = write_trace();
   if (!result.ok) {
+    // An undefined combine is the one failure --batch recovers from: its
+    // per-stage serial fallback reruns the stage whole.
     std::cerr << "kumquat: " << (streaming ? "streaming " : "") << "run failed: "
-              << result.error << (streaming ? " (rerun with --batch)" : "")
+              << result.error
+              << (result.combine_undefined ? " (rerun with --batch)" : "")
               << "\n";
     return 1;
   }

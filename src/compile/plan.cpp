@@ -1,5 +1,7 @@
 #include "compile/plan.h"
 
+#include <algorithm>
+
 #include "obs/trace.h"
 
 #include "dsl/ast.h"
@@ -125,13 +127,6 @@ std::vector<exec::ExecStage> lower_plan(const Plan& plan) {
     stage.parallel = p.parallel;
     stage.eliminate_combiner = p.eliminate;
     if (p.synthesis && p.synthesis->success) {
-      stage.concat_combiner = p.synthesis->combiner.concat_equivalent() &&
-                              p.synthesis->outputs_newline_terminated;
-      stage.defer_combine = !p.synthesis->combiner.combiners().empty();
-      for (const dsl::Combiner& g : p.synthesis->combiner.combiners()) {
-        if (g.node->op != dsl::Op::kMerge && g.node->op != dsl::Op::kRerun)
-          stage.defer_combine = false;
-      }
       stage.combiner_name = p.synthesis->combiner.to_string();
       synth::CompositeCombiner combiner = p.synthesis->combiner;
       cmd::CommandPtr command = p.command;
@@ -143,7 +138,16 @@ std::vector<exec::ExecStage> lower_plan(const Plan& plan) {
       // The collector folds with the primary combiner alone: its boundary
       // form emits as it goes, so unlike apply_k it cannot fall back to a
       // sibling once a part is rejected (the run is combine-undefined).
-      if (!stage.defer_combine && combiner.primary()) {
+      // When every plausible combiner is a merge or a rerun, folding buys
+      // nothing (the parts must be held whole anyway), so no fold is bound
+      // and the collector waits for one k-way combine.
+      const std::vector<dsl::Combiner>& all = combiner.combiners();
+      const bool held_whole =
+          std::all_of(all.begin(), all.end(), [](const dsl::Combiner& g) {
+            return g.node->op == dsl::Op::kMerge ||
+                   g.node->op == dsl::Op::kRerun;
+          });
+      if (!held_whole && combiner.primary()) {
         stage.fold = [primary = *combiner.primary(), command] {
           return dsl::Fold(primary, dsl::EvalContext{command.get()});
         };
@@ -185,9 +189,7 @@ std::vector<exec::ExecStage> lower_plan(const Plan& plan) {
                primary->node->op == dsl::Op::kMerge && primary->merge_spec) {
       stage.memory_class = exec::MemoryClass::kSortableSpill;
       stage.sort_spec = primary->merge_spec;
-    } else if (stage.parallel &&
-               (stage.concat_combiner || !stage.defer_combine) &&
-               stage.combine) {
+    } else if (stage.parallel && stage.fold) {
       stage.memory_class = exec::MemoryClass::kStreaming;
     } else if (!stage.parallel && p.command) {
       if (auto spec = cmd::sort_spec_of(*p.command)) {

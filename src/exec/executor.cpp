@@ -4,54 +4,23 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <istream>
 #include <ostream>
 #include <sstream>
 #include <thread>
 
+#include "exec/parallel.h"
+#include "exec/splitter.h"
+#include "stream/block_reader.h"
+
 namespace kq {
 namespace {
 
-// Maps one batch/serial stage record into the unified node shape. The
-// stream-only gauges stay zero; the batch-only combiner fields ride in the
-// NodeMetrics extension block.
-stream::NodeMetrics to_node(const exec::StageMetrics& s) {
-  stream::NodeMetrics n;
-  n.commands = s.command;
-  n.combiner = s.combiner;
-  n.parallel = s.parallel;
-  n.chunks = s.chunks;
-  n.in_bytes = s.in_bytes;
-  n.out_bytes = s.out_bytes;
-  n.seconds = s.seconds;
-  n.combiner_eliminated = s.combiner_eliminated;
-  n.combine_fallback = s.combine_fallback;
-  return n;
-}
+using Clock = std::chrono::steady_clock;
 
-ExecResult from_run_result(exec::RunResult&& r) {
-  ExecResult out;
-  out.output = std::move(r.output);
-  out.seconds = r.seconds;
-  out.nodes.reserve(r.stages.size());
-  for (const exec::StageMetrics& s : r.stages) out.nodes.push_back(to_node(s));
-  return out;
-}
-
-ExecResult from_stream_result(stream::StreamResult&& r) {
-  ExecResult out;
-  out.ok = r.ok;
-  out.error = std::move(r.error);
-  out.seconds = r.seconds;
-  out.peak_inflight_bytes = r.peak_inflight_bytes;
-  out.spilled_bytes = r.spilled_bytes;
-  out.bytes_read = r.bytes_read;
-  out.io_backend = "poll";
-  out.stopped_early = r.stopped_early;
-  out.combine_undefined = r.combine_undefined;
-  out.batch_fallback = r.batch_fallback;
-  out.nodes = std::move(r.nodes);
-  return out;
+double seconds_since(Clock::time_point start) {
+  return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
 // Drains a file descriptor for the batch modes (which need the whole
@@ -71,6 +40,22 @@ bool slurp_fd(int fd, std::string* out, int* err) {
   }
 }
 
+// The parts a combine sees: outputs whose chunk was empty are f(""), and
+// since x ++ "" = x, leaving them out is exact for every command — where
+// folding them in trusts the combiner on an input it was never certified
+// on (`second` would keep the empty last part of `grep a | tail -n 1`). If
+// no chunk had input, f("") is the whole answer.
+std::vector<std::string> parts_with_input(
+    std::vector<std::string> outputs,
+    const std::vector<std::string_view>& chunks) {
+  std::vector<std::string> parts;
+  parts.reserve(outputs.size());
+  for (std::size_t i = 0; i < outputs.size(); ++i)
+    if (!chunks[i].empty()) parts.push_back(std::move(outputs[i]));
+  if (parts.empty() && !outputs.empty()) parts.push_back(std::move(outputs[0]));
+  return parts;
+}
+
 }  // namespace
 
 int default_parallelism() {
@@ -88,6 +73,102 @@ Executor::~Executor() = default;
 exec::ThreadPool& Executor::pool() {
   if (!pool_) pool_ = std::make_unique<exec::ThreadPool>(options_.parallelism);
   return *pool_;
+}
+
+// The paper's staged runner (§4): every stage executes to completion before
+// the next starts, each parallel stage fans out to `parallelism` instances
+// of the original command, and (under use_elimination) a stage whose
+// combiner was eliminated streams its output substreams directly into the
+// next parallel stage.
+ExecResult Executor::run_batch(const std::vector<exec::ExecStage>& stages,
+                               std::string_view input) {
+  ExecResult result;
+  const auto total_start = Clock::now();
+  const int k = options_.parallelism;
+
+  // The in-flight data is either one combined stream or a set of
+  // substreams left uncombined by an eliminated combiner.
+  std::string current(input);
+  std::vector<std::string> substreams;
+  bool split_state = false;
+
+  for (std::size_t s = 0; s < stages.size(); ++s) {
+    const exec::ExecStage& stage = stages[s];
+    stream::NodeMetrics m;
+    m.commands = stage.command->display_name();
+    m.combiner = stage.combiner_name;
+    m.parallel = stage.parallel && k > 1;
+    m.chunks = 1;
+    const auto stage_start = Clock::now();
+
+    if (!m.parallel) {
+      // Sequential stage. If substreams are pending, they came from an
+      // eliminated concat combiner, so plain concatenation restores the
+      // combined stream.
+      if (split_state) {
+        current.clear();
+        for (const std::string& part : substreams) current += part;
+        substreams.clear();
+        split_state = false;
+      }
+      m.in_bytes = current.size();
+      current = stage.command->run(current);
+      m.out_bytes = current.size();
+    } else {
+      std::vector<std::string_view> chunks;
+      if (split_state) {
+        chunks.reserve(substreams.size());
+        for (const std::string& part : substreams) chunks.push_back(part);
+      } else {
+        chunks = exec::split_stream(current, k);
+      }
+      for (std::string_view c : chunks) m.in_bytes += c.size();
+      m.chunks = static_cast<int>(chunks.size());
+
+      std::vector<std::string> outputs =
+          exec::map_chunks(*stage.command, chunks, pool());
+
+      const bool can_eliminate =
+          options_.use_elimination && stage.eliminate_combiner &&
+          s + 1 < stages.size() && stages[s + 1].parallel;
+      if (can_eliminate) {
+        m.combiner_eliminated = true;
+        for (const std::string& o : outputs) m.out_bytes += o.size();
+        substreams = std::move(outputs);
+        split_state = true;
+        current.clear();
+      } else {
+        std::optional<std::string> combined;
+        if (stage.combine)
+          combined =
+              stage.combine(parts_with_input(std::move(outputs), chunks));
+        if (!combined) {
+          // Correctness guard: if k-way combination is undefined on these
+          // outputs, fall back to running the stage serially.
+          m.combine_fallback = true;
+          std::string joined;
+          for (std::string_view c : chunks) joined.append(c);
+          combined = stage.command->run(joined);
+        }
+        substreams.clear();
+        split_state = false;
+        current = std::move(*combined);
+        m.out_bytes = current.size();
+      }
+    }
+    m.seconds = seconds_since(stage_start);
+    result.nodes.push_back(std::move(m));
+  }
+
+  if (split_state) {
+    // Pipeline ended while substreams were pending (the planner avoids
+    // this, but a trailing eliminated stage still needs its concat).
+    current.clear();
+    for (const std::string& part : substreams) current += part;
+  }
+  result.output = std::move(current);
+  result.seconds = seconds_since(total_start);
+  return result;
 }
 
 ExecResult Executor::run_whole(const std::vector<exec::ExecStage>& stages,
@@ -120,78 +201,65 @@ ExecResult Executor::run_whole(const std::vector<exec::ExecStage>& stages,
       break;
     }
   }
-  if (options_.mode == ExecMode::kSerial)
-    return from_run_result(exec::run_serial(stages, bytes));
-  exec::RunConfig config{options_.parallelism, options_.use_elimination};
-  return from_run_result(exec::run_pipeline(stages, bytes, pool(), config));
+  if (options_.mode == ExecMode::kBatch) return run_batch(stages, bytes);
+  ExecResult result;
+  const auto start = Clock::now();
+  result.output = exec::run_serial(stages, bytes);
+  result.seconds = seconds_since(start);
+  return result;
 }
 
 ExecResult Executor::run_stream(const std::vector<exec::ExecStage>& stages,
                                 Source input, const stream::Sink& sink,
                                 std::string* collect) {
-  stream::StreamConfig config;
-  config.parallelism = options_.parallelism;
-  config.block_size = options_.block_size;
-  config.max_inflight = options_.max_inflight;
-  config.use_elimination = options_.use_elimination;
-  config.delimiter = options_.delimiter;
-  config.spill_threshold = options_.spill_threshold;
-  config.shard_slice = options_.shard_slice;
-  config.faults = options_.fault_plan;
-  config.stats = options_.stats;
-  config.tracer = options_.tracer;
-
-  stream::Sink deliver = sink;
-  if (collect) {
-    deliver = [collect](std::string_view bytes) {
-      collect->append(bytes);
-      return true;
-    };
-  }
-
-  switch (input.kind_) {
-    case Source::Kind::kFd:
-      return from_stream_result(stream::run_streaming_fd(
-          stages, input.fd_, deliver, pool(), config));
-    case Source::Kind::kIstream:
-      return from_stream_result(
-          stream::run_streaming(stages, *input.in_, deliver, pool(), config));
-    case Source::Kind::kString: {
-      // The string source keeps the original input at hand, so a mid-stream
-      // undefined combine (the batch runner's combine-fallback guard) can
-      // rerun through the batch path instead of failing — the semantics
-      // run_streaming_string always had. Output is therefore buffered and
-      // handed to the sink once at the end: a fallback after incremental
-      // delivery would otherwise duplicate the already-delivered prefix.
-      std::string buffered;
-      std::string* target = collect ? collect : &buffered;
-      std::istringstream in{std::string(input.bytes_)};
-      stream::StreamResult r = stream::run_streaming(
-          stages, in,
-          [target](std::string_view bytes) {
-            target->append(bytes);
-            return true;
-          },
-          pool(), config);
-      ExecResult out = from_stream_result(std::move(r));
-      if (!out.ok && out.combine_undefined) {
-        exec::RunConfig batch{options_.parallelism, options_.use_elimination};
-        exec::RunResult rerun =
-            exec::run_pipeline(stages, input.bytes_, pool(), batch);
-        *target = std::move(rerun.output);
-        out.ok = true;
-        out.error.clear();
-        out.batch_fallback = true;
-      }
-      if (out.ok && !collect && sink && !sink(buffered))
-        out.stopped_early = true;
-      return out;
+  // A record that cannot even be buffered within the spill budget fails
+  // loudly (EMSGSIZE) rather than growing the reader without bound.
+  const stream::BlockReaderOptions read_options{
+      options_.block_size, options_.delimiter, options_.spill_threshold};
+  if (input.kind_ != Source::Kind::kString) {
+    stream::Sink deliver = sink;
+    if (collect) {
+      deliver = [collect](std::string_view bytes) {
+        collect->append(bytes);
+        return true;
+      };
     }
+    if (input.kind_ == Source::Kind::kFd) {
+      stream::BlockReader reader(input.fd_, read_options, options_.fault_plan);
+      return stream::run_dataflow(stages, reader, deliver, pool(), options_);
+    }
+    stream::BlockReader reader(*input.in_, read_options);
+    return stream::run_dataflow(stages, reader, deliver, pool(), options_);
   }
-  ExecResult unreachable;
-  unreachable.ok = false;
-  unreachable.error = "invalid source";
-  return unreachable;
+
+  // The string source reads the caller's bytes in place and keeps them at
+  // hand for the batch rerun, so its output is buffered and handed to the
+  // sink once at the end: a fallback after incremental delivery would
+  // otherwise duplicate the already-delivered prefix.
+  std::string buffered;
+  std::string* target = collect ? collect : &buffered;
+  stream::BlockReader reader(
+      [rest = input.bytes_](char* buf, std::size_t n) mutable {
+        const std::size_t got = rest.copy(buf, n);
+        rest.remove_prefix(got);
+        return got;
+      },
+      read_options);
+  ExecResult out = stream::run_dataflow(
+      stages, reader,
+      [target](std::string_view bytes) {
+        target->append(bytes);
+        return true;
+      },
+      pool(), options_);
+  if (!out.ok && out.combine_undefined) {
+    *target = run_batch(stages, input.bytes_).output;
+    out.ok = true;
+    out.error.clear();
+    out.batch_fallback = true;
+  }
+  if (out.ok && !collect && sink && !sink(buffered)) out.stopped_early = true;
+  return out;
 }
 
 ExecResult Executor::run(const std::vector<exec::ExecStage>& stages,
@@ -215,9 +283,8 @@ ExecResult Executor::run(const std::vector<exec::ExecStage>& stages,
 ExecResult Executor::run_collect(const std::vector<exec::ExecStage>& stages,
                                  Source input) {
   if (options_.mode != ExecMode::kStream) return run_whole(stages, input);
-  ExecResult result;
   std::string collected;
-  result = run_stream(stages, input, nullptr, &collected);
+  ExecResult result = run_stream(stages, input, nullptr, &collected);
   result.output = std::move(collected);
   return result;
 }

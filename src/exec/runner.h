@@ -1,18 +1,16 @@
-// The staged pipeline runner. Mirrors the paper's evaluation infrastructure
-// (§4): every stage executes to completion before the next starts, each
-// parallelizable stage fans out to `parallelism` instances of the original
-// command, and (in optimized mode) stages whose combiner was eliminated
-// stream their output substreams directly into the next parallel stage.
+// The execution plan's stage record (ExecStage, MemoryClass) and the serial
+// reference. Every run goes through kq::Executor (exec/executor.h); the one
+// free function here, run_serial, is the oracle every runtime is
+// cross-validated against.
 #pragma once
 
 #include <functional>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "dsl/kway.h"
-#include "exec/splitter.h"
-#include "exec/thread_pool.h"
 #include "unixcmd/command.h"
 
 namespace kq::cmd {
@@ -89,23 +87,15 @@ struct ExecStage {
   KWayCombine combine;             // null for sequential stages
   // The incremental form of `combine` for the streaming collector: a fresh
   // boundary fold of the primary combiner per run. Bound by lower_plan
-  // next to `combine`, except for deferred (merge/rerun) stages, whose
-  // parts wait for one k-way `combine` at end of stream.
+  // next to `combine` unless every plausible combiner is a merge or a
+  // rerun: their parts must be held whole anyway, so an unbound fold means
+  // the collector waits for one k-way combine at end of stream.
   std::function<dsl::Fold()> fold;
   bool parallel = false;           // data-parallel execution planned
   bool eliminate_combiner = false; // Theorem 5 optimization applies
-  // Plain concat is plausible and outputs are newline-terminated streams:
-  // the streaming runtime may emit chunk outputs downstream in input order
-  // instead of materializing the combined stream (Theorem 5's precondition,
-  // usable even where batch elimination does not apply).
-  bool concat_combiner = false;
-  // Every plausible combiner is merge or rerun: incremental pairwise folding
-  // buys nothing (the partial outputs must be held whole anyway), so the
-  // streaming runtime defers to one k-way combine at end of stream.
-  bool defer_combine = false;
   // The primary combiner is a rerun (§3.4): k-way combining concatenates
-  // the partial outputs and reruns the command once, so deferred parts can
-  // spool through disk instead of accumulating in memory.
+  // the partial outputs and reruns the command once, so the collector's
+  // held parts can spool through disk instead of accumulating in memory.
   bool rerun_combiner = false;
   // Set by compile::lower_plan. For kSortableSpill, `sort_spec` carries the
   // comparator: the synthesized merge combiner's spec when the stage is
@@ -125,40 +115,9 @@ struct ExecStage {
   std::string combiner_name;       // for reports
 };
 
-struct StageMetrics {
-  std::string command;
-  std::string combiner;
-  double seconds = 0;
-  std::size_t in_bytes = 0;
-  std::size_t out_bytes = 0;
-  int chunks = 1;                 // substreams actually processed
-  bool parallel = false;
-  bool combiner_eliminated = false;
-  bool combine_fallback = false;  // combiner failed; reran serially
-};
-
-struct RunConfig {
-  int parallelism = 1;
-  bool use_elimination = true;  // false = the paper's "unoptimized" mode
-};
-
-struct RunResult {
-  std::string output;
-  double seconds = 0;
-  std::vector<StageMetrics> stages;
-};
-
-// DEPRECATED entry points: new call sites should go through kq::Executor
-// (exec/executor.h; modes kBatch and kSerial). They remain for one PR as
-// the facade's implementation layer and as the crossval oracle (tests
-// compare every runtime against run_serial); CI's deprecation gate rejects
-// new uses in src/ and bench/ outside the wrapper TUs.
-RunResult run_pipeline(const std::vector<ExecStage>& stages,
-                       std::string_view input, ThreadPool& pool,
-                       const RunConfig& config);
-
-// Serial reference execution (every stage whole-stream, no parallelism).
-RunResult run_serial(const std::vector<ExecStage>& stages,
-                     std::string_view input);
+// Serial reference execution: every stage runs whole-stream, in order, with
+// no parallelism. Returns the pipeline's output.
+std::string run_serial(const std::vector<ExecStage>& stages,
+                       std::string_view input);
 
 }  // namespace kq::exec

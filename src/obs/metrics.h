@@ -3,7 +3,7 @@
 // its pool workers, and the channels on either side all accumulate into it
 // with relaxed atomics (counts are monotone sums — no ordering is needed,
 // only eventual totals, which the post-join aggregation into
-// stream::StreamResult observes after every writer thread has exited).
+// kq::ExecResult::nodes observes after every writer thread has exited).
 //
 // Counter semantics (full prose in docs/OBSERVABILITY.md):
 //   records/bytes in   — blocks pulled from upstream (the node's input)

@@ -2,13 +2,11 @@
 
 #include <cerrno>
 #include <chrono>
-#include <istream>
 #include <map>
 #include <memory>
-#include <ostream>
-#include <sstream>
 #include <thread>
 
+#include "exec/executor.h"
 #include "exec/parallel.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -29,8 +27,8 @@ double seconds_since(Clock::time_point start) {
 }
 
 // Per-node telemetry handles, both optional: `counters` exists only when
-// StreamConfig::stats is on, `tracer` only under --trace-json. One
-// NodeTelemetry per segment lives in run_streaming_core for the whole run
+// ExecOptions::stats is on, `tracer` only under --trace-json. One
+// NodeTelemetry per segment lives in run_dataflow for the whole run
 // (pool tasks may hold pointers into it until wait_idle()). With both null
 // every instrumentation site below is a pointer test.
 struct NodeTelemetry {
@@ -74,7 +72,7 @@ struct Segment {
 // would see a truncated line. A plan-parallel stage that does not run
 // parallel (k = 1, or a custom delimiter) is a sequential node, where
 // declared streamability is strictly better than the materialize drain.
-bool runs_parallel(const exec::ExecStage& stage, const StreamConfig& config) {
+bool runs_parallel(const exec::ExecStage& stage, const ExecOptions& config) {
   return stage.parallel && config.parallelism > 1 &&
          stage.combine != nullptr && config.delimiter == '\n';
 }
@@ -84,7 +82,7 @@ bool runs_parallel(const exec::ExecStage& stage, const StreamConfig& config) {
 // line-based built-ins define records by '\n', so a custom delimiter keeps
 // the materialize path (same rule as the line-based spill paths).
 bool stream_chain_stage(const exec::ExecStage& stage,
-                        const StreamConfig& config) {
+                        const ExecOptions& config) {
   if (config.delimiter != '\n' || !stage.command) return false;
   const cmd::Streamability s = stage.command->streamability();
   if (s == cmd::Streamability::kNone || s == cmd::Streamability::kWindow)
@@ -97,7 +95,7 @@ bool stream_chain_stage(const exec::ExecStage& stage,
 // chain: declared kWindow and effectively sequential (the plan may still
 // parallelize a window command like wc through its synthesized combiner;
 // the window node only replaces the sequential materialize drain).
-bool window_stage(const exec::ExecStage& stage, const StreamConfig& config) {
+bool window_stage(const exec::ExecStage& stage, const ExecOptions& config) {
   if (config.delimiter != '\n' || !stage.command) return false;
   if (stage.command->streamability() != cmd::Streamability::kWindow)
     return false;
@@ -106,7 +104,7 @@ bool window_stage(const exec::ExecStage& stage, const StreamConfig& config) {
 }
 
 std::vector<Segment> build_segments(const std::vector<exec::ExecStage>& stages,
-                                    const StreamConfig& config) {
+                                    const ExecOptions& config) {
   std::vector<Segment> segments;
   std::size_t i = 0;
   while (i < stages.size()) {
@@ -226,7 +224,7 @@ using Push = std::function<bool(std::string&&)>;
 // Re-blocks a combined stream for downstream consumption, cutting only at
 // record boundaries (records longer than a block travel whole).
 bool emit_blocks(std::string_view data, const Push& push,
-                 const StreamConfig& config) {
+                 const ExecOptions& config) {
   while (data.size() > config.block_size) {
     std::size_t cut = data.rfind(config.delimiter, config.block_size - 1);
     if (cut == std::string_view::npos) {
@@ -299,7 +297,7 @@ struct ParallelCtx {
 // straggler holds every slot.
 void run_feeder(ParallelCtx& ctx, NodeMetrics& metrics, const Pull& pull,
                 const NodeTelemetry& tele, Shared& shared,
-                exec::ThreadPool& pool, const StreamConfig& config) {
+                exec::ThreadPool& pool, const ExecOptions& config) {
   std::size_t index = 0;
   std::string buf;
   const std::size_t chunk_target =
@@ -438,40 +436,39 @@ class CombineTimer {
   std::uint64_t excluded_ = 0;
 };
 
-// Collector: the segment's combining tree. Restores input order and folds
-// each part in through the combining stage's boundary fold (dsl::Fold):
-// what no later part can change goes downstream at once — the part's own
-// buffer, moved — and only the seam is carried (one line for stitch,
-// stitch2 and offset), not the output. Merge and rerun combiners (no
-// fold) hold their parts for one k-way combine at end of stream; past the
-// spill threshold the held parts hand over to SpillMerger (sorted runs)
-// or a RawSpool (the rerun's input). A part whose combining stage got no input
-// is f("") and is left out (x ++ "" = x), unless no part had input. While
-// waiting for the next part it steals queued pool tasks — often this
-// segment's own straggler slices — so the tree keeps combining instead of
-// idling. `out_closed` distinguishes a push that failed because downstream
-// closed its read side (clean early exit: cancel upstream, no error) from
-// a combine failure; `cancel_upstream` stops this segment's feeder and
-// read-closes its input.
+// Collector: the segment's combining tree. Restores input order and
+// combines the parts by the combining stage's one strategy, chosen in this
+// order:
+//   1. a bound `fold` (dsl::Fold) folds each part in as it arrives: what no
+//      later part can change goes downstream at once — the part's own
+//      buffer, moved — and only the seam is carried (nothing for concat,
+//      one line for stitch, stitch2 and offset), not the output;
+//   2. otherwise the parts are held for one k-way combine at end of
+//      stream, and past the spill threshold they move to disk: a
+//      `rerun_combiner` spools them raw and reruns the command once over
+//      the spool;
+//   3. a `sort_spec` (a merge combiner) spills them as sorted runs and
+//      streams one external k-way merge;
+//   4. anything else keeps them in memory for `combine`.
+// A part whose combining stage got no input is f("") and is left out
+// (x ++ "" = x), unless no part had input. While waiting for the next part
+// it steals queued pool tasks — often this segment's own straggler slices —
+// so the tree keeps combining instead of idling. `out_closed` distinguishes
+// a push that failed because downstream closed its read side (clean early
+// exit: cancel upstream, no error) from a combine failure;
+// `cancel_upstream` stops this segment's feeder and read-closes its input.
 void run_collector(const Segment& seg, ParallelCtx& ctx, NodeMetrics& metrics,
                    const Push& push, const std::function<void()>& close_out,
                    const std::function<bool()>& out_closed,
                    const std::function<void()>& cancel_upstream,
                    const NodeTelemetry& tele, Shared& shared,
-                   exec::ThreadPool& pool, const StreamConfig& config) {
+                   exec::ThreadPool& pool, const ExecOptions& config) {
   std::map<std::size_t, Chunk> out_of_order;
   std::size_t next_emit = 0;
   const exec::ExecStage& cstage = *seg.combine_stage;
 
-  // The stage's boundary fold. A stage built without one (not through
-  // lower_plan) streams when concat is plausible and otherwise defers to
-  // one k-way `combine`, like merge and rerun.
   std::optional<dsl::Fold> fold;
-  if (cstage.fold) {
-    fold = cstage.fold();
-  } else if (cstage.concat_combiner) {
-    fold.emplace(dsl::combiner_concat());
-  }
+  if (cstage.fold) fold = cstage.fold();
   metrics.streamed_combine = fold && fold->streams();
   std::vector<std::string> pieces;    // one push's settled output
   std::string partial;                // a trailing record still open
@@ -480,29 +477,20 @@ void run_collector(const Segment& seg, ParallelCtx& ctx, NodeMetrics& metrics,
   bool any_input = false;              // some part's combining stage had input
   std::optional<std::string> no_input;  // f(""), while no part had input
 
-  // Merge-mode combiners (defer + sortable) stop holding their parts once
-  // those exceed the spill threshold: each part is a sorted run, so
-  // batches spill to disk and one streaming k-way merge feeds the sink
-  // directly — O(threshold) resident instead of O(sum of chunk outputs).
-  // Engaged lazily so sub-threshold runs keep the exact apply_k path
-  // (including composite-combiner fallback, which the spill path gives up:
-  // a part failing the merge legality check below fails the run as
-  // combine-undefined instead of trying a sibling combiner).
+  // Held parts move to disk only past the spill threshold. The rerun's
+  // spool materializes the concatenation once, for the rerun — the same
+  // O(threshold)-while-draining bound as the sequential materialize node.
+  // The merge spill holds O(threshold) instead of the sum of the chunk
+  // outputs; engaging it lazily keeps sub-threshold runs on the exact
+  // apply_k path (including composite-combiner fallback, which the spill
+  // path gives up: a part failing the merge legality check below fails
+  // the run as combine-undefined instead of trying a sibling combiner).
+  const bool spill = !fold && config.spill_threshold != 0;
+  const bool spoolable_rerun = spill && cstage.rerun_combiner;
   const bool spillable_merge =
-      cstage.defer_combine && cstage.sort_spec != nullptr &&
-      cstage.memory_class == exec::MemoryClass::kSortableSpill &&
-      config.spill_threshold != 0;
-  std::unique_ptr<SpillMerger> merger;
-
-  // Rerun combiners concatenate all partial outputs and rerun the command
-  // once (dsl::combine_k's kRerun), so past the threshold the held parts
-  // spool to disk and the concatenation materializes only for that one
-  // rerun — the same O(threshold)-while-draining bound as the sequential
-  // materialize node.
-  const bool spoolable_rerun =
-      cstage.defer_combine && cstage.rerun_combiner && cstage.command &&
-      config.spill_threshold != 0;
+      spill && !cstage.rerun_combiner && cstage.sort_spec != nullptr;
   std::unique_ptr<RawSpool> spool;
+  std::unique_ptr<SpillMerger> merger;
 
   // The merge combiner's legality predicate, as in dsl::combine_k's kMerge.
   auto mergeable_part = [&](std::string_view part) {
@@ -570,24 +558,23 @@ void run_collector(const Segment& seg, ParallelCtx& ctx, NodeMetrics& metrics,
     }
     deferred_bytes += part.bytes.size();
     deferred.push_back(std::move(part.bytes));
-    // Held parts migrate to disk once they outgrow the spill threshold:
-    // sorted runs for merge combiners, a raw spool for rerun combiners. (A
+    // Held parts migrate to disk once they outgrow the spill threshold. (A
     // single part stays on the combine path, which passes it through
     // unchecked; spilling engages only once there are parts to combine.)
     if (deferred_bytes >= config.spill_threshold && deferred.size() > 1) {
-      if (spillable_merge) {
-        merger = std::make_unique<SpillMerger>(
-            cstage.sort_spec, SpillMerger::Input::kSortedParts,
-            config.spill_threshold, &shared.gauge, config.faults);
-        merger->set_telemetry(tele.tracer, tele.label);
-        for (std::string& held : deferred)
-          if (!spill_part(std::move(held))) return false;
-      } else if (spoolable_rerun) {
+      if (spoolable_rerun) {
         spool = std::make_unique<RawSpool>(config.spill_threshold,
-                                           &shared.gauge, config.faults);
+                                           &shared.gauge, config.fault_plan);
         spool->set_telemetry(tele.tracer, tele.label);
         for (const std::string& held : deferred)
           if (!spool_part(held)) return false;
+      } else if (spillable_merge) {
+        merger = std::make_unique<SpillMerger>(
+            cstage.sort_spec, SpillMerger::Input::kSortedParts,
+            config.spill_threshold, &shared.gauge, config.fault_plan);
+        merger->set_telemetry(tele.tracer, tele.label);
+        for (std::string& held : deferred)
+          if (!spill_part(std::move(held))) return false;
       }
       if (merger || spool) {
         deferred.clear();
@@ -749,7 +736,7 @@ void run_sequential(const Segment& seg, NodeMetrics& metrics, const Pull& pull,
                     const std::function<bool()>& out_closed,
                     const std::function<void()>& cancel_upstream,
                     const NodeTelemetry& tele, Shared& shared,
-                    const StreamConfig& config) {
+                    const ExecOptions& config) {
   const exec::ExecStage& stage = *seg.chain.front();
   // A dead downstream makes the whole drain-and-execute pointless: poll the
   // output side while pulling so a closed sink stops a materialize stage
@@ -769,7 +756,8 @@ void run_sequential(const Segment& seg, NodeMetrics& metrics, const Pull& pull,
 
   if (spec) {
     SpillMerger sorter(std::move(spec), SpillMerger::Input::kUnsortedBlocks,
-                       config.spill_threshold, &shared.gauge, config.faults);
+                       config.spill_threshold, &shared.gauge,
+                       config.fault_plan);
     sorter.set_telemetry(tele.tracer, tele.label);
     bool ok = true;
     while (auto piece = pull()) {
@@ -819,7 +807,7 @@ void run_sequential(const Segment& seg, NodeMetrics& metrics, const Pull& pull,
     return;
   }
 
-  RawSpool spool(config.spill_threshold, &shared.gauge, config.faults);
+  RawSpool spool(config.spill_threshold, &shared.gauge, config.fault_plan);
   spool.set_telemetry(tele.tracer, tele.label);
   bool ok = true;
   while (auto piece = pull()) {
@@ -882,7 +870,7 @@ void run_stream_chain(const Segment& seg, NodeMetrics& metrics,
                       const std::function<bool()>& out_closed,
                       const std::function<void()>& cancel_upstream,
                       const NodeTelemetry& tele, Shared& shared,
-                      const StreamConfig& config) {
+                      const ExecOptions& config) {
   // Pool-effectiveness counters, threaded into every acquire below (null
   // when stats are off — BufferPool then skips the bumps).
   std::atomic<std::uint64_t>* pool_hits =
@@ -944,7 +932,7 @@ void run_stream_chain(const Segment& seg, NodeMetrics& metrics,
     if (!merger) {
       merger = std::make_unique<SpillMerger>(
           wspec, SpillMerger::Input::kSortedParts, config.spill_threshold,
-          &shared.gauge, config.faults);
+          &shared.gauge, config.fault_plan);
       merger->set_telemetry(tele.tracer, tele.label);
     }
     if (!merger->add(std::move(run))) {
@@ -1139,7 +1127,7 @@ void run_stream_chain(const Segment& seg, NodeMetrics& metrics,
   close_out();
 }
 
-StreamConfig sanitize(StreamConfig config) {
+ExecOptions sanitize(ExecOptions config) {
   if (config.parallelism < 1) config.parallelism = 1;
   if (config.block_size == 0) config.block_size = 1;
   if (config.max_inflight == 0)
@@ -1149,11 +1137,11 @@ StreamConfig sanitize(StreamConfig config) {
 }
 
 // The memory class the runtime *actually* gives this node — mirrors the
-// dispatch in run_streaming_core/run_sequential rather than echoing the
+// dispatch in run_dataflow/run_sequential rather than echoing the
 // plan's label (under a custom delimiter a plan-parallel stage runs
 // sequential and a plan-sortable one materializes; a parallel segment's
 // residency is its combiner's).
-const char* node_memory_label(const Segment& seg, const StreamConfig& config) {
+const char* node_memory_label(const Segment& seg, const ExecOptions& config) {
   if (seg.window) return "window-stream";
   if (seg.stream) return "stateless-stream";
   if (seg.parallel) {
@@ -1175,12 +1163,15 @@ const char* node_memory_label(const Segment& seg, const StreamConfig& config) {
   return "materialize";
 }
 
-StreamResult run_streaming_core(const std::vector<exec::ExecStage>& stages,
-                                BlockReader& reader, const Sink& sink,
-                                exec::ThreadPool& pool,
-                                const StreamConfig& raw_config) {
-  const StreamConfig config = sanitize(raw_config);
-  StreamResult result;
+}  // namespace
+
+ExecResult run_dataflow(const std::vector<exec::ExecStage>& stages,
+                        BlockReader& reader, const Sink& sink,
+                        exec::ThreadPool& pool,
+                        const ExecOptions& raw_config) {
+  const ExecOptions config = sanitize(raw_config);
+  ExecResult result;
+  result.io_backend = "poll";  // the one I/O engine (src/io/engine.h)
   auto start = Clock::now();
 
   auto read_error_message = [&config](int err) {
@@ -1491,79 +1482,6 @@ StreamResult run_streaming_core(const std::vector<exec::ExecStage>& stages,
     result.nodes[0].recv_blocked_ns += reader.wait_ns();
   }
   result.seconds = seconds_since(start);
-  return result;
-}
-
-// Shared by every entry point: a record that cannot even be buffered
-// within the spill budget fails loudly (EMSGSIZE) rather than growing
-// pending_ without bound.
-BlockReaderOptions reader_options(const StreamConfig& config) {
-  return {config.block_size == 0 ? 1 : config.block_size, config.delimiter,
-          config.spill_threshold};
-}
-
-Sink ostream_sink(std::ostream& output) {
-  return [&output](std::string_view bytes) {
-    output.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    return static_cast<bool>(output);
-  };
-}
-
-}  // namespace
-
-StreamResult run_streaming(const std::vector<exec::ExecStage>& stages,
-                           std::istream& input, const Sink& sink,
-                           exec::ThreadPool& pool,
-                           const StreamConfig& config) {
-  BlockReader reader(input, reader_options(config));
-  return run_streaming_core(stages, reader, sink, pool, config);
-}
-
-StreamResult run_streaming(const std::vector<exec::ExecStage>& stages,
-                           std::istream& input, std::ostream& output,
-                           exec::ThreadPool& pool,
-                           const StreamConfig& config) {
-  return run_streaming(stages, input, ostream_sink(output), pool, config);
-}
-
-StreamResult run_streaming_fd(const std::vector<exec::ExecStage>& stages,
-                              int input_fd, const Sink& sink,
-                              exec::ThreadPool& pool,
-                              const StreamConfig& config) {
-  BlockReader reader(input_fd, reader_options(config), config.faults);
-  return run_streaming_core(stages, reader, sink, pool, config);
-}
-
-StreamResult run_streaming_fd(const std::vector<exec::ExecStage>& stages,
-                              int input_fd, std::ostream& output,
-                              exec::ThreadPool& pool,
-                              const StreamConfig& config) {
-  return run_streaming_fd(stages, input_fd, ostream_sink(output), pool,
-                          config);
-}
-
-StreamResult run_streaming_string(const std::vector<exec::ExecStage>& stages,
-                                  std::string_view input, std::string* output,
-                                  exec::ThreadPool& pool,
-                                  const StreamConfig& config) {
-  std::istringstream in{std::string(input)};
-  std::string collected;
-  Sink sink = [&collected](std::string_view bytes) {
-    collected.append(bytes);
-    return true;
-  };
-  StreamResult result = run_streaming(stages, in, sink, pool, config);
-  if (!result.ok && result.combine_undefined) {
-    // The batch runner's combine-fallback guard: incremental combination
-    // proved undefined on these chunk outputs, so rerun in memory where the
-    // original input is still available. Other failures propagate as !ok.
-    exec::RunConfig batch{config.parallelism, config.use_elimination};
-    exec::RunResult rerun = exec::run_pipeline(stages, input, pool, batch);
-    collected = std::move(rerun.output);
-    result.ok = true;
-    result.batch_fallback = true;
-  }
-  *output = std::move(collected);
   return result;
 }
 

@@ -4,7 +4,8 @@
 // segment, drain nodes for sequential stages — connected by bounded
 // channels, in the spirit of PaSh-style dataflow shell runtimes.
 //
-// Contrasts with exec::run_pipeline (the batch path, kept as `--batch`):
+// Contrasts with kq::Executor's batch path (`--batch`, the paper's staged
+// runner):
 //   - input is consumed in record-aligned blocks (stream::BlockReader)
 //     rather than slurped whole, so memory stays O(capacity · block_size)
 //     for concat-combined pipelines instead of O(input);
@@ -49,12 +50,15 @@
 // combiners satisfy their defining property g(f(x), f(y)) = f(x · y) —
 // both runtimes compute f over the whole stream, they just chunk
 // differently.
+//
+// The runtime has one entry point, run_dataflow, and callers reach it
+// through kq::Executor (exec/executor.h), which builds the BlockReader from
+// its Source and owns the options and result types.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <iosfwd>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -62,51 +66,14 @@
 #include "exec/runner.h"
 #include "exec/thread_pool.h"
 
-namespace kq::io {
-class FaultPlan;
-}
-
-namespace kq::obs {
-class Tracer;
-}
+namespace kq {
+struct ExecOptions;  // exec/executor.h
+struct ExecResult;
+}  // namespace kq
 
 namespace kq::stream {
 
-struct StreamConfig {
-  int parallelism = 4;
-  std::size_t block_size = 1 << 20;
-  // Max chunks a segment may have in flight (its memory budget is
-  // max_inflight · block_size). 0 derives 2 · parallelism + 2.
-  std::size_t max_inflight = 0;
-  bool use_elimination = true;  // fuse eliminated-combiner chains
-  char delimiter = '\n';
-  // In-memory accumulation budget per node before spilling to disk
-  // (sorted-run external merge for sortable stages, raw spool for
-  // materialize/rerun stages). Also caps a single delimiter-free record:
-  // one that outgrows a block and this threshold fails loudly (EMSGSIZE)
-  // instead of ballooning RSS, so the reader buffers at most
-  // max(block_size, spill_threshold) per record. 0 disables spilling (and
-  // the record cap) entirely.
-  std::size_t spill_threshold = 64 << 20;
-  // Slice size for sharded parallel segments (the contiguous record-aligned
-  // unit a shard worker runs its fused sub-chain over). 0 derives
-  // 2 · block_size. Larger slices mean fewer combine-tree parts and less
-  // per-slice processor setup; the runtime scales the segment's in-flight
-  // slot count down so the byte budget (max_inflight · block_size) is
-  // unchanged.
-  std::size_t shard_slice = 0;
-  // Deterministic fault-injection seam (src/io/fault.h, tests only): the
-  // fd source and every spill file consult it before each I/O attempt.
-  io::FaultPlan* faults = nullptr;
-  // Telemetry (src/obs/). `stats` allocates per-node obs::StageCounters and
-  // wires blocked-time/record/pool accounting through the run — the
-  // extended NodeMetrics fields below are zero without it. A non-null
-  // `tracer` records spans (node lifetimes, block processing, spill runs,
-  // merges) for --trace-json. Both default off; the disabled hot path pays
-  // one branch per block and never touches the clock.
-  bool stats = false;
-  obs::Tracer* tracer = nullptr;
-};
+class BlockReader;
 
 struct NodeMetrics {
   std::string commands;           // fused chain display, " | " separated
@@ -126,7 +93,7 @@ struct NodeMetrics {
   int spill_runs = 0;             // sorted runs spilled (external merge)
   double seconds = 0;             // active span (first input to close)
 
-  // Populated only when StreamConfig::stats is on (see obs/metrics.h for
+  // Populated only when ExecOptions::stats is on (see obs/metrics.h for
   // the counter semantics; docs/OBSERVABILITY.md for the full contract).
   std::string memory;                  // exec::memory_class_name of the node
   std::uint64_t records_in = 0;        // records pulled from upstream
@@ -142,70 +109,24 @@ struct NodeMetrics {
   std::string early_exit;              // why input stopped early ("" = ran
                                        // to end of stream)
 
-  // Batch/serial unification (kq::Executor maps exec::StageMetrics into
-  // NodeMetrics so every mode reports through one shape). Zero/false on
-  // streaming runs, where combining is incremental and per-node.
+  // Filled by batch runs, which report one node per stage through this same
+  // shape. Zero/false on streaming runs, where combining is incremental and
+  // per-node.
   std::string combiner;                // synthesized combiner display name
   bool combiner_eliminated = false;    // Theorem 5 applied to this stage
   bool combine_fallback = false;       // combiner failed; reran serially
-};
-
-struct StreamResult {
-  bool ok = true;
-  std::string error;               // set when !ok
-  double seconds = 0;
-  std::size_t peak_inflight_bytes = 0;  // high-water mark across channels
-  std::size_t spilled_bytes = 0;        // total spilled across nodes
-  // Input bytes the BlockReader delivered — far below the input size when
-  // a prefix-bounded stage (head) cancelled the upstream early.
-  std::size_t bytes_read = 0;
-  std::vector<NodeMetrics> nodes;
-  bool stopped_early = false;      // the sink returned false (ok stays true)
-  bool combine_undefined = false;  // !ok because a combiner bailed mid-fold
-  bool batch_fallback = false;     // string overload reran via batch path
 };
 
 // Receives output in order; return false to stop the run early (the graph
 // tears down, the result stays ok with stopped_early set).
 using Sink = std::function<bool(std::string_view)>;
 
-// DEPRECATED entry points: new call sites should go through kq::Executor
-// (exec/executor.h), which folds these overloads, the batch runner, and the
-// serial reference behind one options/result shape. They remain for one PR
-// as the facade's implementation layer and for tests that exercise the
-// stream runtime directly; CI's deprecation gate rejects new uses in src/
-// and bench/ outside the wrapper TUs.
-
-// Core entry point: drain `input` through the dataflow graph into `sink`.
-StreamResult run_streaming(const std::vector<exec::ExecStage>& stages,
-                           std::istream& input, const Sink& sink,
-                           exec::ThreadPool& pool, const StreamConfig& config);
-
-// Stream into an ostream (the CLI's stdin → stdout path).
-StreamResult run_streaming(const std::vector<exec::ExecStage>& stages,
-                           std::istream& input, std::ostream& output,
-                           exec::ThreadPool& pool, const StreamConfig& config);
-
-// Stream from a file descriptor. Unlike the istream overloads, the fd
-// source is poll(2)-driven, so upstream cancellation (a satisfied head, a
-// closed sink) wakes a node blocked in a long read on an idle pipe
-// promptly instead of at the next block boundary.
-StreamResult run_streaming_fd(const std::vector<exec::ExecStage>& stages,
-                              int input_fd, const Sink& sink,
-                              exec::ThreadPool& pool,
-                              const StreamConfig& config);
-StreamResult run_streaming_fd(const std::vector<exec::ExecStage>& stages,
-                              int input_fd, std::ostream& output,
-                              exec::ThreadPool& pool,
-                              const StreamConfig& config);
-
-// In-memory convenience for tests and benches. If (and only if)
-// incremental combination turns out undefined mid-stream (the batch
-// runner's combine-fallback guard), reruns through exec::run_pipeline and
-// sets `batch_fallback`; other streaming failures propagate as !ok.
-StreamResult run_streaming_string(const std::vector<exec::ExecStage>& stages,
-                                  std::string_view input, std::string* output,
-                                  exec::ThreadPool& pool,
-                                  const StreamConfig& config);
+// Drains `reader` through the dataflow graph of `stages` into `sink`, with
+// pool tasks (shard workers) on `pool`. Reads the stream knobs of `options`
+// (its mode is not consulted) and fills every ExecResult field except
+// `output` and `batch_fallback`, which belong to the Executor.
+ExecResult run_dataflow(const std::vector<exec::ExecStage>& stages,
+                        BlockReader& reader, const Sink& sink,
+                        exec::ThreadPool& pool, const ExecOptions& options);
 
 }  // namespace kq::stream

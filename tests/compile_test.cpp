@@ -8,6 +8,7 @@
 #include "compile/optimize.h"
 #include "compile/pipeline.h"
 #include "compile/plan.h"
+#include "exec/executor.h"
 
 namespace kq::compile {
 namespace {
@@ -149,16 +150,17 @@ TEST_P(PipelineEquivalence, ParallelMatchesSerial) {
   auto stages = lower_plan(plan);
 
   std::string input = gutenberg_sample();
-  exec::RunResult serial = exec::run_serial(stages, input);
-  exec::ThreadPool pool(4);
+  const std::string serial = exec::run_serial(stages, input);
   for (int k : {2, 3, 5}) {
-    exec::RunResult unopt =
-        exec::run_pipeline(stages, input, pool, {k, false});
-    EXPECT_EQ(unopt.output, serial.output)
-        << script << " (unoptimized, k=" << k << ")";
-    exec::RunResult opt = exec::run_pipeline(stages, input, pool, {k, true});
-    EXPECT_EQ(opt.output, serial.output)
-        << script << " (optimized, k=" << k << ")";
+    for (bool optimized : {false, true}) {
+      ExecOptions batch;
+      batch.mode = ExecMode::kBatch;
+      batch.parallelism = k;
+      batch.use_elimination = optimized;
+      EXPECT_EQ(Executor(batch).run_collect(stages, input).output, serial)
+          << script << (optimized ? " (optimized" : " (unoptimized")
+          << ", k=" << k << ")";
+    }
   }
 }
 

@@ -1,6 +1,7 @@
 // Tests for the parallel runtime: newline-aligned splitting, the thread
-// pool, chunk mapping, and the staged pipeline runner (optimized and
-// unoptimized modes, combine-failure fallback).
+// pool, chunk mapping, and the staged batch runner through kq::Executor
+// (optimized and unoptimized modes, combine-failure fallback) against the
+// serial oracle.
 
 #include <gtest/gtest.h>
 
@@ -8,6 +9,7 @@
 #include <numeric>
 
 #include "dsl/kway.h"
+#include "exec/executor.h"
 #include "exec/parallel.h"
 #include "exec/runner.h"
 #include "exec/splitter.h"
@@ -176,28 +178,36 @@ std::string sample_words() {
   return input;
 }
 
+// The staged batch runner at width k, through the facade.
+kq::ExecResult run_batch(const std::vector<ExecStage>& stages,
+                         std::string_view input, int k,
+                         bool use_elimination = true) {
+  kq::ExecOptions options;
+  options.mode = kq::ExecMode::kBatch;
+  options.parallelism = k;
+  options.use_elimination = use_elimination;
+  return kq::Executor(options).run_collect(stages, input);
+}
+
 TEST(Runner, SerialMatchesDirectComposition) {
   auto stages = word_count_stages();
   std::string input = sample_words();
-  RunResult serial = run_serial(stages, input);
   std::string expect = input;
   for (const auto& s : stages) expect = s.command->run(expect);
-  EXPECT_EQ(serial.output, expect);
-  EXPECT_EQ(serial.stages.size(), 3u);
+  EXPECT_EQ(run_serial(stages, input), expect);
 }
 
 TEST(Runner, ParallelUnoptimizedMatchesSerial) {
   auto stages = word_count_stages();
   std::string input = sample_words();
-  RunResult serial = run_serial(stages, input);
-  ThreadPool pool(4);
+  const std::string serial = run_serial(stages, input);
   for (int k : {2, 3, 8}) {
-    RunConfig config{k, /*use_elimination=*/false};
-    RunResult parallel = run_pipeline(stages, input, pool, config);
-    EXPECT_EQ(parallel.output, serial.output) << "k=" << k;
-    for (const auto& m : parallel.stages) {
+    kq::ExecResult parallel =
+        run_batch(stages, input, k, /*use_elimination=*/false);
+    EXPECT_EQ(parallel.output, serial) << "k=" << k;
+    for (const auto& m : parallel.nodes) {
       EXPECT_FALSE(m.combiner_eliminated);
-      EXPECT_FALSE(m.combine_fallback) << m.command;
+      EXPECT_FALSE(m.combine_fallback) << m.commands;
     }
   }
 }
@@ -205,13 +215,11 @@ TEST(Runner, ParallelUnoptimizedMatchesSerial) {
 TEST(Runner, ParallelOptimizedMatchesSerial) {
   auto stages = word_count_stages();
   std::string input = sample_words();
-  RunResult serial = run_serial(stages, input);
-  ThreadPool pool(4);
-  RunConfig config{4, /*use_elimination=*/true};
-  RunResult parallel = run_pipeline(stages, input, pool, config);
-  EXPECT_EQ(parallel.output, serial.output);
-  EXPECT_TRUE(parallel.stages[0].combiner_eliminated);
-  EXPECT_FALSE(parallel.stages[1].combiner_eliminated);
+  kq::ExecResult parallel = run_batch(stages, input, 4);
+  EXPECT_EQ(parallel.output, run_serial(stages, input));
+  ASSERT_EQ(parallel.nodes.size(), 3u);
+  EXPECT_TRUE(parallel.nodes[0].combiner_eliminated);
+  EXPECT_FALSE(parallel.nodes[1].combiner_eliminated);
 }
 
 TEST(Runner, SequentialStageAfterEliminatedConcat) {
@@ -220,10 +228,7 @@ TEST(Runner, SequentialStageAfterEliminatedConcat) {
   auto stages = word_count_stages();
   stages[1].parallel = false;  // force sort sequential
   std::string input = sample_words();
-  RunResult serial = run_serial(stages, input);
-  ThreadPool pool(2);
-  RunResult parallel = run_pipeline(stages, input, pool, {4, true});
-  EXPECT_EQ(parallel.output, serial.output);
+  EXPECT_EQ(run_batch(stages, input, 4).output, run_serial(stages, input));
 }
 
 TEST(Runner, CombineFailureFallsBackToSerial) {
@@ -235,10 +240,10 @@ TEST(Runner, CombineFailureFallsBackToSerial) {
   s.combine = [](const std::vector<std::string>&)
       -> std::optional<std::string> { return std::nullopt; };
   stages.push_back(std::move(s));
-  ThreadPool pool(2);
-  RunResult r = run_pipeline(stages, "ab\ncd\nef\ngh\n", pool, {2, true});
+  kq::ExecResult r = run_batch(stages, "ab\ncd\nef\ngh\n", 2);
   EXPECT_EQ(r.output, "AB\nCD\nEF\nGH\n");
-  EXPECT_TRUE(r.stages[0].combine_fallback);
+  ASSERT_EQ(r.nodes.size(), 1u);
+  EXPECT_TRUE(r.nodes[0].combine_fallback);
 }
 
 TEST(Runner, ChunksWithoutInputAreLeftOutOfTheCombine) {
@@ -273,18 +278,18 @@ TEST(Runner, ChunksWithoutInputAreLeftOutOfTheCombine) {
   const std::string pears = "pear 1\npear 2\npear 3\npear 4\n";
   const std::string* inputs[] = {&apples_then_pears, &pears};
 
-  ThreadPool pool(4);
   for (auto stages : {stages_with("tail -n 1", dsl::combiner_second()),
                       stages_with("uniq -c",
                                   dsl::combiner_stitch2_add_first(' '))}) {
     for (const std::string* input : inputs) {
-      const std::string serial = run_serial(stages, *input).output;
+      const std::string serial = run_serial(stages, *input);
       for (int k : {2, 4, 8}) {
-        RunResult r = run_pipeline(stages, *input, pool, {k, true});
+        kq::ExecResult r = run_batch(stages, *input, k);
         const std::string name = stages[1].command->display_name();
         EXPECT_EQ(r.output, serial) << name << " k=" << k;
-        EXPECT_TRUE(r.stages[0].combiner_eliminated) << name;
-        EXPECT_FALSE(r.stages[1].combine_fallback) << name << " k=" << k;
+        ASSERT_EQ(r.nodes.size(), 2u) << name;
+        EXPECT_TRUE(r.nodes[0].combiner_eliminated) << name;
+        EXPECT_FALSE(r.nodes[1].combine_fallback) << name << " k=" << k;
       }
     }
   }
@@ -293,21 +298,19 @@ TEST(Runner, ChunksWithoutInputAreLeftOutOfTheCombine) {
 TEST(Runner, ParallelismOneIsSerial) {
   auto stages = word_count_stages();
   std::string input = sample_words();
-  ThreadPool pool(2);
-  RunResult r = run_pipeline(stages, input, pool, {1, true});
-  EXPECT_EQ(r.output, run_serial(stages, input).output);
-  for (const auto& m : r.stages) EXPECT_FALSE(m.parallel);
+  kq::ExecResult r = run_batch(stages, input, 1);
+  EXPECT_EQ(r.output, run_serial(stages, input));
+  for (const auto& m : r.nodes) EXPECT_FALSE(m.parallel);
 }
 
 TEST(Runner, MetricsAccounting) {
   auto stages = word_count_stages();
   std::string input = sample_words();
-  ThreadPool pool(2);
-  RunResult r = run_pipeline(stages, input, pool, {2, true});
-  ASSERT_EQ(r.stages.size(), 3u);
-  EXPECT_EQ(r.stages[0].in_bytes, input.size());
-  EXPECT_GT(r.stages[2].out_bytes, 0u);
-  EXPECT_EQ(r.stages[0].chunks, 2);
+  kq::ExecResult r = run_batch(stages, input, 2);
+  ASSERT_EQ(r.nodes.size(), 3u);
+  EXPECT_EQ(r.nodes[0].in_bytes, input.size());
+  EXPECT_GT(r.nodes[2].out_bytes, 0u);
+  EXPECT_EQ(r.nodes[0].chunks, 2);
 }
 
 }  // namespace

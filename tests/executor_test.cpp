@@ -1,8 +1,8 @@
 // Tests for the kq::Executor facade (exec/executor.h): every mode
 // (serial / batch / stream) over every source shape (string / istream /
 // fd) must produce byte-identical output, options must resolve the unified
-// parallelism default, and the string-source stream path must carry
-// run_streaming_string's combine-fallback semantics.
+// parallelism default, and the string-source stream path must rerun
+// through the batch path when a combine turns out undefined mid-stream.
 
 #include <gtest/gtest.h>
 
@@ -65,7 +65,7 @@ TEST(Executor, DefaultParallelismIsHardwareDerivedAndCapped) {
 TEST(Executor, AllModesAllSourcesByteIdentical) {
   auto stages = compile_stages("tr a-z A-Z | grep ALPHA | wc -l");
   const std::string input = sample_input();
-  const std::string golden = exec::run_serial(stages, input).output;
+  const std::string golden = exec::run_serial(stages, input);
   ASSERT_FALSE(golden.empty());
 
   for (ExecMode mode :
@@ -120,7 +120,7 @@ TEST(Executor, StreamModeReportsStreamTelemetry) {
   EXPECT_FALSE(r.nodes.empty());
 }
 
-TEST(Executor, BatchModeMapsStageMetricsIntoNodes) {
+TEST(Executor, BatchModeFillsOneNodePerStage) {
   auto stages = compile_stages("tr a-z A-Z | wc -l");
   ExecOptions options;
   options.mode = ExecMode::kBatch;
@@ -171,41 +171,6 @@ TEST(Executor, StringSourceStreamFallsBackToBatchOnUndefinedCombine) {
   ASSERT_TRUE(r.ok) << r.error;
   EXPECT_TRUE(r.batch_fallback);
   EXPECT_EQ(r.output, "AB\nCD\nEF\nGH\n");
-}
-
-TEST(Executor, MatchesLegacyEntrypointsStageForStage) {
-  // Facade-vs-wrapper parity: the deprecated free functions and the facade
-  // must agree byte-for-byte while both exist.
-  auto stages = compile_stages("tr A-Z a-z | sort | uniq -c");
-  const std::string input = sample_input();
-
-  exec::RunResult serial = exec::run_serial(stages, input);
-  ExecOptions serial_options;
-  serial_options.mode = ExecMode::kSerial;
-  EXPECT_EQ(Executor(serial_options).run_collect(stages, input).output,
-            serial.output);
-
-  exec::ThreadPool pool(4);
-  exec::RunResult batch =
-      exec::run_pipeline(stages, input, pool, {4, /*use_elimination=*/true});
-  ExecOptions batch_options;
-  batch_options.mode = ExecMode::kBatch;
-  batch_options.parallelism = 4;
-  EXPECT_EQ(Executor(batch_options).run_collect(stages, input).output,
-            batch.output);
-
-  stream::StreamConfig config;
-  config.parallelism = 4;
-  config.block_size = 2048;
-  std::string streamed;
-  stream::StreamResult sr =
-      stream::run_streaming_string(stages, input, &streamed, pool, config);
-  ASSERT_TRUE(sr.ok) << sr.error;
-  ExecOptions stream_opts;
-  stream_opts.parallelism = 4;
-  stream_opts.block_size = 2048;
-  EXPECT_EQ(Executor(stream_opts).run_collect(stages, input).output,
-            streamed);
 }
 
 }  // namespace

@@ -2,7 +2,7 @@
 // `-n +N`, the -c byte modes (`head -c N`, `tail -c N`, `tail -c +N`),
 // count 0, counts larger than the input, missing trailing newlines, and
 // overflowing counts — each validated against GNU coreutils output and
-// executed through three runtimes: the batch staged runner, the streaming
+// executed through three runtimes: the serial oracle, the streaming
 // dataflow runtime, and the streaming runtime with spilling forced
 // (threshold 1). Also pins the preserve-vs-re-terminate audit for the
 // other text::lines-based built-ins: sed/rev preserve a missing final
@@ -18,10 +18,9 @@
 #include <limits>
 
 #include "compile/plan.h"
+#include "exec/executor.h"
 #include "exec/runner.h"
-#include "exec/thread_pool.h"
 #include "prep/literals.h"
-#include "stream/dataflow.h"
 #include "unixcmd/registry.h"
 
 namespace kq {
@@ -58,21 +57,18 @@ TEST_P(HeadTailGolden, BatchStreamAndSpillAgree) {
   EXPECT_EQ(command->run(c.input), c.expected) << c.command;
 
   std::vector<exec::ExecStage> stages{make_stage(command)};
-  exec::ThreadPool pool(2);
-  EXPECT_EQ(exec::run_serial(stages, c.input).output, c.expected)
+  EXPECT_EQ(exec::run_serial(stages, c.input), c.expected)
       << c.command << " (serial)";
 
   for (std::size_t spill : {std::size_t(64) << 20, std::size_t(1)}) {
     for (std::size_t block : {std::size_t(4), std::size_t(1) << 20}) {
-      stream::StreamConfig config;
-      config.parallelism = 2;
-      config.block_size = block;
-      config.spill_threshold = spill;
-      std::string output;
-      stream::StreamResult r = stream::run_streaming_string(
-          stages, c.input, &output, pool, config);
+      ExecOptions options;
+      options.parallelism = 2;
+      options.block_size = block;
+      options.spill_threshold = spill;
+      ExecResult r = Executor(options).run_collect(stages, c.input);
       ASSERT_TRUE(r.ok) << c.command << ": " << r.error;
-      EXPECT_EQ(output, c.expected)
+      EXPECT_EQ(r.output, c.expected)
           << c.command << " (stream, block=" << block << ", spill=" << spill
           << ")";
     }
@@ -228,9 +224,11 @@ TEST(ProbeCoverageGuard, BatchHugeTailMatchesDirectExecution) {
   ASSERT_TRUE(parsed.has_value());
   compile::Plan plan = compile::compile_pipeline(*parsed, cache);
   auto stages = compile::lower_plan(plan);
-  exec::ThreadPool pool(4);
-  std::string out = exec::run_pipeline(stages, input, pool, {4, true}).output;
-  EXPECT_EQ(out, stages[0].command->run(input));
+  ExecOptions batch;
+  batch.mode = ExecMode::kBatch;
+  batch.parallelism = 4;
+  EXPECT_EQ(Executor(batch).run_collect(stages, input).output,
+            stages[0].command->run(input));
 }
 
 TEST(HeadTailParse, LiteralExtractionSaturatesHugeCounts) {

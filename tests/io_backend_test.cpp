@@ -115,7 +115,7 @@ TEST_P(FdSourceCrossval, ByteIdenticalToSerialUnderEachDelimiter) {
     for (char delimiter : {'\n', ';'}) {
       const std::string input =
           delimiter == '\n' ? lines : with_semicolons(lines);
-      const std::string serial = exec::run_serial(stages, input).output;
+      const std::string serial = exec::run_serial(stages, input);
       FdInput fd(input);
       for (int k : {1, 4}) {
         kq::Executor executor(stream_options(k, delimiter));
@@ -194,7 +194,7 @@ TEST(CustomDelimiter, UniqCountMatchesTheWholeInputAtEveryK) {
     input += ';';
   }
   const std::string expect =
-      exec::run_serial(compile_stages("uniq -c"), input).output;
+      exec::run_serial(compile_stages("uniq -c"), input);
   for (int k : {1, 2, 4})
     EXPECT_EQ(run_semicolon("uniq -c", input, k), expect) << "k=" << k;
 }

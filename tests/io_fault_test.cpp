@@ -285,7 +285,7 @@ TEST(IoFaultTest, SpillMergerEnospcFailsCleanly) {
 TEST(IoFaultTest, PipelineSurvivesSourceFaultStorm) {
   const std::string content = lines(3000);
   const std::string expect =
-      exec::run_serial(compile_stages("sort | uniq -c"), content).output;
+      exec::run_serial(compile_stages("sort | uniq -c"), content);
 
   TempInput input(content);
   io::FaultPlan plan;

@@ -2,7 +2,7 @@
 // through the streaming executor): record counting, concurrent span
 // recording (the TSan job drives this test under -fsanitize=thread), JSON
 // escaping, and — the metrics-correctness core — per-node counters
-// cross-validated against goldens derived from the batch runner for the
+// cross-validated against goldens derived from the serial oracle for the
 // stream-chain, forced-spill, window, and rewritten top-N node shapes,
 // plus blocked-time accrual and early-exit cause attribution.
 
@@ -16,8 +16,9 @@
 
 #include "compile/optimize.h"
 #include "compile/plan.h"
+#include "dsl/kway.h"
+#include "exec/executor.h"
 #include "exec/runner.h"
-#include "exec/thread_pool.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "stream/dataflow.h"
@@ -132,18 +133,15 @@ TEST(Counters, StreamChainMatchesGolden) {
   auto stages = stages_for("grep a | tr a-z A-Z", /*rewrite=*/false,
                            /*force_sequential=*/true);
   const std::string input = mixed_lines(3000);
-  const std::string golden = exec::run_serial(stages, input).output;
+  const std::string golden = exec::run_serial(stages, input);
 
-  exec::ThreadPool pool(2);
-  stream::StreamConfig config;
-  config.parallelism = 2;
-  config.block_size = 512;
-  config.stats = true;
-  std::string output;
-  stream::StreamResult r =
-      stream::run_streaming_string(stages, input, &output, pool, config);
+  ExecOptions options;
+  options.parallelism = 2;
+  options.block_size = 512;
+  options.stats = true;
+  ExecResult r = Executor(options).run_collect(stages, input);
   ASSERT_TRUE(r.ok) << r.error;
-  EXPECT_EQ(output, golden);
+  EXPECT_EQ(r.output, golden);
   ASSERT_EQ(r.nodes.size(), 1u);
   const stream::NodeMetrics& node = r.nodes[0];
   EXPECT_EQ(node.memory, "stateless-stream");
@@ -163,19 +161,16 @@ TEST(Counters, ForcedSpillSortMatchesGolden) {
   std::string input;
   for (int i = 20000; i > 0; --i)
     input += "Key" + std::to_string(i) + "\n";
-  const std::string golden = exec::run_serial(stages, input).output;
+  const std::string golden = exec::run_serial(stages, input);
 
-  exec::ThreadPool pool(4);
-  stream::StreamConfig config;
-  config.parallelism = 4;
-  config.block_size = 2048;
-  config.spill_threshold = 8192;  // force sorted runs onto disk
-  config.stats = true;
-  std::string output;
-  stream::StreamResult r =
-      stream::run_streaming_string(stages, input, &output, pool, config);
+  ExecOptions options;
+  options.parallelism = 4;
+  options.block_size = 2048;
+  options.spill_threshold = 8192;  // force sorted runs onto disk
+  options.stats = true;
+  ExecResult r = Executor(options).run_collect(stages, input);
   ASSERT_TRUE(r.ok) << r.error;
-  EXPECT_EQ(output, golden);
+  EXPECT_EQ(r.output, golden);
   ASSERT_EQ(r.nodes.size(), 1u);
   const stream::NodeMetrics& node = r.nodes[0];
   EXPECT_EQ(node.memory, "sortable-spill");
@@ -196,18 +191,15 @@ TEST(Counters, WindowStageMatchesGolden) {
   ASSERT_EQ(stages.size(), 1u);
   ASSERT_EQ(stages[0].memory_class, exec::MemoryClass::kWindowStream);
   const std::string input = mixed_lines(5000);
-  const std::string golden = exec::run_serial(stages, input).output;
+  const std::string golden = exec::run_serial(stages, input);
 
-  exec::ThreadPool pool(2);
-  stream::StreamConfig config;
-  config.parallelism = 2;
-  config.block_size = 256;
-  config.stats = true;
-  std::string output;
-  stream::StreamResult r =
-      stream::run_streaming_string(stages, input, &output, pool, config);
+  ExecOptions options;
+  options.parallelism = 2;
+  options.block_size = 256;
+  options.stats = true;
+  ExecResult r = Executor(options).run_collect(stages, input);
   ASSERT_TRUE(r.ok) << r.error;
-  EXPECT_EQ(output, golden);
+  EXPECT_EQ(r.output, golden);
   ASSERT_EQ(r.nodes.size(), 1u);
   const stream::NodeMetrics& node = r.nodes[0];
   EXPECT_EQ(node.memory, "window-stream");
@@ -231,18 +223,15 @@ TEST(Counters, RewrittenTopNMatchesGolden) {
     input += std::to_string(i);
     input += "\n";
   }
-  const std::string golden = exec::run_serial(stages, input).output;
+  const std::string golden = exec::run_serial(stages, input);
 
-  exec::ThreadPool pool(2);
-  stream::StreamConfig config;
-  config.parallelism = 2;
-  config.block_size = 512;
-  config.stats = true;
-  std::string output;
-  stream::StreamResult r =
-      stream::run_streaming_string(stages, input, &output, pool, config);
+  ExecOptions options;
+  options.parallelism = 2;
+  options.block_size = 512;
+  options.stats = true;
+  ExecResult r = Executor(options).run_collect(stages, input);
   ASSERT_TRUE(r.ok) << r.error;
-  EXPECT_EQ(output, golden);
+  EXPECT_EQ(r.output, golden);
   ASSERT_EQ(r.nodes.size(), 1u);
   EXPECT_EQ(r.nodes[0].memory, "window-stream");
   EXPECT_EQ(r.nodes[0].records_in, obs::count_records(input, '\n'));
@@ -256,13 +245,10 @@ TEST(Counters, StatsOffLeavesMetricsZero) {
   auto stages = stages_for("grep a | tr a-z A-Z", /*rewrite=*/false,
                            /*force_sequential=*/true);
   const std::string input = mixed_lines(500);
-  exec::ThreadPool pool(2);
-  stream::StreamConfig config;
-  config.parallelism = 2;
-  config.block_size = 512;
-  std::string output;
-  stream::StreamResult r =
-      stream::run_streaming_string(stages, input, &output, pool, config);
+  ExecOptions options;
+  options.parallelism = 2;
+  options.block_size = 512;
+  ExecResult r = Executor(options).run_collect(stages, input);
   ASSERT_TRUE(r.ok) << r.error;
   ASSERT_EQ(r.nodes.size(), 1u);
   // in_bytes/out_bytes predate the telemetry layer and stay on; the
@@ -281,19 +267,16 @@ TEST(Counters, CombineTimeOnlyUnderStats) {
   std::string input;
   for (int i = 0; i < 20000; ++i)
     input += "key-" + std::to_string(i / 3) + "\n";
-  const std::string golden = exec::run_serial(stages, input).output;
-  exec::ThreadPool pool(4);
+  const std::string golden = exec::run_serial(stages, input);
   for (bool stats : {true, false}) {
-    stream::StreamConfig config;
-    config.parallelism = 4;
-    config.block_size = 4096;
-    config.stats = stats;
-    std::string output;
-    stream::StreamResult r =
-        stream::run_streaming_string(stages, input, &output, pool, config);
+    ExecOptions options;
+    options.parallelism = 4;
+    options.block_size = 4096;
+    options.stats = stats;
+    ExecResult r = Executor(options).run_collect(stages, input);
     ASSERT_TRUE(r.ok) << r.error;
     EXPECT_FALSE(r.batch_fallback);
-    EXPECT_EQ(output, golden);
+    EXPECT_EQ(r.output, golden);
     ASSERT_EQ(r.nodes.size(), 1u);
     EXPECT_TRUE(r.nodes[0].sharded);
     EXPECT_TRUE(r.nodes[0].streamed_combine);
@@ -318,7 +301,7 @@ TEST(Counters, SendBlockedTimeAccruesAgainstSlowConsumer) {
     exec::ExecStage s;
     s.command = cmd::make_command_line("tr a-z A-Z");
     s.parallel = true;
-    s.concat_combiner = true;
+    s.fold = [] { return dsl::Fold(dsl::combiner_concat()); };
     s.combiner_name = "(concat a b)";
     s.combine = [](const std::vector<std::string>& parts)
         -> std::optional<std::string> {
@@ -336,12 +319,11 @@ TEST(Counters, SendBlockedTimeAccruesAgainstSlowConsumer) {
     stages.push_back(std::move(s));
   }
   const std::string input = mixed_lines(2000);
-  exec::ThreadPool pool(4);
-  stream::StreamConfig config;
-  config.parallelism = 4;
-  config.block_size = 256;  // ~140 blocks
-  config.max_inflight = 2;
-  config.stats = true;
+  ExecOptions options;
+  options.parallelism = 4;
+  options.block_size = 256;  // ~140 blocks
+  options.max_inflight = 2;
+  options.stats = true;
   std::istringstream in(input);
   std::string output;
   stream::Sink sink = [&output](std::string_view bytes) {
@@ -349,11 +331,10 @@ TEST(Counters, SendBlockedTimeAccruesAgainstSlowConsumer) {
     output.append(bytes);
     return true;
   };
-  stream::StreamResult r =
-      stream::run_streaming(stages, in, sink, pool, config);
+  ExecResult r = Executor(options).run(stages, in, sink);
   ASSERT_TRUE(r.ok) << r.error;
   ASSERT_EQ(r.nodes.size(), 2u);
-  EXPECT_EQ(output, exec::run_serial(stages, input).output);
+  EXPECT_EQ(output, exec::run_serial(stages, input));
   EXPECT_GT(r.nodes[0].send_blocked_ns, 0u);
 }
 
@@ -363,16 +344,13 @@ TEST(Counters, PrefixEarlyExitCauseAttributed) {
   auto stages = stages_for("head -n 3", /*rewrite=*/false,
                            /*force_sequential=*/true);
   const std::string input = mixed_lines(100000);  // ~1.5 MB
-  exec::ThreadPool pool(2);
-  stream::StreamConfig config;
-  config.parallelism = 2;
-  config.block_size = 4096;
-  config.stats = true;
-  std::string output;
-  stream::StreamResult r =
-      stream::run_streaming_string(stages, input, &output, pool, config);
+  ExecOptions options;
+  options.parallelism = 2;
+  options.block_size = 4096;
+  options.stats = true;
+  ExecResult r = Executor(options).run_collect(stages, input);
   ASSERT_TRUE(r.ok) << r.error;
-  EXPECT_EQ(output, exec::run_serial(stages, input).output);
+  EXPECT_EQ(r.output, exec::run_serial(stages, input));
   ASSERT_EQ(r.nodes.size(), 1u);
   EXPECT_EQ(r.nodes[0].early_exit, "prefix-satisfied");
   EXPECT_LT(r.bytes_read, input.size() / 4);
@@ -385,36 +363,34 @@ TEST(Counters, DownstreamClosedCauseAttributed) {
                            /*rewrite=*/false, /*force_sequential=*/true);
   ASSERT_EQ(stages.size(), 2u);
   const std::string input = mixed_lines(20000);
-  exec::ThreadPool pool(2);
-  stream::StreamConfig config;
-  config.parallelism = 2;
-  config.block_size = 256;
-  config.stats = true;
-  std::string output;
-  stream::StreamResult r =
-      stream::run_streaming_string(stages, input, &output, pool, config);
+  ExecOptions options;
+  options.parallelism = 2;
+  options.block_size = 256;
+  options.stats = true;
+  ExecResult r = Executor(options).run_collect(stages, input);
   ASSERT_TRUE(r.ok) << r.error;
-  EXPECT_EQ(output, exec::run_serial(stages, input).output);
+  EXPECT_EQ(r.output, exec::run_serial(stages, input));
   ASSERT_EQ(r.nodes.size(), 2u);
   EXPECT_EQ(r.nodes[0].early_exit, "downstream-closed");
 }
 
 // -------------------------------------------------- batch-mode metrics --
 
-TEST(Counters, BatchStageMetricsReconcile) {
+TEST(Counters, BatchNodeBytesReconcile) {
   // The batch runner's per-stage byte accounting (surfaced by
   // `kumquat run --batch --stats`) must chain: each stage's output bytes
   // are the next stage's input bytes, ends anchored at the real sizes.
   auto stages = stages_for("tr A-Z a-z | sort | uniq -c");
   const std::string input = mixed_lines(2000);
-  exec::ThreadPool pool(4);
-  exec::RunConfig config{4, /*use_elimination=*/true};
-  exec::RunResult result = exec::run_pipeline(stages, input, pool, config);
-  ASSERT_EQ(result.stages.size(), stages.size());
-  EXPECT_EQ(result.stages.front().in_bytes, input.size());
-  EXPECT_EQ(result.stages.back().out_bytes, result.output.size());
-  for (std::size_t i = 0; i + 1 < result.stages.size(); ++i)
-    EXPECT_EQ(result.stages[i].out_bytes, result.stages[i + 1].in_bytes)
+  ExecOptions batch;
+  batch.mode = ExecMode::kBatch;
+  batch.parallelism = 4;
+  ExecResult result = Executor(batch).run_collect(stages, input);
+  ASSERT_EQ(result.nodes.size(), stages.size());
+  EXPECT_EQ(result.nodes.front().in_bytes, input.size());
+  EXPECT_EQ(result.nodes.back().out_bytes, result.output.size());
+  for (std::size_t i = 0; i + 1 < result.nodes.size(); ++i)
+    EXPECT_EQ(result.nodes[i].out_bytes, result.nodes[i + 1].in_bytes)
         << "stage " << i;
 }
 
@@ -427,19 +403,16 @@ TEST(Tracer, StreamingRunEmitsTaxonomySpans) {
   auto stages = stages_for("tr A-Z a-z | sort");
   std::string input;
   for (int i = 8000; i > 0; --i) input += "Key" + std::to_string(i) + "\n";
-  exec::ThreadPool pool(4);
-  stream::StreamConfig config;
-  config.parallelism = 4;
-  config.block_size = 2048;
-  config.spill_threshold = 8192;
-  config.stats = true;
+  ExecOptions options;
+  options.parallelism = 4;
+  options.block_size = 2048;
+  options.spill_threshold = 8192;
+  options.stats = true;
   obs::Tracer tracer;
-  config.tracer = &tracer;
-  std::string output;
-  stream::StreamResult r =
-      stream::run_streaming_string(stages, input, &output, pool, config);
+  options.tracer = &tracer;
+  ExecResult r = Executor(options).run_collect(stages, input);
   ASSERT_TRUE(r.ok) << r.error;
-  EXPECT_EQ(output, exec::run_serial(stages, input).output);
+  EXPECT_EQ(r.output, exec::run_serial(stages, input));
   EXPECT_GT(tracer.event_count(), 0u);
   std::ostringstream out;
   tracer.write_chrome_json(out);

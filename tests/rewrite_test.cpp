@@ -3,7 +3,7 @@
 // `uniq … | sort <spec> | head -n N` into a bounded top-k stage. Tests
 // cover the plan shapes (what fuses, what must not, the rewritten-from
 // annotation and kWindowStream lowering), byte-identity of rewritten plans
-// against their unrewritten batch twins — through the batch runner, the
+// against their unrewritten serial twins — through the batch runner, the
 // streaming runtime at several block sizes, and the streaming runtime with
 // the window forced through its sorted-run spill export — and the full
 // 70-script catalog cross-validated with the rewrite pass on.
@@ -17,9 +17,8 @@
 #include "bench_support/catalog.h"
 #include "compile/optimize.h"
 #include "compile/plan.h"
+#include "exec/executor.h"
 #include "exec/runner.h"
-#include "exec/thread_pool.h"
-#include "stream/dataflow.h"
 #include "unixcmd/registry.h"
 
 namespace kq {
@@ -132,23 +131,23 @@ std::string random_lines(std::uint64_t seed, int n, int distinct,
 
 // Runs `pipeline` rewritten — batch, serial, and streamed at several
 // block/spill configurations — and expects every output byte-identical to
-// the unrewritten batch plan.
+// the unrewritten plan's serial output.
 void expect_rewrite_identity(const std::string& pipeline,
                              const std::string& input) {
   compile::Plan baseline = plan_for(pipeline, /*rewrite=*/false);
-  auto baseline_stages = compile::lower_plan(baseline);
-  exec::ThreadPool pool(4);
   std::string expected =
-      exec::run_pipeline(baseline_stages, input, pool, {4, true}).output;
+      exec::run_serial(compile::lower_plan(baseline), input);
 
   compile::Plan rewritten = plan_for(pipeline, /*rewrite=*/true);
   EXPECT_LT(rewritten.stages.size(), baseline.stages.size()) << pipeline;
   auto stages = compile::lower_plan(rewritten);
 
-  EXPECT_EQ(exec::run_pipeline(stages, input, pool, {4, true}).output,
-            expected)
+  ExecOptions batch;
+  batch.mode = ExecMode::kBatch;
+  batch.parallelism = 4;
+  EXPECT_EQ(Executor(batch).run_collect(stages, input).output, expected)
       << pipeline << " (batch, rewritten)";
-  EXPECT_EQ(exec::run_serial(stages, input).output, expected)
+  EXPECT_EQ(exec::run_serial(stages, input), expected)
       << pipeline << " (serial, rewritten)";
 
   struct Cfg {
@@ -156,16 +155,14 @@ void expect_rewrite_identity(const std::string& pipeline,
   };
   for (Cfg cfg : {Cfg{64, 64 << 20}, Cfg{1 << 20, 64 << 20},
                   Cfg{512, 1 << 10}}) {
-    stream::StreamConfig config;
-    config.parallelism = 4;
-    config.block_size = cfg.block;
-    config.spill_threshold = cfg.spill;
-    std::string streamed;
-    stream::StreamResult r =
-        stream::run_streaming_string(stages, input, &streamed, pool, config);
+    ExecOptions options;
+    options.parallelism = 4;
+    options.block_size = cfg.block;
+    options.spill_threshold = cfg.spill;
+    ExecResult r = Executor(options).run_collect(stages, input);
     ASSERT_TRUE(r.ok) << pipeline << ": " << r.error;
     EXPECT_FALSE(r.batch_fallback) << pipeline;
-    EXPECT_EQ(streamed, expected)
+    EXPECT_EQ(r.output, expected)
         << pipeline << " (stream, block=" << cfg.block
         << ", spill=" << cfg.spill << ")";
   }
@@ -209,28 +206,23 @@ TEST(RewriteIdentity, EmbeddedAndChainedForms) {
 
 // A top-n wider than the spill threshold exports sorted runs and re-streams
 // the capped external merge: spill metrics appear on the window node and
-// the output still matches the unrewritten batch plan.
+// the output still matches the unrewritten plan.
 TEST(RewriteSpill, PathologicalNExportsRunsAndCapsOutput) {
   std::string input = random_lines(13, 6000, 100000, true);
   compile::Plan baseline = plan_for("sort -n | head -n 2000", false);
   compile::Plan rewritten = plan_for("sort -n | head -n 2000", true);
   ASSERT_EQ(rewritten.stages.size(), 1u);
-  auto baseline_stages = compile::lower_plan(baseline);
   auto stages = compile::lower_plan(rewritten);
-
-  exec::ThreadPool pool(2);
   std::string expected =
-      exec::run_pipeline(baseline_stages, input, pool, {2, true}).output;
+      exec::run_serial(compile::lower_plan(baseline), input);
 
-  stream::StreamConfig config;
-  config.parallelism = 2;
-  config.block_size = 512;
-  config.spill_threshold = 2048;  // far below the ~2000-line window
-  std::string streamed;
-  stream::StreamResult r =
-      stream::run_streaming_string(stages, input, &streamed, pool, config);
+  ExecOptions options;
+  options.parallelism = 2;
+  options.block_size = 512;
+  options.spill_threshold = 2048;  // far below the ~2000-line window
+  ExecResult r = Executor(options).run_collect(stages, input);
   ASSERT_TRUE(r.ok) << r.error;
-  EXPECT_EQ(streamed, expected);
+  EXPECT_EQ(r.output, expected);
   ASSERT_EQ(r.nodes.size(), 1u);
   EXPECT_TRUE(r.nodes[0].window);
   EXPECT_GT(r.nodes[0].spilled_bytes, 0u);
@@ -253,22 +245,16 @@ TEST(RewriteSpill, TopKSealsPendingUniqRun) {
   compile::Plan rewritten = plan_for("uniq -c | sort -rn | head -n 1200",
                                      true);
   auto stages = compile::lower_plan(rewritten);
-
-  exec::ThreadPool pool(2);
   std::string expected =
-      exec::run_pipeline(compile::lower_plan(baseline), input, pool,
-                         {2, true})
-          .output;
+      exec::run_serial(compile::lower_plan(baseline), input);
 
-  stream::StreamConfig config;
-  config.parallelism = 2;
-  config.block_size = 256;
-  config.spill_threshold = 1024;
-  std::string streamed;
-  stream::StreamResult r =
-      stream::run_streaming_string(stages, input, &streamed, pool, config);
+  ExecOptions options;
+  options.parallelism = 2;
+  options.block_size = 256;
+  options.spill_threshold = 1024;
+  ExecResult r = Executor(options).run_collect(stages, input);
   ASSERT_TRUE(r.ok) << r.error;
-  EXPECT_EQ(streamed, expected);
+  EXPECT_EQ(r.output, expected);
   ASSERT_EQ(r.nodes.size(), 1u);
   EXPECT_GT(r.nodes[0].spilled_bytes, 0u);
 }
@@ -281,24 +267,21 @@ TEST(RewriteFusion, StreamChainTerminatesInFusedTopN) {
   auto stages = compile::lower_plan(plan);
   std::string input = random_lines(17, 300, 23, true);
 
-  exec::ThreadPool pool(2);
-  stream::StreamConfig config;
-  config.parallelism = 1;
-  config.block_size = 128;
-  std::string out;
-  stream::StreamResult r =
-      stream::run_streaming_string(stages, input, &out, pool, config);
+  ExecOptions options;
+  options.parallelism = 1;
+  options.block_size = 128;
+  ExecResult r = Executor(options).run_collect(stages, input);
   ASSERT_TRUE(r.ok) << r.error;
   ASSERT_EQ(r.nodes.size(), 1u);
   EXPECT_TRUE(r.nodes[0].window);
-  EXPECT_EQ(out, exec::run_serial(stages, input).output);
+  EXPECT_EQ(r.output, exec::run_serial(stages, input));
 }
 
 // ------------------------------------------------ catalog cross-validation --
 
 // The rewrite pass applied across the whole 70-script catalog: rewritten
-// plans (streamed) must stay byte-identical to the unrewritten batch
-// plans. Most scripts contain no rewrite target — the pass must leave them
+// plans (streamed) must stay byte-identical to the unrewritten plans run
+// serially. Most scripts contain no rewrite target — the pass must leave them
 // bit-exact too — and the ones that do exercise the fused nodes end to
 // end.
 class RewriteCatalogCrossval
@@ -310,10 +293,9 @@ class RewriteCatalogCrossval
   }
 };
 
-TEST_P(RewriteCatalogCrossval, RewrittenStreamMatchesUnrewrittenBatch) {
+TEST_P(RewriteCatalogCrossval, RewrittenStreamMatchesUnrewrittenSerial) {
   const bench::Script& script = *GetParam();
   std::string input = bench::prepare_input(script, 24 * 1024, 11, fs());
-  exec::ThreadPool pool(4);
 
   for (const std::string& pipeline : script.pipelines) {
     auto parsed = compile::parse_pipeline(pipeline);
@@ -322,9 +304,7 @@ TEST_P(RewriteCatalogCrossval, RewrittenStreamMatchesUnrewrittenBatch) {
         compile::compile_pipeline(*parsed, cache(), {}, &fs());
     compile::eliminate_intermediate_combiners(baseline);
     std::string expected =
-        exec::run_pipeline(compile::lower_plan(baseline), input, pool,
-                           {4, true})
-            .output;
+        exec::run_serial(compile::lower_plan(baseline), input);
 
     compile::Plan rewritten =
         compile::compile_pipeline(*parsed, cache(), {}, &fs());
@@ -332,15 +312,13 @@ TEST_P(RewriteCatalogCrossval, RewrittenStreamMatchesUnrewrittenBatch) {
     compile::eliminate_intermediate_combiners(rewritten);
     auto stages = compile::lower_plan(rewritten);
 
-    stream::StreamConfig config;
-    config.parallelism = 4;
-    config.block_size = 2048;
-    config.spill_threshold = 4096;
-    std::string streamed;
-    stream::StreamResult r = stream::run_streaming_string(
-        stages, input, &streamed, pool, config);
+    ExecOptions options;
+    options.parallelism = 4;
+    options.block_size = 2048;
+    options.spill_threshold = 4096;
+    ExecResult r = Executor(options).run_collect(stages, input);
     EXPECT_TRUE(r.ok) << pipeline << ": " << r.error;
-    EXPECT_EQ(streamed, expected)
+    EXPECT_EQ(r.output, expected)
         << script.suite << "/" << script.name << (fused ? " (rewritten)" : "")
         << ": " << pipeline;
   }

@@ -101,7 +101,7 @@ TEST(ShardDataflow, EligibleSegmentRunsShardedWithSliceTelemetry) {
   kq::ExecResult r = executor.run_collect(stages, input);
   ASSERT_TRUE(r.ok) << r.error;
   EXPECT_FALSE(r.batch_fallback);
-  EXPECT_EQ(r.output, exec::run_serial(stages, input).output);
+  EXPECT_EQ(r.output, exec::run_serial(stages, input));
   ASSERT_EQ(r.nodes.size(), 1u);  // fused into one parallel segment
   EXPECT_TRUE(r.nodes[0].sharded);
   EXPECT_GT(r.nodes[0].shard_slice_bytes, 0u);
@@ -123,7 +123,7 @@ TEST(ShardDataflow, ShardSliceOverrideIsHonored) {
   ASSERT_EQ(r.nodes.size(), 1u);
   EXPECT_TRUE(r.nodes[0].sharded);
   EXPECT_EQ(r.nodes[0].shard_slice_bytes, 8192u);
-  EXPECT_EQ(r.output, exec::run_serial(stages, input).output);
+  EXPECT_EQ(r.output, exec::run_serial(stages, input));
 }
 
 // ---------------------------------------------------- forced-spill shards --
@@ -145,7 +145,7 @@ TEST(ShardDataflow, ForcedSpillShardedSortMatchesSerial) {
   kq::ExecResult r = executor.run_collect(stages, input);
   ASSERT_TRUE(r.ok) << r.error;
   EXPECT_FALSE(r.batch_fallback);
-  EXPECT_EQ(r.output, exec::run_serial(stages, input).output);
+  EXPECT_EQ(r.output, exec::run_serial(stages, input));
   EXPECT_GT(r.spilled_bytes, 0u);
   bool any_sharded_spill = false;
   for (const stream::NodeMetrics& n : r.nodes)
@@ -168,7 +168,7 @@ TEST(ShardDataflow, DownstreamHeadCancelsInflightShards) {
   kq::Executor executor(options);
   kq::ExecResult r = executor.run_collect(stages, input);
   ASSERT_TRUE(r.ok) << r.error;
-  EXPECT_EQ(r.output, exec::run_serial(stages, input).output);
+  EXPECT_EQ(r.output, exec::run_serial(stages, input));
   // head satisfied after 10 records: upstream cancellation must stop the
   // reader long before the ~6 MiB input drains.
   EXPECT_LT(r.bytes_read, input.size() / 4)
@@ -197,7 +197,7 @@ TEST(ShardDataflow, SlicesWithoutCombiningInputAreLeftOut) {
         "grep apple | wc -l"}) {
     auto stages = compile_stages(pipeline);
     for (const std::string* input : {&apples_then_pears, &pears}) {
-      const std::string serial = exec::run_serial(stages, *input).output;
+      const std::string serial = exec::run_serial(stages, *input);
       for (int k : {2, 4, 8}) {
         kq::ExecOptions options = stream_options(k, 4096);
         options.stats = true;
@@ -222,7 +222,7 @@ TEST(ShardDataflow, UnterminatedPartsStayRecordAligned) {
   ASSERT_EQ(stages.size(), 2u);
   std::string input;
   for (int i = 0; i < 20000; ++i) input += "ab cd\nef gh\n";
-  const std::string serial = exec::run_serial(stages, input).output;
+  const std::string serial = exec::run_serial(stages, input);
   for (int k : {2, 4, 8}) {
     kq::Executor executor(stream_options(k, 4096));
     kq::ExecResult r = executor.run_collect(stages, input);
@@ -254,7 +254,7 @@ TEST_P(ShardCatalogCrossval, ShardedStreamingMatchesSerial) {
     compile::eliminate_intermediate_combiners(plan);
     auto stages = compile::lower_plan(plan);
 
-    std::string serial = exec::run_serial(stages, input).output;
+    std::string serial = exec::run_serial(stages, input);
     for (int k : {2, 4, 8}) {
       kq::Executor executor(stream_options(k, 2048));
       kq::ExecResult r = executor.run_collect(stages, input);

@@ -1,8 +1,8 @@
 // Tests for the spill-to-disk subsystem (stream/spill.*): temp-file
 // plumbing, raw spooling, external merge sort and sorted-part merging
 // against their in-memory references, the dataflow runtime's spill-backed
-// nodes, and cross-validation of forced-spill streaming against `--batch`
-// on every catalog pipeline.
+// nodes, and cross-validation of forced-spill streaming against the serial
+// oracle on every catalog pipeline.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +14,7 @@
 #include "bench_support/catalog.h"
 #include "compile/optimize.h"
 #include "compile/plan.h"
+#include "exec/executor.h"
 #include "exec/runner.h"
 #include "stream/dataflow.h"
 #include "stream/spill.h"
@@ -259,15 +260,13 @@ TEST(SpillDataflow, SequentialSortNodeExternalSorts) {
   auto lines = shuffled_lines(2000, 11);
   for (const std::string& l : lines) input += l;
 
-  exec::ThreadPool pool(2);
-  StreamConfig config;
-  config.parallelism = 2;
-  config.block_size = 256;
-  config.spill_threshold = 2048;
-  std::string output;
-  StreamResult r = run_streaming_string(stages, input, &output, pool, config);
+  ExecOptions options;
+  options.parallelism = 2;
+  options.block_size = 256;
+  options.spill_threshold = 2048;
+  ExecResult r = Executor(options).run_collect(stages, input);
   ASSERT_TRUE(r.ok) << r.error;
-  EXPECT_EQ(output, exec::run_serial(stages, input).output);
+  EXPECT_EQ(r.output, exec::run_serial(stages, input));
   ASSERT_EQ(r.nodes.size(), 1u);
   EXPECT_GT(r.nodes[0].spill_runs, 1);
   EXPECT_GT(r.spilled_bytes, 0u);
@@ -278,7 +277,6 @@ TEST(SpillDataflow, ParallelMergeCombinerSpillsChunkOutputs) {
   exec::ExecStage s;
   s.command = cmd::make_command_line("sort");
   s.parallel = true;
-  s.defer_combine = true;
   s.memory_class = exec::MemoryClass::kSortableSpill;
   s.sort_spec = cmd::sort_spec_of(*s.command);
   s.combiner_name = "(merge a b)";
@@ -294,16 +292,14 @@ TEST(SpillDataflow, ParallelMergeCombinerSpillsChunkOutputs) {
   auto lines = shuffled_lines(3000, 17);
   for (const std::string& l : lines) input += l;
 
-  exec::ThreadPool pool(4);
-  StreamConfig config;
-  config.parallelism = 4;
-  config.block_size = 512;
-  config.spill_threshold = 4096;
-  std::string output;
-  StreamResult r = run_streaming_string(stages, input, &output, pool, config);
+  ExecOptions options;
+  options.parallelism = 4;
+  options.block_size = 512;
+  options.spill_threshold = 4096;
+  ExecResult r = Executor(options).run_collect(stages, input);
   ASSERT_TRUE(r.ok) << r.error;
   EXPECT_FALSE(r.batch_fallback);
-  EXPECT_EQ(output, exec::run_serial(stages, input).output);
+  EXPECT_EQ(r.output, exec::run_serial(stages, input));
   ASSERT_EQ(r.nodes.size(), 1u);
   EXPECT_GT(r.nodes[0].spilled_bytes, 0u);
 }
@@ -317,7 +313,6 @@ TEST(SpillDataflow, ParallelRerunCombinerSpoolsThroughDisk) {
   s.command = cmd::make_command_line("uniq");
   ASSERT_NE(s.command, nullptr);
   s.parallel = true;
-  s.defer_combine = true;
   s.rerun_combiner = true;
   s.combiner_name = "(rerun a b)";
   auto command = s.command;
@@ -335,16 +330,14 @@ TEST(SpillDataflow, ParallelRerunCombinerSpoolsThroughDisk) {
   for (int i = 0; i < 2000; ++i)
     input += "run-" + std::to_string(i / 7) + "\n";  // adjacent duplicates
 
-  exec::ThreadPool pool(4);
-  StreamConfig config;
-  config.parallelism = 4;
-  config.block_size = 256;
-  config.spill_threshold = 2048;
-  std::string output;
-  StreamResult r = run_streaming_string(stages, input, &output, pool, config);
+  ExecOptions options;
+  options.parallelism = 4;
+  options.block_size = 256;
+  options.spill_threshold = 2048;
+  ExecResult r = Executor(options).run_collect(stages, input);
   ASSERT_TRUE(r.ok) << r.error;
   EXPECT_FALSE(r.batch_fallback);
-  EXPECT_EQ(output, exec::run_serial(stages, input).output);
+  EXPECT_EQ(r.output, exec::run_serial(stages, input));
   ASSERT_EQ(r.nodes.size(), 1u);
   EXPECT_GT(r.nodes[0].spilled_bytes, 0u);
 }
@@ -369,15 +362,13 @@ TEST(SpillDataflow, MaterializeNodeSpoolsThroughDisk) {
   for (int i = 0; i < 500; ++i)
     input += "dup-" + std::to_string(i / 5) + "\n";
 
-  exec::ThreadPool pool(2);
-  StreamConfig config;
-  config.parallelism = 2;
-  config.block_size = 128;
-  config.spill_threshold = 1024;
-  std::string output;
-  StreamResult r = run_streaming_string(stages, input, &output, pool, config);
+  ExecOptions options;
+  options.parallelism = 2;
+  options.block_size = 128;
+  options.spill_threshold = 1024;
+  ExecResult r = Executor(options).run_collect(stages, input);
   ASSERT_TRUE(r.ok) << r.error;
-  EXPECT_EQ(output, exec::run_serial(stages, input).output);
+  EXPECT_EQ(r.output, exec::run_serial(stages, input));
   ASSERT_EQ(r.nodes.size(), 1u);
   EXPECT_GT(r.nodes[0].spilled_bytes, 0u);
 }
@@ -391,13 +382,11 @@ TEST(SpillDataflow, OversizedRecordFailsWithDiagnostic) {
 
   // One delimiter-free record far larger than the spill threshold.
   std::string input(64 * 1024, 'x');
-  exec::ThreadPool pool(2);
-  StreamConfig config;
-  config.parallelism = 2;
-  config.block_size = 1024;
-  config.spill_threshold = 8 * 1024;
-  std::string output;
-  StreamResult r = run_streaming_string(stages, input, &output, pool, config);
+  ExecOptions options;
+  options.parallelism = 2;
+  options.block_size = 1024;
+  options.spill_threshold = 8 * 1024;
+  ExecResult r = Executor(options).run_collect(stages, input);
   EXPECT_FALSE(r.ok);
   EXPECT_NE(r.error.find("spill threshold"), std::string::npos) << r.error;
 }
@@ -422,7 +411,7 @@ TEST(SpillDataflow, LowerPlanAssignsMemoryClasses) {
 // ------------------------------------------------ catalog cross-validation --
 
 // Forced-spill streaming (threshold far below the input) must stay
-// byte-identical to the batch runner on every catalog pipeline — the same
+// byte-identical to the serial oracle on every catalog pipeline — the same
 // contract stream_test checks, now exercised through the spill paths.
 class SpillCatalogCrossval
     : public ::testing::TestWithParam<const bench::Script*> {
@@ -437,10 +426,9 @@ class SpillCatalogCrossval
   }
 };
 
-TEST_P(SpillCatalogCrossval, ForcedSpillMatchesBatch) {
+TEST_P(SpillCatalogCrossval, ForcedSpillMatchesSerial) {
   const bench::Script& script = *GetParam();
   std::string input = bench::prepare_input(script, 24 * 1024, 7, fs());
-  exec::ThreadPool pool(4);
 
   for (const std::string& pipeline : script.pipelines) {
     auto parsed = compile::parse_pipeline(pipeline);
@@ -450,21 +438,17 @@ TEST_P(SpillCatalogCrossval, ForcedSpillMatchesBatch) {
     compile::eliminate_intermediate_combiners(plan);
     auto stages = compile::lower_plan(plan);
 
-    exec::RunConfig batch_config{4, /*use_elimination=*/true};
-    std::string batch =
-        exec::run_pipeline(stages, input, pool, batch_config).output;
+    const std::string serial = exec::run_serial(stages, input);
 
-    StreamConfig config;
-    config.parallelism = 4;
-    config.block_size = 2048;
-    config.spill_threshold = 1024;  // force every spillable node to spill
-    std::string streamed;
-    StreamResult r =
-        run_streaming_string(stages, input, &streamed, pool, config);
+    ExecOptions options;
+    options.parallelism = 4;
+    options.block_size = 2048;
+    options.spill_threshold = 1024;  // force every spillable node to spill
+    ExecResult r = Executor(options).run_collect(stages, input);
     EXPECT_TRUE(r.ok) << pipeline << ": " << r.error;
     EXPECT_FALSE(r.batch_fallback)
         << pipeline << ": incremental combine bailed: " << r.error;
-    EXPECT_EQ(streamed, batch)
+    EXPECT_EQ(r.output, serial)
         << script.suite << "/" << script.name << ": " << pipeline;
   }
 }

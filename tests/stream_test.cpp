@@ -1,8 +1,8 @@
 // Tests for the streaming dataflow runtime: record-aligned block reading
 // (boundary realignment, CRLF, oversized records, missing trailing
-// newline), bounded channels with backpressure, the dataflow executor's
-// equivalence with the batch runner, and cross-validation of `--stream`
-// against `--batch` on every catalog pipeline.
+// newline), bounded channels with backpressure, and the dataflow runtime —
+// run through kq::Executor — against the serial oracle, on hand-built
+// stages and on every catalog pipeline.
 
 #include <gtest/gtest.h>
 
@@ -22,6 +22,7 @@
 #include "compile/optimize.h"
 #include "compile/plan.h"
 #include "dsl/kway.h"
+#include "exec/executor.h"
 #include "exec/runner.h"
 #include "stream/block_reader.h"
 #include "stream/channel.h"
@@ -466,7 +467,7 @@ std::vector<exec::ExecStage> word_count_stages() {
     s.command = cmd::make_command_line("tr A-Z a-z");
     s.parallel = true;
     s.eliminate_combiner = true;
-    s.concat_combiner = true;
+    s.fold = [] { return dsl::Fold(dsl::combiner_concat()); };
     s.combiner_name = "(concat a b)";
     s.combine = [](const std::vector<std::string>& parts)
         -> std::optional<std::string> {
@@ -514,31 +515,26 @@ std::string sample_words(int reps = 50) {
 TEST(Dataflow, MatchesBatchAcrossBlockSizes) {
   auto stages = word_count_stages();
   std::string input = sample_words();
-  exec::ThreadPool pool(4);
-  std::string expect = exec::run_serial(stages, input).output;
+  std::string expect = exec::run_serial(stages, input);
   for (std::size_t block : {std::size_t(1), std::size_t(7), std::size_t(64),
                             std::size_t(1 << 20)}) {
-    StreamConfig config;
-    config.parallelism = 4;
-    config.block_size = block;
-    std::string output;
-    StreamResult r =
-        run_streaming_string(stages, input, &output, pool, config);
+    ExecOptions options;
+    options.parallelism = 4;
+    options.block_size = block;
+    ExecResult r = Executor(options).run_collect(stages, input);
     EXPECT_TRUE(r.ok) << r.error;
     EXPECT_FALSE(r.batch_fallback) << "block=" << block;
-    EXPECT_EQ(output, expect) << "block=" << block;
+    EXPECT_EQ(r.output, expect) << "block=" << block;
   }
 }
 
 TEST(Dataflow, FusesEliminatedChainIntoOneNode) {
   auto stages = word_count_stages();
   std::string input = sample_words();
-  exec::ThreadPool pool(4);
-  StreamConfig config;
-  config.parallelism = 4;
-  config.block_size = 64;
-  std::string output;
-  StreamResult r = run_streaming_string(stages, input, &output, pool, config);
+  ExecOptions options;
+  options.parallelism = 4;
+  options.block_size = 64;
+  ExecResult r = Executor(options).run_collect(stages, input);
   ASSERT_TRUE(r.ok) << r.error;
   // tr fuses into sort's segment (eliminated combiner); uniq -c is its own.
   ASSERT_EQ(r.nodes.size(), 2u);
@@ -551,30 +547,26 @@ TEST(Dataflow, FusesEliminatedChainIntoOneNode) {
 TEST(Dataflow, UnoptimizedKeepsStagesSeparate) {
   auto stages = word_count_stages();
   std::string input = sample_words();
-  exec::ThreadPool pool(4);
-  StreamConfig config;
-  config.parallelism = 4;
-  config.block_size = 64;
-  config.use_elimination = false;
-  std::string output;
-  StreamResult r = run_streaming_string(stages, input, &output, pool, config);
+  ExecOptions options;
+  options.parallelism = 4;
+  options.block_size = 64;
+  options.use_elimination = false;
+  ExecResult r = Executor(options).run_collect(stages, input);
   ASSERT_TRUE(r.ok) << r.error;
   EXPECT_EQ(r.nodes.size(), 3u);
-  EXPECT_EQ(output, exec::run_serial(stages, input).output);
+  EXPECT_EQ(r.output, exec::run_serial(stages, input));
 }
 
 TEST(Dataflow, SequentialStageMidPipeline) {
   auto stages = word_count_stages();
   stages[1].parallel = false;  // force sort to drain sequentially
   std::string input = sample_words();
-  exec::ThreadPool pool(4);
-  StreamConfig config;
-  config.parallelism = 4;
-  config.block_size = 32;
-  std::string output;
-  StreamResult r = run_streaming_string(stages, input, &output, pool, config);
+  ExecOptions options;
+  options.parallelism = 4;
+  options.block_size = 32;
+  ExecResult r = Executor(options).run_collect(stages, input);
   ASSERT_TRUE(r.ok) << r.error;
-  EXPECT_EQ(output, exec::run_serial(stages, input).output);
+  EXPECT_EQ(r.output, exec::run_serial(stages, input));
   bool saw_sequential = false;
   for (const auto& node : r.nodes)
     if (!node.parallel) saw_sequential = true;
@@ -595,14 +587,12 @@ TEST(Dataflow, EmptyInputMatchesBatch) {
   };
   stages.push_back(std::move(s));
 
-  exec::ThreadPool pool(2);
-  StreamConfig config;
-  config.parallelism = 2;
-  std::string output;
-  StreamResult r = run_streaming_string(stages, "", &output, pool, config);
+  ExecOptions options;
+  options.parallelism = 2;
+  ExecResult r = Executor(options).run_collect(stages, "");
   ASSERT_TRUE(r.ok) << r.error;
-  EXPECT_EQ(output, exec::run_serial(stages, "").output);
-  EXPECT_EQ(output, "0\n");
+  EXPECT_EQ(r.output, exec::run_serial(stages, ""));
+  EXPECT_EQ(r.output, "0\n");
 }
 
 TEST(Dataflow, ConcatEmissionKeepsMemoryBounded) {
@@ -612,7 +602,7 @@ TEST(Dataflow, ConcatEmissionKeepsMemoryBounded) {
   exec::ExecStage s;
   s.command = cmd::make_command_line("tr a-z A-Z");
   s.parallel = true;
-  s.concat_combiner = true;
+  s.fold = [] { return dsl::Fold(dsl::combiner_concat()); };
   s.combiner_name = "(concat a b)";
   s.combine = [](const std::vector<std::string>& parts)
       -> std::optional<std::string> {
@@ -625,56 +615,31 @@ TEST(Dataflow, ConcatEmissionKeepsMemoryBounded) {
   std::string input;
   for (int i = 0; i < 200000; ++i) input += "abcdefghijklmnop\n";  // ~3.4 MB
 
-  exec::ThreadPool pool(4);
-  StreamConfig config;
-  config.parallelism = 4;
-  config.block_size = 4096;
-  config.max_inflight = 8;
-  std::string output;
-  StreamResult r = run_streaming_string(stages, input, &output, pool, config);
+  ExecOptions options;
+  options.parallelism = 4;
+  options.block_size = 4096;
+  options.max_inflight = 8;
+  ExecResult r = Executor(options).run_collect(stages, input);
   ASSERT_TRUE(r.ok) << r.error;
-  EXPECT_EQ(output, exec::run_serial(stages, input).output);
+  EXPECT_EQ(r.output, exec::run_serial(stages, input));
   ASSERT_EQ(r.nodes.size(), 1u);
   EXPECT_TRUE(r.nodes[0].streamed_combine);
   // Budget: inflight chunks in the worker stage plus reorder slack; chunks
   // can reach ~2 blocks via coalescing. 4x headroom still << input size.
-  std::size_t budget = 4 * config.max_inflight * config.block_size;
+  std::size_t budget = 4 * options.max_inflight * options.block_size;
   EXPECT_LT(r.peak_inflight_bytes, budget);
   EXPECT_LT(budget, input.size());
-}
-
-TEST(Dataflow, CombineFailureFallsBackToBatch) {
-  std::vector<exec::ExecStage> stages;
-  exec::ExecStage s;
-  s.command = cmd::make_command_line("tr a-z A-Z");
-  s.parallel = true;
-  s.combiner_name = "(broken)";
-  s.combine = [](const std::vector<std::string>&)
-      -> std::optional<std::string> { return std::nullopt; };
-  stages.push_back(std::move(s));
-  exec::ThreadPool pool(2);
-  StreamConfig config;
-  config.parallelism = 2;
-  config.block_size = 4;
-  std::string output;
-  StreamResult r = run_streaming_string(stages, "ab\ncd\nef\ngh\n", &output,
-                                        pool, config);
-  EXPECT_TRUE(r.ok);
-  EXPECT_TRUE(r.batch_fallback);
-  EXPECT_EQ(output, "AB\nCD\nEF\nGH\n");
 }
 
 TEST(Dataflow, ParallelismOneRunsSequentially) {
   auto stages = word_count_stages();
   std::string input = sample_words();
-  exec::ThreadPool pool(2);
-  StreamConfig config;
-  config.parallelism = 1;
-  config.block_size = 64;
-  std::string output;
-  StreamResult r = run_streaming_string(stages, input, &output, pool, config);
+  ExecOptions options;
+  options.parallelism = 1;
+  options.block_size = 64;
+  ExecResult r = Executor(options).run_collect(stages, input);
   ASSERT_TRUE(r.ok) << r.error;
-  EXPECT_EQ(output, exec::run_serial(stages, input).output);
+  EXPECT_EQ(r.output, exec::run_serial(stages, input));
   for (const auto& node : r.nodes) EXPECT_FALSE(node.parallel);
 }
 
@@ -685,7 +650,7 @@ TEST(Dataflow, SinkEarlyStopIsCleanNotAnError) {
   exec::ExecStage s;
   s.command = cmd::make_command_line("tr a-z A-Z");
   s.parallel = true;
-  s.concat_combiner = true;
+  s.fold = [] { return dsl::Fold(dsl::combiner_concat()); };
   s.combiner_name = "(concat a b)";
   s.combine = [](const std::vector<std::string>& parts)
       -> std::optional<std::string> {
@@ -701,11 +666,10 @@ TEST(Dataflow, SinkEarlyStopIsCleanNotAnError) {
   int deliveries = 0;
   Sink sink = [&deliveries](std::string_view) { return ++deliveries < 2; };
 
-  exec::ThreadPool pool(4);
-  StreamConfig config;
-  config.parallelism = 4;
-  config.block_size = 256;
-  StreamResult r = run_streaming(stages, in, sink, pool, config);
+  ExecOptions options;
+  options.parallelism = 4;
+  options.block_size = 256;
+  ExecResult r = Executor(options).run(stages, in, sink);
   EXPECT_TRUE(r.ok) << r.error;
   EXPECT_TRUE(r.stopped_early);
   EXPECT_FALSE(r.combine_undefined);
@@ -734,12 +698,10 @@ TEST(StreamChain, FusesAdjacentStreamableStagesIntoOneNode) {
   for (int i = 0; i < 3000; ++i)
     input += (i % 3 ? "alpha beta\n" : "omega\n");
 
-  exec::ThreadPool pool(4);
-  StreamConfig config;
-  config.parallelism = 4;
-  config.block_size = 128;
-  std::string output;
-  StreamResult r = run_streaming_string(stages, input, &output, pool, config);
+  ExecOptions options;
+  options.parallelism = 4;
+  options.block_size = 128;
+  ExecResult r = Executor(options).run_collect(stages, input);
   ASSERT_TRUE(r.ok) << r.error;
   // One channel hop for the whole chain, not three.
   ASSERT_EQ(r.nodes.size(), 1u);
@@ -747,7 +709,7 @@ TEST(StreamChain, FusesAdjacentStreamableStagesIntoOneNode) {
   EXPECT_FALSE(r.nodes[0].parallel);
   EXPECT_EQ(r.nodes[0].commands, "grep a | tr a-z A-Z | cut -c 1-4");
   EXPECT_GT(r.nodes[0].chunks, 1);
-  EXPECT_EQ(output, exec::run_serial(stages, input).output);
+  EXPECT_EQ(r.output, exec::run_serial(stages, input));
 }
 
 TEST(StreamChain, StatefulProcessorsMatchWholeInputAcrossBlockSizes) {
@@ -762,18 +724,15 @@ TEST(StreamChain, StatefulProcessorsMatchWholeInputAcrossBlockSizes) {
     for (int i = 0; i < 200; ++i)
       input += i % 7 ? "axxa\n" : "xxxx\n";
     input += "tailxx";  // no trailing newline
-    exec::ThreadPool pool(2);
-    std::string expect = exec::run_serial(stages, input).output;
+    std::string expect = exec::run_serial(stages, input);
     for (std::size_t block : {std::size_t(1), std::size_t(5),
                               std::size_t(64), std::size_t(1) << 20}) {
-      StreamConfig config;
-      config.parallelism = 2;
-      config.block_size = block;
-      std::string output;
-      StreamResult r =
-          run_streaming_string(stages, input, &output, pool, config);
+      ExecOptions options;
+      options.parallelism = 2;
+      options.block_size = block;
+      ExecResult r = Executor(options).run_collect(stages, input);
       ASSERT_TRUE(r.ok) << line << ": " << r.error;
-      EXPECT_EQ(output, expect) << line << " block=" << block;
+      EXPECT_EQ(r.output, expect) << line << " block=" << block;
     }
   }
 }
@@ -787,21 +746,20 @@ TEST(StreamChain, PrefixEarlyExitStopsTheReader) {
   std::string input;
   for (int i = 0; i < 200000; ++i) input += "abcdefghijklmnop\n";  // ~3.4 MB
 
-  exec::ThreadPool pool(2);
-  StreamConfig config;
-  config.parallelism = 2;
-  config.block_size = 4096;
+  ExecOptions options;
+  options.parallelism = 2;
+  options.block_size = 4096;
   std::istringstream in(input);
   std::string output;
   Sink sink = [&output](std::string_view bytes) {
     output.append(bytes);
     return true;
   };
-  StreamResult r = run_streaming(stages, in, sink, pool, config);
+  ExecResult r = Executor(options).run(stages, in, sink);
   ASSERT_TRUE(r.ok) << r.error;
   EXPECT_FALSE(r.stopped_early);  // the *output* is complete, not truncated
-  EXPECT_EQ(output, exec::run_serial(stages, input).output);
-  EXPECT_LT(r.bytes_read, 8 * config.block_size) << "reader kept draining";
+  EXPECT_EQ(output, exec::run_serial(stages, input));
+  EXPECT_LT(r.bytes_read, 8 * options.block_size) << "reader kept draining";
 }
 
 TEST(StreamChain, HeadOverIdlePipeCompletesWithoutEof) {
@@ -821,15 +779,14 @@ TEST(StreamChain, HeadOverIdlePipeCompletesWithoutEof) {
 
   std::vector<exec::ExecStage> stages;
   stages.push_back(streamable_stage("head -n 5"));
-  exec::ThreadPool pool(2);
-  StreamConfig config;
-  config.parallelism = 2;
+  ExecOptions options;
+  options.parallelism = 2;
   std::string output;
   Sink sink = [&output](std::string_view bytes) {
     output.append(bytes);
     return true;
   };
-  StreamResult r = run_streaming_fd(stages, fds[0], sink, pool, config);
+  ExecResult r = Executor(options).run(stages, Source::from_fd(fds[0]), sink);
   ASSERT_TRUE(r.ok) << r.error;
   EXPECT_EQ(output, "1\n2\n3\n4\n5\n");
   ::close(fds[1]);
@@ -845,7 +802,7 @@ TEST(StreamChain, PrefixEarlyExitCancelsParallelUpstream) {
     exec::ExecStage s;
     s.command = cmd::make_command_line("tr a-z A-Z");
     s.parallel = true;
-    s.concat_combiner = true;
+    s.fold = [] { return dsl::Fold(dsl::combiner_concat()); };
     s.combiner_name = "(concat a b)";
     s.combine = [](const std::vector<std::string>& parts)
         -> std::optional<std::string> {
@@ -860,22 +817,21 @@ TEST(StreamChain, PrefixEarlyExitCancelsParallelUpstream) {
   std::string input;
   for (int i = 0; i < 200000; ++i) input += "abcdefghijklmnop\n";
 
-  exec::ThreadPool pool(4);
-  StreamConfig config;
-  config.parallelism = 4;
-  config.block_size = 4096;
-  config.max_inflight = 8;
+  ExecOptions options;
+  options.parallelism = 4;
+  options.block_size = 4096;
+  options.max_inflight = 8;
   std::istringstream in(input);
   std::string output;
   Sink sink = [&output](std::string_view bytes) {
     output.append(bytes);
     return true;
   };
-  StreamResult r = run_streaming(stages, in, sink, pool, config);
+  ExecResult r = Executor(options).run(stages, in, sink);
   ASSERT_TRUE(r.ok) << r.error;
   EXPECT_FALSE(r.stopped_early);
   EXPECT_FALSE(r.combine_undefined);
-  EXPECT_EQ(output, exec::run_serial(stages, input).output);
+  EXPECT_EQ(output, exec::run_serial(stages, input));
   // The feeder may have a few blocks in flight when the close lands, but
   // the reader must stop long before the ~3.4 MB input is drained.
   EXPECT_LT(r.bytes_read, input.size() / 4) << "close did not propagate";
@@ -896,16 +852,14 @@ TEST(StreamChain, DownstreamCloseStopsMaterializeEmission) {
   stages.push_back(streamable_stage("head -n 1"));
   std::string input;
   for (int i = 0; i < 20000; ++i) input += "word another third\n";
-  exec::ThreadPool pool(2);
-  StreamConfig config;
-  config.parallelism = 2;
-  config.block_size = 256;  // awk's output re-blocks into ~400 pushes
-  std::string output;
-  StreamResult r = run_streaming_string(stages, input, &output, pool, config);
+  ExecOptions options;
+  options.parallelism = 2;
+  options.block_size = 256;  // awk's output re-blocks into ~400 pushes
+  ExecResult r = Executor(options).run_collect(stages, input);
   ASSERT_TRUE(r.ok) << r.error;
   EXPECT_FALSE(r.stopped_early);
   EXPECT_FALSE(r.batch_fallback);
-  EXPECT_EQ(output, "word\n");
+  EXPECT_EQ(r.output, "word\n");
 }
 
 TEST(StreamChain, PrefixAfterExternalSortStopsMergeCleanly) {
@@ -925,36 +879,34 @@ TEST(StreamChain, PrefixAfterExternalSortStopsMergeCleanly) {
   std::string input;
   for (int i = 20000; i > 0; --i)
     input += "key" + std::to_string(i) + "\n";
-  exec::ThreadPool pool(2);
-  StreamConfig config;
-  config.parallelism = 2;
-  config.block_size = 512;
-  config.spill_threshold = 4096;  // force sorted runs onto disk
-  std::string output;
-  StreamResult r = run_streaming_string(stages, input, &output, pool, config);
+  ExecOptions options;
+  options.parallelism = 2;
+  options.block_size = 512;
+  options.spill_threshold = 4096;  // force sorted runs onto disk
+  ExecResult r = Executor(options).run_collect(stages, input);
   ASSERT_TRUE(r.ok) << r.error;
   EXPECT_GT(r.spilled_bytes, 0u);
-  EXPECT_EQ(output, exec::run_serial(stages, input).output);
+  EXPECT_EQ(r.output, exec::run_serial(stages, input));
 }
 
 TEST(Dataflow, IstreamToOstream) {
   auto stages = word_count_stages();
   std::string input = sample_words();
-  exec::ThreadPool pool(4);
   std::istringstream in(input);
   std::ostringstream out;
-  StreamConfig config;
-  config.parallelism = 4;
-  config.block_size = 128;
-  StreamResult r = run_streaming(stages, in, out, pool, config);
+  ExecOptions options;
+  options.parallelism = 4;
+  options.block_size = 128;
+  ExecResult r = Executor(options).run(stages, in, out);
   ASSERT_TRUE(r.ok) << r.error;
-  EXPECT_EQ(out.str(), exec::run_serial(stages, input).output);
+  EXPECT_EQ(out.str(), exec::run_serial(stages, input));
 }
 
 // ----------------------------------------------- catalog cross-validation --
 
-// `--stream` must be byte-identical to `--batch` for every pipeline in the
-// 70-script catalog, at a block size small enough to force many blocks.
+// `--stream` must be byte-identical to the serial oracle for every pipeline
+// in the 70-script catalog, at a block size small enough to force many
+// blocks.
 class StreamCatalogCrossval
     : public ::testing::TestWithParam<const bench::Script*> {
  protected:
@@ -968,10 +920,9 @@ class StreamCatalogCrossval
   }
 };
 
-TEST_P(StreamCatalogCrossval, StreamMatchesBatch) {
+TEST_P(StreamCatalogCrossval, StreamMatchesSerial) {
   const bench::Script& script = *GetParam();
   std::string input = bench::prepare_input(script, 24 * 1024, 7, fs());
-  exec::ThreadPool pool(4);
 
   for (const std::string& pipeline : script.pipelines) {
     auto parsed = compile::parse_pipeline(pipeline);
@@ -981,25 +932,21 @@ TEST_P(StreamCatalogCrossval, StreamMatchesBatch) {
     compile::eliminate_intermediate_combiners(plan);
     auto stages = compile::lower_plan(plan);
 
-    exec::RunConfig batch_config{4, /*use_elimination=*/true};
-    std::string batch =
-        exec::run_pipeline(stages, input, pool, batch_config).output;
+    const std::string serial = exec::run_serial(stages, input);
 
-    StreamConfig config;
-    config.parallelism = 4;
-    config.block_size = 2048;  // force ~12 blocks per run
-    std::string streamed;
-    StreamResult r =
-        run_streaming_string(stages, input, &streamed, pool, config);
+    ExecOptions options;
+    options.parallelism = 4;
+    options.block_size = 2048;  // force ~12 blocks per run
+    ExecResult r = Executor(options).run_collect(stages, input);
     EXPECT_TRUE(r.ok) << pipeline << ": " << r.error;
     EXPECT_FALSE(r.batch_fallback)
         << pipeline << ": incremental combine bailed: " << r.error;
-    EXPECT_EQ(streamed, batch)
+    EXPECT_EQ(r.output, serial)
         << script.suite << "/" << script.name << ": " << pipeline;
 
     // Forced-sequential lowering: every streamable stage becomes part of a
     // fused per-block stream chain (kStatelessStream), which must stay
-    // byte-identical to the batch output too.
+    // byte-identical to the serial output too.
     compile::Plan seq_plan =
         compile::compile_pipeline(*parsed, cache(), {}, &fs());
     for (auto& stage : seq_plan.stages) stage.parallel = false;
@@ -1008,11 +955,9 @@ TEST_P(StreamCatalogCrossval, StreamMatchesBatch) {
     for (const auto& stage : seq_stages)
       if (stage.memory_class == exec::MemoryClass::kStatelessStream)
         fused = true;
-    std::string seq_streamed;
-    StreamResult seq_r =
-        run_streaming_string(seq_stages, input, &seq_streamed, pool, config);
+    ExecResult seq_r = Executor(options).run_collect(seq_stages, input);
     EXPECT_TRUE(seq_r.ok) << pipeline << " (sequential): " << seq_r.error;
-    EXPECT_EQ(seq_streamed, batch)
+    EXPECT_EQ(seq_r.output, serial)
         << script.suite << "/" << script.name << " (sequential"
         << (fused ? ", stream-chain" : "") << "): " << pipeline;
   }

@@ -3,7 +3,7 @@
 // selections including -m, and `sort -u` under numeric/key/fold/reverse
 // comparators. Every expected string below is the byte output of the real
 // GNU tool (coreutils, LC_ALL=C.UTF-8 for -m), and every case executes
-// through three runtimes: the batch staged runner, the streaming dataflow
+// through three runtimes: the serial oracle, the streaming dataflow
 // runtime with the stage lowered as a window node (kWindowStream), and the
 // streaming runtime with spilling forced (threshold 1), which drives the
 // sort -u window through its export-sorted-runs path.
@@ -17,9 +17,8 @@
 #include "bench_support/catalog.h"
 #include "compile/optimize.h"
 #include "compile/plan.h"
+#include "exec/executor.h"
 #include "exec/runner.h"
-#include "exec/thread_pool.h"
-#include "stream/dataflow.h"
 #include "unixcmd/registry.h"
 #include "unixcmd/sort_cmd.h"
 
@@ -61,8 +60,7 @@ TEST_P(WindowGolden, BatchStreamAndSpillAgree) {
   EXPECT_EQ(command->run(c.input), c.expected) << c.command;
 
   std::vector<exec::ExecStage> stages{make_stage(command)};
-  exec::ThreadPool pool(2);
-  EXPECT_EQ(exec::run_serial(stages, c.input).output, c.expected)
+  EXPECT_EQ(exec::run_serial(stages, c.input), c.expected)
       << c.command << " (serial)";
 
   // Tiny blocks force many pushes per window; tiny thresholds force the
@@ -74,19 +72,17 @@ TEST_P(WindowGolden, BatchStreamAndSpillAgree) {
   for (RunCfg rc : {RunCfg{4, 64 << 20}, RunCfg{std::size_t(1) << 20,
                                                 std::size_t(64) << 20},
                     RunCfg{4, 32}, RunCfg{std::size_t(1) << 20, 1}}) {
-    stream::StreamConfig config;
-    config.parallelism = 2;
-    config.block_size = rc.block;
-    config.spill_threshold = rc.spill;
-    std::string streamed;
-    stream::StreamResult r =
-        stream::run_streaming_string(stages, c.input, &streamed, pool, config);
+    ExecOptions options;
+    options.parallelism = 2;
+    options.block_size = rc.block;
+    options.spill_threshold = rc.spill;
+    ExecResult r = Executor(options).run_collect(stages, c.input);
     ASSERT_TRUE(r.ok) << c.command << ": " << r.error;
     EXPECT_FALSE(r.batch_fallback) << c.command;
     ASSERT_EQ(r.nodes.size(), 1u);
     EXPECT_TRUE(r.nodes[0].window)
         << c.command << " should run as a window node";
-    EXPECT_EQ(streamed, c.expected)
+    EXPECT_EQ(r.output, c.expected)
         << c.command << " (stream, block=" << rc.block
         << ", spill=" << rc.spill << ")";
   }
@@ -204,15 +200,12 @@ TEST(WindowFusion, WindowTerminatesAFusedChain) {
   auto stages = compile::lower_plan(plan);
 
   std::string input = "ab\nab\ncd\nax\nax\nax\nab\n";
-  exec::ThreadPool pool(2);
-  stream::StreamConfig config;
-  config.parallelism = 2;
-  config.block_size = 4;
-  std::string out;
-  stream::StreamResult r =
-      stream::run_streaming_string(stages, input, &out, pool, config);
+  ExecOptions options;
+  options.parallelism = 2;
+  options.block_size = 4;
+  ExecResult r = Executor(options).run_collect(stages, input);
   ASSERT_TRUE(r.ok) << r.error;
-  EXPECT_EQ(out, "3\n");  // ab, ax, ab survive uniq
+  EXPECT_EQ(r.output, "3\n");  // ab, ax, ab survive uniq
   ASSERT_EQ(r.nodes.size(), 2u);
   EXPECT_EQ(r.nodes[0].commands, "grep a | uniq");
   EXPECT_TRUE(r.nodes[0].window);
@@ -232,16 +225,13 @@ TEST(WindowSpill, SortUniqueWindowSpillsSortedRuns) {
   for (int i = 0; i < 4000; ++i)
     input += "line-" + std::to_string((i * 37) % 1000) + "\n";
 
-  exec::ThreadPool pool(2);
-  stream::StreamConfig config;
-  config.parallelism = 2;
-  config.block_size = 512;
-  config.spill_threshold = 4096;  // far below the ~10 KB distinct set
-  std::string out;
-  stream::StreamResult r =
-      stream::run_streaming_string(stages, input, &out, pool, config);
+  ExecOptions options;
+  options.parallelism = 2;
+  options.block_size = 512;
+  options.spill_threshold = 4096;  // far below the ~10 KB distinct set
+  ExecResult r = Executor(options).run_collect(stages, input);
   ASSERT_TRUE(r.ok) << r.error;
-  EXPECT_EQ(out, exec::run_serial(stages, input).output);
+  EXPECT_EQ(r.output, exec::run_serial(stages, input));
   ASSERT_EQ(r.nodes.size(), 1u);
   EXPECT_TRUE(r.nodes[0].window);
   EXPECT_GT(r.nodes[0].spilled_bytes, 0u);
@@ -275,16 +265,13 @@ TEST(WindowSpill, ParallelPlannedSortUniqueUsesOwnSpecAtKOne) {
   for (int i = 4000; i > 0; --i)
     input += std::to_string(i % 500) + "\n";
 
-  exec::ThreadPool pool(1);
-  stream::StreamConfig config;
-  config.parallelism = 1;  // forces the sequential window lowering
-  config.block_size = 512;
-  config.spill_threshold = 2048;  // forces the window to export runs
-  std::string out;
-  stream::StreamResult r =
-      stream::run_streaming_string(stages, input, &out, pool, config);
+  ExecOptions options;
+  options.parallelism = 1;  // forces the sequential window lowering
+  options.block_size = 512;
+  options.spill_threshold = 2048;  // forces the window to export runs
+  ExecResult r = Executor(options).run_collect(stages, input);
   ASSERT_TRUE(r.ok) << r.error;
-  EXPECT_EQ(out, command->run(input));
+  EXPECT_EQ(r.output, command->run(input));
   ASSERT_EQ(r.nodes.size(), 1u);
   EXPECT_TRUE(r.nodes[0].window);
   EXPECT_GT(r.nodes[0].spilled_bytes, 0u);
@@ -296,7 +283,7 @@ TEST(WindowSpill, ParallelPlannedSortUniqueUsesOwnSpecAtKOne) {
 // stage sequential (so uniq/wc/tail -n/sort -u all lower to kWindowStream),
 // blocks small enough to force many pushes per window, and the spill
 // threshold far below the inputs so sort -u windows export runs. Output
-// must stay byte-identical to the batch runner.
+// must stay byte-identical to the serial oracle.
 class WindowCatalogCrossval
     : public ::testing::TestWithParam<const bench::Script*> {
  protected:
@@ -310,10 +297,9 @@ class WindowCatalogCrossval
   }
 };
 
-TEST_P(WindowCatalogCrossval, ForcedWindowMatchesBatch) {
+TEST_P(WindowCatalogCrossval, ForcedWindowMatchesSerial) {
   const bench::Script& script = *GetParam();
   std::string input = bench::prepare_input(script, 24 * 1024, 7, fs());
-  exec::ThreadPool pool(4);
 
   for (const std::string& pipeline : script.pipelines) {
     auto parsed = compile::parse_pipeline(pipeline);
@@ -321,9 +307,7 @@ TEST_P(WindowCatalogCrossval, ForcedWindowMatchesBatch) {
     compile::Plan plan =
         compile::compile_pipeline(*parsed, cache(), {}, &fs());
     auto stages = compile::lower_plan(plan);
-    exec::RunConfig batch_config{4, /*use_elimination=*/true};
-    std::string batch =
-        exec::run_pipeline(stages, input, pool, batch_config).output;
+    const std::string serial = exec::run_serial(stages, input);
 
     compile::Plan seq_plan =
         compile::compile_pipeline(*parsed, cache(), {}, &fs());
@@ -334,15 +318,13 @@ TEST_P(WindowCatalogCrossval, ForcedWindowMatchesBatch) {
       if (stage.memory_class == exec::MemoryClass::kWindowStream)
         windowed = true;
 
-    stream::StreamConfig config;
-    config.parallelism = 4;
-    config.block_size = 2048;
-    config.spill_threshold = 4096;  // forces the window/merge spill paths
-    std::string streamed;
-    stream::StreamResult r = stream::run_streaming_string(
-        seq_stages, input, &streamed, pool, config);
+    ExecOptions options;
+    options.parallelism = 4;
+    options.block_size = 2048;
+    options.spill_threshold = 4096;  // forces the window/merge spill paths
+    ExecResult r = Executor(options).run_collect(seq_stages, input);
     EXPECT_TRUE(r.ok) << pipeline << ": " << r.error;
-    EXPECT_EQ(streamed, batch)
+    EXPECT_EQ(r.output, serial)
         << script.suite << "/" << script.name
         << (windowed ? " (window)" : "") << ": " << pipeline;
   }
