@@ -41,6 +41,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -135,11 +136,59 @@ Compiled compile_one(const std::string& pipeline, synth::SynthesisCache& cache,
   return out;
 }
 
+// 64-bit hash of a byte stream that does not depend on how the stream is
+// cut into pieces: bytes are mixed in as 8-byte little-endian words, a
+// partial word carrying over to the next piece. Sinks feed it as output
+// passes, so nothing is buffered and RSS readings do not move.
+class StreamHash {
+ public:
+  void update(std::string_view bytes) {
+    std::size_t i = 0;
+    while (fill_ != 0 && i < bytes.size()) push_byte(bytes[i++]);
+    for (; i + 8 <= bytes.size(); i += 8) {
+      std::uint64_t word = 0;
+      for (int b = 0; b < 8; ++b)
+        word |= std::uint64_t{static_cast<unsigned char>(bytes[i + b])}
+                << (8 * b);
+      mix(word);
+    }
+    while (i < bytes.size()) push_byte(bytes[i++]);
+    length_ += bytes.size();
+  }
+
+  std::uint64_t digest() const {
+    StreamHash h = *this;
+    h.mix(h.word_);
+    h.mix(h.length_);
+    return h.state_;
+  }
+
+ private:
+  void push_byte(char c) {
+    word_ |= std::uint64_t{static_cast<unsigned char>(c)} << (8 * fill_);
+    if (++fill_ == 8) {
+      mix(word_);
+      word_ = 0;
+      fill_ = 0;
+    }
+  }
+  void mix(std::uint64_t word) {
+    state_ = (state_ ^ word) * 0x9e3779b97f4a7c15ULL;
+    state_ ^= state_ >> 29;
+  }
+
+  std::uint64_t state_ = 0xcbf29ce484222325ULL;
+  std::uint64_t word_ = 0;
+  std::uint64_t length_ = 0;
+  unsigned fill_ = 0;
+};
+
 struct Measurement {  // POD: shipped over a pipe from the forked child
   bool ok = true;                 // run completed; false fails the bench
   double seconds = 0;
   std::size_t rss_growth = 0;     // VmHWM delta over the post-fork baseline
   std::size_t out_bytes = 0;
+  std::uint64_t out_hash = 0;     // StreamHash of the output bytes
   std::size_t peak_inflight = 0;  // streaming only
   std::size_t spilled = 0;        // streaming only
   std::size_t bytes_read = 0;     // input bytes the BlockReader delivered
@@ -217,8 +266,10 @@ Measurement run_streaming_file(const Compiled& compiled,
   kq::Executor executor(options);
   std::ifstream in(path, std::ios::binary);
   std::size_t out_bytes = 0;
-  stream::Sink sink = [&out_bytes](std::string_view bytes) {
+  StreamHash hash;
+  stream::Sink sink = [&out_bytes, &hash](std::string_view bytes) {
     out_bytes += bytes.size();  // count, don't retain: the bounded-RSS path
+    hash.update(bytes);
     return true;
   };
   kq::ExecResult r = executor.run(compiled.stages, in, sink);
@@ -228,6 +279,7 @@ Measurement run_streaming_file(const Compiled& compiled,
   m.rss_growth = peak > baseline ? peak - baseline : 0;
   m.seconds = r.seconds;
   m.out_bytes = out_bytes;
+  m.out_hash = hash.digest();
   m.peak_inflight = r.peak_inflight_bytes;
   m.spilled = r.spilled_bytes;
   m.bytes_read = r.bytes_read;
@@ -259,8 +311,10 @@ Measurement run_streaming_fd_file(const Compiled& compiled,
     return m;
   }
   std::size_t out_bytes = 0;
-  stream::Sink sink = [&out_bytes](std::string_view bytes) {
+  StreamHash hash;
+  stream::Sink sink = [&out_bytes, &hash](std::string_view bytes) {
     out_bytes += bytes.size();
+    hash.update(bytes);
     return true;
   };
   kq::ExecResult r =
@@ -272,6 +326,7 @@ Measurement run_streaming_fd_file(const Compiled& compiled,
   m.rss_growth = peak > baseline ? peak - baseline : 0;
   m.seconds = r.seconds;
   m.out_bytes = out_bytes;
+  m.out_hash = hash.digest();
   m.peak_inflight = r.peak_inflight_bytes;
   m.spilled = r.spilled_bytes;
   m.bytes_read = r.bytes_read;
@@ -309,6 +364,9 @@ Measurement run_batch_file(const Compiled& compiled, const std::string& path,
   // The istream source is slurped inside the facade, so the measured wall
   // time covers reading the file as well as the batch run.
   kq::ExecResult r = executor.run_collect(compiled.stages, in);
+  StreamHash hash;  // timed, as the streaming sinks hash inside the run
+  hash.update(r.output);
+  m.out_hash = hash.digest();
   m.seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                             start)
                   .count();
@@ -316,6 +374,18 @@ Measurement run_batch_file(const Compiled& compiled, const std::string& path,
   m.rss_growth = peak > baseline ? peak - baseline : 0;
   m.out_bytes = r.output.size();
   return m;
+}
+
+// Identity witness between two runs of the same pipeline: equal output
+// size and content hash. Prints the mismatch and returns false otherwise.
+bool same_output(const char* a_name, const Measurement& a, const char* b_name,
+                 const Measurement& b) {
+  if (a.out_bytes == b.out_bytes && a.out_hash == b.out_hash) return true;
+  std::cout << "  ERROR: output mismatch (" << a_name << " " << a.out_bytes
+            << " bytes, hash " << std::hex << a.out_hash << std::dec
+            << " vs " << b_name << " " << b.out_bytes << " bytes, hash "
+            << std::hex << b.out_hash << std::dec << ")\n";
+  return false;
 }
 
 double mib_per_s(std::size_t bytes, double seconds) {
@@ -442,11 +512,7 @@ int main(int argc, char** argv) {
               << (b.rss_growth >> 20) << " MiB\n";
 
     if (!s.ok || !b.ok) all_ok = false;
-    if (s.out_bytes != b.out_bytes) {
-      std::cout << "  ERROR: output size mismatch (stream " << s.out_bytes
-                << " vs batch " << b.out_bytes << ")\n";
-      all_ok = false;
-    }
+    if (!same_output("stream", s, "batch", b)) all_ok = false;
     std::cout << "  speedup stream/batch: " << b.seconds / s.seconds
               << "x\n";
     if (speed_check && pipeline.gate_speed && s.seconds > b.seconds * 1.05)
@@ -497,12 +563,7 @@ int main(int argc, char** argv) {
               << "  speedup chain/materialize: "
               << mat_m.seconds / chain_m.seconds << "x\n";
     if (!chain_m.ok || !mat_m.ok) all_ok = false;
-    if (chain_m.out_bytes != mat_m.out_bytes) {
-      std::cout << "  ERROR: output size mismatch (chain "
-                << chain_m.out_bytes << " vs materialize " << mat_m.out_bytes
-                << ")\n";
-      all_ok = false;
-    }
+    if (!same_output("chain", chain_m, "materialize", mat_m)) all_ok = false;
     if (speed_check && chain_m.seconds > mat_m.seconds * 1.05)
       all_faster = false;
     if (enforce_bounded && chain_m.rss_growth > input_bytes / 2)
@@ -556,11 +617,7 @@ int main(int argc, char** argv) {
       std::cout << "  batch:         " << b.seconds << " s, RSS growth "
                 << (b.rss_growth >> 20) << " MiB\n";
       if (!w.ok || !b.ok) all_ok = false;
-      if (w.out_bytes != b.out_bytes) {
-        std::cout << "  ERROR: output size mismatch (window " << w.out_bytes
-                  << " vs batch " << b.out_bytes << ")\n";
-        all_ok = false;
-      }
+      if (!same_output("window", w, "batch", b)) all_ok = false;
       if (memory_check && !fork_fallback_used &&
           w.rss_growth > (std::size_t(16) << 20)) {
         std::cout << "  ERROR: window RSS growth exceeds 16 MiB — the "
@@ -598,13 +655,9 @@ int main(int argc, char** argv) {
               << (off.seconds > 0 ? traced.seconds / off.seconds : 0)
               << "x)\n";
     if (!off.ok || !counted.ok || !traced.ok) all_ok = false;
-    if (off.out_bytes != counted.out_bytes ||
-        off.out_bytes != traced.out_bytes) {
-      std::cout << "  ERROR: telemetry changed the output ("
-                << off.out_bytes << "/" << counted.out_bytes << "/"
-                << traced.out_bytes << " bytes)\n";
+    if (!same_output("telemetry off", off, "counters", counted) ||
+        !same_output("telemetry off", off, "traced", traced))
       all_ok = false;
-    }
     if (speed_check && counted.seconds > off.seconds * 1.02 + 0.1) {
       std::cout << "  ERROR: stats counters cost more than 2% wall "
                    "overhead\n";
@@ -635,11 +688,7 @@ int main(int argc, char** argv) {
               << (four.seconds > 0 ? one.seconds / four.seconds : 0)
               << "x (gate >= 2.5x at full size)\n";
     if (!one.ok || !four.ok) all_ok = false;
-    if (one.out_bytes != four.out_bytes) {
-      std::cout << "  ERROR: output size mismatch (k=1 " << one.out_bytes
-                << " vs k=4 " << four.out_bytes << ")\n";
-      all_ok = false;
-    }
+    if (!same_output("k=1", one, "k=4", four)) all_ok = false;
     const bool enforce_scaling =
         speed_check && input_mb >= 64 &&
         std::thread::hardware_concurrency() >= 8 && !fork_fallback_used;
@@ -678,11 +727,7 @@ int main(int argc, char** argv) {
               << "  k=4: " << four.seconds << " s, RSS growth "
               << (four.rss_growth >> 20) << " MiB\n";
     if (!one.ok || !four.ok) all_ok = false;
-    if (one.out_bytes != four.out_bytes) {
-      std::cout << "  ERROR: output size mismatch (k=1 " << one.out_bytes
-                << " vs k=4 " << four.out_bytes << ")\n";
-      all_ok = false;
-    }
+    if (!same_output("k=1", one, "k=4", four)) all_ok = false;
     gate_records.push_back({"shard-k1:uniq -c", one});
     gate_records.push_back({"shard-k4:uniq -c", four});
   }

@@ -27,6 +27,7 @@
 #include <malloc.h>
 #include <unistd.h>
 
+#include <charconv>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -447,20 +448,56 @@ bool parse_delimiter(const char* text, char* out, std::string* error) {
   return false;
 }
 
-// Parses "1048576", "64K", "4M", "1G" (case-insensitive suffixes).
-// Returns 0 (rejected) on trailing garbage or sizes outside [1, 1 TiB].
-std::size_t parse_block_size(const char* text) {
+// Parses the size operand of `flag` into *out: "1048576", "64K", "4M",
+// "1G" (case-insensitive suffixes), and "0" where `zero_ok`. On trailing
+// garbage, NaN, or a size outside [1, 1 TiB] prints what the flag accepts
+// and returns false.
+bool parse_size_flag(const char* flag, const char* text, bool zero_ok,
+                     std::size_t* out) {
+  if (zero_ok && std::strcmp(text, "0") == 0) {
+    *out = 0;  // spilling (and the record cap) off
+    return true;
+  }
   char* end = nullptr;
-  double value = std::strtod(text, &end);
-  if (end == text || value <= 0) return 0;
+  const double value = std::strtod(text, &end);
+  const bool digits = end != text;
   double unit = 1;
   if (*end == 'k' || *end == 'K') unit = 1024, ++end;
   else if (*end == 'm' || *end == 'M') unit = 1024.0 * 1024, ++end;
   else if (*end == 'g' || *end == 'G') unit = 1024.0 * 1024 * 1024, ++end;
-  if (*end != '\0') return 0;
-  double bytes = value * unit;
-  if (bytes < 1 || bytes > 1099511627776.0) return 0;  // cast-safe bound
-  return static_cast<std::size_t>(bytes);
+  const double bytes = value * unit;
+  // NaN fails both comparisons; the upper bound keeps the cast defined.
+  if (digits && *end == '\0' && bytes >= 1 && bytes <= 1099511627776.0) {
+    *out = static_cast<std::size_t>(bytes);
+    return true;
+  }
+  std::cerr << "kumquat: " << flag << " takes " << (zero_ok ? "0 or " : "")
+            << "a size in [1, 1T] bytes with an optional K/M/G suffix (got '"
+            << text << "')\n";
+  return false;
+}
+
+// The most workers -k/--jobs may ask for.
+constexpr int kMaxJobs = 1024;
+
+// Parses a -k/--jobs operand: the whole argument must be a decimal integer
+// in [1, kMaxJobs]; on anything else prints the range and returns false.
+bool parse_jobs(const char* flag, const char* text, int* out) {
+  const char* end = text + std::strlen(text);
+  const auto [stop, error] = std::from_chars(text, end, *out);
+  if (error == std::errc() && stop == end && *out >= 1 && *out <= kMaxJobs)
+    return true;
+  std::cerr << "kumquat: " << flag << " takes an integer in [1, " << kMaxJobs
+            << "] (got '" << text << "')\n";
+  return false;
+}
+
+// The operand of the value-taking flag at argv[*i], advancing *i; null
+// after reporting a flag given as the last argument.
+const char* flag_operand(const char* verb, int argc, char** argv, int* i) {
+  if (*i + 1 < argc) return argv[++*i];
+  std::cerr << "kumquat: " << verb << ": " << argv[*i] << " requires a value\n";
+  return nullptr;
 }
 
 void usage() {
@@ -487,8 +524,8 @@ void usage() {
                "  \\t \\n \\0 escapes; under any other byte, parallel stages\n"
                "  run sequentially). --batch selects the in-memory staged\n"
                "  runner, which ignores the streaming-only flags. --jobs\n"
-               "  (alias -k) defaults to the hardware thread count (max 16)\n"
-               "  and applies identically in both modes.\n"
+               "  (alias -k) defaults to the hardware thread count (max 16),\n"
+               "  accepts 1 to 1024, and applies identically in both modes.\n"
                "\n"
                "  compile and run fuse bounded top-N patterns by default\n"
                "  ('sort | head -n N', 'uniq -c | sort -rn | head -n K')\n"
@@ -563,18 +600,11 @@ int main(int argc, char** argv) {
         json = true;
       } else if (std::strcmp(argv[i], "--catalog") == 0) {
         catalog = true;
-      } else if (std::strcmp(argv[i], "--spill-threshold") == 0 &&
-                 i + 1 < argc) {
-        ++i;
-        if (std::strcmp(argv[i], "0") == 0) {
-          spill_threshold = 0;
-        } else {
-          spill_threshold = parse_block_size(argv[i]);
-          if (spill_threshold == 0) {
-            usage();
-            return 2;
-          }
-        }
+      } else if (std::strcmp(argv[i], "--spill-threshold") == 0) {
+        const char* value = flag_operand("check", argc, argv, &i);
+        if (!value || !parse_size_flag("--spill-threshold", value, true,
+                                       &spill_threshold))
+          return 2;
       } else if (std::strncmp(argv[i], "--", 2) == 0) {
         // A typo'd flag silently analyzed as the pipeline would report
         // diagnostics for the wrong thing.
@@ -608,15 +638,10 @@ int main(int argc, char** argv) {
     std::string trace_path;
     std::string pipeline;
     for (int i = 2; i < argc; ++i) {
-      if ((std::strcmp(argv[i], "-k") == 0 ||
-           std::strcmp(argv[i], "--jobs") == 0) &&
-          i + 1 < argc) {
-        k = std::atoi(argv[++i]);
-        if (k < 1) {
-          std::cerr << "kumquat: " << argv[i - 1]
-                    << " requires a positive integer\n";
-          return 2;
-        }
+      const char* flag = argv[i];
+      if (std::strcmp(flag, "-k") == 0 || std::strcmp(flag, "--jobs") == 0) {
+        const char* value = flag_operand("run", argc, argv, &i);
+        if (!value || !parse_jobs(flag, value, &k)) return 2;
       } else if (std::strcmp(argv[i], "--no-opt") == 0) {
         optimize = false;
       } else if (std::strcmp(argv[i], "--no-rewrite") == 0) {
@@ -627,30 +652,28 @@ int main(int argc, char** argv) {
         streaming = true;
       } else if (std::strcmp(argv[i], "--batch") == 0) {
         streaming = false;
-      } else if (std::strcmp(argv[i], "--block-size") == 0 && i + 1 < argc) {
-        block_size = parse_block_size(argv[++i]);
-      } else if (std::strcmp(argv[i], "--spill-threshold") == 0 &&
-                 i + 1 < argc) {
-        ++i;
-        if (std::strcmp(argv[i], "0") == 0) {
-          spill_threshold = 0;  // spilling (and the record cap) off
-        } else {
-          spill_threshold = parse_block_size(argv[i]);
-          if (spill_threshold == 0) {
-            usage();
-            return 2;
-          }
-        }
-      } else if (std::strcmp(argv[i], "--delimiter") == 0 && i + 1 < argc) {
+      } else if (std::strcmp(argv[i], "--block-size") == 0) {
+        const char* value = flag_operand("run", argc, argv, &i);
+        if (!value || !parse_size_flag(flag, value, false, &block_size))
+          return 2;
+      } else if (std::strcmp(argv[i], "--spill-threshold") == 0) {
+        const char* value = flag_operand("run", argc, argv, &i);
+        if (!value || !parse_size_flag(flag, value, true, &spill_threshold))
+          return 2;
+      } else if (std::strcmp(argv[i], "--delimiter") == 0) {
+        const char* value = flag_operand("run", argc, argv, &i);
+        if (!value) return 2;
         std::string error;
-        if (!parse_delimiter(argv[++i], &delimiter, &error)) {
+        if (!parse_delimiter(value, &delimiter, &error)) {
           std::cerr << "kumquat: " << error << "\n";
           return 2;
         }
       } else if (std::strcmp(argv[i], "--stats") == 0) {
         stats = true;
-      } else if (std::strcmp(argv[i], "--trace-json") == 0 && i + 1 < argc) {
-        trace_path = argv[++i];
+      } else if (std::strcmp(argv[i], "--trace-json") == 0) {
+        const char* value = flag_operand("run", argc, argv, &i);
+        if (!value) return 2;
+        trace_path = value;
         if (trace_path.empty()) {
           std::cerr << "kumquat: --trace-json requires a file path\n";
           return 2;
@@ -668,7 +691,7 @@ int main(int argc, char** argv) {
         pipeline = argv[i];
       }
     }
-    if (pipeline.empty() || k < 0 || block_size == 0) {
+    if (pipeline.empty()) {
       usage();
       return 2;
     }

@@ -198,9 +198,9 @@ std::vector<exec::ExecStage> lower_plan(const Plan& plan) {
       }
     }
     // Shard eligibility: a parallel combined stage whose command executes
-    // through a stream/window processor can run as a per-shard stream
-    // sub-chain (exec::run_slice_fused) instead of whole-slice Command::run
-    // hops, bounding each shard worker at O(block + window). Prefix-bounded
+    // through a stream/window processor runs block by block inside each
+    // worker's slice (exec::run_slice_fused), bounding each shard worker at
+    // O(block + window), so it can take larger slices. Prefix-bounded
     // stages are deliberately excluded — their streaming early exit (head
     // reads O(blocks)) beats any data parallelism.
     stage.shardable = stage.parallel && stage.combine != nullptr &&

@@ -86,11 +86,10 @@ ExecResult Executor::run_batch(const std::vector<exec::ExecStage>& stages,
   const auto total_start = Clock::now();
   const int k = options_.parallelism;
 
-  // The in-flight data is either one combined stream or a set of
-  // substreams left uncombined by an eliminated combiner.
+  // The in-flight data is either one combined stream or, when non-empty,
+  // the substreams an eliminated combiner left uncombined.
   std::string current(input);
   std::vector<std::string> substreams;
-  bool split_state = false;
 
   for (std::size_t s = 0; s < stages.size(); ++s) {
     const exec::ExecStage& stage = stages[s];
@@ -102,21 +101,14 @@ ExecResult Executor::run_batch(const std::vector<exec::ExecStage>& stages,
     const auto stage_start = Clock::now();
 
     if (!m.parallel) {
-      // Sequential stage. If substreams are pending, they came from an
-      // eliminated concat combiner, so plain concatenation restores the
-      // combined stream.
-      if (split_state) {
-        current.clear();
-        for (const std::string& part : substreams) current += part;
-        substreams.clear();
-        split_state = false;
-      }
+      // Sequential stage. No substreams are pending here: an eliminated
+      // combiner requires a next stage that runs parallel.
       m.in_bytes = current.size();
       current = stage.command->run(current);
       m.out_bytes = current.size();
     } else {
       std::vector<std::string_view> chunks;
-      if (split_state) {
+      if (!substreams.empty()) {
         chunks.reserve(substreams.size());
         for (const std::string& part : substreams) chunks.push_back(part);
       } else {
@@ -134,8 +126,7 @@ ExecResult Executor::run_batch(const std::vector<exec::ExecStage>& stages,
       if (can_eliminate) {
         m.combiner_eliminated = true;
         for (const std::string& o : outputs) m.out_bytes += o.size();
-        substreams = std::move(outputs);
-        split_state = true;
+        substreams = std::move(outputs);  // split_stream gave >= 1 chunk
         current.clear();
       } else {
         std::optional<std::string> combined;
@@ -151,7 +142,6 @@ ExecResult Executor::run_batch(const std::vector<exec::ExecStage>& stages,
           combined = stage.command->run(joined);
         }
         substreams.clear();
-        split_state = false;
         current = std::move(*combined);
         m.out_bytes = current.size();
       }
@@ -160,12 +150,6 @@ ExecResult Executor::run_batch(const std::vector<exec::ExecStage>& stages,
     result.nodes.push_back(std::move(m));
   }
 
-  if (split_state) {
-    // Pipeline ended while substreams were pending (the planner avoids
-    // this, but a trailing eliminated stage still needs its concat).
-    current.clear();
-    for (const std::string& part : substreams) current += part;
-  }
   result.output = std::move(current);
   result.seconds = seconds_since(total_start);
   return result;

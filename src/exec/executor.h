@@ -64,9 +64,11 @@ inline const char* exec_mode_name(ExecMode m) {
 int default_parallelism();
 
 // One knob set for every mode. The stream-only fields (block_size,
-// max_inflight, delimiter, spill_threshold, shard_slice, fault_plan, stats,
-// tracer) are ignored by kBatch and kSerial; parallelism and
-// use_elimination apply to both parallel modes.
+// max_inflight, delimiter, spill_threshold, fault_plan, stats, tracer) are
+// ignored by kBatch and kSerial; parallelism and use_elimination apply to
+// both parallel modes. A sharded parallel segment cuts 2 · block_size
+// slices and scales its in-flight slot count down to keep the same byte
+// budget (max_inflight · block_size).
 struct ExecOptions {
   ExecMode mode = ExecMode::kStream;
   // 0 = default_parallelism(). kSerial ignores it; kBatch and kStream
@@ -84,11 +86,6 @@ struct ExecOptions {
   // one that outgrows a block and this threshold fails loudly (EMSGSIZE)
   // instead of ballooning RSS. 0 disables spilling (and the record cap).
   std::size_t spill_threshold = 64 << 20;
-  // Slice size for sharded parallel segments (the contiguous record-aligned
-  // unit a shard worker runs its fused sub-chain over). 0 derives
-  // 2 · block_size; the in-flight slot count scales down so the byte
-  // budget (max_inflight · block_size) is unchanged.
-  std::size_t shard_slice = 0;
   // Deterministic fault-injection seam (tests only): scripted failpoints
   // the stream run's fd source and spill files consult (src/io/fault.h).
   // Must outlive the run.

@@ -1,6 +1,7 @@
 #include "exec/parallel.h"
 
-#include <memory>
+#include "exec/cascade.h"
+#include "text/streams.h"
 
 // Thread safety: no locks here by design. Each worker owns its chunk's
 // string exclusively; `chain` and `chunks` are read-only for the duration
@@ -15,27 +16,57 @@
 namespace kq::exec {
 namespace {
 
-// Cuts `data` into record-aligned pieces of roughly `step` bytes (records
-// longer than a step travel whole) and hands each to `fn`; stops early when
-// `fn` returns false. Same cut rule as the runtime's emit_blocks.
-template <typename Fn>
-void for_each_step(std::string_view data, std::size_t step, Fn&& fn) {
-  while (data.size() > step) {
-    std::size_t cut = data.rfind('\n', step - 1);
-    if (cut == std::string_view::npos) {
-      cut = data.find('\n', step);
-      if (cut == std::string_view::npos) break;
+// The slice executor. `owned` holds the slice when the caller handed it
+// over (`view` is then null) and each stage's output replaces it, so the
+// slice is freed as soon as the first stage has consumed it rather than
+// held while a black-box stage runs whole. The batch mapper's chunks view
+// one shared input instead.
+std::string run_chain(const std::vector<const cmd::Command*>& chain,
+                      std::string owned, const std::string_view* view,
+                      std::size_t step, bool* last_fed) {
+  if (step == 0) step = 1;
+  const std::size_t n = chain.size();
+  std::string_view cur = view ? *view : std::string_view(owned);
+  bool fed = !cur.empty();  // whether the last stage got input
+  std::size_t i = 0;
+  while (i < n) {
+    // The maximal cascade run from i: per-record/prefix stages, optionally
+    // terminated by one window stage. A black-box stage runs whole.
+    auto tier = [&](std::size_t s) { return chain[s]->streamability(); };
+    std::size_t j = i;
+    while (j < n && (tier(j) == cmd::Streamability::kPerRecord ||
+                     tier(j) == cmd::Streamability::kPrefix))
+      ++j;
+    if (j < n && tier(j) == cmd::Streamability::kWindow) ++j;
+    if (j == i) {
+      if (i + 1 == n) fed = !cur.empty();
+      owned = chain[i]->run(cur);
+      cur = owned;
+      ++i;
+      continue;
     }
-    if (!fn(data.substr(0, cut + 1))) return;
-    data.remove_prefix(cut + 1);
+    Cascade cascade(std::span(chain.data() + i, j - i));
+    std::string out;
+    const Cascade::Buffer buffer = [&out] { return &out; };
+    text::for_each_block(cur, step, '\n', [&](std::string_view piece) {
+      cascade.feed(piece, 0, buffer);
+      return !cascade.satisfied();
+    });
+    cascade.flush(buffer, nullptr);
+    if (cmd::WindowProcessor* window = cascade.window()) {
+      window->finish([&out](std::string_view piece) {
+        out.append(piece);
+        return true;
+      });
+    }
+    if (j == n) fed = cascade.terminal_fed();
+    owned = std::move(out);
+    cur = owned;
+    i = j;
   }
-  if (!data.empty()) fn(data);
-}
-
-bool cascadable(const cmd::Command& c) {
-  const cmd::Streamability s = c.streamability();
-  return s == cmd::Streamability::kPerRecord ||
-         s == cmd::Streamability::kPrefix;
+  if (last_fed) *last_fed = fed;
+  if (n == 0 && view) return std::string(*view);
+  return owned;
 }
 
 }  // namespace
@@ -57,8 +88,9 @@ std::vector<std::string> map_chunks_chain(
   std::vector<std::future<std::string>> futures;
   futures.reserve(chunks.size());
   for (std::string_view chunk : chunks) {
-    futures.push_back(pool.submit(
-        [&chain, chunk] { return run_slice_fused(chain, chunk, kBatchStep); }));
+    futures.push_back(pool.submit([&chain, chunk] {
+      return run_chain(chain, {}, &chunk, kBatchStep, nullptr);
+    }));
   }
   std::vector<std::string> outputs;
   outputs.reserve(futures.size());
@@ -66,107 +98,11 @@ std::vector<std::string> map_chunks_chain(
   return outputs;
 }
 
+
 std::string run_slice_fused(const std::vector<const cmd::Command*>& chain,
-                            std::string_view slice, std::size_t step,
+                            std::string slice, std::size_t step,
                             bool* last_fed) {
-  if (step == 0) step = 1;
-  std::string owned;
-  std::string_view cur = slice;
-  const std::size_t n = chain.size();
-  bool fed = !slice.empty();  // the last stage's input so far
-  if (last_fed) *last_fed = fed;
-  if (n == 0) return std::string(slice);
-  std::size_t i = 0;
-  while (i < n) {
-    if (i + 1 == n) fed = !cur.empty();
-    if (chain[i]->streamability() == cmd::Streamability::kNone) {
-      owned = chain[i]->run(cur);
-      cur = owned;
-      ++i;
-      continue;
-    }
-
-    // Collect the maximal cascade run: per-record/prefix processors,
-    // optionally terminated by one window stage.
-    std::vector<std::unique_ptr<cmd::StreamProcessor>> procs;
-    std::size_t j = i;
-    while (j < n && cascadable(*chain[j])) {
-      auto p = chain[j]->stream_processor();
-      if (!p) break;  // contract violation; fall back to run() below
-      procs.push_back(std::move(p));
-      ++j;
-    }
-    std::unique_ptr<cmd::WindowProcessor> window;
-    if (j < n && chain[j]->streamability() == cmd::Streamability::kWindow) {
-      window = chain[j]->window_processor();
-      if (window) ++j;
-    }
-    if (j == i) {  // declared streamable but no processor: run whole
-      owned = chain[i]->run(cur);
-      cur = owned;
-      ++i;
-      continue;
-    }
-
-    const std::size_t m = procs.size();
-    std::string out;
-    std::vector<std::string> bufs(m);   // intermediates, reused per step
-    std::vector<bool> done(m, false);   // output complete (kPrefix bound)
-    // The chain's last stage is in this run: the window, else procs[m - 1].
-    // Its input so far decides `fed`.
-    const bool last_in_run = j == n;
-    if (last_in_run && m + (window ? 1 : 0) > 1) fed = false;
-    auto feed = [&](std::string_view data, std::size_t from) {
-      std::string_view c = data;
-      for (std::size_t p = from; p < m; ++p) {
-        if (done[p]) return;  // complete: the rest of the run saw all
-        if (last_in_run && !window && p + 1 == m && !c.empty()) fed = true;
-        bufs[p].clear();
-        if (!procs[p]->process(c, &bufs[p])) done[p] = true;
-        c = bufs[p];
-      }
-      if (window) {
-        if (last_in_run && !c.empty()) fed = true;
-        if (!c.empty()) window->push(c, &out);
-      } else {
-        out.append(c);
-      }
-    };
-    auto input_done = [&] {
-      for (std::size_t p = 0; p < m; ++p)
-        if (done[p]) return true;
-      return false;
-    };
-    for_each_step(cur, step, [&](std::string_view piece) {
-      feed(piece, 0);
-      return !input_done();
-    });
-    // End-of-slice flush, mirroring run_stream_chain: each still-open
-    // processor's tail cascades through the rest of the run; stages before
-    // a completed one are skipped.
-    std::size_t first = 0;
-    while (first < m && !done[first]) ++first;
-    std::string tail;
-    for (std::size_t p = (first < m ? first + 1 : 0); p < m; ++p) {
-      if (done[p]) continue;
-      tail.clear();
-      procs[p]->finish(&tail);
-      if (!tail.empty()) feed(tail, p + 1);
-    }
-    if (window) {
-      window->finish([&](std::string_view piece) {
-        out.append(piece);
-        return true;
-      });
-    }
-    owned = std::move(out);
-    cur = owned;
-    i = j;
-  }
-  if (last_fed) *last_fed = fed;
-  if (cur.data() == slice.data() && cur.size() == slice.size())
-    return std::string(slice);
-  return owned;
+  return run_chain(chain, std::move(slice), nullptr, step, last_fed);
 }
 
 }  // namespace kq::exec

@@ -22,21 +22,22 @@ std::vector<std::string> map_chunks_chain(
     const std::vector<const cmd::Command*>& chain,
     const std::vector<std::string_view>& chunks, ThreadPool& pool);
 
-// Runs a fused chain over one contiguous record-aligned slice the way a
-// stream-chain node would: maximal runs of declared-streamable stages
-// cascade block by block through their cmd::StreamProcessors (a window
-// stage absorbs the run's output through its cmd::WindowProcessor and
-// terminates the run), so per-stage intermediates stay O(step) instead of
-// O(slice); black-box stages break the cascade and run whole on the
-// materialized intermediate. `step` is the cascade's internal block size
+// Runs a fused chain over one contiguous record-aligned slice: maximal
+// runs of declared-streamable stages go block by block through one
+// exec::Cascade (the same processor cascade a stream-chain node drives; a
+// window stage terminates its run), so per-stage intermediates stay O(step)
+// instead of O(slice); black-box stages run whole on the materialized
+// intermediate. The slice is freed once the first stage has consumed it,
+// as each intermediate is. `step` is the cascade's internal block size
 // (records longer than a step travel whole). Byte-identical to chaining
-// Command::run by the streamability contract — this is the single slice
-// executor behind both the batch mapper and the sharded streaming workers.
-// When `last_fed` is non-null it is set to whether the chain's last stage
-// received any input (a combine drops the parts of slices whose combining
-// stage saw nothing: they are f(""), and x ++ "" = x).
+// Command::run by the streamability contract — this is the one slice
+// executor behind every parallel streaming worker and (over views of one
+// input) the batch mapper. When `last_fed` is non-null it is set to
+// whether the chain's last stage received any input (a combine drops the
+// parts of slices whose combining stage saw nothing: they are f(""), and
+// x ++ "" = x).
 std::string run_slice_fused(const std::vector<const cmd::Command*>& chain,
-                            std::string_view slice, std::size_t step,
+                            std::string slice, std::size_t step,
                             bool* last_fed = nullptr);
 
 }  // namespace kq::exec

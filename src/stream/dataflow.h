@@ -81,9 +81,9 @@ struct NodeMetrics {
   bool streamed_combine = false;  // combined output streams as parts arrive
   bool per_block = false;         // stream-chain node (kStatelessStream)
   bool window = false;            // chain ends in a window stage (kWindow)
-  // Parallel segment ran sharded: each worker executed a fused
-  // StreamProcessor/WindowProcessor sub-chain over a contiguous slice
-  // (exec::run_slice_fused) instead of whole-string Command::run hops.
+  // Parallel segment ran sharded: every member runs through a processor
+  // cascade, so its workers (exec::run_slice_fused, as every parallel
+  // worker) took 2 · block_size slices instead of block-sized chunks.
   bool sharded = false;
   std::size_t shard_slice_bytes = 0;  // slice size the feeder targeted
   int chunks = 0;                 // blocks processed by this node

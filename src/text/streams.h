@@ -81,4 +81,24 @@ bool lines_sorted(std::string_view y, LessEq&& le) {
   return true;
 }
 
+// Cuts `data` into record-aligned blocks of about `step` bytes (step >= 1)
+// and hands each to `fn` in order. A block ends at the last `delimiter`
+// within its first `step` bytes, or at the first one past them when the
+// record is longer (it travels whole); only the final block may end
+// mid-record. Stops at the first false from `fn` and returns it.
+template <typename Fn>
+bool for_each_block(std::string_view data, std::size_t step, char delimiter,
+                    Fn&& fn) {
+  while (data.size() > step) {
+    std::size_t cut = data.rfind(delimiter, step - 1);
+    if (cut == std::string_view::npos) {
+      cut = data.find(delimiter, step);
+      if (cut == std::string_view::npos) break;
+    }
+    if (!fn(data.substr(0, cut + 1))) return false;
+    data.remove_prefix(cut + 1);
+  }
+  return data.empty() || fn(data);
+}
+
 }  // namespace kq::text

@@ -10,7 +10,8 @@
 // Plus an I/O-layer property rider: randomized record lengths straddling
 // the block size and max_record_size caps, round-tripped through the spill
 // file and the fd BlockReader (src/io/) — byte identity and the EMSGSIZE
-// contract.
+// contract. And the processor cascade (exec::Cascade) through the slice
+// executor every parallel worker runs, against composed Command::run.
 
 #include <gtest/gtest.h>
 
@@ -21,6 +22,7 @@
 #include <random>
 
 #include "dsl/enumerate.h"
+#include "exec/parallel.h"
 #include "exec/splitter.h"
 #include "shape/generate.h"
 #include "stream/block_reader.h"
@@ -286,6 +288,158 @@ TEST(IoSpillProperty, RecordCapContract) {
       EXPECT_EQ(got, payload) << "trial=" << trial;
     }
     ::close(fd);
+  }
+}
+
+// ------------------------------------------------- the processor cascade --
+
+// Identity whose processor holds each block's last record back until the
+// next block or finish(): a per-record stage with an end-of-input tail —
+// no built-in has one — so a cascade that drops tails shows.
+class HoldLastRecord final : public cmd::Command {
+ public:
+  HoldLastRecord() : Command("hold-last") {}
+  cmd::Result execute(std::string_view input) const override {
+    return {std::string(input), 0, {}};
+  }
+  cmd::Streamability streamability() const override {
+    return cmd::Streamability::kPerRecord;
+  }
+  std::unique_ptr<cmd::StreamProcessor> stream_processor() const override {
+    return std::make_unique<Processor>();
+  }
+
+ private:
+  struct Processor final : cmd::StreamProcessor {
+    std::string held;
+    bool process(std::string_view block, std::string* out) override {
+      held.append(block);
+      std::size_t end = held.size();
+      if (end > 0 && held[end - 1] == '\n') --end;  // the last record's own
+      const std::size_t cut = end == 0 ? std::string::npos
+                                       : held.rfind('\n', end - 1);
+      if (cut != std::string::npos) {
+        out->append(held, 0, cut + 1);
+        held.erase(0, cut + 1);
+      }
+      return true;
+    }
+    void finish(std::string* out) override { out->append(held); }
+  };
+};
+
+// head -n 3 whose processor, once it has reported its output complete,
+// echoes any block it is still fed (the contract forbids feeding it) — so
+// a cascade that drops the prefix-done report shows.
+class LoudHead final : public cmd::Command {
+ public:
+  LoudHead() : Command("loud-head") {}
+  cmd::Result execute(std::string_view input) const override {
+    std::string out;
+    Processor p;
+    p.process(input, &out);
+    return {out, 0, {}};
+  }
+  cmd::Streamability streamability() const override {
+    return cmd::Streamability::kPrefix;
+  }
+  std::unique_ptr<cmd::StreamProcessor> stream_processor() const override {
+    return std::make_unique<Processor>();
+  }
+
+ private:
+  struct Processor final : cmd::StreamProcessor {
+    int remaining = 3;
+    bool process(std::string_view block, std::string* out) override {
+      if (remaining == 0) {
+        out->append(block);
+        return false;
+      }
+      std::size_t pos = 0;
+      while (pos < block.size() && remaining > 0) {
+        const std::size_t nl = block.find('\n', pos);
+        pos = nl == std::string_view::npos ? block.size() : nl + 1;
+        --remaining;
+      }
+      out->append(block.substr(0, pos));
+      return remaining > 0;
+    }
+  };
+};
+
+// Random record-aligned input over a small alphabet (so grep, uniq and sort
+// see matches, runs and ties), with or without a final newline.
+std::string random_lines(std::mt19937_64& rng, bool final_newline) {
+  static const char kAlphabet[] = "aabbc A";
+  std::string out;
+  const int records = static_cast<int>(rng() % 40);
+  for (int r = 0; r < records; ++r) {
+    const int len = static_cast<int>(rng() % 9);
+    std::string line;
+    for (int c = 0; c < len; ++c) line += kAlphabet[rng() % 7];
+    // Repeat some lines so uniq -c has runs longer than one.
+    const int copies = 1 + static_cast<int>(rng() % 3 == 0 ? rng() % 3 : 0);
+    for (int c = 0; c < copies; ++c) out += line + "\n";
+  }
+  if (!final_newline && !out.empty()) out.pop_back();
+  return out;
+}
+
+// exec::run_slice_fused against the composition of Command::run, at every
+// cascade step: the same bytes, and `last_fed` true exactly when the last
+// stage's input is non-empty. Chains mix per-record stages, a prefix stage
+// mid-chain, a black-box stage (sort) and window terminals (uniq -c,
+// tail -n 2); "hold" and "loud-head" are the witnesses above.
+TEST(CascadeProperty, SliceExecutorMatchesComposedRuns) {
+  const std::vector<std::vector<std::string>> chains = {
+      {"tr a-z A-Z", "grep A"},
+      {"grep a", "head -n 3", "tr a-z A-Z"},
+      {"cut -c 1-3", "sort", "uniq -c"},
+      {"tr a-z A-Z", "uniq -c"},
+      {"grep b", "tail -n 2"},
+      {"head -n 3", "sort"},
+      {"sort", "grep a", "tail -n 2"},
+      {"hold", "tr a-z A-Z", "hold", "uniq -c"},
+      {"hold", "loud-head", "tr a-z A-Z"},
+      {"grep a", "loud-head", "hold", "tail -n 2"},
+      {"hold", "sort", "hold"},
+      {"grep zzz", "uniq -c"},
+      {"grep zzz", "hold"},
+      {"grep zzz", "sort"},
+  };
+  auto make = [](const std::string& line) -> cmd::CommandPtr {
+    if (line == "hold") return std::make_shared<HoldLastRecord>();
+    if (line == "loud-head") return std::make_shared<LoudHead>();
+    return cmd::make_command(*text::shell_split(line));
+  };
+  std::mt19937_64 rng(0xca5c);
+  for (const std::vector<std::string>& spec : chains) {
+    std::vector<cmd::CommandPtr> owned;
+    std::vector<const cmd::Command*> chain;
+    std::string name;
+    for (const std::string& line : spec) {
+      owned.push_back(make(line));
+      ASSERT_NE(owned.back(), nullptr) << line;
+      chain.push_back(owned.back().get());
+      name += (name.empty() ? "" : " | ") + line;
+    }
+    for (int trial = 0; trial < 24; ++trial) {
+      const std::string input = random_lines(rng, trial % 2 == 0);
+      std::string expected = input;
+      bool expected_fed = !input.empty();
+      for (const cmd::Command* c : chain) {
+        expected_fed = !expected.empty();
+        expected = c->run(expected);
+      }
+      for (std::size_t step : {1, 7, 64, 4096}) {
+        bool fed = !expected_fed;
+        const std::string got = exec::run_slice_fused(chain, input, step, &fed);
+        EXPECT_EQ(got, expected)
+            << name << " step=" << step << " input=\"" << input << "\"";
+        EXPECT_EQ(fed, expected_fed)
+            << name << " step=" << step << " input=\"" << input << "\"";
+      }
+    }
   }
 }
 

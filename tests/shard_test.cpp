@@ -65,7 +65,7 @@ TEST(ShardPlan, LowerPlanMarksShardableStages) {
   EXPECT_TRUE(stages[2].shardable);
 
   // Plain sort declares Streamability::kNone — its state is the whole
-  // input, so it keeps the whole-slice worker path.
+  // input, so its workers run it whole over block-sized chunks.
   auto whole = compile_stages("tr A-Z a-z | sort | wc -l");
   ASSERT_EQ(whole.size(), 3u);
   EXPECT_TRUE(whole[0].shardable);
@@ -109,20 +109,19 @@ TEST(ShardDataflow, EligibleSegmentRunsShardedWithSliceTelemetry) {
   EXPECT_GT(r.nodes[0].worker_busy_ns, 0u);
 }
 
-TEST(ShardDataflow, ShardSliceOverrideIsHonored) {
+TEST(ShardDataflow, ShardSliceIsTwoBlocks) {
   auto stages = compile_stages("tr a-z A-Z");
   std::string input;
   for (int i = 0; i < 2000; ++i) input += "line number " + std::to_string(i) + "\n";
 
   kq::ExecOptions options = stream_options(2, 1024);
-  options.shard_slice = 8192;
   options.stats = true;
   kq::Executor executor(options);
   kq::ExecResult r = executor.run_collect(stages, input);
   ASSERT_TRUE(r.ok) << r.error;
   ASSERT_EQ(r.nodes.size(), 1u);
   EXPECT_TRUE(r.nodes[0].sharded);
-  EXPECT_EQ(r.nodes[0].shard_slice_bytes, 8192u);
+  EXPECT_EQ(r.nodes[0].shard_slice_bytes, 2048u);
   EXPECT_EQ(r.output, exec::run_serial(stages, input));
 }
 
