@@ -155,8 +155,9 @@ void run_stream_chain(const Segment& seg, NodeMetrics& metrics,
                 more = remaining > 0;
               }
               if (block.empty()) return more;
-              metrics.out_bytes += block.size();
+              const std::size_t pushed = block.size();
               if (!io.push(std::move(block))) return false;
+              metrics.out_bytes += pushed;
               return more;
             },
             config.block_size);

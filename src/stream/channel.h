@@ -36,6 +36,10 @@ struct Chunk {
   // A worker's part whose combining stage got no input: f(""), which the
   // collector leaves out of the combine (x ++ "" = x).
   bool no_input = false;
+  // A merge-combined segment's worker checks its own part against the
+  // merge's legality predicate; false sends the collector to combine-
+  // undefined instead of merging it.
+  bool mergeable = true;
 };
 
 // Chunks with this index are control nudges, not data (see dataflow.cpp).

@@ -232,9 +232,9 @@ ExecResult run_dataflow(const std::vector<exec::ExecStage>& stages,
     teles[i].tracer = config.tracer;
     teles[i].label = result.nodes[i].commands;
     if (segments[i].parallel) {
-      // Sharded segments fan out in 2 · block_size slices (fewer
-      // combine-tree parts, fewer processor setups) and scale the in-flight
-      // slot count down to keep the same byte budget
+      // Sharded segments fan out in slices of at most 2 · block_size
+      // (fewer combine-tree parts, fewer processor setups) and scale the
+      // in-flight slot count down to keep the same byte budget
       // (max_inflight · block_size); the floor of parallelism + 1 slots
       // keeps every worker busy plus one slice queued. A chain with a
       // black-box member takes block-sized chunks.
@@ -253,6 +253,7 @@ ExecResult run_dataflow(const std::vector<exec::ExecStage>& stages,
       ctxs[i]->slice_bytes = slice;
       ctxs[i]->cascade_step = config.block_size;
       ctxs[i]->chain = segments[i].commands();
+      ctxs[i]->merge_spec = merge_spec_of(*segments[i].chain.back());
       // A feeder stalled on the in-flight bound is send-blocked: its
       // output backpressure arrives through the slot semaphore.
       if (config.stats)

@@ -67,7 +67,7 @@ struct Segment {
   bool window = false;       // chain.back() is a cmd::WindowProcessor stage
   // Parallel segment whose every member runs through a processor cascade
   // (per-record, the terminal possibly a window): its workers take
-  // 2 · block_size slices instead of block-sized chunks.
+  // slices of up to 2 · block_size instead of chunks of up to one block.
   bool sharded = false;
 
   std::vector<const cmd::Command*> commands() const {
@@ -144,6 +144,14 @@ inline std::shared_ptr<const cmd::SortSpec> own_sort_spec(
   return stage.parallel ? cmd::sort_spec_of(*stage.command) : stage.sort_spec;
 }
 
+// The comparator a parallel segment's collector merges its parts under: the
+// merge combiner's spec, unless the combining stage folds (a sibling
+// combiner is not a merge) or reruns. Null for every other combiner.
+inline std::shared_ptr<const cmd::SortSpec> merge_spec_of(
+    const exec::ExecStage& stage) {
+  return stage.fold || stage.rerun_combiner ? nullptr : stage.sort_spec;
+}
+
 using Pull = std::function<std::optional<std::string>()>;
 using Push = std::function<bool(std::string&&)>;
 
@@ -170,8 +178,11 @@ struct ParallelCtx {
   // Workers run exec::run_slice_fused over chunks of `slice_bytes`,
   // cascading internally in `cascade_step` blocks.
   bool sharded = false;          // names the worker span "shard-slice"
-  std::size_t slice_bytes = 0;   // the feeder's coalescing target
+  std::size_t slice_bytes = 0;   // the feeder's chunk target (a ceiling)
   std::size_t cascade_step = 0;  // block size inside a worker's cascade
+  // Set for a merge-combined segment (see merge_spec_of): each worker
+  // checks its part is a sorted stream under it.
+  std::shared_ptr<const cmd::SortSpec> merge_spec;
   std::atomic<std::ptrdiff_t> expected{-1};  // chunk count, once known
   // Set by the collector when downstream closed its read side: the feeder
   // stops pulling (its own input channel is also read-closed, but node 0

@@ -2,6 +2,7 @@
 // workers, each running exec::run_slice_fused over its chunk, and a
 // collector restores input order and combines the parts.
 #include <map>
+#include <utility>
 
 #include "exec/parallel.h"
 #include "stream/nodes.h"
@@ -20,9 +21,11 @@ std::uint64_t nanos_since(Clock::time_point start) {
 // One pool task: runs the segment's chain over chunk `index` and hands the
 // part to the collector. Worker pushes never block — results capacity
 // exceeds the slot count — so a task inlined by a stealing thread always
-// terminates.
+// terminates. The chunk's in-flight bytes leave `gauge` once the chain has
+// consumed it, before the part can free its slot, so the gauge never
+// counts a slot's old chunk and its next one at once.
 void run_worker(ParallelCtx& ctx, const NodeTelemetry& tele, std::size_t index,
-                std::string data) {
+                std::string data, MemoryGauge& gauge) {
   // Worker span: one per pool task, on the worker's own trace row. Name
   // built only when tracing (it concatenates).
   obs::Tracer::Span span;
@@ -35,15 +38,29 @@ void run_worker(ParallelCtx& ctx, const NodeTelemetry& tele, std::size_t index,
   }
   const auto busy_start = Clock::now();
   bool fed = true;  // the combining (last) stage got input
-  std::string part = exec::run_slice_fused(ctx.chain, std::move(data),
-                                           ctx.cascade_step, &fed);
+  std::string part;
+  {
+    struct Release {
+      MemoryGauge& gauge;
+      std::size_t bytes;
+      ~Release() { gauge.sub(bytes); }
+    } release{gauge, data.size()};
+    part = exec::run_slice_fused(ctx.chain, std::move(data), ctx.cascade_step,
+                                 &fed);
+  }
   if (tele.counters) {
     tele.counters->shard_slices.fetch_add(1, std::memory_order_relaxed);
     tele.counters->worker_busy_ns.fetch_add(nanos_since(busy_start),
                                             std::memory_order_relaxed);
   }
   span.arg("bytes_out", part.size());
-  ctx.results.push(Chunk{index, std::move(part), !fed});
+  Chunk chunk{index, std::move(part), !fed};
+  // The merge's legality predicate, as in dsl::combine_k's kMerge, checked
+  // here in parallel rather than by the collector.
+  if (ctx.merge_spec && fed && !chunk.bytes.empty())
+    chunk.mergeable = text::is_stream(chunk.bytes) &&
+                      ctx.merge_spec->is_sorted_stream(chunk.bytes);
+  ctx.results.push(std::move(chunk));
 }
 
 // Adds a timed section's wall time to StageCounters::combine_ns; reads the
@@ -79,11 +96,13 @@ class CombineTimer {
 
 }  // namespace
 
-// Feeder: pulls record-aligned pieces, coalesces them toward the segment's
+// Feeder: pulls record-aligned pieces, coalesces them up to the segment's
 // chunk target (ParallelCtx::slice_bytes), and fans chunks out to the
-// worker pool under the in-flight bound. A feeder out of slots steals
-// queued pool tasks instead of sleeping, so an unlucky shard distribution
-// can't idle workers while a straggler holds every slot.
+// worker pool under the in-flight bound. A chunk never overshoots the
+// target: the buffer goes out before a piece would push it past, and only
+// a single piece larger than the target goes alone. A feeder out of slots
+// steals queued pool tasks instead of sleeping, so an unlucky shard
+// distribution can't idle workers while a straggler holds every slot.
 void run_feeder(ParallelCtx& ctx, NodeMetrics& metrics, const Pull& pull,
                 const NodeTelemetry& tele, Shared& shared,
                 exec::ThreadPool& pool) {
@@ -107,13 +126,11 @@ void run_feeder(ParallelCtx& ctx, NodeMetrics& metrics, const Pull& pull,
     ctx.tasks.push_back(pool.submit([data = std::move(data),
                                      idx = ctx.submitted++, c = &ctx,
                                      sh = &shared, t = &tele]() mutable {
-      const std::size_t in_size = data.size();
       try {
-        run_worker(*c, *t, idx, std::move(data));
+        run_worker(*c, *t, idx, std::move(data), sh->gauge);
       } catch (const std::exception& e) {
         sh->fail(std::string("worker failed: ") + e.what());
       }
-      sh->gauge.sub(in_size);
     }));
     while (!ctx.tasks.empty() &&
            ctx.tasks.front().wait_for(std::chrono::seconds(0)) ==
@@ -124,6 +141,10 @@ void run_feeder(ParallelCtx& ctx, NodeMetrics& metrics, const Pull& pull,
 
   while (auto piece = pull()) {
     if (shared.halted() || ctx.stop_input.load()) break;
+    if (!buf.empty() && buf.size() + piece->size() > ctx.slice_bytes) {
+      if (!submit(std::move(buf))) break;
+      buf.clear();
+    }
     if (buf.empty() && piece->size() >= ctx.slice_bytes) {
       if (!submit(std::move(*piece))) break;
       continue;
@@ -151,13 +172,15 @@ void run_feeder(ParallelCtx& ctx, NodeMetrics& metrics, const Pull& pull,
 //      later part can change goes downstream at once — the part's own
 //      buffer, moved — and only the seam is carried (nothing for concat,
 //      one line for stitch, stitch2 and offset), not the output;
-//   2. otherwise the parts are held for one k-way combine at end of
-//      stream, and past the spill threshold they move to disk: a
-//      `rerun_combiner` spools them raw and reruns the command once over
-//      the spool;
-//   3. a `sort_spec` (a merge combiner) spills them as sorted runs and
-//      streams one external k-way merge;
-//   4. anything else keeps them in memory for `combine`.
+//   2. a merge combiner (merge_spec_of) feeds every part to a SpillMerger,
+//      whose batches past the spill threshold become sorted runs on disk
+//      and whose final merge runs by key range on the pool. The workers
+//      checked each part's legality; a part that fails it fails the node
+//      as combine-undefined. A lone part passes through unchecked, as in
+//      dsl::combine_k;
+//   3. otherwise the parts are held for one k-way combine at end of
+//      stream; a `rerun_combiner` spools them to disk past the spill
+//      threshold and reruns the command once over the spool.
 // A part whose combining stage got no input is f("") and is left out
 // (x ++ "" = x), unless no part had input. While waiting for the next part
 // it steals queued pool tasks — often this segment's own straggler slices —
@@ -174,25 +197,29 @@ void run_collector(const Segment& seg, ParallelCtx& ctx, NodeMetrics& metrics,
   metrics.streamed_combine = fold && fold->streams();
   std::vector<std::string> pieces;    // one push's settled output
   std::string partial;                // a trailing record still open
-  std::vector<std::string> deferred;  // held parts, no fold
+  std::vector<std::string> deferred;  // held parts, no fold or merge
   std::size_t deferred_bytes = 0;
   bool any_input = false;              // some part's combining stage had input
   std::optional<std::string> no_input;  // f(""), while no part had input
 
-  // Held parts move to disk only past the spill threshold. The rerun's
-  // spool materializes the concatenation once, for the rerun — the same
-  // O(threshold)-while-draining bound as the sequential materialize node.
-  // The merge spill holds O(threshold) instead of the sum of the chunk
-  // outputs; engaging it lazily keeps sub-threshold runs on the exact
-  // apply_k path (including composite-combiner fallback, which the spill
-  // path gives up: a part failing the merge legality check below fails
-  // the run as combine-undefined instead of trying a sibling combiner).
-  const bool spill = !fold && config.spill_threshold != 0;
-  const bool spoolable_rerun = spill && cstage.rerun_combiner;
-  const bool spillable_merge =
-      spill && !cstage.rerun_combiner && cstage.sort_spec != nullptr;
-  std::unique_ptr<RawSpool> spool;
+  // The merge feeds a SpillMerger from the first part; a threshold of 0
+  // keeps every part in memory until finish(). The first part is held back
+  // until a second one shows it is not alone. A rerun's held parts spool
+  // to disk only past the spill threshold: the spool materializes the
+  // concatenation once, for the rerun — the same O(threshold)-while-
+  // draining bound as the sequential materialize node.
   std::unique_ptr<SpillMerger> merger;
+  std::optional<Chunk> lone;
+  if (ctx.merge_spec) {
+    merger = std::make_unique<SpillMerger>(
+        ctx.merge_spec, SpillMerger::Input::kSortedParts,
+        config.spill_threshold, &shared.gauge, config.fault_plan);
+    merger->set_telemetry(tele.tracer, tele.label);
+    merger->set_pool(&pool, config.parallelism);
+  }
+  const bool spoolable_rerun =
+      !fold && config.spill_threshold != 0 && cstage.rerun_combiner;
+  std::unique_ptr<RawSpool> spool;
 
   // Re-blocks combined output for downstream, cut at record boundaries.
   auto push_blocks = [&](std::string_view data) {
@@ -201,16 +228,10 @@ void run_collector(const Segment& seg, ParallelCtx& ctx, NodeMetrics& metrics,
         [&](std::string_view block) { return io.push(std::string(block)); });
   };
 
-  // The merge combiner's legality predicate, as in dsl::combine_k's kMerge.
-  auto mergeable_part = [&](std::string_view part) {
-    return part.empty() || (text::is_stream(part) &&
-                            cstage.sort_spec->is_sorted_stream(part));
-  };
-
   const std::string& name = cstage.command->display_name();
-  auto spill_part = [&](std::string&& part) -> bool {
-    if (!mergeable_part(part)) return false;  // combine undefined
-    if (merger->add(std::move(part))) return true;
+  auto merge_part = [&](Chunk&& part) -> bool {
+    if (!part.mergeable) return false;  // combine undefined
+    if (merger->add(std::move(part.bytes))) return true;
     shared.fail_stage("spill", name, merger->error());
     return false;
   };
@@ -243,9 +264,18 @@ void run_collector(const Segment& seg, ParallelCtx& ctx, NodeMetrics& metrics,
       if (!any_input && !no_input) no_input = std::move(part.bytes);
       return true;
     }
+    const bool first = !any_input;
     any_input = true;
     no_input.reset();
-    if (merger) return spill_part(std::move(part.bytes));
+    if (merger) {
+      if (first) {
+        lone = std::move(part);
+        return true;
+      }
+      if (lone && !merge_part(*std::exchange(lone, std::nullopt)))
+        return false;
+      return merge_part(std::move(part));
+    }
     if (spool) return spool_part(part.bytes);
     if (fold) {
       {
@@ -262,28 +292,19 @@ void run_collector(const Segment& seg, ParallelCtx& ctx, NodeMetrics& metrics,
     }
     deferred_bytes += part.bytes.size();
     deferred.push_back(std::move(part.bytes));
-    // Held parts migrate to disk once they outgrow the spill threshold. (A
-    // single part stays on the combine path, which passes it through
-    // unchecked; spilling engages only once there are parts to combine.)
-    if (deferred_bytes >= config.spill_threshold && deferred.size() > 1) {
-      if (spoolable_rerun) {
-        spool = std::make_unique<RawSpool>(config.spill_threshold,
-                                           &shared.gauge, config.fault_plan);
-        spool->set_telemetry(tele.tracer, tele.label);
-        for (const std::string& held : deferred)
-          if (!spool_part(held)) return false;
-      } else if (spillable_merge) {
-        merger = std::make_unique<SpillMerger>(
-            cstage.sort_spec, SpillMerger::Input::kSortedParts,
-            config.spill_threshold, &shared.gauge, config.fault_plan);
-        merger->set_telemetry(tele.tracer, tele.label);
-        for (std::string& held : deferred)
-          if (!spill_part(std::move(held))) return false;
-      }
-      if (merger || spool) {
-        deferred.clear();
-        deferred_bytes = 0;
-      }
+    // A rerun's held parts migrate to disk once they outgrow the spill
+    // threshold. (A single part stays on the combine path, which passes it
+    // through unchecked; spooling engages only once there are parts to
+    // combine.)
+    if (spoolable_rerun && deferred_bytes >= config.spill_threshold &&
+        deferred.size() > 1) {
+      spool = std::make_unique<RawSpool>(config.spill_threshold,
+                                         &shared.gauge, config.fault_plan);
+      spool->set_telemetry(tele.tracer, tele.label);
+      for (const std::string& held : deferred)
+        if (!spool_part(held)) return false;
+      deferred.clear();
+      deferred_bytes = 0;
     }
     return true;
   };
@@ -350,14 +371,23 @@ void run_collector(const Segment& seg, ParallelCtx& ctx, NodeMetrics& metrics,
       ok = take_part(Chunk{next_emit, std::move(*no_input)});
     if (!ok) {
       if (!shared.halted() && !io.out_closed()) fail_undefined();
+    } else if (merger && lone) {
+      // A lone part is the combine's output as it stands.
+      metrics.out_bytes += lone->bytes.size();
+      push_blocks(lone->bytes);
     } else if (merger) {
       CombineTimer timer(tele.counters);
       ok = merger->finish(
           [&](std::string&& block) {
-            metrics.out_bytes += block.size();
-            return timer.exclude([&] { return io.push(std::move(block)); });
+            const std::size_t n = block.size();
+            if (!timer.exclude([&] { return io.push(std::move(block)); }))
+              return false;
+            metrics.out_bytes += n;  // only what downstream accepted
+            return true;
           },
           config.block_size);
+      if (ok && io.out_closed())
+        tele.note_early_exit(obs::EarlyExit::kDownstreamClosed);
       if (!ok && !shared.halted() && !io.out_closed())
         shared.fail_stage("spill merge", name, merger->error());
     } else if (spool) {

@@ -65,11 +65,13 @@ void run_sequential(const Segment& seg, NodeMetrics& metrics, const Ports& io,
     if (ok && !abandoned && !shared.halted()) {
       ok = sorter->finish(
           [&](std::string&& block) {
-            metrics.out_bytes += block.size();
-            return io.push(std::move(block));
+            const std::size_t n = block.size();
+            if (!io.push(std::move(block))) return false;
+            metrics.out_bytes += n;  // only what downstream accepted
+            return true;
           },
           config.block_size);
-      if (!ok) note_closed();
+      if (ok) note_closed();
     }
     metrics.spilled_bytes = sorter->spilled_bytes();
     metrics.spill_runs = sorter->runs_spilled();

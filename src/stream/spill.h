@@ -13,26 +13,37 @@
 //     MemoryClass::kSortableSpill. Bounded in-memory batches become sorted
 //     runs on disk (sorting each batch for a sequential `sort` stage,
 //     merging pre-sorted chunk outputs for a merge-mode combiner), and a
-//     final streaming k-way merge — the k-way `sort -m` of §3.5, lifted
-//     from whole in-memory streams to disk-backed run cursors — re-streams
-//     the result downstream in record-aligned blocks. Stability matches
-//     the in-memory paths: runs are input-ordered, ties break on run
-//     index, and -u dedupes across runs exactly like
-//     SortSpec::merge_streams.
+//     final merge — the k-way `sort -m` of §3.5, lifted from whole
+//     in-memory streams to disk-backed run cursors — re-streams the result
+//     downstream in record-aligned blocks.
 //
-// One merge pass only: the number of runs is spilled_bytes / threshold, and
-// each cursor buffers at most ~64 KiB, so merging stays O(runs · 64 KiB)
-// resident. Multi-pass merging for pathological run counts is future work.
+// Both merges (a batch of parts into one run, and every run at the end)
+// go through one key-range merge. Splitters sampled from the runs cut
+// every run with an upper-bound search under SortSpec::compare, so
+// compare-equal lines never straddle two ranges; with a pool the ranges
+// merge as pool tasks and are emitted in range order. Each range breaks
+// ties on run index and dedups -u within itself, so stability and the
+// first occurrence kept match SortSpec::merge_streams, the serial
+// reference. Disk runs carry a sparse (offset, line) index written with
+// them, so cutting a disk run reads one index interval (about 64 KiB).
 //
-// Thread safety: these classes are deliberately lock-free because they are
-// thread-COMPATIBLE, not thread-safe — each instance is owned by exactly
-// one dataflow node thread for its whole lifetime (a window or sequential
-// node's drain loop), so no concurrent access exists to synchronize. The
-// one cross-thread touch point, pread(2) through a shared SpillFile fd, is
-// safe because positioned reads carry their own offset and never mutate
-// the file position. Do not share a RawSpool or SpillMerger across
-// threads without adding external synchronization; docs/CONCURRENCY.md
-// spells out this single-owner convention.
+// Memory. One merge pass only: the number of runs is spilled_bytes /
+// threshold. Resident merge state is the batch (under `threshold`), the
+// output the in-flight ranges hold (each at most range_budget() bytes —
+// a range past its budget, say one key that is most of the input, pauses
+// and the emitting thread finishes it block by block), and the cursors,
+// each buffering at most ~64 KiB or its range's extent in its run.
+// resident_bound() is the sum of the first two.
+//
+// Thread safety: RawSpool and SpillMerger are thread-COMPATIBLE, not
+// thread-safe — each instance is owned by exactly one dataflow node thread
+// for its whole lifetime. A merger with a pool runs its range tasks on
+// pool threads, but only inside its own merge calls, which wait out every
+// task before returning; the tasks share the runs read-only. SpillFile
+// reads are safe to share: pread(2) carries its own offset and every
+// read_exact() reports its error to its caller, so range tasks read one
+// file at once with no shared mutable state. Appends stay with the owner
+// and never overlap reads. docs/CONCURRENCY.md spells out this convention.
 #pragma once
 
 #include <cstddef>
@@ -47,6 +58,10 @@
 
 namespace kq::cmd {
 class SortSpec;
+}
+
+namespace kq::exec {
+class ThreadPool;
 }
 
 namespace kq::obs {
@@ -74,14 +89,16 @@ class SpillFile {
 
   std::size_t size() const { return size_; }
   bool append(std::string_view bytes);
-  // Reads exactly `n` bytes at `offset`; false on I/O error or short read.
-  bool read_exact(std::size_t offset, char* buf, std::size_t n) const;
+  // Reads exactly `n` bytes at `offset`; false on I/O error or short read,
+  // with a coded message in *error. Safe from several threads at once.
+  bool read_exact(std::size_t offset, char* buf, std::size_t n,
+                  std::string* error) const;
 
  private:
   io::Engine engine_;
   int fd_ = -1;
   std::size_t size_ = 0;
-  mutable std::string error_;
+  std::string error_;
 };
 
 // Byte spool for materialize-class accumulation: buffers up to `threshold`
@@ -124,22 +141,32 @@ class RawSpool {
 };
 
 // External merge: feeds become bounded sorted runs, finish() streams the
-// k-way merge of all runs to `push` in record-aligned blocks.
+// merge of all runs to `push` in record-aligned blocks.
 class SpillMerger {
  public:
   enum class Input {
     kUnsortedBlocks,  // add() receives record-aligned raw input; each run
                       // is sorted with SortSpec::sort_stream (external sort)
     kSortedParts,     // add() receives whole pre-sorted chunk outputs; each
-                      // run merges its batch with SortSpec::merge_streams
+                      // run merges its batch by key range
   };
 
   // `spec` supplies the comparator (and -u/-s semantics). `threshold` is
-  // the in-memory batch budget; 0 means never spill (single in-memory run).
+  // the in-memory batch budget; 0 means never spill (everything merges
+  // from memory in finish()).
   SpillMerger(std::shared_ptr<const cmd::SortSpec> spec, Input mode,
               std::size_t threshold, MemoryGauge* gauge = nullptr,
               io::FaultPlan* faults = nullptr);
   ~SpillMerger();
+
+  // Splits merges into key ranges run as tasks on `pool`, about `ways` of
+  // them at a time; the calling thread runs queued pool tasks while it
+  // waits. Without a pool, or with ways <= 1, a merge is one range on the
+  // calling thread.
+  void set_pool(exec::ThreadPool* pool, int ways) {
+    pool_ = pool;
+    ways_ = ways < 1 ? 1 : static_cast<std::size_t>(ways);
+  }
 
   // False on spill I/O error (see error()).
   bool add(std::string&& piece);
@@ -155,22 +182,51 @@ class SpillMerger {
   std::size_t spilled_bytes() const { return spilled_bytes_; }
   const std::string& error() const { return error_; }
 
+  // The resident bytes the batch plus the in-flight ranges' output stay
+  // within (unbounded at threshold 0).
+  std::size_t resident_bound() const;
+
   // Telemetry (src/obs/): spans "spill-run" (each sorted run written, with
-  // a bytes arg) and "spill-merge" (the k-way merge in finish(), with a
-  // runs arg) are recorded under `label` (the owning stage's display name).
+  // a bytes arg), "spill-merge" (the merge in finish(), with a runs arg)
+  // and "merge-range" (one key range's pool task, with range and bytes
+  // args) are recorded under `label` (the owning stage's display name).
   void set_telemetry(obs::Tracer* tracer, std::string label) {
     tracer_ = tracer;
     label_ = std::move(label);
   }
 
- private:
+  // The sparse index of a disk run: the first line starting at or after
+  // every ~64 KiB of the run, with its offset from the run's start.
+  struct IndexEntry {
+    std::size_t offset = 0;
+    std::string line;
+  };
   struct RunExtent {
     std::size_t offset = 0;
     std::size_t size = 0;
+    std::vector<IndexEntry> index;
+    std::size_t next_index = 0;  // run offset the next entry starts past
+  };
+  // One sorted run as a merge reads it: resident text, or a disk run.
+  struct RunRef {
+    std::string_view text;
+    const RunExtent* disk = nullptr;
+    std::size_t size() const { return disk ? disk->size : text.size(); }
   };
 
-  bool flush_run();                 // batch -> one sorted run on disk
-  std::string take_resident_run();  // sort/merge whatever never spilled
+ private:
+  using Emit = std::function<bool(std::string&&)>;
+
+  // The most merge output one in-flight range holds before it pauses.
+  std::size_t range_budget() const;
+  bool flush_run();  // batch -> one sorted run on disk
+  bool append_run(RunExtent& run, std::string_view bytes);
+  // The one merge routine: merges `runs` (resident text, or the disk runs
+  // named by `disk`) by key range and hands the output to `emit` in range
+  // order, in blocks of ~`block_size`. Stops when `emit` returns false;
+  // returns false only when a run read failed (error_ is set).
+  bool merge_runs(const std::vector<RunRef>& runs, std::size_t block_size,
+                  const Emit& emit);
   void drop_mem(std::size_t n);
 
   const std::shared_ptr<const cmd::SortSpec> spec_;
@@ -180,6 +236,8 @@ class SpillMerger {
   io::FaultPlan* const faults_;
   obs::Tracer* tracer_ = nullptr;
   std::string label_;
+  exec::ThreadPool* pool_ = nullptr;
+  std::size_t ways_ = 1;
 
   std::string buffer_;               // kUnsortedBlocks batch
   std::vector<std::string> parts_;   // kSortedParts batch

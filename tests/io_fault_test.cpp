@@ -212,7 +212,8 @@ TEST(IoFaultTest, ShortWritesRoundTripByteIdentical) {
   ASSERT_TRUE(file.append(payload)) << file.error();
   EXPECT_EQ(file.size(), payload.size());
   std::string back(payload.size(), '\0');
-  ASSERT_TRUE(file.read_exact(0, back.data(), back.size())) << file.error();
+  std::string error;
+  ASSERT_TRUE(file.read_exact(0, back.data(), back.size(), &error)) << error;
   EXPECT_EQ(back, payload);
   EXPECT_GT(plan.fired(), 0u);
 }
@@ -225,9 +226,10 @@ TEST(IoFaultTest, SpillReadEioSurfacesCodedError) {
   plan.add(fault(io::FaultOp::kSpillRead, io::Fault::Kind::kErrno,
             /*at=*/0, /*repeat=*/1, /*cap=*/0, /*err=*/EIO));
   char buf[8];
-  EXPECT_FALSE(file.read_exact(0, buf, sizeof buf));
-  EXPECT_NE(file.error().find("[KQ-IO]"), std::string::npos) << file.error();
-  EXPECT_NE(file.error().find("EIO"), std::string::npos) << file.error();
+  std::string error;
+  EXPECT_FALSE(file.read_exact(0, buf, sizeof buf, &error));
+  EXPECT_NE(error.find("[KQ-IO]"), std::string::npos) << error;
+  EXPECT_NE(error.find("EIO"), std::string::npos) << error;
 }
 
 TEST(IoFaultTest, SpillReadEintrRetriesToFullRead) {
@@ -239,7 +241,8 @@ TEST(IoFaultTest, SpillReadEintrRetriesToFullRead) {
   plan.add(fault(io::FaultOp::kSpillRead, io::Fault::Kind::kEintr,
             /*at=*/0, /*repeat=*/6));
   std::string back(payload.size(), '\0');
-  ASSERT_TRUE(file.read_exact(0, back.data(), back.size())) << file.error();
+  std::string error;
+  ASSERT_TRUE(file.read_exact(0, back.data(), back.size(), &error)) << error;
   EXPECT_EQ(back, payload);
   EXPECT_EQ(plan.fired(), 6u);
 }
@@ -278,6 +281,31 @@ TEST(IoFaultTest, SpillMergerEnospcFailsCleanly) {
   EXPECT_FALSE(ok);
   EXPECT_NE(merger.error().find("[KQ-IO]"), std::string::npos)
       << merger.error();
+}
+
+TEST(IoFaultTest, SpillReadFailureWhileRangesReadConcurrently) {
+  // The final merge cuts and reads one spill file from several range
+  // tasks at once; a single failed read must fail the run with a coded
+  // [KQ-IO] message (each read reports its own error, so the concurrent
+  // readers share no error state — the TSan job runs this).
+  const std::string content = lines(20000);
+  TempInput input(content);
+  io::FaultPlan plan;
+  plan.add(fault(io::FaultOp::kSpillRead, io::Fault::Kind::kErrno,
+            /*at=*/5, /*repeat=*/1, /*cap=*/0, /*err=*/EIO));
+
+  kq::ExecOptions options;
+  options.mode = kq::ExecMode::kStream;
+  options.parallelism = 4;
+  options.block_size = 4096;
+  options.spill_threshold = 16 * 1024;
+  options.fault_plan = &plan;
+  kq::Executor executor(options);
+  kq::ExecResult result = executor.run_collect(
+      compile_stages("sort"), kq::Source::from_fd(input.fd()));
+  ASSERT_FALSE(result.ok) << "a failed spill read must fail the run";
+  EXPECT_NE(result.error.find("[KQ-IO]"), std::string::npos) << result.error;
+  EXPECT_EQ(plan.fired(), 1u);
 }
 
 // --------------------------------------------------- whole-pipeline faults --

@@ -374,6 +374,37 @@ TEST(Counters, DownstreamClosedCauseAttributed) {
   EXPECT_EQ(r.nodes[0].early_exit, "downstream-closed");
 }
 
+TEST(Counters, EarlyStoppedExternalMergeCountsAcceptedBytes) {
+  // A sink that takes one block and refuses the next stops an external
+  // sort (k = 1) or the collector's merge (k = 4) mid-emission: the node
+  // counts only the bytes downstream accepted and reports the close.
+  std::string input;
+  for (int i = 40000; i > 0; --i) input += std::to_string(i) + "\n";
+  for (int k : {1, 4}) {
+    auto stages = stages_for("sort", /*rewrite=*/false,
+                             /*force_sequential=*/k == 1);
+    ExecOptions options;
+    options.parallelism = k;
+    options.block_size = 4096;
+    options.spill_threshold = 16 * 1024;
+    options.stats = true;
+    std::size_t accepted = 0;
+    std::istringstream in(input);  // a string source would buffer the output
+    ExecResult r = Executor(options).run(
+        stages, in, [&accepted](std::string_view block) {
+          if (accepted > 0) return false;
+          accepted = block.size();
+          return true;
+        });
+    ASSERT_TRUE(r.ok) << r.error;
+    EXPECT_TRUE(r.stopped_early);
+    ASSERT_EQ(r.nodes.size(), 1u);
+    EXPECT_GT(r.nodes[0].spill_runs, 0) << "k=" << k;
+    EXPECT_EQ(r.nodes[0].out_bytes, accepted) << "k=" << k;
+    EXPECT_EQ(r.nodes[0].early_exit, "downstream-closed") << "k=" << k;
+  }
+}
+
 // -------------------------------------------------- batch-mode metrics --
 
 TEST(Counters, BatchNodeBytesReconcile) {

@@ -246,11 +246,12 @@ TEST(IoSpillProperty, RandomRecordLengthsRoundTrip) {
     ASSERT_EQ(file.size(), payload.size());
     // Positioned reads of random extents, in random order.
     std::string back(payload.size(), '\0');
+    std::string error;
     for (std::size_t at = 0; at < payload.size();) {
       std::size_t n =
           std::min<std::size_t>(1 + rng() % (3 * block),
                                 payload.size() - at);
-      ASSERT_TRUE(file.read_exact(at, back.data() + at, n)) << file.error();
+      ASSERT_TRUE(file.read_exact(at, back.data() + at, n, &error)) << error;
       at += n;
     }
     EXPECT_EQ(back, payload) << "trial=" << trial;

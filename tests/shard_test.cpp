@@ -122,6 +122,34 @@ TEST(ShardDataflow, ShardSliceIsTwoBlocks) {
   ASSERT_EQ(r.nodes.size(), 1u);
   EXPECT_TRUE(r.nodes[0].sharded);
   EXPECT_EQ(r.nodes[0].shard_slice_bytes, 2048u);
+  // The slices actually cut stay within the ceiling: the feeder sends its
+  // buffer before a piece would push it past 2 blocks.
+  const std::size_t slice = r.nodes[0].shard_slice_bytes;
+  EXPECT_GE(r.nodes[0].shard_slices,
+            (r.nodes[0].in_bytes + slice - 1) / slice);
+  EXPECT_EQ(r.output, exec::run_serial(stages, input));
+}
+
+TEST(ShardDataflow, InflightBytesStayWithinBudget) {
+  // A sharded run's slices in flight stay within max_inflight ·
+  // block_size: the slot count is scaled to 2-block slices, and no slice
+  // overshoots 2 blocks. The output is a count, so slices dominate.
+  auto stages = compile_stages("tr A-Z a-z | grep apple | wc -l");
+  std::string input;
+  for (int i = 0; i < 20000; ++i) {
+    input += i % 3 ? "Apple pie number " : "pear tart number ";
+    input += std::to_string(i);
+    input += '\n';
+  }
+
+  kq::ExecOptions options = stream_options(4, 4096);
+  options.max_inflight = 10;
+  kq::Executor executor(options);
+  kq::ExecResult r = executor.run_collect(stages, input);
+  ASSERT_TRUE(r.ok) << r.error;
+  ASSERT_EQ(r.nodes.size(), 1u);
+  EXPECT_TRUE(r.nodes[0].sharded);
+  EXPECT_LE(r.peak_inflight_bytes, options.max_inflight * options.block_size);
   EXPECT_EQ(r.output, exec::run_serial(stages, input));
 }
 

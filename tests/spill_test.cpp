@@ -16,6 +16,8 @@
 #include "compile/plan.h"
 #include "exec/executor.h"
 #include "exec/runner.h"
+#include "exec/thread_pool.h"
+#include "stream/channel.h"
 #include "stream/dataflow.h"
 #include "stream/spill.h"
 #include "unixcmd/registry.h"
@@ -66,9 +68,10 @@ TEST(SpillFile, AppendAndPositionedReadRoundtrip) {
   EXPECT_EQ(file.size(), 11u);
 
   std::string buf(5, '\0');
-  ASSERT_TRUE(file.read_exact(6, buf.data(), 5));
+  std::string error;
+  ASSERT_TRUE(file.read_exact(6, buf.data(), 5, &error)) << error;
   EXPECT_EQ(buf, "world");
-  ASSERT_TRUE(file.read_exact(0, buf.data(), 5));
+  ASSERT_TRUE(file.read_exact(0, buf.data(), 5, &error)) << error;
   EXPECT_EQ(buf, "hello");
 }
 
@@ -76,8 +79,9 @@ TEST(SpillFile, ReadPastEndFails) {
   SpillFile file;
   ASSERT_TRUE(file.append("abc"));
   std::string buf(8, '\0');
-  EXPECT_FALSE(file.read_exact(0, buf.data(), 8));
-  EXPECT_FALSE(file.error().empty());
+  std::string error;
+  EXPECT_FALSE(file.read_exact(0, buf.data(), 8, &error));
+  EXPECT_FALSE(error.empty());
 }
 
 // --------------------------------------------------------------- RawSpool --
@@ -241,6 +245,97 @@ TEST(SpillMerger, SortedPartsEmptyPartsAreSkipped) {
   SpillMerger merger(spec, SpillMerger::Input::kSortedParts, 16);
   std::string out = merged_output(merger, {"", "b\n", "", "a\n", ""});
   EXPECT_EQ(out, "a\nb\n");
+}
+
+// ------------------------------------------ SpillMerger: key-range merge --
+
+// Lines "<n> <word> <tag>" in which one key, 250, is `hot_pct` percent of
+// the lines and the rest spread over 500 keys. The word's case and the tag
+// repeat, so -u has duplicates to drop, -f has case-only ties and -s -k1,1
+// has compare-equal lines whose input order the merge must keep.
+std::vector<std::string> equal_key_lines(int n, int hot_pct,
+                                         std::uint64_t seed) {
+  static const char* kWords[] = {"apple", "Apple", "APPLE", "pear"};
+  std::mt19937_64 rng(seed);
+  std::vector<std::string> lines;
+  for (int i = 0; i < n; ++i) {
+    std::string line = static_cast<int>(rng() % 100) < hot_pct
+                           ? std::string("250")
+                           : std::to_string(rng() % 500);
+    line += ' ';
+    line += kWords[rng() % 4];
+    line += ' ';
+    line += std::to_string(rng() % 40);
+    line += '\n';
+    lines.push_back(std::move(line));
+  }
+  return lines;
+}
+
+// Cuts `lines` into `parts` input-ordered chunks, each sorted by `spec`:
+// the pre-sorted chunk outputs a merge-combined stage's workers hand on.
+std::vector<std::string> sorted_parts(const std::vector<std::string>& lines,
+                                      const cmd::SortSpec& spec, int parts) {
+  std::vector<std::string> out;
+  const std::size_t per = (lines.size() + parts - 1) / parts;
+  for (std::size_t at = 0; at < lines.size(); at += per) {
+    std::string chunk;
+    for (std::size_t i = at; i < std::min(lines.size(), at + per); ++i)
+      chunk += lines[i];
+    out.push_back(spec.sort_stream(chunk));
+  }
+  return out;
+}
+
+TEST(SpillMerger, EqualKeysAcrossRangesMatchMergeStreams) {
+  // The range merge must never let compare-equal lines straddle two
+  // ranges and must break ties on run index: with one key at >= 50% of the
+  // lines (parts resident) and at ~90% (parts spilled to indexed disk
+  // runs), every flag set matches SortSpec::merge_streams byte for byte at
+  // k = 2, 4 and 8, and the spilled merge stays within its resident bound
+  // although the hot key's range is far larger than a range's budget.
+  const std::vector<std::vector<std::string>> flag_sets = {
+      {}, {"-n"}, {"-rn"}, {"-u"}, {"-s", "-k1,1"}, {"-f"}};
+  struct Case {
+    int hot_pct;
+    int lines;
+    int parts;
+    std::size_t threshold;  // 0: parts stay resident
+  };
+  const Case cases[] = {{55, 40000, 24, 0}, {90, 120000, 48, 64 * 1024}};
+  for (const Case& c : cases) {
+    const auto lines = equal_key_lines(c.lines, c.hot_pct, 97);
+    for (const auto& flags : flag_sets) {
+      auto spec = spec_of(flags);
+      const auto parts = sorted_parts(lines, *spec, c.parts);
+      const std::vector<std::string_view> views(parts.begin(), parts.end());
+      const std::string expect = spec->merge_streams(views);
+      for (int k : {2, 4, 8}) {
+        exec::ThreadPool pool(k);
+        MemoryGauge gauge;
+        SpillMerger merger(spec, SpillMerger::Input::kSortedParts,
+                           c.threshold, &gauge);
+        merger.set_pool(&pool, k);
+        const std::string out = merged_output(merger, parts, 4096);
+        std::string what = "hot ";  // append form: GCC PR 105329
+        what += std::to_string(c.hot_pct);
+        what += "% k=";
+        what += std::to_string(k);
+        what += " flags ";
+        if (!flags.empty()) what += flags.front();
+        // Not EXPECT_EQ: a diff of two multi-MiB strings is itself huge.
+        const auto diff =
+            std::mismatch(out.begin(), out.end(), expect.begin(), expect.end());
+        EXPECT_TRUE(out == expect)
+            << what << ": first difference at byte "
+            << (diff.first - out.begin()) << " of " << expect.size();
+        if (c.threshold == 0) continue;
+        EXPECT_GT(merger.runs_spilled(), 0) << what;
+        EXPECT_LE(gauge.peak(), merger.resident_bound() + parts.front().size())
+            << what;
+      }
+    }
+  }
 }
 
 // ----------------------------------------------------- dataflow with spill --

@@ -624,8 +624,9 @@ TEST(Dataflow, ConcatEmissionKeepsMemoryBounded) {
   EXPECT_EQ(r.output, exec::run_serial(stages, input));
   ASSERT_EQ(r.nodes.size(), 1u);
   EXPECT_TRUE(r.nodes[0].streamed_combine);
-  // Budget: inflight chunks in the worker stage plus reorder slack; chunks
-  // can reach ~2 blocks via coalescing. 4x headroom still << input size.
+  // Budget: inflight chunks in the worker stage plus reorder slack; a chunk
+  // never exceeds one block (the feeder sends its buffer before a piece
+  // would push it past). 4x headroom still << input size.
   std::size_t budget = 4 * options.max_inflight * options.block_size;
   EXPECT_LT(r.peak_inflight_bytes, budget);
   EXPECT_LT(budget, input.size());
