@@ -379,12 +379,18 @@ int cmd_run(const std::string& pipeline, int k, bool optimize, bool streaming,
 
   if (streaming) {
 #ifdef __GLIBC__
-    // Keep block-sized chunk strings mmap-backed: glibc's dynamic mmap
-    // threshold would otherwise grow past the block size and retire freed
-    // chunks into resident arena pages, inflating RSS by O(100 MiB) on
-    // long runs — allocator slack, but indistinguishable from a leak to
-    // anyone watching the bounded-memory runtime. Costs a few percent of
-    // throughput; chunk pooling would recover it (see ROADMAP).
+    // Keep block-sized strings mmap-backed: glibc's dynamic mmap threshold
+    // would otherwise grow past the block size and retire freed blocks
+    // into resident arena pages, inflating RSS by O(100 MiB) on long runs
+    // — allocator slack, but indistinguishable from a leak to anyone
+    // watching the bounded-memory runtime. The sharded path's blocks,
+    // slices and parts now circulate through the run's BufferPool, so the
+    // pin's remaining cost is the per-block kernels' line indexes in a
+    // chain node (a 1 MiB block of short lines indexes past 128 KiB).
+    // Measured without it on kqbench's inputs (4-vCPU VM): fold's k=1 run
+    // took 23% less CPU, but wf's k=4 peak RSS rose from 28.2 to 41.7 MiB.
+    // It can go once those kernels stop building line vectors (ROADMAP's
+    // byte-kernel item).
     mallopt(M_MMAP_THRESHOLD, 128 << 10);
 #endif
     std::ios::sync_with_stdio(false);

@@ -18,13 +18,20 @@ namespace {
 
 // The slice executor. `owned` holds the slice when the caller handed it
 // over (`view` is then null) and each stage's output replaces it, so the
-// slice is freed as soon as the first stage has consumed it rather than
+// slice is given up as soon as the first stage has consumed it rather than
 // held while a black-box stage runs whole. The batch mapper's chunks view
 // one shared input instead.
 std::string run_chain(const std::vector<const cmd::Command*>& chain,
                       std::string owned, const std::string_view* view,
-                      std::size_t step, bool* last_fed) {
+                      std::size_t step, bool* last_fed, std::string out,
+                      const Recycle& recycle) {
   if (step == 0) step = 1;
+  // Replaces `owned` with the next stage's output, giving the consumed
+  // buffer back to the caller.
+  auto advance = [&](std::string&& next) {
+    if (recycle) recycle(std::move(owned));
+    owned = std::move(next);
+  };
   const std::size_t n = chain.size();
   std::string_view cur = view ? *view : std::string_view(owned);
   bool fed = !cur.empty();  // whether the last stage got input
@@ -40,32 +47,43 @@ std::string run_chain(const std::vector<const cmd::Command*>& chain,
     if (j < n && tier(j) == cmd::Streamability::kWindow) ++j;
     if (j == i) {
       if (i + 1 == n) fed = !cur.empty();
-      owned = chain[i]->run(cur);
+      advance(chain[i]->run(cur));
       cur = owned;
       ++i;
       continue;
     }
     Cascade cascade(std::span(chain.data() + i, j - i));
-    std::string out;
-    const Cascade::Buffer buffer = [&out] { return &out; };
+    // The last run writes into the caller's buffer.
+    std::string into = j == n ? std::move(out) : std::string();
+    into.clear();
+    const Cascade::Buffer buffer = [&into] { return &into; };
     text::for_each_block(cur, step, '\n', [&](std::string_view piece) {
       cascade.feed(piece, 0, buffer);
       return !cascade.satisfied();
     });
     cascade.flush(buffer, nullptr);
     if (cmd::WindowProcessor* window = cascade.window()) {
-      window->finish([&out](std::string_view piece) {
-        out.append(piece);
+      window->finish([&into](std::string_view piece) {
+        into.append(piece);
         return true;
       });
     }
     if (j == n) fed = cascade.terminal_fed();
-    owned = std::move(out);
+    advance(std::move(into));
     cur = owned;
     i = j;
   }
   if (last_fed) *last_fed = fed;
   if (n == 0 && view) return std::string(*view);
+  // A result that fills less than half its buffer (a count, a last line, a
+  // sparse sort -u run) moves into a fitted string and the buffer goes
+  // back: the caller may hold results, and a held result should keep no
+  // more than twice its size.
+  if (recycle && owned.size() < owned.capacity() / 2) {
+    std::string fitted(owned);
+    recycle(std::move(owned));
+    return fitted;
+  }
   return owned;
 }
 
@@ -82,14 +100,12 @@ std::vector<std::string> map_chunks_chain(
     const std::vector<const cmd::Command*>& chain,
     const std::vector<std::string_view>& chunks, ThreadPool& pool) {
   // Thin client of the fused slice executor: one pool task per chunk, each
-  // running the whole chain over its contiguous slice. The 64 KiB step
-  // keeps per-stage intermediates cache-resident without changing output.
-  constexpr std::size_t kBatchStep = 64 << 10;
+  // running the whole chain over its contiguous slice.
   std::vector<std::future<std::string>> futures;
   futures.reserve(chunks.size());
   for (std::string_view chunk : chunks) {
     futures.push_back(pool.submit([&chain, chunk] {
-      return run_chain(chain, {}, &chunk, kBatchStep, nullptr);
+      return run_chain(chain, {}, &chunk, kSliceStep, nullptr, {}, nullptr);
     }));
   }
   std::vector<std::string> outputs;
@@ -98,11 +114,12 @@ std::vector<std::string> map_chunks_chain(
   return outputs;
 }
 
-
 std::string run_slice_fused(const std::vector<const cmd::Command*>& chain,
                             std::string slice, std::size_t step,
-                            bool* last_fed) {
-  return run_chain(chain, std::move(slice), nullptr, step, last_fed);
+                            bool* last_fed, std::string out,
+                            const Recycle& recycle) {
+  return run_chain(chain, std::move(slice), nullptr, step, last_fed,
+                   std::move(out), recycle);
 }
 
 }  // namespace kq::exec

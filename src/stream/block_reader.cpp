@@ -97,7 +97,7 @@ void BlockReader::fill() {
   span.arg("bytes", got);
 }
 
-std::optional<std::string> BlockReader::next() {
+std::optional<std::string> BlockReader::next(const Acquire& acquire) {
   while (!eof_ && pending_.size() < options_.block_size) {
     // An idle source (the fd path's zero-timeout poll after the last read:
     // a pipe between bursts, never a regular file) has no more bytes
@@ -155,7 +155,9 @@ std::optional<std::string> BlockReader::next() {
     }
   }
 
-  std::string block = pending_.substr(0, cut);
+  std::string block;
+  if (acquire) block = acquire(std::max(cut, options_.block_size));
+  block.assign(pending_, 0, cut);
   pending_.erase(0, cut);
   flush_scan_ = 0;  // pending_ shifted: stale idle-scan offset
   bytes_delivered_ += block.size();

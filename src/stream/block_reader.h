@@ -62,8 +62,14 @@ class BlockReader {
               io::FaultPlan* faults = nullptr);
   BlockReader(ReadFn read, BlockReaderOptions options = {});
 
+  // Supplies a buffer with room for at least the given number of bytes.
+  using Acquire = std::function<std::string(std::size_t min_capacity)>;
+
   // The next record-aligned block, or nullopt once the source is exhausted.
-  std::optional<std::string> next();
+  // With an `acquire`, the block is copied into a buffer it supplies (room
+  // for at least one block), so a consumer that recycles the blocks it is
+  // done with keeps the reader from allocating one per block.
+  std::optional<std::string> next(const Acquire& acquire = nullptr);
 
   std::size_t bytes_delivered() const { return bytes_delivered_; }
   const BlockReaderOptions& options() const { return options_; }

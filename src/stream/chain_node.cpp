@@ -20,12 +20,6 @@ namespace kq::stream {
 void run_stream_chain(const Segment& seg, NodeMetrics& metrics,
                       const Ports& io, const NodeTelemetry& tele,
                       Shared& shared, const ExecOptions& config) {
-  // Pool-effectiveness counters, threaded into every acquire below (null
-  // when stats are off — BufferPool then skips the bumps).
-  std::atomic<std::uint64_t>* pool_hits =
-      tele.counters ? &tele.counters->pool_hits : nullptr;
-  std::atomic<std::uint64_t>* pool_misses =
-      tele.counters ? &tele.counters->pool_misses : nullptr;
   exec::Cascade cascade(seg.commands());
   cmd::WindowProcessor* window = cascade.window();
   const exec::ExecStage* wstage = window ? seg.chain.back() : nullptr;
@@ -65,7 +59,7 @@ void run_stream_chain(const Segment& seg, NodeMetrics& metrics,
   // what the terminal emitted, counting only what downstream accepted.
   std::string out;
   const exec::Cascade::Buffer buffer = [&]() -> std::string* {
-    out = shared.pool.acquire(pool_hits, pool_misses);
+    out = shared.acquire(0, tele);
     return &out;
   };
   auto settle = [&]() -> bool {
@@ -171,7 +165,7 @@ void run_stream_chain(const Segment& seg, NodeMetrics& metrics,
       window->finish([&](std::string_view piece) {
         if (piece.empty()) return true;
         if (shared.halted() || io.out_closed()) return false;
-        std::string block = shared.pool.acquire(pool_hits, pool_misses);
+        std::string block = shared.acquire(piece.size(), tele);
         block.assign(piece);
         const std::size_t pushed = block.size();
         if (!io.push(std::move(block))) return false;

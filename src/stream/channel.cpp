@@ -162,25 +162,40 @@ void Semaphore::cancel() {
   cv_.notify_all();
 }
 
-std::string BufferPool::acquire(std::atomic<std::uint64_t>* hits,
+std::string BufferPool::acquire(std::size_t min_capacity,
+                                std::atomic<std::uint64_t>* hits,
                                 std::atomic<std::uint64_t>* misses) {
-  MutexLock lock(mu_);
-  if (free_.empty()) {
-    if (misses) misses->fetch_add(1, std::memory_order_relaxed);
-    return {};
+  {
+    MutexLock lock(mu_);
+    std::size_t best = free_.size();  // best fit
+    for (std::size_t i = free_.size(); i-- > 0;) {
+      const std::size_t cap = free_[i].capacity();
+      if (cap >= min_capacity &&
+          (best == free_.size() || cap < free_[best].capacity()))
+        best = i;
+    }
+    if (best != free_.size()) {
+      if (hits) hits->fetch_add(1, std::memory_order_relaxed);
+      std::string buf = std::move(free_[best]);
+      if (best + 1 != free_.size()) free_[best] = std::move(free_.back());
+      free_.pop_back();
+      cached_bytes_ -= buf.capacity();
+      return buf;
+    }
   }
-  if (hits) hits->fetch_add(1, std::memory_order_relaxed);
-  std::string buf = std::move(free_.back());
-  free_.pop_back();
-  cached_bytes_ -= buf.capacity();
+  if (misses) misses->fetch_add(1, std::memory_order_relaxed);
+  std::string buf;
+  buf.reserve(min_capacity);
   return buf;
 }
 
 void BufferPool::release(std::string&& buf) {
-  if (buf.capacity() == 0) return;
+  if (buf.capacity() < kMinBytes) return;  // the allocator's to recycle
   buf.clear();  // keeps the allocation
   MutexLock lock(mu_);
-  if (cached_bytes_ + buf.capacity() > budget_bytes_) return;  // deallocate
+  if (buf.capacity() < min_bytes_ ||
+      cached_bytes_ + buf.capacity() > budget_bytes_)
+    return;  // deallocate
   cached_bytes_ += buf.capacity();
   free_.push_back(std::move(buf));
 }

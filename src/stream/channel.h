@@ -13,6 +13,7 @@
 // docs/CONCURRENCY.md for the runtime-wide locking model.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -179,14 +180,21 @@ class Semaphore {
   std::atomic<std::uint64_t>* blocked_ns_ GUARDED_BY(mu_) = nullptr;
 };
 
-// Recycles chunk-buffer allocations across blocks so the steady state of a
-// per-block node reuses capacity instead of paying an allocator round trip
-// (and the glibc mmap-threshold dance) per chunk. Buffers circulate: a
-// stream-chain node releases each consumed input block and acquires its
-// push buffers here, so adjacent per-block nodes trade the same strings
-// through the connecting channel.
+// Recycles chunk-buffer allocations so the steady state of a run reuses
+// capacity instead of paying an allocator round trip (and, under the CLI's
+// pinned mmap threshold, an mmap, page faults and an munmap) per block. One
+// pool serves the whole run, and buffers circulate through it: the reader
+// hands out blocks in pooled buffers, a sharded feeder builds slices in
+// them and gives back each block it copied, a worker writes its part into
+// one and gives back its consumed slice, and whoever consumes a buffer last
+// (the next node, or the last node once the sink returns) releases it. A
+// buffer crosses threads only through this pool and the channels.
 class BufferPool {
  public:
+  // Buffers smaller than this are always left to the allocator, which
+  // recycles them from its own free lists without a system call.
+  static constexpr std::size_t kMinBytes = 4 << 10;
+
   // `budget_bytes` bounds the total capacity retained across free buffers
   // (excess releases just deallocate); 0 disables pooling entirely. The
   // byte bound matters for nodes that release much more than they acquire
@@ -196,18 +204,27 @@ class BufferPool {
   explicit BufferPool(std::size_t budget_bytes = 8 << 20)
       : budget_bytes_(budget_bytes) {}
 
-  // Re-sizes the retention budget; callers set it to the run's in-flight
-  // block budget before the dataflow threads start.
-  void set_budget(std::size_t budget_bytes) EXCLUDES(mu_) {
+  // Sizes the pool for a run, before its threads start: the retention
+  // budget, and the smallest buffer worth keeping (at least kMinBytes).
+  // A run keeps only buffers that hold a block, as the reader's, the
+  // feeder's and the workers' acquires all ask for one at least: a smaller
+  // leftover (a fitted part, a re-blocked tail) would never be handed out
+  // to them, and kept it would take budget from the buffers they use.
+  void set_limits(std::size_t budget_bytes, std::size_t min_bytes)
+      EXCLUDES(mu_) {
     MutexLock lock(mu_);
     budget_bytes_ = budget_bytes;
+    min_bytes_ = std::max(min_bytes, kMinBytes);
   }
 
-  // An empty string, with a recycled allocation when one is available.
-  // When telemetry counters are passed, a recycled allocation bumps `hits`
-  // and a fresh (empty) one bumps `misses` — per-node pool effectiveness
-  // for the --stats table.
-  std::string acquire(std::atomic<std::uint64_t>* hits = nullptr,
+  // An empty string with capacity for at least `min_capacity` bytes: the
+  // smallest free buffer that large, or a fresh one reserved to
+  // `min_capacity` when none is. Best fit keeps a block-sized acquire from
+  // taking the buffer a two-block slice needs. When telemetry counters are
+  // passed, a recycled buffer bumps `hits` and a fresh one `misses` — the
+  // acquiring node's pool effectiveness for the --stats table.
+  std::string acquire(std::size_t min_capacity = 0,
+                      std::atomic<std::uint64_t>* hits = nullptr,
                       std::atomic<std::uint64_t>* misses = nullptr)
       EXCLUDES(mu_);
   // Returns a buffer's allocation to the pool (contents are discarded).
@@ -218,6 +235,7 @@ class BufferPool {
   std::vector<std::string> free_ GUARDED_BY(mu_);
   std::size_t cached_bytes_ GUARDED_BY(mu_) = 0;
   std::size_t budget_bytes_ GUARDED_BY(mu_);
+  std::size_t min_bytes_ GUARDED_BY(mu_) = kMinBytes;
 };
 
 }  // namespace kq::stream

@@ -198,11 +198,13 @@ ExecResult run_dataflow(const std::vector<exec::ExecStage>& stages,
   Shared shared;
   shared.reader = &reader;
   if (config.tracer) reader.set_tracer(config.tracer);
-  // The pool may retain at most one in-flight budget of free capacity:
-  // enough for steady-state circulation, without letting a release-heavy
-  // node (a window absorbing blocks and emitting nothing) park the whole
+  // The pool may retain at most what the run circulates: one in-flight
+  // budget of blocks, and for each sharded node (below) a part per slot
+  // beside its slices and the slice its feeder fills. Less drops buffers a
+  // node needs again at its next burst; more would let a release-heavy
+  // node (a window absorbing blocks and emitting nothing) park the
   // stream's blocks as dead pool capacity.
-  shared.pool.set_budget(config.max_inflight * config.block_size);
+  std::size_t pool_budget = config.max_inflight * config.block_size;
   std::vector<std::unique_ptr<Channel>> links;  // segment i -> i+1
   for (std::size_t i = 0; i + 1 < n; ++i)
     links.push_back(
@@ -247,11 +249,11 @@ ExecResult run_dataflow(const std::vector<exec::ExecStage>& stages,
             static_cast<std::size_t>(config.parallelism) + 1,
             (budget + slice - 1) / slice);
         result.nodes[i].shard_slice_bytes = slice;
+        pool_budget += (inflight + 1) * slice;
       }
       ctxs[i] = std::make_unique<ParallelCtx>(inflight, &shared.gauge);
       ctxs[i]->sharded = segments[i].sharded;
       ctxs[i]->slice_bytes = slice;
-      ctxs[i]->cascade_step = config.block_size;
       ctxs[i]->chain = segments[i].commands();
       ctxs[i]->merge_spec = merge_spec_of(*segments[i].chain.back());
       // A feeder stalled on the in-flight bound is send-blocked: its
@@ -260,6 +262,7 @@ ExecResult run_dataflow(const std::vector<exec::ExecStage>& stages,
         ctxs[i]->slots.set_telemetry(&counters[i]->send_blocked_ns);
     }
   }
+  shared.pool.set_limits(pool_budget, config.block_size);
   if (config.stats) {
     // links[i] connects node i's push side to node i+1's pull side. All
     // telemetry wiring (these calls, the semaphore attach above, and
@@ -307,7 +310,12 @@ ExecResult run_dataflow(const std::vector<exec::ExecStage>& stages,
   for (std::size_t i = 0; i < n; ++i) {
     Ports io;
     if (i == 0) {
-      io.pull = [&reader] { return reader.next(); };
+      // The reader's blocks come from the pool, charged to node 0.
+      io.pull = [&reader, &shared, &tele = teles[0]] {
+        return reader.next([&](std::size_t min_capacity) {
+          return shared.acquire(min_capacity, tele);
+        });
+      };
     } else {
       Channel* in = links[i - 1].get();
       io.pull = [in]() -> std::optional<std::string> {
@@ -317,8 +325,11 @@ ExecResult run_dataflow(const std::vector<exec::ExecStage>& stages,
       };
     }
     if (i + 1 == n) {
+      // The sink is a buffer's last reader: it goes back to the pool.
       io.push = [&sink, &shared](std::string&& bytes) {
-        if (sink(bytes)) return true;
+        const bool more = sink(bytes);
+        shared.pool.release(std::move(bytes));
+        if (more) return true;
         shared.stop();  // sink asked to stop: clean teardown, still ok
         return false;
       };

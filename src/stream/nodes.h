@@ -91,7 +91,7 @@ struct Segment {
 // all waiting nodes.
 struct Shared {
   MemoryGauge gauge;
-  BufferPool pool;  // recycled chunk buffers for per-block nodes
+  BufferPool pool;  // recycled block, slice and part buffers
   std::atomic<bool> failed{false};
   std::atomic<bool> stopped{false};  // sink asked for an early stop
   std::atomic<bool> combine_undefined{false};
@@ -103,6 +103,14 @@ struct Shared {
                                       // node-0 read blocked on an idle pipe
 
   bool halted() const { return failed.load() || stopped.load(); }
+
+  // A buffer from the run's pool with room for `min_capacity` bytes, the
+  // acquire counted against `tele`'s node.
+  std::string acquire(std::size_t min_capacity, const NodeTelemetry& tele) {
+    if (!tele.counters) return pool.acquire(min_capacity);
+    return pool.acquire(min_capacity, &tele.counters->pool_hits,
+                        &tele.counters->pool_misses);
+  }
 
   void teardown() {
     for (Channel* c : channels) c->abort();
@@ -176,10 +184,10 @@ struct ParallelCtx {
   Semaphore slots;
   std::vector<const cmd::Command*> chain;
   // Workers run exec::run_slice_fused over chunks of `slice_bytes`,
-  // cascading internally in `cascade_step` blocks.
-  bool sharded = false;          // names the worker span "shard-slice"
-  std::size_t slice_bytes = 0;   // the feeder's chunk target (a ceiling)
-  std::size_t cascade_step = 0;  // block size inside a worker's cascade
+  // cascading internally in exec::kSliceStep steps. A sharded chain is one
+  // cascade, so its workers write their parts into pooled buffers.
+  bool sharded = false;         // also names the worker span "shard-slice"
+  std::size_t slice_bytes = 0;  // the feeder's chunk target (a ceiling)
   // Set for a merge-combined segment (see merge_spec_of): each worker
   // checks its part is a sorted stream under it.
   std::shared_ptr<const cmd::SortSpec> merge_spec;

@@ -1,6 +1,7 @@
 // The parallel node: a feeder fans record-aligned chunks out to pool
 // workers, each running exec::run_slice_fused over its chunk, and a
 // collector restores input order and combines the parts.
+#include <algorithm>
 #include <map>
 #include <utility>
 
@@ -21,11 +22,11 @@ std::uint64_t nanos_since(Clock::time_point start) {
 // One pool task: runs the segment's chain over chunk `index` and hands the
 // part to the collector. Worker pushes never block — results capacity
 // exceeds the slot count — so a task inlined by a stealing thread always
-// terminates. The chunk's in-flight bytes leave `gauge` once the chain has
-// consumed it, before the part can free its slot, so the gauge never
+// terminates. The chunk's in-flight bytes leave the gauge once the chain
+// has consumed it, before the part can free its slot, so the gauge never
 // counts a slot's old chunk and its next one at once.
 void run_worker(ParallelCtx& ctx, const NodeTelemetry& tele, std::size_t index,
-                std::string data, MemoryGauge& gauge) {
+                std::string data, Shared& shared) {
   // Worker span: one per pool task, on the worker's own trace row. Name
   // built only when tracing (it concatenates).
   obs::Tracer::Span span;
@@ -39,14 +40,29 @@ void run_worker(ParallelCtx& ctx, const NodeTelemetry& tele, std::size_t index,
   const auto busy_start = Clock::now();
   bool fed = true;  // the combining (last) stage got input
   std::string part;
+  exec::Recycle recycle;
+  if (ctx.sharded) {
+    // A sharded chain is one cascade: it writes its part into a pooled
+    // buffer with room for the slice, so the part never grows. Its
+    // consumed slice goes back to the pool, and so does the buffer of a
+    // part filling less than half of it, so a part the collector holds (a
+    // merge's, or one kept for the k-way combine) keeps at most twice its
+    // size. A black-box chain's chunk is freed once consumed, as its part
+    // is the command's own buffer: pooled, such chunks sat idle through a
+    // sort's merge (kqbench wf's peak RSS rose by 3 MiB).
+    part = shared.acquire(std::max(data.size(), ctx.slice_bytes), tele);
+    recycle = [&shared](std::string&& spent) {
+      shared.pool.release(std::move(spent));
+    };
+  }
   {
     struct Release {
       MemoryGauge& gauge;
       std::size_t bytes;
       ~Release() { gauge.sub(bytes); }
-    } release{gauge, data.size()};
-    part = exec::run_slice_fused(ctx.chain, std::move(data), ctx.cascade_step,
-                                 &fed);
+    } release{shared.gauge, data.size()};
+    part = exec::run_slice_fused(ctx.chain, std::move(data), exec::kSliceStep,
+                                 &fed, std::move(part), recycle);
   }
   if (tele.counters) {
     tele.counters->shard_slices.fetch_add(1, std::memory_order_relaxed);
@@ -100,9 +116,11 @@ class CombineTimer {
 // chunk target (ParallelCtx::slice_bytes), and fans chunks out to the
 // worker pool under the in-flight bound. A chunk never overshoots the
 // target: the buffer goes out before a piece would push it past, and only
-// a single piece larger than the target goes alone. A feeder out of slots
-// steals queued pool tasks instead of sleeping, so an unlucky shard
-// distribution can't idle workers while a straggler holds every slot.
+// a single piece larger than the target goes alone. Chunks are built in
+// pooled buffers with room for the target, and each piece goes back to the
+// pool once copied. A feeder out of slots steals queued pool tasks instead
+// of sleeping, so an unlucky shard distribution can't idle workers while a
+// straggler holds every slot.
 void run_feeder(ParallelCtx& ctx, NodeMetrics& metrics, const Pull& pull,
                 const NodeTelemetry& tele, Shared& shared,
                 exec::ThreadPool& pool) {
@@ -127,7 +145,7 @@ void run_feeder(ParallelCtx& ctx, NodeMetrics& metrics, const Pull& pull,
                                      idx = ctx.submitted++, c = &ctx,
                                      sh = &shared, t = &tele]() mutable {
       try {
-        run_worker(*c, *t, idx, std::move(data), sh->gauge);
+        run_worker(*c, *t, idx, std::move(data), *sh);
       } catch (const std::exception& e) {
         sh->fail(std::string("worker failed: ") + e.what());
       }
@@ -149,7 +167,9 @@ void run_feeder(ParallelCtx& ctx, NodeMetrics& metrics, const Pull& pull,
       if (!submit(std::move(*piece))) break;
       continue;
     }
+    if (buf.empty()) buf = shared.acquire(ctx.slice_bytes, tele);
     buf += *piece;
+    shared.pool.release(std::move(*piece));
     if (buf.size() >= ctx.slice_bytes) {
       if (!submit(std::move(buf))) break;
       buf.clear();
@@ -244,12 +264,14 @@ void run_collector(const Segment& seg, ParallelCtx& ctx, NodeMetrics& metrics,
 
   // Settled output goes downstream at record boundaries: a piece that ends
   // mid-record (an unterminated concat part) holds its open record back for
-  // the next piece. A '\n' stream moves through whole.
+  // the next piece. A '\n' stream moves through whole, in its own buffer,
+  // which downstream gives back to the pool.
   auto emit = [&](std::string&& piece) -> bool {
     metrics.out_bytes += piece.size();
     if (partial.empty() && !piece.empty() && piece.back() == config.delimiter)
       return io.push(std::move(piece));
     partial += piece;
+    shared.pool.release(std::move(piece));
     const std::size_t cut = partial.rfind(config.delimiter);
     if (cut == std::string::npos) return true;
     std::string open = partial.substr(cut + 1);

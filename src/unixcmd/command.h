@@ -229,9 +229,12 @@ class Command {
 class PerBlockProcessor final : public StreamProcessor {
  public:
   explicit PerBlockProcessor(const Command& command) : command_(command) {}
+  // Appends to `out`, keeping its buffer: a caller's buffer with room for
+  // the result (a pooled part or block) must not be swapped for this
+  // block's. Only an empty one too small to hold it takes the result's.
   bool process(std::string_view block, std::string* out) override {
     Result r = command_.execute(block);
-    if (out->empty())
+    if (out->empty() && out->capacity() < r.out.size())
       *out = std::move(r.out);
     else
       out->append(r.out);

@@ -153,6 +153,30 @@ TEST(Counters, StreamChainMatchesGolden) {
   EXPECT_EQ(node.early_exit, "");
 }
 
+TEST(Counters, ShardedNodeCountsPoolTraffic) {
+  // A sharded node takes the reader's blocks, its slices and its parts
+  // from the run's BufferPool, and each acquire is charged to the node,
+  // so its --stats pool column is no longer 0/0.
+  auto stages = stages_for("tr A-Z a-z | grep apple | wc -l");
+  std::string input;
+  for (int i = 0; i < 6000; ++i)
+    input += (i % 3 ? "Pear tart " : "Apple pie ") + std::to_string(i) + "\n";
+  const std::string golden = exec::run_serial(stages, input);
+
+  ExecOptions options;
+  options.parallelism = 4;
+  options.block_size = 4096;
+  options.stats = true;
+  ExecResult r = Executor(options).run_collect(stages, input);
+  ASSERT_TRUE(r.ok) << r.error;
+  EXPECT_EQ(r.output, golden);
+  ASSERT_EQ(r.nodes.size(), 1u);
+  const stream::NodeMetrics& node = r.nodes[0];
+  EXPECT_TRUE(node.sharded);
+  EXPECT_GT(node.pool_hits + node.pool_misses, 0u);
+  EXPECT_GT(node.pool_hits, 0u);
+}
+
 TEST(Counters, ForcedSpillSortMatchesGolden) {
   // A parallel merge-combined sort pushed over its spill threshold: the
   // node's spill counters must show the external runs, and records/bytes

@@ -1,14 +1,16 @@
 // Tests for sharded streaming execution: eligible parallel segments run as
 // per-shard stream sub-chains (exec::run_slice_fused) feeding the
 // collector's boundary fold. Cross-validates the whole 70-script catalog
-// at k in {2, 4, 8} against the serial oracle, plus a forced-spill sharded
-// run, a downstream-close (`| head`) early exit that cancels in-flight
-// shards, slices whose combining stage gets no input, and the
-// shard-eligibility/telemetry contracts.
+// at k in {2, 4, 8} against the serial oracle, plus the pooled buffers'
+// steady state and the workers' part buffers, a forced-spill sharded run, a downstream-close (`| head`)
+// early exit that cancels in-flight shards, slices whose combining stage
+// gets no input, and the shard-eligibility/telemetry contracts.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -16,6 +18,7 @@
 #include "compile/optimize.h"
 #include "compile/plan.h"
 #include "exec/executor.h"
+#include "exec/parallel.h"
 #include "exec/runner.h"
 #include "unixcmd/registry.h"
 
@@ -151,6 +154,119 @@ TEST(ShardDataflow, InflightBytesStayWithinBudget) {
   EXPECT_TRUE(r.nodes[0].sharded);
   EXPECT_LE(r.peak_inflight_bytes, options.max_inflight * options.block_size);
   EXPECT_EQ(r.output, exec::run_serial(stages, input));
+}
+
+// ------------------------------------------------------- pooled buffers --
+
+// Lines of `keys` distinct 8-byte keys, the whole set `copies` times over.
+std::string repeated_keys(int keys, int copies) {
+  std::string out;
+  for (int c = 0; c < copies; ++c) {
+    for (int key = 0; key < keys; ++key) {
+      char line[16];
+      std::snprintf(line, sizeof(line), "key%04d\n", key);
+      out += line;
+    }
+  }
+  return out;
+}
+
+// A sharded worker's part: run_slice_fused writes it into the caller's
+// buffer, which a part filling at least half of it keeps, while a sparser
+// part comes back in a fitted copy and gives the buffer to `recycle`. So
+// a part the collector holds keeps at most twice its size. A per-block
+// terminal (grep) appends to the buffer rather than swapping in its own.
+TEST(ShardWorker, PartKeepsItsBufferOrComesBackFitted) {
+  const std::string slice = repeated_keys(1000, 8);  // 64000 bytes
+  struct Case {
+    const char* pipeline;
+    bool fitted;
+  };
+  for (const Case& c : {Case{"sort -u", true}, Case{"grep key00", true},
+                        Case{"grep key", false}, Case{"tr a-z A-Z", false}}) {
+    auto stages = compile_stages(c.pipeline);
+    std::vector<const cmd::Command*> chain;
+    for (const exec::ExecStage& stage : stages)
+      chain.push_back(stage.command.get());
+    std::string out;
+    out.reserve(slice.size());
+    const char* out_data = out.data();
+    std::vector<std::string> recycled;
+    const exec::Recycle recycle = [&recycled](std::string&& spent) {
+      recycled.push_back(std::move(spent));
+    };
+    const std::string part = exec::run_slice_fused(
+        chain, slice, exec::kSliceStep, nullptr, std::move(out), recycle);
+    EXPECT_EQ(part, exec::run_serial(stages, slice)) << c.pipeline;
+    EXPECT_LE(part.capacity(), 2 * part.size()) << c.pipeline;
+    const bool gave_back =
+        std::any_of(recycled.begin(), recycled.end(),
+                    [&](const std::string& b) { return b.data() == out_data; });
+    EXPECT_EQ(gave_back, c.fitted) << c.pipeline;
+    EXPECT_EQ(part.data() == out_data, !c.fitted) << c.pipeline;
+  }
+}
+
+// A sharded node recycles the reader's blocks, its slices and its parts
+// through the run's BufferPool. Past the first in-flight population every
+// acquire is a hit, so the node's misses stay near its slot count however
+// long the input runs. That holds for sparse parts too (a few KB of a
+// 128 KiB slice: sort -u and grep over repeated keys), which give their
+// buffers back: a merge holds sort -u's parts, so one that kept its
+// slice-sized buffer would take it out of circulation.
+TEST(ShardDataflow, PoolMissesDoNotGrowWithInput) {
+  std::string runs[2];   // uniq -c: runs of 1-4 equal lines
+  std::string words[2];  // a third of the lines hold an apple
+  for (int size = 0; size < 2; ++size) {
+    for (int i = 0; i < 12000 << (2 * size); ++i) {  // the larger is 4x
+      const std::string key = "key-" + std::to_string(i * 7919 % 100003);
+      for (int j = 0; j <= i % 4; ++j) runs[size] += key + "\n";
+      words[size] += (i % 3 ? "Pear tart " : "Apple pie ") + key + "\n";
+    }
+  }
+  const std::string keys[2] = {repeated_keys(1000, 256),    // 2 MB
+                               repeated_keys(1000, 1024)};  // 8 MB
+  struct Case {
+    const char* pipeline;
+    const std::string* inputs;
+    std::size_t block;
+  };
+  const int k = 4;
+  for (const Case& c : {Case{"uniq -c", runs, 4096},
+                        Case{"tr A-Z a-z | grep apple | wc -l", words, 4096},
+                        Case{"sort -u", keys, 64 << 10},
+                        Case{"grep key00", keys, 64 << 10}}) {
+    kq::ExecOptions options = stream_options(k, c.block);
+    options.stats = true;
+    // The node's slots: the default in-flight budget (2k + 2 blocks) in
+    // two-block slices, at least k + 1. Beyond one buffer per slot, the
+    // first population holds a part for each of the k pool threads and the
+    // two that steal tasks (feeder, collector), the slice the feeder fills,
+    // a reader block, and slack for timing.
+    const std::size_t budget = (2 * k + 2) * c.block;
+    const std::size_t slots = std::max<std::size_t>(
+        k + 1, (budget + 2 * c.block - 1) / (2 * c.block));
+    const std::size_t max_misses = slots + k + 6;
+    auto stages = compile_stages(c.pipeline);
+    for (int size = 0; size < 2; ++size) {
+      const std::string& bytes = c.inputs[size];
+      kq::ExecResult r = kq::Executor(options).run_collect(stages, bytes);
+      ASSERT_TRUE(r.ok) << c.pipeline << ": " << r.error;
+      EXPECT_EQ(r.output, exec::run_serial(stages, bytes)) << c.pipeline;
+      ASSERT_EQ(r.nodes.size(), 1u) << c.pipeline;
+      const stream::NodeMetrics& node = r.nodes[0];
+      ASSERT_TRUE(node.sharded) << c.pipeline;
+      EXPECT_LE(node.pool_misses, max_misses)
+          << c.pipeline << " over " << bytes.size() << " bytes";
+      if (size == 1) {
+        const std::uint64_t acquires = node.pool_hits + node.pool_misses;
+        EXPECT_GT(acquires, 0u) << c.pipeline;
+        EXPECT_GE(node.pool_hits * 10, acquires * 9)
+            << c.pipeline << ": " << node.pool_hits << " hits of "
+            << acquires;
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------- forced-spill shards --

@@ -427,9 +427,9 @@ TEST(Channel, CloseReadWakesBlockedProducer) {
 }
 
 TEST(BufferPool, RecyclesAllocations) {
-  BufferPool pool(/*budget_bytes=*/1024);
+  BufferPool pool(/*budget_bytes=*/64 << 10);
   std::string a = pool.acquire();
-  a = "some contents that force an allocation";
+  a.assign(BufferPool::kMinBytes, 'x');  // an allocation worth pooling
   const char* data = a.data();
   pool.release(std::move(a));
   std::string b = pool.acquire();
@@ -438,19 +438,77 @@ TEST(BufferPool, RecyclesAllocations) {
   EXPECT_TRUE(pool.acquire().empty());  // pool drained: fresh string
 }
 
+TEST(BufferPool, AcquireHonorsMinimumCapacity) {
+  // A block-sized buffer is never handed out where a two-block slice is
+  // needed: acquire takes the smallest free buffer that is large enough,
+  // and a miss comes back already reserved to the minimum.
+  constexpr std::size_t kBlock = 64 << 10;
+  BufferPool pool(/*budget_bytes=*/8 * kBlock);
+  std::atomic<std::uint64_t> hits{0};
+  std::atomic<std::uint64_t> misses{0};
+  std::string block(kBlock, 'b');
+  std::string slice(2 * kBlock, 's');
+  const char* block_data = block.data();
+  const char* slice_data = slice.data();
+  pool.release(std::move(block));
+  pool.release(std::move(slice));  // the most recent, but too large a fit
+  std::string small = pool.acquire(kBlock / 2, &hits, &misses);
+  EXPECT_EQ(small.data(), block_data);
+  std::string big = pool.acquire(2 * kBlock, &hits, &misses);
+  EXPECT_EQ(big.data(), slice_data);
+  EXPECT_TRUE(big.empty());
+  std::string fresh = pool.acquire(2 * kBlock, &hits, &misses);
+  EXPECT_GE(fresh.capacity(), 2 * kBlock);
+  EXPECT_EQ(hits.load(), 2u);
+  EXPECT_EQ(misses.load(), 1u);
+
+  // A block goes back; a slice-sized acquire still misses.
+  pool.release(std::move(small));
+  EXPECT_GE(pool.acquire(2 * kBlock, &hits, &misses).capacity(), 2 * kBlock);
+  EXPECT_EQ(misses.load(), 2u);
+  EXPECT_EQ(pool.acquire(kBlock, &hits, &misses).data(), block_data);
+  EXPECT_EQ(hits.load(), 3u);
+
+  // Below kMinBytes the allocator recycles on its own: nothing is kept.
+  std::string tiny(BufferPool::kMinBytes / 2, 't');
+  pool.release(std::move(tiny));
+  pool.acquire(0, &hits, &misses);
+  EXPECT_EQ(misses.load(), 3u);
+}
+
+TEST(BufferPool, RunLimitsKeepOnlyBlockSizedBuffers) {
+  // A run's pool keeps only buffers that hold a block: a smaller leftover
+  // (a fitted part) is never handed to a block or slice acquire, so kept
+  // it would only take budget from the buffers that are.
+  constexpr std::size_t kBlock = 64 << 10;
+  BufferPool pool;
+  pool.set_limits(/*budget_bytes=*/8 * kBlock, /*min_bytes=*/kBlock);
+  std::atomic<std::uint64_t> hits{0};
+  std::atomic<std::uint64_t> misses{0};
+  std::string leftover(kBlock / 2, 'l');
+  pool.release(std::move(leftover));  // dropped
+  std::string block(kBlock, 'b');
+  const char* block_data = block.data();
+  pool.release(std::move(block));  // kept
+  EXPECT_EQ(pool.acquire(0, &hits, &misses).data(), block_data);
+  pool.acquire(0, &hits, &misses);
+  EXPECT_EQ(hits.load(), 1u);
+  EXPECT_EQ(misses.load(), 1u);
+}
+
 TEST(BufferPool, ByteBudgetBoundsRetainedCapacity) {
   // The pool bounds retained *bytes*, not buffer count: a release-heavy
   // node (a window absorbing input blocks, emitting nothing) must not park
   // unbounded dead capacity.
-  BufferPool pool(/*budget_bytes=*/100);
-  std::string big(200, 'x');
+  BufferPool pool(/*budget_bytes=*/10 << 10);
+  std::string big(20 << 10, 'x');
   pool.release(std::move(big));       // over budget: deallocated
   EXPECT_TRUE(pool.acquire().empty());
-  std::string small(60, 'x');
+  std::string small(6 << 10, 'x');
   const char* data = small.data();
   pool.release(std::move(small));     // fits: retained
-  std::string second(60, 'y');
-  pool.release(std::move(second));    // 60 + 60 > 100: dropped
+  std::string second(6 << 10, 'y');
+  pool.release(std::move(second));    // 6 + 6 KiB > 10 KiB: dropped
   std::string back = pool.acquire();
   EXPECT_EQ(back.data(), data);
   EXPECT_TRUE(pool.acquire().empty());
