@@ -101,7 +101,18 @@ bool Fold::operand_ok(bool lines_legal, bool nl) const {
   return lines_legal || (nl && operand_legal(*g_.node, "\n"));
 }
 
+bool Fold::lines_legal(std::string_view part) const {
+  if (mode_ != Mode::kSeam && mode_ != Mode::kOffset) return true;
+  return struct_lines_legal(*g_.node, part);
+}
+
 bool Fold::push(std::string part, std::vector<std::string>* out) {
+  const bool part_legal = lines_legal(part);
+  return push(std::move(part), out, part_legal);
+}
+
+bool Fold::push(std::string part, std::vector<std::string>* out,
+                bool part_legal) {
   if (undefined_) return false;
   if (first_) {
     first_ = false;
@@ -115,7 +126,7 @@ bool Fold::push(std::string part, std::vector<std::string>* out) {
         carry_ = std::move(part);
         break;
       case Mode::kSeam: {
-        legal_ = struct_lines_legal(*g_.node, part);
+        legal_ = part_legal;
         acc_nl_ = part == "\n";
         const std::size_t b = last_line_start(part);
         carry_.assign(part, b);
@@ -124,7 +135,7 @@ bool Fold::push(std::string part, std::vector<std::string>* out) {
         break;
       }
       case Mode::kOffset: {
-        legal_ = struct_lines_legal(*g_.node, part);
+        legal_ = part_legal;
         acc_nl_ = part == "\n";
         auto last = text::split_last_nonempty_line(part);
         has_last_ = last.ok;
@@ -147,19 +158,19 @@ bool Fold::push(std::string part, std::vector<std::string>* out) {
       break;
     }
     case Mode::kSeam:
-      ok = push_seam(std::move(part), out);
+      ok = push_seam(std::move(part), part_legal, out);
       break;
     case Mode::kOffset:
-      ok = push_offset(part, out);
+      ok = push_offset(part, part_legal, out);
       break;
   }
   undefined_ = !ok;
   return ok;
 }
 
-bool Fold::push_seam(std::string part, std::vector<std::string>* out) {
+bool Fold::push_seam(std::string part, bool part_legal,
+                     std::vector<std::string>* out) {
   const Node& s = *g_.node;
-  const bool part_legal = struct_lines_legal(s, part);
   const bool part_nl = part == "\n";
   if (!operand_ok(legal_, acc_nl_) || !operand_ok(part_legal, part_nl))
     return false;
@@ -197,11 +208,11 @@ bool Fold::push_seam(std::string part, std::vector<std::string>* out) {
   return true;
 }
 
-bool Fold::push_offset(std::string_view part,
+bool Fold::push_offset(std::string_view part, bool part_legal,
                        std::vector<std::string>* out) {
   const Node& s = *g_.node;
-  if (!operand_ok(legal_, acc_nl_) ||
-      !operand_ok(struct_lines_legal(s, part), part == "\n") || !has_last_)
+  if (!operand_ok(legal_, acc_nl_) || !operand_ok(part_legal, part == "\n") ||
+      !has_last_)
     return false;
   std::string rewritten;
   if (!offset_rewrite(s, last_, part, &rewritten)) return false;

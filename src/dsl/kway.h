@@ -34,6 +34,10 @@ std::optional<std::string> combine_k(const Combiner& g,
 // unchecked, and a line the fold wrote itself (a joined seam line, an
 // offset-rewritten line) is checked when the next part arrives, as eval's
 // check of its left operand would.
+//
+// The per-line check of a part depends on the part alone, so whoever made
+// the part can run it (lines_legal) and hand push() the verdict: the
+// streaming runtime's workers do, leaving the collector only the seam.
 class Fold {
  public:
   explicit Fold(Combiner g, EvalContext ctx = {});
@@ -43,6 +47,15 @@ class Fold {
   // them uncopied. Returns false once the fold is undefined (and from then
   // on).
   bool push(std::string part, std::vector<std::string>* out);
+  // The same, with the part's lines_legal(part) already computed.
+  bool push(std::string part, std::vector<std::string>* out, bool part_legal);
+
+  // The check push() makes of every line of a part: struct_lines_legal for
+  // stitch, stitch2 and offset, and true for the rest (concat checks
+  // nothing, and a whole-result fold's eval checks its own operands). It
+  // reads only the combiner, so it may run on any thread while another
+  // thread pushes.
+  bool lines_legal(std::string_view part) const;
 
   // The rest of the combined output: the carried boundary, or the whole
   // result when the combiner has no boundary form. Call once, last.
@@ -58,8 +71,10 @@ class Fold {
   // eval's operand check (operand_legal) of an operand whose lines are
   // `lines_legal` and which is exactly "\n" when `nl`.
   bool operand_ok(bool lines_legal, bool nl) const;
-  bool push_seam(std::string part, std::vector<std::string>* out);
-  bool push_offset(std::string_view part, std::vector<std::string>* out);
+  bool push_seam(std::string part, bool part_legal,
+                 std::vector<std::string>* out);
+  bool push_offset(std::string_view part, bool part_legal,
+                   std::vector<std::string>* out);
 
   Combiner g_;
   EvalContext ctx_;

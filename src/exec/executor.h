@@ -66,12 +66,10 @@ int default_parallelism();
 // One knob set for every mode. The stream-only fields (block_size,
 // max_inflight, delimiter, spill_threshold, fault_plan, stats, tracer) are
 // ignored by kBatch and kSerial; parallelism and use_elimination apply to
-// both parallel modes. A parallel segment cuts chunks of at most
-// block_size; a sharded one cuts slices of at most 2 · block_size and
-// scales its in-flight slot count down to keep the same byte budget
-// (max_inflight · block_size). A chunk never overshoots its target: the
-// feeder sends its buffer before a piece would push it past, and only a
-// single larger piece goes alone.
+// both parallel modes. A parallel segment, sharded or not, cuts chunks of
+// at most block_size and has at most max_inflight of them in flight. A
+// chunk never overshoots its target: the feeder sends its buffer before a
+// piece would push it past, and only a single larger piece goes alone.
 struct ExecOptions {
   ExecMode mode = ExecMode::kStream;
   // 0 = default_parallelism(). kSerial ignores it; kBatch and kStream

@@ -30,12 +30,13 @@ class ThreadPool {
   int worker_count() const { return static_cast<int>(workers_.size()); }
 
   // Work stealing: pops one queued task (if any) and runs it on the calling
-  // thread. Returns false when the queue was empty. A dataflow node blocked
-  // on its own segment's backlog (a feeder out of in-flight slots, a
-  // collector waiting for the next chunk in input order) calls this instead
-  // of sleeping, so an unlucky shard distribution can't leave pool workers
-  // idle while a straggler serializes the combining tree. Safe from any
-  // thread: tasks are self-contained closures and run outside mu_.
+  // thread. Returns false when the queue was empty. Its one caller is a
+  // SpillMerger waiting for a key range it submitted (stream/spill.cpp).
+  // A parallel node's feeder and collector block instead, so only pool
+  // threads run slices: a slice stolen by a feeder out of slots made one
+  // runner more than there are cores, and since slots free in input order,
+  // the workers done with later slices idled until it finished. Safe from
+  // any thread: tasks are self-contained closures and run outside mu_.
   bool try_run_one() EXCLUDES(mu_);
 
   // Enqueues `fn`; the future delivers its result (or exception).

@@ -74,16 +74,6 @@ std::optional<Chunk> Channel::pop() {
   return chunk;
 }
 
-std::optional<Chunk> Channel::try_pop() {
-  MutexLock lock(mu_);
-  if (queue_.empty()) return std::nullopt;
-  Chunk chunk = std::move(queue_.front());
-  queue_.pop_front();
-  if (gauge_) gauge_->sub(chunk.bytes.size());
-  not_full_.notify_one();
-  return chunk;
-}
-
 void Channel::drain_and_wake(bool discard) {
   closed_ = true;
   if (discard) {
@@ -136,18 +126,6 @@ bool Semaphore::acquire() {
   if (cancelled_) return false;
   --slots_;
   return true;
-}
-
-bool Semaphore::try_acquire() {
-  MutexLock lock(mu_);
-  if (cancelled_ || slots_ == 0) return false;
-  --slots_;
-  return true;
-}
-
-bool Semaphore::cancelled() const {
-  MutexLock lock(mu_);
-  return cancelled_;
 }
 
 void Semaphore::release() {

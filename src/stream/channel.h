@@ -37,10 +37,12 @@ struct Chunk {
   // A worker's part whose combining stage got no input: f(""), which the
   // collector leaves out of the combine (x ++ "" = x).
   bool no_input = false;
-  // A merge-combined segment's worker checks its own part against the
-  // merge's legality predicate; false sends the collector to combine-
-  // undefined instead of merging it.
-  bool mergeable = true;
+  // The worker's legality verdict on its part, for the collector's
+  // strategy: a merge's sorted-stream check, or a fold's per-line check
+  // (dsl::Fold::lines_legal). The collector uses it instead of scanning the
+  // part again; false makes the run combine-undefined once the part is
+  // combined with another (a lone part passes unchecked).
+  bool legal = true;
 };
 
 // Chunks with this index are control nudges, not data (see dataflow.cpp).
@@ -74,13 +76,6 @@ class Channel {
   // Blocks while the channel is empty. Returns nullopt once the channel is
   // closed and drained (or aborted).
   std::optional<Chunk> pop() EXCLUDES(mu_);
-
-  // Non-blocking pop: nullopt when the queue is empty right now, whether
-  // the channel is still open or already closed. A consumer that wants to
-  // overlap useful work with the wait (the work-stealing collector) calls
-  // this first and falls back to the blocking pop() only when there is
-  // nothing else to do.
-  std::optional<Chunk> try_pop() EXCLUDES(mu_);
 
   // End of stream: no further pushes succeed; pending chunks remain
   // poppable.
@@ -149,14 +144,6 @@ class Semaphore {
   // Blocks until a slot is free; returns false once cancelled.
   bool acquire() EXCLUDES(mu_);
 
-  // Non-blocking acquire: true when a slot was taken. False means either
-  // no slot is free right now or the semaphore is cancelled — callers that
-  // steal work while waiting check cancelled() to tell the two apart.
-  bool try_acquire() EXCLUDES(mu_);
-
-  // True once cancel() ran (every subsequent acquire fails).
-  bool cancelled() const EXCLUDES(mu_);
-
   void release() EXCLUDES(mu_);
 
   // Wakes every waiter and makes all future acquires fail (error teardown).
@@ -173,7 +160,7 @@ class Semaphore {
  private:
   void wait_ready(MutexLock& lock) REQUIRES(mu_);
 
-  mutable Mutex mu_{LockRank::kChannel};
+  Mutex mu_{LockRank::kChannel};
   CondVar cv_;
   std::size_t slots_ GUARDED_BY(mu_);
   bool cancelled_ GUARDED_BY(mu_) = false;
@@ -184,11 +171,13 @@ class Semaphore {
 // capacity instead of paying an allocator round trip (and, under the CLI's
 // pinned mmap threshold, an mmap, page faults and an munmap) per block. One
 // pool serves the whole run, and buffers circulate through it: the reader
-// hands out blocks in pooled buffers, a sharded feeder builds slices in
-// them and gives back each block it copied, a worker writes its part into
-// one and gives back its consumed slice, and whoever consumes a buffer last
-// (the next node, or the last node once the sink returns) releases it. A
-// buffer crosses threads only through this pool and the channels.
+// hands out blocks in pooled buffers, a feeder coalesces small blocks into
+// one and gives back each block it copied (a sharded feeder sends a block
+// of at least half the slice target as it is), a sharded worker writes its
+// part into one and gives back its consumed slice, and whoever consumes a
+// buffer last (the next node, or the last node once the sink returns)
+// releases it. A buffer crosses threads only through this pool and the
+// channels.
 class BufferPool {
  public:
   // Buffers smaller than this are always left to the allocator, which
@@ -219,8 +208,8 @@ class BufferPool {
 
   // An empty string with capacity for at least `min_capacity` bytes: the
   // smallest free buffer that large, or a fresh one reserved to
-  // `min_capacity` when none is. Best fit keeps a block-sized acquire from
-  // taking the buffer a two-block slice needs. When telemetry counters are
+  // `min_capacity` when none is. Best fit keeps a small acquire from taking
+  // a buffer a larger one needs. When telemetry counters are
   // passed, a recycled buffer bumps `hits` and a fresh one `misses` — the
   // acquiring node's pool effectiveness for the --stats table.
   std::string acquire(std::size_t min_capacity = 0,

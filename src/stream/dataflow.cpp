@@ -204,7 +204,8 @@ ExecResult run_dataflow(const std::vector<exec::ExecStage>& stages,
   // node needs again at its next burst; more would let a release-heavy
   // node (a window absorbing blocks and emitting nothing) park the
   // stream's blocks as dead pool capacity.
-  std::size_t pool_budget = config.max_inflight * config.block_size;
+  const std::size_t inflight_budget = config.max_inflight * config.block_size;
+  std::size_t pool_budget = inflight_budget;
   std::vector<std::unique_ptr<Channel>> links;  // segment i -> i+1
   for (std::size_t i = 0; i + 1 < n; ++i)
     links.push_back(
@@ -234,28 +235,19 @@ ExecResult run_dataflow(const std::vector<exec::ExecStage>& stages,
     teles[i].tracer = config.tracer;
     teles[i].label = result.nodes[i].commands;
     if (segments[i].parallel) {
-      // Sharded segments fan out in slices of at most 2 · block_size
-      // (fewer combine-tree parts, fewer processor setups) and scale the
-      // in-flight slot count down to keep the same byte budget
-      // (max_inflight · block_size); the floor of parallelism + 1 slots
-      // keeps every worker busy plus one slice queued. A chain with a
-      // black-box member takes block-sized chunks.
-      std::size_t inflight = config.max_inflight;
-      std::size_t slice = config.block_size;
+      // Every parallel segment, sharded or not, fans out chunks of at most
+      // one block, at most max_inflight of them at once.
       if (segments[i].sharded) {
-        slice = 2 * config.block_size;
-        const std::size_t budget = config.max_inflight * config.block_size;
-        inflight = std::max<std::size_t>(
-            static_cast<std::size_t>(config.parallelism) + 1,
-            (budget + slice - 1) / slice);
-        result.nodes[i].shard_slice_bytes = slice;
-        pool_budget += (inflight + 1) * slice;
+        result.nodes[i].shard_slice_bytes = config.block_size;
+        pool_budget += inflight_budget + config.block_size;
       }
-      ctxs[i] = std::make_unique<ParallelCtx>(inflight, &shared.gauge);
+      ctxs[i] = std::make_unique<ParallelCtx>(
+          config.max_inflight, config.block_size, &shared.gauge);
       ctxs[i]->sharded = segments[i].sharded;
-      ctxs[i]->slice_bytes = slice;
       ctxs[i]->chain = segments[i].commands();
-      ctxs[i]->merge_spec = merge_spec_of(*segments[i].chain.back());
+      const exec::ExecStage& combining = *segments[i].chain.back();
+      ctxs[i]->merge_spec = merge_spec_of(combining);
+      if (combining.fold) ctxs[i]->fold.emplace(combining.fold());
       // A feeder stalled on the in-flight bound is send-blocked: its
       // output backpressure arrives through the slot semaphore.
       if (config.stats)

@@ -32,7 +32,9 @@
 //     order through its combiner's boundary form (dsl::Fold), emitting
 //     what no later chunk can change the moment it is settled and carrying
 //     only the seam — nothing for concat, one line for stitch/stitch2/
-//     offset — so a fold costs O(output) in total and O(boundary)
+//     offset; the pool worker that made a part has already checked its
+//     lines, so the collector's share is the seam — and a fold costs
+//     O(output) in total and O(boundary)
 //     resident; merge and rerun combiners hold their chunk outputs for one
 //     k-way combine at end of stream;
 //   - accumulation past `spill_threshold` moves to disk (stream/spill.*,
@@ -83,9 +85,10 @@ struct NodeMetrics {
   bool window = false;            // chain ends in a window stage (kWindow)
   // Parallel segment ran sharded: every member runs through a processor
   // cascade, so its workers (exec::run_slice_fused, as every parallel
-  // worker) took 2 · block_size slices instead of block-sized chunks.
+  // worker) wrote their parts into pooled buffers, and the feeder sent a
+  // block of at least half the slice target uncopied.
   bool sharded = false;
-  std::size_t shard_slice_bytes = 0;  // slice size the feeder targeted
+  std::size_t shard_slice_bytes = 0;  // slice target: one block
   int chunks = 0;                 // blocks processed by this node
   std::size_t in_bytes = 0;
   std::size_t out_bytes = 0;

@@ -66,8 +66,9 @@ struct Segment {
   bool stream = false;       // per-block chain of cmd::StreamProcessors
   bool window = false;       // chain.back() is a cmd::WindowProcessor stage
   // Parallel segment whose every member runs through a processor cascade
-  // (per-record, the terminal possibly a window): its workers take
-  // slices of up to 2 · block_size instead of chunks of up to one block.
+  // (per-record, the terminal possibly a window): its workers write their
+  // parts into pooled buffers, and a block filling at least half the slice
+  // target is a slice as it is, uncopied.
   bool sharded = false;
 
   std::vector<const cmd::Command*> commands() const {
@@ -175,10 +176,15 @@ struct Ports {
   std::function<void()> cancel_upstream;
 };
 
-// Per-parallel-segment runtime state.
+// Per-parallel-segment runtime state. Pool tasks run the slices and check
+// the parts: the feeder blocks on `slots` and the collector on `results`
+// (only a collector's SpillMerger, waiting for its key ranges, runs queued
+// pool tasks). That cannot deadlock, as no pool task blocks: a worker's
+// push fits in `results` (its capacity exceeds the slot count), and a
+// merge's range task pauses by returning.
 struct ParallelCtx {
-  ParallelCtx(std::size_t inflight, MemoryGauge* gauge)
-      : results(inflight + 1, gauge), slots(inflight) {}
+  ParallelCtx(std::size_t inflight, std::size_t slice, MemoryGauge* gauge)
+      : results(inflight + 1, gauge), slots(inflight), slice_bytes(slice) {}
 
   Channel results;
   Semaphore slots;
@@ -186,11 +192,14 @@ struct ParallelCtx {
   // Workers run exec::run_slice_fused over chunks of `slice_bytes`,
   // cascading internally in exec::kSliceStep steps. A sharded chain is one
   // cascade, so its workers write their parts into pooled buffers.
-  bool sharded = false;         // also names the worker span "shard-slice"
-  std::size_t slice_bytes = 0;  // the feeder's chunk target (a ceiling)
-  // Set for a merge-combined segment (see merge_spec_of): each worker
-  // checks its part is a sorted stream under it.
+  bool sharded = false;  // also names the worker span "shard-slice"
+  const std::size_t slice_bytes;  // the feeder's chunk target (a ceiling)
+  // The collector's legality checks, which each worker runs on its own
+  // part (Chunk::legal): set for a merge-combined segment (see
+  // merge_spec_of), or the combining stage's fold, whose lines_legal reads
+  // only the combiner.
   std::shared_ptr<const cmd::SortSpec> merge_spec;
+  std::optional<const dsl::Fold> fold;
   std::atomic<std::ptrdiff_t> expected{-1};  // chunk count, once known
   // Set by the collector when downstream closed its read side: the feeder
   // stops pulling (its own input channel is also read-closed, but node 0

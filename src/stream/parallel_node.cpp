@@ -19,12 +19,22 @@ std::uint64_t nanos_since(Clock::time_point start) {
           .count());
 }
 
-// One pool task: runs the segment's chain over chunk `index` and hands the
-// part to the collector. Worker pushes never block — results capacity
-// exceeds the slot count — so a task inlined by a stealing thread always
-// terminates. The chunk's in-flight bytes leave the gauge once the chain
-// has consumed it, before the part can free its slot, so the gauge never
-// counts a slot's old chunk and its next one at once.
+// The collector's legality check of a part (Chunk::legal), as in
+// dsl::combine_k: a merge's sorted-stream predicate (an empty part merges
+// as nothing), or the fold's per-line check.
+bool part_legal(const ParallelCtx& ctx, std::string_view part) {
+  if (ctx.merge_spec)
+    return part.empty() ||
+           (text::is_stream(part) && ctx.merge_spec->is_sorted_stream(part));
+  return !ctx.fold || ctx.fold->lines_legal(part);
+}
+
+// One pool task: runs the segment's chain over chunk `index`, checks the
+// part for the collector, and hands it over. Worker pushes never block —
+// results capacity exceeds the slot count. The chunk's in-flight bytes
+// leave the gauge once the chain has consumed it, before the part can free
+// its slot, so the gauge never counts a slot's old chunk and its next one
+// at once.
 void run_worker(ParallelCtx& ctx, const NodeTelemetry& tele, std::size_t index,
                 std::string data, Shared& shared) {
   // Worker span: one per pool task, on the worker's own trace row. Name
@@ -64,18 +74,14 @@ void run_worker(ParallelCtx& ctx, const NodeTelemetry& tele, std::size_t index,
     part = exec::run_slice_fused(ctx.chain, std::move(data), exec::kSliceStep,
                                  &fed, std::move(part), recycle);
   }
+  const bool legal = part_legal(ctx, part);
   if (tele.counters) {
     tele.counters->shard_slices.fetch_add(1, std::memory_order_relaxed);
     tele.counters->worker_busy_ns.fetch_add(nanos_since(busy_start),
                                             std::memory_order_relaxed);
   }
   span.arg("bytes_out", part.size());
-  Chunk chunk{index, std::move(part), !fed};
-  // The merge's legality predicate, as in dsl::combine_k's kMerge, checked
-  // here in parallel rather than by the collector.
-  if (ctx.merge_spec && fed && !chunk.bytes.empty())
-    chunk.mergeable = text::is_stream(chunk.bytes) &&
-                      ctx.merge_spec->is_sorted_stream(chunk.bytes);
+  Chunk chunk{index, std::move(part), !fed, legal};
   ctx.results.push(std::move(chunk));
 }
 
@@ -113,31 +119,25 @@ class CombineTimer {
 }  // namespace
 
 // Feeder: pulls record-aligned pieces, coalesces them up to the segment's
-// chunk target (ParallelCtx::slice_bytes), and fans chunks out to the
-// worker pool under the in-flight bound. A chunk never overshoots the
-// target: the buffer goes out before a piece would push it past, and only
-// a single piece larger than the target goes alone. Chunks are built in
-// pooled buffers with room for the target, and each piece goes back to the
-// pool once copied. A feeder out of slots steals queued pool tasks instead
-// of sleeping, so an unlucky shard distribution can't idle workers while a
-// straggler holds every slot.
+// chunk target (ParallelCtx::slice_bytes, one block), and fans chunks out
+// to the worker pool, blocking while every in-flight slot is taken. A
+// chunk never overshoots the target: the buffer goes out before a piece
+// would push it past. A piece goes alone, uncopied, when it is at least
+// the target, or for a sharded node at least half of it (its worker gives
+// the buffer back to the pool). Smaller pieces are copied into pooled
+// buffers with room for the target, and each goes back to the pool once
+// copied. A black-box chain keeps the copy, as its workers free their
+// chunks: sending it the reader's blocks uncopied raised wf.sh's peak RSS
+// at k=4 by about 1 MiB.
 void run_feeder(ParallelCtx& ctx, NodeMetrics& metrics, const Pull& pull,
                 const NodeTelemetry& tele, Shared& shared,
                 exec::ThreadPool& pool) {
   std::string buf;
-
-  auto acquire_slot = [&] {
-    for (;;) {
-      if (ctx.slots.try_acquire()) return true;
-      if (ctx.slots.cancelled()) return false;
-      // No slot free: run someone else's queued task (possibly one of our
-      // own in-flight slices, whose completion frees a slot).
-      if (!pool.try_run_one()) return ctx.slots.acquire();
-    }
-  };
+  const std::size_t alone =
+      ctx.sharded ? (ctx.slice_bytes + 1) / 2 : ctx.slice_bytes;
 
   auto submit = [&](std::string&& data) {
-    if (!acquire_slot()) return false;
+    if (!ctx.slots.acquire()) return false;
     metrics.chunks += 1;
     metrics.in_bytes += data.size();
     shared.gauge.add(data.size());
@@ -163,7 +163,7 @@ void run_feeder(ParallelCtx& ctx, NodeMetrics& metrics, const Pull& pull,
       if (!submit(std::move(buf))) break;
       buf.clear();
     }
-    if (buf.empty() && piece->size() >= ctx.slice_bytes) {
+    if (buf.empty() && piece->size() >= alone) {
       if (!submit(std::move(*piece))) break;
       continue;
     }
@@ -194,17 +194,18 @@ void run_feeder(ParallelCtx& ctx, NodeMetrics& metrics, const Pull& pull,
 //      one line for stitch, stitch2 and offset), not the output;
 //   2. a merge combiner (merge_spec_of) feeds every part to a SpillMerger,
 //      whose batches past the spill threshold become sorted runs on disk
-//      and whose final merge runs by key range on the pool. The workers
-//      checked each part's legality; a part that fails it fails the node
-//      as combine-undefined. A lone part passes through unchecked, as in
+//      and whose final merge runs by key range on the pool. A part that
+//      fails its worker's legality check fails the node as
+//      combine-undefined. A lone part passes through unchecked, as in
 //      dsl::combine_k;
 //   3. otherwise the parts are held for one k-way combine at end of
 //      stream; a `rerun_combiner` spools them to disk past the spill
 //      threshold and reruns the command once over the spool.
 // A part whose combining stage got no input is f("") and is left out
-// (x ++ "" = x), unless no part had input. While waiting for the next part
-// it steals queued pool tasks — often this segment's own straggler slices —
-// so the tree keeps combining instead of idling.
+// (x ++ "" = x), unless no part had input. The workers checked each part's
+// legality (Chunk::legal), so a fold's per-part work is its seam. The
+// collector blocks on the results channel between parts; it runs pool
+// tasks only inside the merger, while it waits for a key range.
 void run_collector(const Segment& seg, ParallelCtx& ctx, NodeMetrics& metrics,
                    const Ports& io, const NodeTelemetry& tele, Shared& shared,
                    exec::ThreadPool& pool, const ExecOptions& config) {
@@ -219,8 +220,8 @@ void run_collector(const Segment& seg, ParallelCtx& ctx, NodeMetrics& metrics,
   std::string partial;                // a trailing record still open
   std::vector<std::string> deferred;  // held parts, no fold or merge
   std::size_t deferred_bytes = 0;
-  bool any_input = false;              // some part's combining stage had input
-  std::optional<std::string> no_input;  // f(""), while no part had input
+  bool any_input = false;         // some part's combining stage had input
+  std::optional<Chunk> no_input;  // f(""), while no part had input
 
   // The merge feeds a SpillMerger from the first part; a threshold of 0
   // keeps every part in memory until finish(). The first part is held back
@@ -250,7 +251,7 @@ void run_collector(const Segment& seg, ParallelCtx& ctx, NodeMetrics& metrics,
 
   const std::string& name = cstage.command->display_name();
   auto merge_part = [&](Chunk&& part) -> bool {
-    if (!part.mergeable) return false;  // combine undefined
+    if (!part.legal) return false;  // combine undefined
     if (merger->add(std::move(part.bytes))) return true;
     shared.fail_stage("spill", name, merger->error());
     return false;
@@ -283,7 +284,7 @@ void run_collector(const Segment& seg, ParallelCtx& ctx, NodeMetrics& metrics,
 
   auto take_part = [&](Chunk&& part) -> bool {
     if (part.no_input) {
-      if (!any_input && !no_input) no_input = std::move(part.bytes);
+      if (!any_input && !no_input) no_input = std::move(part);
       return true;
     }
     const bool first = !any_input;
@@ -305,7 +306,8 @@ void run_collector(const Segment& seg, ParallelCtx& ctx, NodeMetrics& metrics,
         span.arg("part", part.index);
         span.arg("bytes", part.bytes.size());
         CombineTimer timer(tele.counters);
-        if (!fold->push(std::move(part.bytes), &pieces)) return false;
+        if (!fold->push(std::move(part.bytes), &pieces, part.legal))
+          return false;
       }
       for (std::string& piece : pieces)
         if (!emit(std::move(piece))) return false;
@@ -341,19 +343,7 @@ void run_collector(const Segment& seg, ParallelCtx& ctx, NodeMetrics& metrics,
     std::ptrdiff_t expected = ctx.expected.load();
     if (expected >= 0 && next_emit == static_cast<std::size_t>(expected))
       break;
-    // Work-stealing wait: drain the channel non-blocking first; when it is
-    // empty, run a queued pool task (likely one of this segment's own
-    // in-flight slices) instead of sleeping, and only block when the pool
-    // has nothing either.
-    std::optional<Chunk> chunk;
-    for (;;) {
-      chunk = ctx.results.try_pop();
-      if (chunk) break;
-      if (!pool.try_run_one()) {
-        chunk = ctx.results.pop();
-        break;
-      }
-    }
+    std::optional<Chunk> chunk = ctx.results.pop();
     if (!chunk) {  // aborted, or closed and drained
       failed_here = true;
       break;
@@ -389,8 +379,11 @@ void run_collector(const Segment& seg, ParallelCtx& ctx, NodeMetrics& metrics,
   if (!failed_here && !shared.halted()) {
     // No part had input (an empty stream): f("") is the output.
     bool ok = true;
-    if (!any_input && no_input)
-      ok = take_part(Chunk{next_emit, std::move(*no_input)});
+    if (!any_input && no_input) {
+      Chunk part = std::move(*no_input);
+      part.no_input = false;
+      ok = take_part(std::move(part));
+    }
     if (!ok) {
       if (!shared.halted() && !io.out_closed()) fail_undefined();
     } else if (merger && lone) {

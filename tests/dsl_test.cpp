@@ -473,6 +473,59 @@ TEST(Fold, DefinednessMatchesEvalFoldExactly) {
   }
 }
 
+// The streaming runtime's workers check each part's lines and hand the
+// verdict to push(). Over random sequences of parts, among them "\n",
+// empty and unterminated parts and parts with an illegal line away from
+// their seams, a fold fed verdicts and one left to check for itself hand
+// back the same pieces, finish alike and turn undefined at the same push.
+TEST(Fold, PushWithTheWorkersVerdictMatchesPushAlone) {
+  struct Case {
+    const char* name;
+    Combiner g;
+    std::vector<std::string> atoms;
+  };
+  const Case cases[] = {
+      {"uniq", combiner_stitch_first(),
+       {"", "\n", "a\n", "a", "a\nb\n", "b\nb\nc\n", "a\nb", "\n\n"}},
+      {"uniq -c", combiner_stitch2_add_first(' '),
+       {"", "\n", "      1 a\n", "      1 a", "      2 a\n      1 b\n",
+        "      1 b\nb\n      3 c\n", "      1 a\n9999999 b\n      1 c\n",
+        " 999999 c\n"}},
+      {"offset", combiner_offset_add(' '),
+       {"", "\n", "3 f1\n", "10 f2\n1 f3\n", "1 f\nx f\n2 g\n", "5 h",
+        "\n2 f\n\n", "\t5 g\n"}},
+      {"concat", combiner_concat(), {"", "\n", "a\n", "a", "b\nc\n"}},
+  };
+  std::mt19937 rng(20);
+  for (const Case& c : cases) {
+    for (const std::string& atom : c.atoms) {
+      const bool checked = c.g.node->op != Op::kConcat;
+      EXPECT_EQ(Fold(c.g).lines_legal(atom),
+                !checked || struct_lines_legal(*c.g.node, atom))
+          << c.name << " [" << atom << "]";
+    }
+    for (int trial = 0; trial < 300; ++trial) {
+      Fold with_verdict(c.g);
+      Fold alone(c.g);
+      std::vector<std::string> got, want;
+      std::string shown;
+      const int n = 1 + static_cast<int>(rng() % 6);
+      for (int i = 0; i < n; ++i) {
+        const std::string& part = c.atoms[rng() % c.atoms.size()];
+        shown += "[" + part + "]";
+        const bool ok_verdict =
+            with_verdict.push(part, &got, with_verdict.lines_legal(part));
+        const bool ok_alone = alone.push(part, &want);
+        ASSERT_EQ(ok_verdict, ok_alone) << c.name << " over " << shown;
+        ASSERT_EQ(got, want) << c.name << " over " << shown;
+        if (!ok_alone) break;
+      }
+      EXPECT_EQ(with_verdict.finish(), alone.finish())
+          << c.name << " over " << shown;
+    }
+  }
+}
+
 TEST(Fold, JoinedSeamLineIsCheckedByTheNextPush) {
   // 999999 + 1 widens the count past uniq -c's pad: the joined line is not
   // a padded table line, so folding a third part in is undefined — even

@@ -4,12 +4,15 @@
 // at k in {2, 4, 8} against the serial oracle, plus the pooled buffers'
 // steady state and the workers' part buffers, a forced-spill sharded run, a downstream-close (`| head`)
 // early exit that cancels in-flight shards, slices whose combining stage
-// gets no input, and the shard-eligibility/telemetry contracts.
+// gets no input, the workers' legality verdicts, progress with blocking
+// feeders and collectors on one pool, and the shard-eligibility/telemetry
+// contracts.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cctype>
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -17,6 +20,7 @@
 #include "bench_support/catalog.h"
 #include "compile/optimize.h"
 #include "compile/plan.h"
+#include "dsl/ast.h"
 #include "exec/executor.h"
 #include "exec/parallel.h"
 #include "exec/runner.h"
@@ -112,7 +116,7 @@ TEST(ShardDataflow, EligibleSegmentRunsShardedWithSliceTelemetry) {
   EXPECT_GT(r.nodes[0].worker_busy_ns, 0u);
 }
 
-TEST(ShardDataflow, ShardSliceIsTwoBlocks) {
+TEST(ShardDataflow, ShardSliceIsOneBlock) {
   auto stages = compile_stages("tr a-z A-Z");
   std::string input;
   for (int i = 0; i < 2000; ++i) input += "line number " + std::to_string(i) + "\n";
@@ -124,9 +128,9 @@ TEST(ShardDataflow, ShardSliceIsTwoBlocks) {
   ASSERT_TRUE(r.ok) << r.error;
   ASSERT_EQ(r.nodes.size(), 1u);
   EXPECT_TRUE(r.nodes[0].sharded);
-  EXPECT_EQ(r.nodes[0].shard_slice_bytes, 2048u);
+  EXPECT_EQ(r.nodes[0].shard_slice_bytes, options.block_size);
   // The slices actually cut stay within the ceiling: the feeder sends its
-  // buffer before a piece would push it past 2 blocks.
+  // buffer before a piece would push it past one block.
   const std::size_t slice = r.nodes[0].shard_slice_bytes;
   EXPECT_GE(r.nodes[0].shard_slices,
             (r.nodes[0].in_bytes + slice - 1) / slice);
@@ -135,8 +139,8 @@ TEST(ShardDataflow, ShardSliceIsTwoBlocks) {
 
 TEST(ShardDataflow, InflightBytesStayWithinBudget) {
   // A sharded run's slices in flight stay within max_inflight ·
-  // block_size: the slot count is scaled to 2-block slices, and no slice
-  // overshoots 2 blocks. The output is a count, so slices dominate.
+  // block_size: it has max_inflight slots, and no slice overshoots one
+  // block. The output is a count, so slices dominate.
   auto stages = compile_stages("tr A-Z a-z | grep apple | wc -l");
   std::string input;
   for (int i = 0; i < 20000; ++i) {
@@ -211,7 +215,7 @@ TEST(ShardWorker, PartKeepsItsBufferOrComesBackFitted) {
 // through the run's BufferPool. Past the first in-flight population every
 // acquire is a hit, so the node's misses stay near its slot count however
 // long the input runs. That holds for sparse parts too (a few KB of a
-// 128 KiB slice: sort -u and grep over repeated keys), which give their
+// 64 KiB slice: sort -u and grep over repeated keys), which give their
 // buffers back: a merge holds sort -u's parts, so one that kept its
 // slice-sized buffer would take it out of circulation.
 TEST(ShardDataflow, PoolMissesDoNotGrowWithInput) {
@@ -238,15 +242,13 @@ TEST(ShardDataflow, PoolMissesDoNotGrowWithInput) {
                         Case{"grep key00", keys, 64 << 10}}) {
     kq::ExecOptions options = stream_options(k, c.block);
     options.stats = true;
-    // The node's slots: the default in-flight budget (2k + 2 blocks) in
-    // two-block slices, at least k + 1. Beyond one buffer per slot, the
-    // first population holds a part for each of the k pool threads and the
-    // two that steal tasks (feeder, collector), the slice the feeder fills,
-    // a reader block, and slack for timing.
-    const std::size_t budget = (2 * k + 2) * c.block;
-    const std::size_t slots = std::max<std::size_t>(
-        k + 1, (budget + 2 * c.block - 1) / (2 * c.block));
-    const std::size_t max_misses = slots + k + 6;
+    // The node's slots: the default max_inflight, 2k + 2 one-block
+    // slices. Beyond one buffer per slot, the first population holds a
+    // part for each of the k pool threads (the only threads that run
+    // slices), the slice the feeder fills, a reader block, and slack for
+    // timing.
+    const std::size_t slots = 2 * k + 2;
+    const std::size_t max_misses = slots + k + 4;
     auto stages = compile_stages(c.pipeline);
     for (int size = 0; size < 2; ++size) {
       const std::string& bytes = c.inputs[size];
@@ -374,6 +376,122 @@ TEST(ShardDataflow, UnterminatedPartsStayRecordAligned) {
     EXPECT_EQ(r.output, serial) << "k=" << k;
     ASSERT_EQ(r.nodes.size(), 2u) << "k=" << k;
     EXPECT_TRUE(r.nodes[0].streamed_combine) << "k=" << k;
+  }
+}
+
+// ------------------------------------------------- worker-side verdicts --
+
+// The workers check each part's lines for the collector's fold, which then
+// checks only the seam. A part with an illegal line away from its seams
+// must still make the fold undefined: here `cat` over uniq -c's table
+// (stitch2) with one line that is no padded table line, in the middle of
+// the second of 10-line slices. Were the worker's verdict dropped, or
+// legal by default, the fold would pass the line through.
+TEST(ShardDataflow, IllegalLineAwayFromTheSeamFailsTheFold) {
+  const dsl::Combiner saf = dsl::combiner_stitch2_add_first(' ');
+  std::vector<exec::ExecStage> stages;
+  exec::ExecStage s;
+  s.command = cmd::make_command_line("cat");
+  s.parallel = true;
+  s.shardable = true;
+  s.memory_class = exec::MemoryClass::kStreaming;
+  s.combiner_name = dsl::to_string(saf);
+  s.combine = [saf](const std::vector<std::string>& parts) {
+    return dsl::combine_k(saf, parts);
+  };
+  s.fold = [saf] { return dsl::Fold(saf); };
+  stages.push_back(std::move(s));
+
+  // 10-byte lines in 100-byte blocks: every block, and so every slice, is
+  // ten whole lines. Line 15 is the bad one.
+  std::string input;
+  for (int i = 0; i < 60; ++i) {
+    char line[16];
+    std::snprintf(line, sizeof(line), "%7d x\n", i % 7 + 1);
+    input += i == 15 ? "not-a-row\n" : line;
+  }
+  ASSERT_EQ(input.size(), 600u);
+  const std::string serial = exec::run_serial(stages, input);
+  ASSERT_EQ(serial, input);
+
+  kq::ExecOptions options = stream_options(4, 100);
+  options.stats = true;
+  kq::Executor executor(options);
+
+  FILE* file = std::tmpfile();
+  ASSERT_NE(file, nullptr);
+  std::fwrite(input.data(), 1, input.size(), file);
+  std::fflush(file);
+  std::rewind(file);
+  std::string sunk;
+  kq::ExecResult from_fd =
+      executor.run(stages, kq::Source::from_fd(fileno(file)),
+                   [&sunk](std::string_view bytes) {
+                     sunk.append(bytes);
+                     return true;
+                   });
+  std::fclose(file);
+  EXPECT_FALSE(from_fd.ok);
+  EXPECT_TRUE(from_fd.combine_undefined) << from_fd.error;
+  ASSERT_EQ(from_fd.nodes.size(), 1u);
+  EXPECT_TRUE(from_fd.nodes[0].sharded);
+
+  kq::ExecResult from_string = executor.run_collect(stages, input);
+  ASSERT_TRUE(from_string.ok) << from_string.error;
+  EXPECT_TRUE(from_string.batch_fallback);
+  EXPECT_EQ(from_string.output, serial);
+}
+
+// ------------------------------------------------ progress without stealing --
+
+// A parallel node's feeder blocks on its slots and its collector on its
+// results; neither runs pool tasks. wf.sh's pipeline gives three parallel
+// nodes on one pool: `tr A-Z a-z | sort` and `sort -rn`, merge-combined,
+// whose key-range merges are pool tasks too, and a sharded `uniq -c`.
+// Without combiner elimination `tr A-Z a-z` is a second sharded node. With
+// one in-flight slot per node, 4 KiB blocks and a spill threshold that
+// sends the merge to disk, the run must finish and match the serial
+// oracle.
+TEST(ShardDataflow, NodesSharingOnePoolProgressWithoutStealing) {
+  auto stages = compile_stages(
+      "tr -cs A-Za-z '\\n' | tr A-Z a-z | sort | uniq -c | sort -rn");
+  const char* words[] = {"The", "of", "and", "whale", "sea", "Ahab",
+                         "ship", "a",  "to",  "in",    "his", "Ishmael"};
+  std::string input;
+  std::uint32_t x = 7919;
+  for (int i = 0; i < 30000; ++i) {
+    x = x * 1103515245u + 12345u;
+    const std::uint32_t r = (x >> 16) % 78;  // about Zipf: word w has 12 - w
+    int w = 0;                               // shares of 78
+    for (std::uint32_t acc = 12; acc <= r; acc += 12 - w) ++w;
+    input += words[w];
+    input += i % 13 == 12 ? ".\n" : " ";
+  }
+  const std::string serial = exec::run_serial(stages, input);
+  for (bool elimination : {true, false}) {
+    for (int k : {2, 8}) {
+      SCOPED_TRACE("k=" + std::to_string(k) +
+                   (elimination ? "" : ", no elimination"));
+      kq::ExecOptions options = stream_options(k, 4096);
+      options.use_elimination = elimination;
+      options.max_inflight = 1;
+      options.spill_threshold = 16 << 10;
+      options.stats = true;
+      kq::ExecResult r = kq::Executor(options).run_collect(stages, input);
+      ASSERT_TRUE(r.ok) << r.error;
+      EXPECT_FALSE(r.batch_fallback);
+      EXPECT_EQ(r.output, serial);
+      int parallel = 0, sharded = 0;
+      bool merged_from_disk = false;
+      for (const stream::NodeMetrics& n : r.nodes) {
+        parallel += n.parallel;
+        sharded += n.sharded;
+        merged_from_disk = merged_from_disk || (n.parallel && n.spill_runs > 0);
+      }
+      EXPECT_EQ(parallel, elimination ? 3 : 4);
+      EXPECT_EQ(sharded, elimination ? 1 : 2);
+      EXPECT_TRUE(merged_from_disk);
+    }
   }
 }
 

@@ -439,7 +439,7 @@ TEST(BufferPool, RecyclesAllocations) {
 }
 
 TEST(BufferPool, AcquireHonorsMinimumCapacity) {
-  // A block-sized buffer is never handed out where a two-block slice is
+  // A block-sized buffer is never handed out where a larger one is
   // needed: acquire takes the smallest free buffer that is large enough,
   // and a miss comes back already reserved to the minimum.
   constexpr std::size_t kBlock = 64 << 10;
