@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
     kq::cmd::CommandPtr command =
         kq::cmd::make_command(*argv_words, &error, &fs);
     if (!command) continue;
-    const auto& result = bench_cache().get_or_synthesize(
+    const kq::synth::SynthesisResult result = kq::synth::synthesize(
         *command, *argv_words, kq::synth::SynthesisConfig{}, &fs);
     if (!result.success) {
       ++failed;

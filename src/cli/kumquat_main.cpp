@@ -15,7 +15,8 @@
 // sharded (per-shard stream sub-chains feeding an incremental combining
 // tree). `--batch` selects the original in-memory staged runner through
 // the same facade. --jobs (alias -k) defaults to the hardware thread
-// count, capped at 16, identically in both modes.
+// count, capped at 16, identically in both modes, and also bounds the
+// threads that synthesize the pipeline's combiners before the run.
 //
 // `synthesize` resolves a command to a built-in when known, otherwise to a
 // real binary through fork/exec — synthesis needs nothing from a command
@@ -102,9 +103,12 @@ struct CompiledPipeline {
   std::vector<exec::ExecStage> stages;
 };
 
+// `parallelism` bounds the threads that synthesize the pipeline's
+// distinct commands (0 = the hardware default, as for -k).
 std::optional<CompiledPipeline> compile_line(const std::string& pipeline,
                                              bool rewrite,
-                                             obs::Tracer* tracer = nullptr) {
+                                             obs::Tracer* tracer = nullptr,
+                                             int parallelism = 0) {
   std::string error;
   auto parsed = compile::parse_pipeline(pipeline, &error);
   if (!parsed) {
@@ -113,6 +117,7 @@ std::optional<CompiledPipeline> compile_line(const std::string& pipeline,
   }
   static synth::SynthesisCache cache;
   compile::PlanOptions options;
+  options.parallelism = parallelism;
   options.tracer = tracer;  // records "synthesize <cmd>" compile spans
   CompiledPipeline out{compile::compile_pipeline(*parsed, cache, options),
                        {}};
@@ -305,7 +310,7 @@ int cmd_run(const std::string& pipeline, int k, bool optimize, bool streaming,
   // --check: static analysis of the exact plan this run would execute,
   // then exit with the analyzer's verdict instead of reading stdin.
   if (check_only) {
-    auto compiled = compile_line(pipeline, rewrite);
+    auto compiled = compile_line(pipeline, rewrite, nullptr, k);
     if (!compiled) return 2;
     check::Options options;
     options.spill_threshold = spill_threshold;
@@ -329,7 +334,9 @@ int cmd_run(const std::string& pipeline, int k, bool optimize, bool streaming,
     tracer = std::make_unique<obs::Tracer>();
   }
 
-  auto compiled = compile_line(pipeline, rewrite, tracer.get());
+  // -k also bounds the threads that synthesize combiners: -k 1 compiles
+  // on this thread alone.
+  auto compiled = compile_line(pipeline, rewrite, tracer.get(), k);
   if (!compiled) return 2;
   // A stage that resolved to no built-in cannot run (lower_plan's marker
   // command would print an error line as its output): refuse the plan
@@ -532,6 +539,8 @@ void usage() {
                "  runner, which ignores the streaming-only flags. --jobs\n"
                "  (alias -k) defaults to the hardware thread count (max 16),\n"
                "  accepts 1 to 1024, and applies identically in both modes.\n"
+               "  It also bounds the threads that synthesize the pipeline's\n"
+               "  combiners before the run (-k 1 synthesizes on one thread).\n"
                "\n"
                "  compile and run fuse bounded top-N patterns by default\n"
                "  ('sort | head -n N', 'uniq -c | sort -rn | head -n K')\n"

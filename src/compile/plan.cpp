@@ -1,7 +1,10 @@
 #include "compile/plan.h"
 
 #include <algorithm>
+#include <future>
 
+#include "exec/executor.h"
+#include "exec/thread_pool.h"
 #include "obs/trace.h"
 
 #include "dsl/ast.h"
@@ -37,10 +40,72 @@ int Plan::eliminated() const {
   return n;
 }
 
+namespace {
+
+// Synthesizes the plan's distinct commands that `cache` does not hold yet,
+// then stores the results in the cache in stage order on the calling
+// thread. With more than one such command and parallelism above 1, they
+// synthesize concurrently: a transient pool of min(parallelism, n) - 1
+// workers and the calling thread each take the next command in stage
+// order. Each synthesis is seeded on its own (SynthesisConfig::seed), so
+// which thread runs it changes no result.
+void synthesize_missing(const Plan& plan, synth::SynthesisCache& cache,
+                        const PlanOptions& options, const vfs::Vfs* fs) {
+  struct Job {
+    const PlannedStage* stage;
+    synth::SynthesisResult result;
+  };
+  std::vector<Job> jobs;
+  for (const PlannedStage& stage : plan.stages) {
+    if (!stage.command) continue;
+    const std::string& name = stage.command->display_name();
+    const bool queued =
+        std::any_of(jobs.begin(), jobs.end(), [&](const Job& job) {
+          return job.stage->command->display_name() == name;
+        });
+    if (!queued && !cache.find(name)) jobs.push_back({&stage, {}});
+  }
+  // The span is recorded on the thread that does the work.
+  auto run = [&options, fs](Job& job) {
+    const cmd::Command& command = *job.stage->command;
+    auto span = obs::span(options.tracer,
+                          "synthesize " + command.display_name(), "compile");
+    job.result = synth::synthesize(command, job.stage->parsed.argv,
+                                   options.synthesis, fs);
+    span.arg("rounds", static_cast<std::uint64_t>(job.result.rounds));
+    span.arg("observations", job.result.observation_count);
+    span.arg("success", job.result.success ? 1 : 0);
+  };
+  const int parallelism =
+      options.parallelism > 0 ? options.parallelism : default_parallelism();
+  const int workers =
+      std::min(parallelism, static_cast<int>(jobs.size())) - 1;
+  if (workers > 0) {
+    // Declared after `jobs`: the pool's destructor drains and joins before
+    // the jobs its tasks write into are destroyed, on the exception path
+    // too.
+    exec::ThreadPool pool(workers);
+    std::vector<std::future<void>> done;
+    done.reserve(jobs.size());
+    for (Job& job : jobs)
+      done.push_back(pool.submit([&run, &job] { run(job); }));
+    while (pool.try_run_one()) {
+    }
+    for (std::future<void>& f : done) f.get();  // rethrows a task's error
+  } else {
+    for (Job& job : jobs) run(job);
+  }
+  for (Job& job : jobs)
+    cache.insert(job.stage->command->display_name(), std::move(job.result));
+}
+
+}  // namespace
+
 Plan compile_pipeline(const ParsedPipeline& parsed,
                       synth::SynthesisCache& cache, const PlanOptions& options,
                       const vfs::Vfs* fs) {
   Plan plan;
+  plan.stages.reserve(parsed.stages.size());
   for (const ParsedStage& parsed_stage : parsed.stages) {
     PlannedStage stage;
     stage.parsed = parsed_stage;
@@ -50,18 +115,15 @@ Plan compile_pipeline(const ParsedPipeline& parsed,
       // Unknown command: keep the stage but it can only run serially.
       stage.seq_reason = SeqReason::kUnknownCommand;
       stage.seq_detail = error;
-      plan.stages.push_back(std::move(stage));
-      continue;
     }
-    auto span = obs::span(options.tracer,
-                          "synthesize " + stage.command->display_name(),
-                          "compile");
-    const synth::SynthesisResult& synth_result = cache.get_or_synthesize(
-        *stage.command, parsed_stage.argv, options.synthesis, fs);
-    span.arg("rounds", static_cast<std::uint64_t>(synth_result.rounds));
-    span.arg("observations", synth_result.observation_count);
-    span.arg("success", synth_result.success ? 1 : 0);
-    span.finish();
+    plan.stages.push_back(std::move(stage));
+  }
+  synthesize_missing(plan, cache, options, fs);
+
+  for (PlannedStage& stage : plan.stages) {
+    if (!stage.command) continue;
+    const synth::SynthesisResult& synth_result =
+        *cache.find(stage.command->display_name());
     stage.synthesis = &synth_result;
     if (synth_result.success) {
       bool rerun_only = synth_result.combiner.rerun_only();
@@ -103,7 +165,6 @@ Plan compile_pipeline(const ParsedPipeline& parsed,
       stage.seq_reason = SeqReason::kSynthesisFailed;
       stage.seq_detail = synth_result.failure_reason;
     }
-    plan.stages.push_back(std::move(stage));
   }
   return plan;
 }

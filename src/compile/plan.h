@@ -23,8 +23,13 @@ struct PlanOptions {
   // command shrinks its input by at least this factor; otherwise the rerun
   // dominates and the stage stays sequential (§2's `tr -cs` decision).
   double rerun_reduction_threshold = 0.5;
+  // Bounds the threads that synthesize a pipeline's distinct commands
+  // concurrently, as ExecOptions::parallelism bounds a run's workers: 0 =
+  // default_parallelism(), 1 = every synthesis on the calling thread.
+  int parallelism = 0;
   // When non-null, compile_pipeline records one "synthesize <cmd>" span
-  // per stage (category "compile", with rounds/observation args) so
+  // per command it synthesizes (category "compile", with rounds and
+  // observation args; none for a cache hit), on the thread that ran it, so
   // --trace-json shows synthesis cost alongside the run (src/obs/trace.h).
   obs::Tracer* tracer = nullptr;
 };
@@ -77,7 +82,11 @@ struct Plan {
 };
 
 // Builds the plan, synthesizing (or reusing cached) combiners per stage.
-// Stages whose commands are unknown or whose synthesis fails run serially.
+// The distinct commands not in `cache` synthesize concurrently (see
+// PlanOptions::parallelism); the cache is filled and the stages built on
+// the calling thread, in stage order, so the plan does not depend on the
+// parallelism. Stages whose commands are unknown or whose synthesis fails
+// run serially.
 Plan compile_pipeline(const ParsedPipeline& parsed,
                       synth::SynthesisCache& cache,
                       const PlanOptions& options = {},

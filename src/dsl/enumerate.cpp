@@ -1,43 +1,52 @@
 #include "dsl/enumerate.h"
 
+#include <algorithm>
+
 namespace kq::dsl {
 
-CandidateSpace enumerate_candidates(const SpaceSpec& spec) {
+void for_each_candidate(const SpaceSpec& spec,
+                        const std::function<void(const Combiner&)>& visit) {
+  auto both_orders = [&visit](Combiner g) {
+    visit(g);
+    g.swapped = !g.swapped;
+    visit(g);
+  };
+  auto tree = [&both_orders](NodeRef t) {
+    both_orders(Combiner{std::move(t), false, nullptr, ""});
+  };
   const int P = spec.max_ops;
-  // rec_by_ops[p]: all RecOp trees with exactly p operator productions.
+  // RecOp: every tree with p = 1..P operator productions, p ascending.
+  // rec_by_ops[p] keeps the trees with exactly p productions that are
+  // children of larger trees (p < P); the p = P layer is only visited.
   std::vector<std::vector<NodeRef>> rec_by_ops(
-      static_cast<std::size_t>(P) + 1);
-  if (P >= 1) {
-    rec_by_ops[1] = {make_leaf(Op::kAdd), make_leaf(Op::kConcat),
-                     make_leaf(Op::kFirst), make_leaf(Op::kSecond)};
-  }
-  for (int p = 2; p <= P; ++p) {
-    auto& out = rec_by_ops[static_cast<std::size_t>(p)];
-    for (Op op : {Op::kFront, Op::kBack, Op::kFuse}) {
-      for (char d : spec.delims) {
-        for (const NodeRef& child :
-             rec_by_ops[static_cast<std::size_t>(p - 1)]) {
-          out.push_back(make_unary(op, d, child));
-        }
-      }
+      static_cast<std::size_t>(std::max(P, 1)) + 1);
+  for (int p = 1; p <= P; ++p) {
+    auto& layer = rec_by_ops[static_cast<std::size_t>(p)];
+    auto emit = [&](NodeRef t) {
+      tree(t);
+      if (p < P) layer.push_back(std::move(t));
+    };
+    if (p == 1) {
+      for (Op op : {Op::kAdd, Op::kConcat, Op::kFirst, Op::kSecond})
+        emit(make_leaf(op));
+      continue;
     }
+    for (Op op : {Op::kFront, Op::kBack, Op::kFuse})
+      for (char d : spec.delims)
+        for (const NodeRef& child :
+             rec_by_ops[static_cast<std::size_t>(p - 1)])
+          emit(make_unary(op, d, child));
   }
 
-  std::vector<NodeRef> rec_trees;
-  for (int p = 1; p <= P; ++p)
-    for (const NodeRef& t : rec_by_ops[static_cast<std::size_t>(p)])
-      rec_trees.push_back(t);
-
-  std::vector<NodeRef> struct_trees;
-  // stitch b: 1 + ops(b) <= P.
+  // StructOp. stitch b: 1 + ops(b) <= P.
   for (int p = 1; p <= P - 1; ++p)
     for (const NodeRef& b : rec_by_ops[static_cast<std::size_t>(p)])
-      struct_trees.push_back(make_stitch(b));
+      tree(make_stitch(b));
   // offset d b.
   for (char d : spec.delims)
     for (int p = 1; p <= P - 1; ++p)
       for (const NodeRef& b : rec_by_ops[static_cast<std::size_t>(p)])
-        struct_trees.push_back(make_unary(Op::kOffset, d, b));
+        tree(make_unary(Op::kOffset, d, b));
   // stitch2 d b1 b2: 1 + ops(b1) + ops(b2) <= P.
   for (char d : spec.delims) {
     for (int p1 = 1; p1 <= P - 2; ++p1) {
@@ -45,28 +54,28 @@ CandidateSpace enumerate_candidates(const SpaceSpec& spec) {
         for (int p2 = 1; p2 <= P - 1 - p1; ++p2) {
           for (const NodeRef& b2 :
                rec_by_ops[static_cast<std::size_t>(p2)]) {
-            struct_trees.push_back(make_stitch2(d, b1, b2));
+            tree(make_stitch2(d, b1, b2));
           }
         }
       }
     }
   }
 
-  CandidateSpace space;
-  auto add_both_orders = [&space](Combiner g) {
-    space.candidates.push_back(g);
-    space.candidates.push_back(swapped(std::move(g)));
-  };
-  for (const NodeRef& t : rec_trees)
-    add_both_orders(Combiner{t, false, nullptr, ""});
-  for (const NodeRef& t : struct_trees)
-    add_both_orders(Combiner{t, false, nullptr, ""});
-  space.rec_count = rec_trees.size() * 2;
-  space.struct_count = struct_trees.size() * 2;
+  // RunOp.
+  both_orders(combiner_rerun());
+  both_orders(combiner_merge(spec.merge_flags));
+}
 
-  add_both_orders(combiner_rerun());
-  add_both_orders(combiner_merge(spec.merge_flags));
-  space.run_count = 4;
+CandidateSpace enumerate_candidates(const SpaceSpec& spec) {
+  CandidateSpace space;
+  for_each_candidate(spec, [&space](const Combiner& g) {
+    space.candidates.push_back(g);
+    switch (g.cls()) {
+      case OpClass::kRec: ++space.rec_count; break;
+      case OpClass::kStruct: ++space.struct_count; break;
+      case OpClass::kRun: ++space.run_count; break;
+    }
+  });
   return space;
 }
 

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstddef>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -32,6 +33,15 @@ struct CandidateSpace {
   std::size_t total() const { return rec_count + struct_count + run_count; }
 };
 
+// Hands every candidate to `visit`, one at a time, in the order
+// enumerate_candidates lists them. The space itself is never held: only
+// the RecOp trees that are children of larger trees (fewer than max_ops
+// productions) live for the call, so a caller that keeps a few survivors
+// (synthesis's round-0 filter) holds O(survivors), not ~10^5 candidates.
+void for_each_candidate(const SpaceSpec& spec,
+                        const std::function<void(const Combiner&)>& visit);
+
+// The whole space, materialized (built on for_each_candidate).
 CandidateSpace enumerate_candidates(const SpaceSpec& spec);
 
 // Closed-form candidate counts; must equal enumerate_candidates' sizes.

@@ -30,13 +30,15 @@ class ThreadPool {
   int worker_count() const { return static_cast<int>(workers_.size()); }
 
   // Work stealing: pops one queued task (if any) and runs it on the calling
-  // thread. Returns false when the queue was empty. Its one caller is a
-  // SpillMerger waiting for a key range it submitted (stream/spill.cpp).
-  // A parallel node's feeder and collector block instead, so only pool
-  // threads run slices: a slice stolen by a feeder out of slots made one
-  // runner more than there are cores, and since slots free in input order,
-  // the workers done with later slices idled until it finished. Safe from
-  // any thread: tasks are self-contained closures and run outside mu_.
+  // thread. Returns false when the queue was empty. In a run, its one
+  // caller is a SpillMerger waiting for a key range it submitted
+  // (stream/spill.cpp); before it, compile_pipeline's thread helps its
+  // transient synthesis pool (compile/plan.cpp). A parallel node's feeder
+  // and collector block instead, so only pool threads run slices: a slice
+  // stolen by a feeder out of slots made one runner more than there are
+  // cores, and since slots free in input order, the workers done with
+  // later slices idled until it finished. Safe from any thread: tasks are
+  // self-contained closures and run outside mu_.
   bool try_run_one() EXCLUDES(mu_);
 
   // Enqueues `fn`; the future delivers its result (or exception).

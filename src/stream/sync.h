@@ -31,6 +31,8 @@
 // is released before any task body runs).
 #pragma once
 
+#include <pthread.h>
+
 #include <cassert>
 #include <condition_variable>
 #include <cstdio>
@@ -146,6 +148,17 @@ inline void rank_released(LockRank) {}
 class CAPABILITY("mutex") Mutex {
  public:
   explicit Mutex(LockRank rank = LockRank::kNone) : rank_(rank) {}
+
+  // Ends the mutex's life where ThreadSanitizer can see it. libstdc++'s
+  // std::mutex destructor is trivial, so TSan would keep a dead mutex's
+  // lock-order edges and pin them on the next mutex built at the same
+  // address (a reused stack slot, or a freed pool's lock reused by a
+  // run's): a false lock-order inversion. Destroying an unlocked mutex
+  // is also valid outside TSan, where it costs a few instructions.
+  ~Mutex() {
+    [[maybe_unused]] const int rc = pthread_mutex_destroy(mu_.native_handle());
+    assert(rc == 0 && "sync::Mutex destroyed while locked");
+  }
 
   Mutex(const Mutex&) = delete;
   Mutex& operator=(const Mutex&) = delete;

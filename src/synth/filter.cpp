@@ -10,22 +10,22 @@ bool plausible(const dsl::Combiner& g, const Observation& obs,
   return v.has_value() && *v == obs.y12;
 }
 
+bool plausible_on_all(const dsl::Combiner& g,
+                      const std::vector<Observation>& observations,
+                      const dsl::EvalContext& ctx) {
+  return std::all_of(
+      observations.begin(), observations.end(),
+      [&](const Observation& obs) { return plausible(g, obs, ctx); });
+}
+
 std::vector<dsl::Combiner> filter_candidates(
     std::vector<dsl::Combiner> candidates,
     const std::vector<Observation>& observations,
     const dsl::EvalContext& ctx) {
   std::vector<dsl::Combiner> kept;
   kept.reserve(candidates.size());
-  for (dsl::Combiner& g : candidates) {
-    bool ok = true;
-    for (const Observation& obs : observations) {
-      if (!plausible(g, obs, ctx)) {
-        ok = false;
-        break;
-      }
-    }
-    if (ok) kept.push_back(std::move(g));
-  }
+  for (dsl::Combiner& g : candidates)
+    if (plausible_on_all(g, observations, ctx)) kept.push_back(std::move(g));
   return kept;
 }
 
@@ -37,15 +37,8 @@ std::size_t count_eliminated(const std::vector<dsl::Combiner>& candidates,
   if (sample_cap > 0 && candidates.size() > sample_cap)
     stride = candidates.size() / sample_cap;
   std::size_t eliminated = 0;
-  for (std::size_t i = 0; i < candidates.size(); i += stride) {
-    const dsl::Combiner& g = candidates[i];
-    for (const Observation& obs : observations) {
-      if (!plausible(g, obs, ctx)) {
-        ++eliminated;
-        break;
-      }
-    }
-  }
+  for (std::size_t i = 0; i < candidates.size(); i += stride)
+    if (!plausible_on_all(candidates[i], observations, ctx)) ++eliminated;
   return eliminated;
 }
 

@@ -14,6 +14,11 @@ namespace kq::synth {
 bool plausible(const dsl::Combiner& g, const Observation& obs,
                const dsl::EvalContext& ctx);
 
+// True iff g explains every one of `observations`.
+bool plausible_on_all(const dsl::Combiner& g,
+                      const std::vector<Observation>& observations,
+                      const dsl::EvalContext& ctx);
+
 // Removes candidates eliminated by any of `observations`.
 std::vector<dsl::Combiner> filter_candidates(
     std::vector<dsl::Combiner> candidates,

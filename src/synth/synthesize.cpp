@@ -90,14 +90,17 @@ SynthesisResult synthesize(const cmd::Command& f,
   space_spec.delims = result.delims;
   space_spec.max_ops = config.max_ops;
   space_spec.merge_flags = merge_flags_for(argv);
-  dsl::CandidateSpace space = dsl::enumerate_candidates(space_spec);
   result.space = dsl::count_candidates(result.delims.size(), config.max_ops);
 
   dsl::EvalContext ctx{&f};
 
-  // Round 0: filter on the seed observations.
-  std::vector<dsl::Combiner> candidates =
-      filter_candidates(std::move(space.candidates), observations, ctx);
+  // Round 0: filter on the seed observations. Each candidate meets them as
+  // it is enumerated and only survivors are kept, so the space (up to
+  // 110,444 candidates at |D| = 3) is never held whole.
+  std::vector<dsl::Combiner> candidates;
+  dsl::for_each_candidate(space_spec, [&](const dsl::Combiner& g) {
+    if (plausible_on_all(g, observations, ctx)) candidates.push_back(g);
+  });
 
   // --- Algorithm 1 rounds ------------------------------------------------
   int stagnant = 0;
@@ -183,13 +186,14 @@ SynthesisResult synthesize(const cmd::Command& f,
   return result;
 }
 
-const SynthesisResult& SynthesisCache::get_or_synthesize(
-    const cmd::Command& f, const std::vector<std::string>& argv,
-    const SynthesisConfig& config, const vfs::Vfs* fs) {
-  auto it = cache_.find(f.display_name());
-  if (it != cache_.end()) return it->second;
-  SynthesisResult result = synthesize(f, argv, config, fs);
-  return cache_.emplace(f.display_name(), std::move(result)).first->second;
+const SynthesisResult* SynthesisCache::find(const std::string& name) const {
+  auto it = cache_.find(name);
+  return it == cache_.end() ? nullptr : &it->second;
+}
+
+const SynthesisResult& SynthesisCache::insert(const std::string& name,
+                                              SynthesisResult result) {
+  return cache_.emplace(name, std::move(result)).first->second;
 }
 
 }  // namespace kq::synth

@@ -83,14 +83,17 @@ SynthesisResult synthesize(const cmd::Command& f,
                            const SynthesisConfig& config = {},
                            const vfs::Vfs* fs = nullptr);
 
-// Memoizing wrapper keyed by the command's display name: the benchmark
-// suite synthesizes each unique command/flag combination once (§4).
+// Synthesis results keyed by the command's display name: the benchmark
+// suite synthesizes each unique command/flag combination once (§4). Not
+// thread-safe: it has one owner, and compile_pipeline fills it on the
+// compiling thread after its concurrent syntheses have finished.
 class SynthesisCache {
  public:
-  const SynthesisResult& get_or_synthesize(const cmd::Command& f,
-                                           const std::vector<std::string>& argv,
-                                           const SynthesisConfig& config = {},
-                                           const vfs::Vfs* fs = nullptr);
+  // The entry for a command's display name, or null.
+  const SynthesisResult* find(const std::string& name) const;
+  // Stores `result` under `name` unless an entry exists; returns the entry.
+  const SynthesisResult& insert(const std::string& name,
+                                SynthesisResult result);
 
   std::size_t size() const { return cache_.size(); }
   const std::unordered_map<std::string, SynthesisResult>& entries() const {

@@ -5,10 +5,16 @@
 
 #include <gtest/gtest.h>
 
+#include <iomanip>
+#include <set>
+#include <sstream>
+
+#include "bench_support/catalog.h"
 #include "compile/optimize.h"
 #include "compile/pipeline.h"
 #include "compile/plan.h"
 #include "exec/executor.h"
+#include "obs/trace.h"
 
 namespace kq::compile {
 namespace {
@@ -119,6 +125,121 @@ TEST(Plan, EliminationRequiresParallelSuccessor) {
   Plan plan = compile_pipeline(*parsed, cache);
   eliminate_intermediate_combiners(plan);
   EXPECT_FALSE(plan.stages[0].eliminate);
+}
+
+// ---------------------------------------------------- parallel compile --
+
+// Everything a stage's plan and lowering take from synthesis, as one line.
+std::string stage_record(const PlannedStage& p, const exec::ExecStage& e) {
+  std::ostringstream out;
+  out << std::setprecision(17) << p.parsed.display
+      << " parallel=" << p.parallel << " rerun=" << p.sequential_rerun
+      << " eliminate=" << p.eliminate
+      << " reason=" << seq_reason_name(p.seq_reason)
+      << " detail=" << p.seq_detail;
+  if (p.synthesis) {
+    const synth::SynthesisResult& r = *p.synthesis;
+    out << " combiner=" << r.combiner.to_string() << " plausible=";
+    for (const dsl::Combiner& g : r.plausible) out << dsl::to_string(g) << ";";
+    out << " rounds=" << r.rounds << " observations=" << r.observation_count
+        << " reduction=" << r.reduction_ratio
+        << " verdict=" << r.sufficiency.verdict;
+  }
+  out << " lowered=" << e.combiner_name
+      << " memory=" << exec::memory_class_name(e.memory_class)
+      << " shardable=" << e.shardable;
+  return out.str();
+}
+
+TEST(ParallelCompile, CatalogPlansMatchAtParallelismOneAndFour) {
+  // Every catalog pipeline compiled with a fresh cache, so each of its
+  // distinct commands synthesizes: concurrently at parallelism 4, on the
+  // calling thread at 1. The plans must not tell the two apart.
+  vfs::Vfs fs;
+  int pipelines = 0;
+  for (const bench::Script& script : bench::all_scripts()) {
+    bench::prepare_input(script, 1 << 10, 1, fs);
+    for (const std::string& line : script.pipelines) {
+      auto parsed = parse_pipeline(line);
+      ASSERT_TRUE(parsed.has_value()) << line;
+      std::vector<std::string> records[2];
+      for (int i = 0; i < 2; ++i) {
+        synth::SynthesisCache cache;
+        PlanOptions options;
+        options.parallelism = i == 0 ? 1 : 4;
+        Plan plan = compile_pipeline(*parsed, cache, options, &fs);
+        eliminate_intermediate_combiners(plan);
+        std::vector<exec::ExecStage> stages = lower_plan(plan);
+        for (std::size_t s = 0; s < plan.stages.size(); ++s)
+          records[i].push_back(stage_record(plan.stages[s], stages[s]));
+      }
+      EXPECT_EQ(records[0], records[1])
+          << script.suite << "/" << script.name << ": " << line;
+      ++pipelines;
+    }
+  }
+  EXPECT_GE(pipelines, 70);
+}
+
+// The "synthesize <cmd>" spans of one cold compile: command -> tid, in
+// the order the trace lists them.
+std::vector<std::pair<std::string, std::string>> synthesis_spans(
+    const std::string& pipeline, int parallelism) {
+  obs::Tracer tracer;
+  synth::SynthesisCache cache;
+  PlanOptions options;
+  options.parallelism = parallelism;
+  options.tracer = &tracer;
+  auto parsed = parse_pipeline(pipeline);
+  EXPECT_TRUE(parsed.has_value()) << pipeline;
+  compile_pipeline(*parsed, cache, options);
+  std::ostringstream json;
+  tracer.write_chrome_json(json);
+  // write_chrome_json prints one event per line.
+  std::vector<std::pair<std::string, std::string>> spans;
+  std::istringstream lines(json.str());
+  const std::string name_key = "\"name\": \"synthesize ";
+  const std::string tid_key = "\"tid\": ";
+  for (std::string line; std::getline(lines, line);) {
+    const std::size_t name = line.find(name_key);
+    const std::size_t tid = line.find(tid_key);
+    if (name == std::string::npos || tid == std::string::npos) continue;
+    const std::size_t name_at = name + name_key.size();
+    const std::size_t tid_at = tid + tid_key.size();
+    spans.emplace_back(line.substr(name_at, line.find('"', name_at) - name_at),
+                       line.substr(tid_at, line.find(',', tid_at) - tid_at));
+  }
+  return spans;
+}
+
+const char kWordFrequency[] =
+    "tr -cs A-Za-z '\\n' | tr A-Z a-z | sort | uniq -c | sort -rn";
+
+std::set<std::string> tids_of(
+    const std::vector<std::pair<std::string, std::string>>& spans) {
+  std::set<std::string> tids;
+  for (const auto& span : spans) tids.insert(span.second);
+  return tids;
+}
+
+TEST(ParallelCompile, ParallelismOneSynthesizesOnTheCallingThread) {
+  auto spans = synthesis_spans(kWordFrequency, 1);
+  ASSERT_EQ(spans.size(), 5u);
+  EXPECT_EQ(tids_of(spans).size(), 1u);
+}
+
+TEST(ParallelCompile, RepeatedCommandSynthesizesOnce) {
+  auto spans = synthesis_spans("sort | uniq | sort", 4);
+  ASSERT_EQ(spans.size(), 2u);
+  std::set<std::string> names;
+  for (const auto& span : spans) names.insert(span.first);
+  EXPECT_EQ(names, (std::set<std::string>{"sort", "uniq"}));
+}
+
+TEST(ParallelCompile, ParallelismFourSynthesizesOnSeveralThreads) {
+  auto spans = synthesis_spans(kWordFrequency, 4);
+  ASSERT_EQ(spans.size(), 5u);
+  EXPECT_GT(tids_of(spans).size(), 1u);
 }
 
 // ------------------------------------------------- end-to-end execution --

@@ -265,6 +265,56 @@ TEST(Enumerate, GeneratorMatchesClosedForm) {
   }
 }
 
+TEST(Enumerate, VisitorYieldsTheEnumerationInOrder) {
+  // Synthesis filters the space through for_each_candidate as it is
+  // enumerated, so its survivors keep enumerate_candidates' order only if
+  // the visitor hands out that exact sequence; the totals pin it to the
+  // closed form (Table 10's 2700, 26404 and 110444).
+  const std::size_t expected_totals[] = {2700, 26404, 110444};
+  for (std::size_t d = 1; d <= 3; ++d) {
+    SpaceSpec spec;
+    spec.delims.assign(kDelims, kDelims + d);
+    spec.merge_flags = "-rn";
+    std::vector<std::string> visited, twins;
+    std::vector<OpClass> classes;
+    std::vector<int> sizes;
+    SpaceCounts by_class;
+    for_each_candidate(spec, [&](const Combiner& g) {
+      visited.push_back(to_string(g));
+      twins.push_back(to_string(swapped(g)));
+      classes.push_back(g.cls());
+      sizes.push_back(size(g));
+      switch (g.cls()) {
+        case OpClass::kRec: ++by_class.rec; break;
+        case OpClass::kStruct: ++by_class.strct; break;
+        case OpClass::kRun: ++by_class.run; break;
+      }
+    });
+    CandidateSpace space = enumerate_candidates(spec);
+    ASSERT_EQ(visited.size(), space.candidates.size()) << "D=" << d;
+    for (std::size_t i = 0; i < visited.size(); ++i)
+      ASSERT_EQ(visited[i], to_string(space.candidates[i]))
+          << "D=" << d << ", candidate " << i;
+    // The order itself: RecOp trees by size, then StructOp, then RunOp,
+    // each tree followed by its swapped twin.
+    for (std::size_t i = 0; i + 1 < visited.size(); ++i) {
+      ASSERT_LE(classes[i], classes[i + 1]) << "D=" << d << ", " << i;
+      if (classes[i + 1] == OpClass::kRec) {
+        ASSERT_LE(sizes[i], sizes[i + 1]) << "D=" << d << ", " << i;
+      }
+      if (i % 2 == 0) {
+        ASSERT_EQ(visited[i + 1], twins[i]) << "D=" << d << ", " << i;
+      }
+    }
+    SpaceCounts counts = count_candidates(d, spec.max_ops);
+    EXPECT_EQ(visited.size(), expected_totals[d - 1]) << "D=" << d;
+    EXPECT_EQ(visited.size(), counts.total()) << "D=" << d;
+    EXPECT_EQ(by_class.rec, counts.rec) << "D=" << d;
+    EXPECT_EQ(by_class.strct, counts.strct) << "D=" << d;
+    EXPECT_EQ(by_class.run, counts.run) << "D=" << d;
+  }
+}
+
 TEST(Enumerate, AllCandidatesWithinSizeBound) {
   SpaceSpec spec;
   spec.delims = {'\n', ' '};

@@ -314,9 +314,14 @@ TEST(Cache, SynthesizesOncePerCommand) {
   SynthesisCache cache;
   auto argv = text::shell_split("wc -l");
   cmd::CommandPtr c = cmd::make_command(*argv);
-  const SynthesisResult& a = cache.get_or_synthesize(*c, *argv);
-  const SynthesisResult& b = cache.get_or_synthesize(*c, *argv);
+  EXPECT_EQ(cache.find(c->display_name()), nullptr);
+  const SynthesisResult& a =
+      cache.insert(c->display_name(), synthesize(*c, *argv));
+  EXPECT_EQ(cache.find(c->display_name()), &a);
+  // A second result for the same command keeps the first entry.
+  const SynthesisResult& b = cache.insert(c->display_name(), {});
   EXPECT_EQ(&a, &b);
+  EXPECT_TRUE(b.success);
   EXPECT_EQ(cache.size(), 1u);
 }
 
