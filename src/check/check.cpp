@@ -90,6 +90,9 @@ std::string rss_model(const compile::PlannedStage& planned,
       if (lowered.shardable)
         return "O(parallelism x window + spill-threshold): sharded "
                "sub-chains spill sorted runs, external k-way merge";
+      if (planned.parallel)
+        return "O(parallelism x block + spill-threshold): a sorted chunk "
+               "per slot, sorted runs on disk, external k-way merge";
       return "O(spill-threshold): sorted runs on disk, external k-way merge";
     case exec::MemoryClass::kMaterialize:
       return "O(input): whole stream materializes";

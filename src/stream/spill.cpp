@@ -30,6 +30,8 @@ constexpr std::size_t kIndexStride = 64 * 1024;
 // of a batch merged into a disk run.
 constexpr std::size_t kMinRangeBudget = 256 * 1024;
 constexpr std::size_t kRunBlock = 64 * 1024;
+// Room past a merged block's target for the line that crosses it.
+constexpr std::size_t kBlockSlack = 4 * 1024;
 // At most this many ranges per way: bounds the cut reads (two index
 // intervals per run per range) at tiny thresholds.
 constexpr std::size_t kMaxRangesPerWay = 16;
@@ -251,7 +253,10 @@ class RangeMerge {
   // end) onto blocks_ and returns its size; a read error ends the range.
   std::size_t merge_block(std::size_t block_size) {
     const auto less = heap_less();
+    // Reserved up front: grown from empty, a 1 MiB block would map fresh
+    // pages at every doubling past the CLI's 128 KiB mmap threshold.
     std::string out;
+    out.reserve(block_size + kBlockSlack);
     while (!heap_.empty() && out.size() < block_size) {
       std::pop_heap(heap_.begin(), heap_.end(), less);
       const std::size_t q = heap_.back();
@@ -479,6 +484,16 @@ bool SpillMerger::add(std::string&& piece) {
   mem_bytes_ += piece.size();
   if (gauge_) gauge_->add(piece.size());
   if (mode_ == Input::kUnsortedBlocks) {
+    // A batch ends with the piece that reaches the threshold. Once the
+    // string's next doubling would reach half of that, room for the whole
+    // batch is reserved instead: doubled at the end, the string would copy
+    // the batch into twice its size.
+    const std::size_t need = buffer_.size() + piece.size();
+    if (threshold_ != 0 && need > buffer_.capacity()) {
+      const std::size_t whole = threshold_ + 2 * piece.size();
+      if (2 * std::max(need, 2 * buffer_.capacity()) >= whole)
+        buffer_.reserve(std::max(need, whole));
+    }
     buffer_ += piece;
   } else {
     if (!piece.empty()) parts_.push_back(std::move(piece));
@@ -518,10 +533,13 @@ bool SpillMerger::flush_run() {
   RunExtent run;
   run.offset = file_->size();
   if (mode_ == Input::kUnsortedBlocks) {
-    std::string sorted = spec_->sort_stream(buffer_);
+    // Written from the batch's sorted line index a block at a time, so the
+    // batch is never held a second time as a sorted copy.
+    spec_->sort_stream(buffer_, kRunBlock, [&](std::string_view block) {
+      return append_run(run, block);
+    });
     buffer_.clear();
     buffer_.shrink_to_fit();
-    append_run(run, sorted);
   } else {
     std::vector<RunRef> batch;
     for (const std::string& part : parts_) batch.push_back({part, nullptr});

@@ -147,6 +147,7 @@ class SpillMerger {
   enum class Input {
     kUnsortedBlocks,  // add() receives record-aligned raw input; each run
                       // is sorted with SortSpec::sort_stream (external sort)
+                      // and written from the batch's line index
     kSortedParts,     // add() receives whole pre-sorted chunk outputs; each
                       // run merges its batch by key range
   };

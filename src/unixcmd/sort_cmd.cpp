@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cstdint>
+#include <cstring>
 #include <limits>
 #include <set>
 
@@ -11,6 +13,9 @@ namespace kq::cmd {
 namespace {
 
 bool is_blank(char c) { return c == ' ' || c == '\t'; }
+
+// How many leading bytes raw_compare compares in a loop before memcmp.
+constexpr std::size_t kLoopCompareBytes = 8;
 
 // GNU-style numeric comparison of string prefixes: optional blanks, optional
 // minus sign, digits, optional fraction. Non-numeric prefixes compare as 0.
@@ -61,13 +66,20 @@ int numeric_compare(std::string_view a, std::string_view b) {
 }
 
 int raw_compare(std::string_view a, std::string_view b) {
-  // Bytewise (LC_ALL=C) comparison treating chars as unsigned.
-  std::size_t n = std::min(a.size(), b.size());
-  for (std::size_t i = 0; i < n; ++i) {
-    unsigned char ca = static_cast<unsigned char>(a[i]);
-    unsigned char cb = static_cast<unsigned char>(b[i]);
+  // Bytewise (LC_ALL=C) comparison treating chars as unsigned. Most lines
+  // differ within their first bytes, where a loop beats a call; memcmp
+  // takes over past them, for long shared prefixes.
+  const std::size_t n = std::min(a.size(), b.size());
+  const std::size_t head = std::min(n, kLoopCompareBytes);
+  for (std::size_t i = 0; i < head; ++i) {
+    const auto ca = static_cast<unsigned char>(a[i]);
+    const auto cb = static_cast<unsigned char>(b[i]);
     if (ca != cb) return ca < cb ? -1 : 1;
   }
+  if (head < n)
+    if (int c = std::memcmp(a.data() + head, b.data() + head, n - head);
+        c != 0)
+      return c < 0 ? -1 : 1;
   if (a.size() == b.size()) return 0;
   return a.size() < b.size() ? -1 : 1;
 }
@@ -234,6 +246,8 @@ std::optional<SortSpec> SortSpec::parse(const std::vector<std::string>& flags,
     if (k.fold) canon += "f";
   }
   spec.canonical_flags_ = canon;
+  spec.raw_keys_ = spec.keys_.empty() && !spec.numeric_ && !spec.fold_ &&
+                   !spec.dictionary_;
   return spec;
 }
 
@@ -260,62 +274,176 @@ int SortSpec::compare_keys(std::string_view a, std::string_view b) const {
 
 int SortSpec::compare(std::string_view a, std::string_view b) const {
   int c = compare_keys(a, b);
-  if (c == 0 && !stable_only_ && !unique_) c = raw_compare(a, b);
+  if (c == 0 && !raw_keys_ && !stable_only_ && !unique_)
+    c = raw_compare(a, b);
   return reverse_ ? -c : c;
 }
 
-std::string SortSpec::sort_stream(std::string_view input) const {
-  auto ls = text::lines(input);
-  std::stable_sort(ls.begin(), ls.end(),
-                   [this](std::string_view a, std::string_view b) {
-                     return compare(a, b) < 0;
-                   });
-  if (unique_) {
-    std::vector<std::string_view> kept;
-    kept.reserve(ls.size());
-    for (std::string_view l : ls) {
-      if (!kept.empty() && compare_keys(kept.back(), l) == 0) continue;
-      kept.push_back(l);
-    }
-    ls = std::move(kept);
+namespace {
+
+// One line of a sort's input: 8 bytes with 32-bit fields, where a view
+// takes 16.
+template <typename Offset>
+struct LineRecord {
+  Offset offset;
+  Offset length;
+};
+
+// The lines of `input` (text::lines' split: an unterminated tail counts)
+// as an exact-size record array, stably ordered by `spec`, -u deduped.
+template <typename Offset>
+std::vector<LineRecord<Offset>> sorted_records(const SortSpec& spec,
+                                               std::string_view input) {
+  const char* const base = input.data();
+  std::size_t n = static_cast<std::size_t>(
+      std::count(input.begin(), input.end(), '\n'));
+  if (!input.empty() && input.back() != '\n') ++n;
+  std::vector<LineRecord<Offset>> records;
+  records.reserve(n);
+  for (std::size_t start = 0; start < input.size();) {
+    const void* nl = std::memchr(base + start, '\n', input.size() - start);
+    const std::size_t end =
+        nl ? static_cast<std::size_t>(static_cast<const char*>(nl) - base)
+           : input.size();
+    records.push_back(
+        {static_cast<Offset>(start), static_cast<Offset>(end - start)});
+    start = end + 1;
   }
-  return text::unlines_views(ls);
+  auto line = [base](const LineRecord<Offset>& r) {
+    return std::string_view(base + r.offset, r.length);
+  };
+  std::stable_sort(records.begin(), records.end(),
+                   [&](const LineRecord<Offset>& a,
+                       const LineRecord<Offset>& b) {
+                     return spec.compare(line(a), line(b)) < 0;
+                   });
+  // Under -u compare() has no last-resort tiebreak, so 0 means equal keys.
+  if (spec.unique())
+    records.erase(std::unique(records.begin(), records.end(),
+                              [&](const LineRecord<Offset>& a,
+                                  const LineRecord<Offset>& b) {
+                                return spec.compare(line(a), line(b)) == 0;
+                              }),
+                  records.end());
+  return records;
+}
+
+// Calls `fn` with the sorted records at the narrowest width that fits.
+template <typename Fn>
+auto with_sorted_records(const SortSpec& spec, std::string_view input,
+                         Fn&& fn) {
+  if (input.size() <= std::numeric_limits<std::uint32_t>::max())
+    return fn(sorted_records<std::uint32_t>(spec, input));
+  return fn(sorted_records<std::uint64_t>(spec, input));
+}
+
+template <typename Offset>
+std::string write_sorted(std::string_view input,
+                         const std::vector<LineRecord<Offset>>& records) {
+  std::size_t size = records.size();
+  for (const LineRecord<Offset>& r : records) size += r.length;
+  std::string out;
+  out.reserve(size);
+  for (const LineRecord<Offset>& r : records) {
+    out.append(input.data() + r.offset, r.length);
+    out.push_back('\n');
+  }
+  return out;
+}
+
+}  // namespace
+
+template <typename Offset>
+std::string SortSpec::sort_stream_with(std::string_view input) const {
+  return write_sorted(input, sorted_records<Offset>(*this, input));
+}
+
+template std::string SortSpec::sort_stream_with<std::uint32_t>(
+    std::string_view) const;
+template std::string SortSpec::sort_stream_with<std::uint64_t>(
+    std::string_view) const;
+
+std::string SortSpec::sort_stream(std::string_view input) const {
+  return with_sorted_records(*this, input, [&](const auto& records) {
+    return write_sorted(input, records);
+  });
+}
+
+bool SortSpec::sort_stream(
+    std::string_view input, std::size_t piece,
+    const std::function<bool(std::string_view)>& emit) const {
+  return with_sorted_records(*this, input, [&](const auto& records) {
+    std::string block;
+    block.reserve(piece);
+    for (const auto& r : records) {
+      block.append(input.data() + r.offset, r.length);
+      block.push_back('\n');
+      if (block.size() < piece) continue;
+      if (!emit(block)) return false;
+      block.clear();
+    }
+    return block.empty() || emit(block);
+  });
 }
 
 std::string SortSpec::merge_streams(
     const std::vector<std::string_view>& streams) const {
-  std::vector<std::vector<std::string_view>> queues;
-  queues.reserve(streams.size());
-  for (std::string_view s : streams) queues.push_back(text::lines(s));
-  std::vector<std::size_t> idx(streams.size(), 0);
-  std::vector<std::string_view> out;
+  // One cursor per stream: its head line and the bytes after it (a
+  // trailing partial line counts, as in text::lines).
+  struct Cursor {
+    std::string_view line;
+    std::string_view rest;
+    bool advance() {
+      if (rest.empty()) return false;
+      const std::size_t nl = rest.find('\n');
+      line = rest.substr(0, nl);
+      rest = nl == std::string_view::npos ? std::string_view()
+                                          : rest.substr(nl + 1);
+      return true;
+    }
+  };
+  std::vector<Cursor> cursors;
+  cursors.reserve(streams.size());
+  std::size_t size = 0;
+  for (std::string_view s : streams) {
+    cursors.push_back({{}, s});
+    size += s.size() + (!s.empty() && s.back() != '\n' ? 1 : 0);
+  }
+  std::string out;
+  out.reserve(size);
 
-  // k-way merge through a binary min-heap of queue indices; ties break on
-  // the queue index, giving sort -m's stable earlier-file-first order.
+  // k-way merge through a binary min-heap of cursor indices; ties break on
+  // the cursor index, giving sort -m's stable earlier-file-first order.
   auto heap_less = [&](std::size_t a, std::size_t b) {
-    int c = compare(queues[a][idx[a]], queues[b][idx[b]]);
+    int c = compare(cursors[a].line, cursors[b].line);
     if (c != 0) return c > 0;  // std::*_heap builds a max-heap: invert
     return a > b;
   };
   std::vector<std::size_t> heap;
-  heap.reserve(queues.size());
-  for (std::size_t q = 0; q < queues.size(); ++q)
-    if (!queues[q].empty()) heap.push_back(q);
+  heap.reserve(cursors.size());
+  for (std::size_t q = 0; q < cursors.size(); ++q)
+    if (cursors[q].advance()) heap.push_back(q);
   std::make_heap(heap.begin(), heap.end(), heap_less);
 
+  std::string_view last;  // -u: the last line kept
+  bool have_last = false;
   while (!heap.empty()) {
     std::pop_heap(heap.begin(), heap.end(), heap_less);
-    std::size_t q = heap.back();
+    const std::size_t q = heap.back();
     heap.pop_back();
-    std::string_view line = queues[q][idx[q]++];
-    if (!unique_ || out.empty() || compare_keys(out.back(), line) != 0)
-      out.push_back(line);
-    if (idx[q] < queues[q].size()) {
+    const std::string_view line = cursors[q].line;
+    if (!unique_ || !have_last || compare_keys(last, line) != 0) {
+      out += line;
+      out += '\n';
+      last = line;
+      have_last = true;
+    }
+    if (cursors[q].advance()) {
       heap.push_back(q);
       std::push_heap(heap.begin(), heap.end(), heap_less);
     }
   }
-  return text::unlines_views(out);
+  return out;
 }
 
 bool SortSpec::is_sorted_stream(std::string_view input) const {

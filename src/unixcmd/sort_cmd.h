@@ -7,6 +7,7 @@
 // infrastructure forces serial sort just like the paper's, §4).
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -42,8 +43,23 @@ class SortSpec {
     return compare(a, b) <= 0;
   }
 
-  // Sorts the lines of stream `input` (uniq-filtering if -u).
+  // Sorts the lines of stream `input` (uniq-filtering if -u). A sort holds
+  // its input plus 8 bytes per line: an exact-size array of {offset,
+  // length} records with 32-bit fields, ordered by stable_sort under
+  // compare() and written into a string reserved to the output's size.
   std::string sort_stream(std::string_view input) const;
+
+  // The same output handed to `emit` in pieces of at least `piece` bytes
+  // (the last may be shorter), each ending with a line's '\n'; -u dedups
+  // across pieces. Stops at the first false from `emit` and returns it.
+  bool sort_stream(std::string_view input, std::size_t piece,
+                   const std::function<bool(std::string_view)>& emit) const;
+
+  // sort_stream over `Offset`-wide records: sort_stream takes std::uint32_t
+  // under 4 GiB and std::uint64_t at or past it, through the same code.
+  // Both widths are instantiated, so the wide one runs on any input.
+  template <typename Offset>
+  std::string sort_stream_with(std::string_view input) const;
 
   // Merges k pre-sorted streams stably (`sort -m`); streams that are not
   // sorted produce the same garbage real sort -m would, so callers check
@@ -67,6 +83,7 @@ class SortSpec {
   bool unique_ = false;
   bool merge_mode_ = false;
   bool stable_only_ = false;  // -s: no last-resort comparison
+  bool raw_keys_ = true;  // compare_keys is already the bytewise compare
   std::vector<SortKey> keys_;
   std::string canonical_flags_;
 };

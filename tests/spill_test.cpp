@@ -5,8 +5,13 @@
 // oracle on every catalog pipeline.
 
 #include <gtest/gtest.h>
+#include <malloc.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <cstdlib>
+#include <fstream>
 #include <random>
 #include <string>
 #include <vector>
@@ -196,6 +201,54 @@ TEST(SpillMerger, UnterminatedFinalRecordSortsLikeSortStream) {
   std::string out = merged_output(merger, {"b\nc\na"});
   EXPECT_EQ(out, spec->sort_stream("b\nc\na"));
   EXPECT_EQ(out, "a\nb\nc\n");
+}
+
+TEST(SpillMerger, ExternalSortWritesRunsFromTheIndexAtEveryThreshold) {
+  // A spilled batch is written from its sorted line index in 64 KiB
+  // pieces, with -u dedup across them, and its disk run is indexed every
+  // 64 KiB. Pieces of up to 160 KiB put both boundaries inside batches at
+  // thresholds of 1 B, 64 B and 4 KiB; the merge reads those runs back
+  // through the index, by key range when there is a pool.
+  std::mt19937_64 rng(41);
+  std::vector<std::string> pieces;
+  std::string whole;
+  while (whole.size() < (1u << 20)) {
+    std::string piece;
+    const std::size_t target = 1 + rng() % (160 * 1024);
+    while (piece.size() < target) {
+      std::string line = rng() % 3 == 0 ? std::string(30, 'k') : std::string();
+      line += std::to_string(rng() % 5000);
+      line += rng() % 2 ? " tail\n" : "\n";
+      piece += line;
+    }
+    whole += piece;
+    pieces.push_back(std::move(piece));
+  }
+  exec::ThreadPool pool(4);
+  for (const std::vector<std::string>& flags :
+       {std::vector<std::string>{}, std::vector<std::string>{"-u"},
+        std::vector<std::string>{"-rn"}, std::vector<std::string>{"-n", "-u"}}) {
+    auto spec = spec_of(flags);
+    const std::string expect = spec->sort_stream(whole);
+    for (std::size_t threshold : {std::size_t{1}, std::size_t{64},
+                                  std::size_t{4096}}) {
+      for (bool with_pool : {false, true}) {
+        SpillMerger merger(spec, SpillMerger::Input::kUnsortedBlocks,
+                           threshold);
+        if (with_pool) merger.set_pool(&pool, 4);
+        const std::string out = merged_output(merger, pieces, 4096);
+        std::string what = "threshold ";  // append form: GCC PR 105329
+        what += std::to_string(threshold);
+        what += with_pool ? " pool" : " no pool";
+        if (!flags.empty()) {
+          what += " flags ";
+          what += flags.front();
+        }
+        EXPECT_GT(merger.runs_spilled(), 1) << what;
+        EXPECT_TRUE(out == expect) << what;  // not EXPECT_EQ: 1 MiB diffs
+      }
+    }
+  }
 }
 
 // --------------------------------------------- SpillMerger: sorted parts --
@@ -397,6 +450,107 @@ TEST(SpillDataflow, ParallelMergeCombinerSpillsChunkOutputs) {
   EXPECT_EQ(r.output, exec::run_serial(stages, input));
   ASSERT_EQ(r.nodes.size(), 1u);
   EXPECT_GT(r.nodes[0].spilled_bytes, 0u);
+}
+
+// Peak RSS (VmHWM) in bytes; 0 if /proc is not there.
+std::size_t peak_rss_bytes() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line))
+    if (line.rfind("VmHWM:", 0) == 0)
+      return static_cast<std::size_t>(std::stoul(line.substr(6))) * 1024;
+  return 0;
+}
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kSanitized = true;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+constexpr bool kSanitized = true;
+#else
+constexpr bool kSanitized = false;
+#endif
+#else
+constexpr bool kSanitized = false;
+#endif
+
+TEST(SpillDataflow, ParallelSortChunksHoldEightBytesPerLine) {
+  // `sort` at k=4 over 8 MiB of 6-byte lines at 1 MiB blocks: each of the
+  // four chunk sorts holds its chunk, 8-byte line records (1.4 MB),
+  // stable_sort's half-size buffer and its output. The run grows RSS by
+  // about 21 MiB; with a 16-byte view per line, grown by push_back to
+  // 4 MiB per chunk, it grew by 30-33 MiB. Measured the way
+  // bench/stream_throughput does it: in a forked child, whose VmHWM starts
+  // at its RSS at fork, with the CLI's mmap threshold pin.
+  if (kSanitized) GTEST_SKIP() << "sanitizers' shadow memory swamps RSS";
+  synth::SynthesisCache cache;
+  auto parsed = compile::parse_pipeline("sort");
+  ASSERT_TRUE(parsed.has_value());
+  const auto stages =
+      compile::lower_plan(compile::compile_pipeline(*parsed, cache));
+  ASSERT_EQ(stages.size(), 1u);
+  ASSERT_NE(stages[0].sort_spec, nullptr);
+
+  // The input comes from a file descriptor, as in the CLI: a string
+  // source would buffer the whole output before the sink.
+  std::mt19937_64 rng(5);
+  std::string input;
+  input.reserve(8 << 20);
+  while (input.size() < (8u << 20)) {
+    for (int i = 0; i < 5; ++i)
+      input += static_cast<char>('a' + rng() % 26);
+    input += '\n';
+  }
+  const char* dir = std::getenv("TMPDIR");
+  std::string path = dir != nullptr && *dir != '\0' ? dir : "/tmp";
+  path += "/kumquat-spill-test-XXXXXX";
+  const int fd = ::mkstemp(path.data());
+  ASSERT_GE(fd, 0);
+  ::unlink(path.c_str());
+  ASSERT_EQ(::write(fd, input.data(), input.size()),
+            static_cast<ssize_t>(input.size()));
+  ASSERT_EQ(::lseek(fd, 0, SEEK_SET), 0);
+  const std::size_t in_bytes = input.size();
+  input = std::string();
+
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    ::close(fds[0]);
+#ifdef __GLIBC__
+    mallopt(M_MMAP_THRESHOLD, 128 << 10);
+#endif
+    const std::size_t baseline = peak_rss_bytes();
+    ExecOptions options;
+    options.parallelism = 4;
+    options.block_size = 1 << 20;
+    options.spill_threshold = 1 << 20;
+    std::size_t out = 0;
+    const ExecResult r = Executor(options).run(
+        stages, Source::from_fd(fd), [&out](std::string_view bytes) {
+          out += bytes.size();
+          return true;
+        });
+    std::size_t report[2] = {r.ok && out == in_bytes ? 1u : 0u,
+                             peak_rss_bytes() - baseline};
+    const bool sent = ::write(fds[1], report, sizeof(report)) ==
+                      static_cast<ssize_t>(sizeof(report));
+    ::_exit(sent ? 0 : 1);
+  }
+  ::close(fds[1]);
+  ::close(fd);
+  std::size_t report[2] = {0, 0};
+  const bool got = ::read(fds[0], report, sizeof(report)) ==
+                   static_cast<ssize_t>(sizeof(report));
+  ::close(fds[0]);
+  int status = 0;
+  ::waitpid(pid, &status, 0);
+  ASSERT_TRUE(got && WIFEXITED(status) && WEXITSTATUS(status) == 0);
+  EXPECT_EQ(report[0], 1u) << "the run failed or lost bytes";
+  EXPECT_LT(report[1], std::size_t{25} << 20)
+      << "RSS grew " << (report[1] >> 10) << " KiB";
 }
 
 TEST(SpillDataflow, ParallelRerunCombinerSpoolsThroughDisk) {
