@@ -182,6 +182,10 @@ class SpillMerger {
   int runs_spilled() const { return static_cast<int>(runs_.size()); }
   std::size_t spilled_bytes() const { return spilled_bytes_; }
   const std::string& error() const { return error_; }
+  // The room the kUnsortedBlocks batch holds: at most the threshold plus
+  // two of the largest pieces, since the batch reserves its whole size
+  // before a doubling could overshoot the threshold.
+  std::size_t batch_capacity() const { return buffer_.capacity(); }
 
   // The resident bytes the batch plus the in-flight ranges' output stay
   // within (unbounded at threshold 0).

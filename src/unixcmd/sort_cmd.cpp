@@ -14,9 +14,6 @@ namespace {
 
 bool is_blank(char c) { return c == ' ' || c == '\t'; }
 
-// How many leading bytes raw_compare compares in a loop before memcmp.
-constexpr std::size_t kLoopCompareBytes = 8;
-
 // GNU-style numeric comparison of string prefixes: optional blanks, optional
 // minus sign, digits, optional fraction. Non-numeric prefixes compare as 0.
 struct NumView {
@@ -66,20 +63,13 @@ int numeric_compare(std::string_view a, std::string_view b) {
 }
 
 int raw_compare(std::string_view a, std::string_view b) {
-  // Bytewise (LC_ALL=C) comparison treating chars as unsigned. Most lines
-  // differ within their first bytes, where a loop beats a call; memcmp
-  // takes over past them, for long shared prefixes.
-  const std::size_t n = std::min(a.size(), b.size());
-  const std::size_t head = std::min(n, kLoopCompareBytes);
-  for (std::size_t i = 0; i < head; ++i) {
-    const auto ca = static_cast<unsigned char>(a[i]);
-    const auto cb = static_cast<unsigned char>(b[i]);
+  // Bytewise (LC_ALL=C) comparison treating chars as unsigned.
+  std::size_t n = std::min(a.size(), b.size());
+  for (std::size_t i = 0; i < n; ++i) {
+    unsigned char ca = static_cast<unsigned char>(a[i]);
+    unsigned char cb = static_cast<unsigned char>(b[i]);
     if (ca != cb) return ca < cb ? -1 : 1;
   }
-  if (head < n)
-    if (int c = std::memcmp(a.data() + head, b.data() + head, n - head);
-        c != 0)
-      return c < 0 ? -1 : 1;
   if (a.size() == b.size()) return 0;
   return a.size() < b.size() ? -1 : 1;
 }
@@ -328,18 +318,34 @@ std::vector<LineRecord<Offset>> sorted_records(const SortSpec& spec,
   return records;
 }
 
-// Calls `fn` with the sorted records at the narrowest width that fits.
-template <typename Fn>
-auto with_sorted_records(const SortSpec& spec, std::string_view input,
-                         Fn&& fn) {
-  if (input.size() <= std::numeric_limits<std::uint32_t>::max())
-    return fn(sorted_records<std::uint32_t>(spec, input));
-  return fn(sorted_records<std::uint64_t>(spec, input));
+// Whether `input` takes 32-bit records: its offsets and lengths fit.
+bool narrow_records(std::string_view input) {
+  return input.size() <= std::numeric_limits<std::uint32_t>::max();
 }
 
+// The sorted lines of `input` handed to `emit` in pieces of at least
+// `piece` bytes (see SortSpec::sort_stream).
 template <typename Offset>
-std::string write_sorted(std::string_view input,
-                         const std::vector<LineRecord<Offset>>& records) {
+bool emit_sorted(const SortSpec& spec, std::string_view input,
+                 std::size_t piece,
+                 const std::function<bool(std::string_view)>& emit) {
+  std::string block;
+  block.reserve(piece);
+  for (const LineRecord<Offset>& r : sorted_records<Offset>(spec, input)) {
+    block.append(input.data() + r.offset, r.length);
+    block.push_back('\n');
+    if (block.size() < piece) continue;
+    if (!emit(block)) return false;
+    block.clear();
+  }
+  return block.empty() || emit(block);
+}
+
+}  // namespace
+
+template <typename Offset>
+std::string SortSpec::sort_stream_with(std::string_view input) const {
+  const auto records = sorted_records<Offset>(*this, input);
   std::size_t size = records.size();
   for (const LineRecord<Offset>& r : records) size += r.length;
   std::string out;
@@ -351,39 +357,22 @@ std::string write_sorted(std::string_view input,
   return out;
 }
 
-}  // namespace
-
-template <typename Offset>
-std::string SortSpec::sort_stream_with(std::string_view input) const {
-  return write_sorted(input, sorted_records<Offset>(*this, input));
-}
-
 template std::string SortSpec::sort_stream_with<std::uint32_t>(
     std::string_view) const;
 template std::string SortSpec::sort_stream_with<std::uint64_t>(
     std::string_view) const;
 
 std::string SortSpec::sort_stream(std::string_view input) const {
-  return with_sorted_records(*this, input, [&](const auto& records) {
-    return write_sorted(input, records);
-  });
+  return narrow_records(input) ? sort_stream_with<std::uint32_t>(input)
+                               : sort_stream_with<std::uint64_t>(input);
 }
 
 bool SortSpec::sort_stream(
     std::string_view input, std::size_t piece,
     const std::function<bool(std::string_view)>& emit) const {
-  return with_sorted_records(*this, input, [&](const auto& records) {
-    std::string block;
-    block.reserve(piece);
-    for (const auto& r : records) {
-      block.append(input.data() + r.offset, r.length);
-      block.push_back('\n');
-      if (block.size() < piece) continue;
-      if (!emit(block)) return false;
-      block.clear();
-    }
-    return block.empty() || emit(block);
-  });
+  return narrow_records(input)
+             ? emit_sorted<std::uint32_t>(*this, input, piece, emit)
+             : emit_sorted<std::uint64_t>(*this, input, piece, emit);
 }
 
 std::string SortSpec::merge_streams(

@@ -55,9 +55,9 @@ class SortSpec {
   bool sort_stream(std::string_view input, std::size_t piece,
                    const std::function<bool(std::string_view)>& emit) const;
 
-  // sort_stream over `Offset`-wide records: sort_stream takes std::uint32_t
-  // under 4 GiB and std::uint64_t at or past it, through the same code.
-  // Both widths are instantiated, so the wide one runs on any input.
+  // sort_stream over `Offset`-wide records: sort_stream calls it with
+  // std::uint32_t under 4 GiB and std::uint64_t at or past it. Both widths
+  // are instantiated, so the wide one runs on any input.
   template <typename Offset>
   std::string sort_stream_with(std::string_view input) const;
 

@@ -128,6 +128,41 @@ TEST(Check, KqMemOnSortWithSpillingDisabled) {
   EXPECT_TRUE(with_code(bounded.report, "KQ-MEM").empty());
 }
 
+TEST(Check, SortableSpillModelsNameWhatEachSortHolds) {
+  // A parallel sort holds a sorted chunk per in-flight slot beside the
+  // merge's batch; a sharded sort -u a window per slot; a sequential sort
+  // the batch alone.
+  auto parallel = analyze_line("sort");
+  ASSERT_EQ(parallel.report.stages.size(), 1u);
+  EXPECT_EQ(parallel.report.stages[0].memory_class, "sortable-spill");
+  EXPECT_EQ(parallel.report.stages[0].rss_model.rfind(
+                "O(parallelism x block + spill-threshold): a sorted chunk "
+                "per slot",
+                0),
+            0u)
+      << parallel.report.stages[0].rss_model;
+
+  auto sharded = analyze_line("sort -u");
+  ASSERT_EQ(sharded.report.stages.size(), 1u);
+  EXPECT_EQ(sharded.report.stages[0].rss_model.rfind(
+                "O(parallelism x window + spill-threshold): sharded", 0),
+            0u)
+      << sharded.report.stages[0].rss_model;
+
+  auto parsed = compile::parse_pipeline("sort");
+  ASSERT_TRUE(parsed.has_value());
+  compile::Plan plan = compile::compile_pipeline(*parsed, shared_cache());
+  plan.stages[0].parallel = false;
+  const auto stages = compile::lower_plan(plan);
+  const Report sequential = analyze(plan, stages, Options{});
+  ASSERT_EQ(sequential.stages.size(), 1u);
+  EXPECT_EQ(sequential.stages[0].memory_class, "sortable-spill");
+  EXPECT_EQ(sequential.stages[0].rss_model.rfind(
+                "O(spill-threshold): sorted runs on disk", 0),
+            0u)
+      << sequential.stages[0].rss_model;
+}
+
 TEST(Check, KqMemOnDistinctWindowWithSpillingDisabled) {
   // A *parallel* sort -u recombines by merge (sortable-spill); the
   // distinct-set window is its sequential lowering — the plan the runtime

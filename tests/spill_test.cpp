@@ -251,6 +251,52 @@ TEST(SpillMerger, ExternalSortWritesRunsFromTheIndexAtEveryThreshold) {
   }
 }
 
+TEST(SpillMerger, ExternalSortBatchStaysWithinThresholdPlusTwoPieces) {
+  // The batch string reserves threshold + 2 pieces before its doubling
+  // would overshoot: grown by doubling, a batch of 64 KiB pieces under a
+  // 1.5 MiB threshold would reach 2 MiB of room, and a 65 MiB batch under
+  // the default 64 MiB threshold 128 MiB.
+  std::mt19937_64 rng(17);
+  auto piece_of = [&rng](std::size_t target) {
+    std::string piece;
+    while (piece.size() < target) {
+      piece += std::to_string(rng() % 100000);
+      piece += '\n';
+    }
+    return piece;
+  };
+  auto spec = spec_of({});
+  for (std::size_t threshold :
+       {std::size_t{100} << 10, std::size_t{1536} << 10,
+        std::size_t{3} << 20}) {
+    for (bool fixed : {true, false}) {
+      SpillMerger merger(spec, SpillMerger::Input::kUnsortedBlocks,
+                         threshold);
+      std::string whole;
+      std::size_t largest = 0;
+      while (whole.size() < 3 * threshold) {
+        std::string piece =
+            piece_of(fixed ? std::size_t{64} << 10 : 1 + rng() % (96 << 10));
+        largest = std::max(largest, piece.size());
+        whole += piece;
+        ASSERT_TRUE(merger.add(std::move(piece)));
+        ASSERT_LE(merger.batch_capacity(), threshold + 2 * largest)
+            << "threshold " << threshold << (fixed ? " fixed" : " random")
+            << " pieces, after " << whole.size() << " bytes";
+      }
+      EXPECT_GE(merger.runs_spilled(), 2);
+      std::string out;
+      ASSERT_TRUE(merger.finish(
+          [&out](std::string&& block) {
+            out += block;
+            return true;
+          },
+          64 << 10));
+      EXPECT_TRUE(out == spec->sort_stream(whole));  // not EXPECT_EQ: MiBs
+    }
+  }
+}
+
 // --------------------------------------------- SpillMerger: sorted parts --
 
 TEST(SpillMerger, SortedPartsMatchMergeStreams) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
 #include <cstdint>
 #include <random>
 
@@ -406,6 +407,134 @@ TEST(SortSpec, MergeStreamsMatchesTheLineVectorMerge) {
                                                 streams.end());
       ASSERT_EQ(spec->merge_streams(views), reference_merge(*spec, views))
           << "flags " << joined(flags) << "trial " << trial;
+    }
+  }
+}
+
+// Lines that tell a bytewise order apart from a signed or offset one:
+// shared prefixes of 7 to 40 bytes, then NUL, 0x80, 0xFF and their
+// neighbours, or letters whose order -f changes ('_' sorts between the
+// cases); empty lines, duplicates and, one time in three, an unterminated
+// last line.
+std::string random_byte_stream(std::mt19937_64& rng) {
+  static const char kTail[] = {'\0', '\x01', '\x7f', '\x80', '\x81',
+                               '\xfe', '\xff', 'a',    'A',    '_'};
+  std::vector<std::string> prefixes;
+  for (std::size_t len : {0, 7, 8, 9, 12, 16, 40}) {
+    std::string prefix;
+    for (std::size_t i = 0; i < len; ++i) {
+      const char c = static_cast<char>(rng() % 256);
+      prefix += c == '\n' ? ' ' : c;
+    }
+    prefixes.push_back(std::move(prefix));
+  }
+  std::string out;
+  for (int i = static_cast<int>(rng() % 100); i > 0; --i) {
+    std::string line = prefixes[rng() % prefixes.size()];
+    for (int n = static_cast<int>(rng() % 4); n > 0; --n)
+      line += kTail[rng() % sizeof(kTail)];
+    for (int copies = 1 + static_cast<int>(rng() % 2); copies > 0; --copies) {
+      out += line;
+      out += '\n';
+    }
+  }
+  if (!out.empty() && rng() % 3 == 0) out.pop_back();
+  return out;
+}
+
+// The lines of `streams`, split at '\n' (an unterminated tail counts).
+std::vector<std::string> split_lines(
+    const std::vector<std::string_view>& streams) {
+  std::vector<std::string> out;
+  for (std::string_view s : streams)
+    for (std::size_t start = 0; start < s.size();) {
+      std::size_t end = s.find('\n', start);
+      if (end == std::string_view::npos) end = s.size();
+      out.emplace_back(s.substr(start, end - start));
+      start = end + 1;
+    }
+  return out;
+}
+
+// `sort [-r] [-u] [-s] [-f]` under LC_ALL=C without SortSpec: lines
+// ordered by their unsigned bytes (upper-cased under -f, where lines that
+// fold alike fall back to their own bytes unless -s or -u), equal keys
+// kept in input order, and deduped under -u.
+std::string c_locale_sort(const std::vector<std::string_view>& streams,
+                          bool reverse, bool unique, bool stable,
+                          bool fold) {
+  auto bytes_cmp = [](const std::string& a, const std::string& b,
+                      bool upper) {
+    for (std::size_t i = 0; i < a.size() && i < b.size(); ++i) {
+      int x = static_cast<unsigned char>(a[i]);
+      int y = static_cast<unsigned char>(b[i]);
+      if (upper) {
+        x = std::toupper(x);
+        y = std::toupper(y);
+      }
+      if (x != y) return x < y ? -1 : 1;
+    }
+    if (a.size() == b.size()) return 0;
+    return a.size() < b.size() ? -1 : 1;
+  };
+  auto cmp = [&](const std::string& a, const std::string& b) {
+    int c = bytes_cmp(a, b, fold);
+    if (c == 0 && fold && !stable && !unique) c = bytes_cmp(a, b, false);
+    return reverse ? -c : c;
+  };
+  std::vector<std::string> ls = split_lines(streams);
+  std::stable_sort(ls.begin(), ls.end(),
+                   [&](const std::string& a, const std::string& b) {
+                     return cmp(a, b) < 0;
+                   });
+  if (unique)
+    ls.erase(std::unique(ls.begin(), ls.end(),
+                         [&](const std::string& a, const std::string& b) {
+                           return cmp(a, b) == 0;
+                         }),
+             ls.end());
+  std::string out;
+  for (const std::string& l : ls) {
+    out += l;
+    out += '\n';
+  }
+  return out;
+}
+
+TEST(SortSpec, KeylessSortAndMergeMatchACLocaleReference) {
+  // Without a key, -n or -d, compare() is the bytewise compare (folded
+  // under -f, with a bytewise tiebreak only then). Checked here against an
+  // order built without SortSpec, over bytes where signed chars, an
+  // offset slip or a dropped tiebreak would show.
+  std::mt19937_64 rng(80);
+  for (unsigned mask = 0; mask < 16; ++mask) {
+    const bool reverse = mask & 1, unique = mask & 2, stable = mask & 4,
+               fold = mask & 8;
+    std::vector<std::string> flags;
+    if (reverse) flags.emplace_back("-r");
+    if (unique) flags.emplace_back("-u");
+    if (stable) flags.emplace_back("-s");
+    if (fold) flags.emplace_back("-f");
+    auto spec = SortSpec::parse(flags);
+    ASSERT_TRUE(spec.has_value()) << joined(flags);
+    for (int trial = 0; trial < 40; ++trial) {
+      const std::string input = trial % 4 == 3 ? random_sort_stream(rng)
+                                               : random_byte_stream(rng);
+      const std::string expect =
+          c_locale_sort({input}, reverse, unique, stable, fold);
+      ASSERT_EQ(spec->sort_stream(input), expect)
+          << "flags " << joined(flags) << "trial " << trial;
+      ASSERT_EQ(spec->sort_stream_with<std::uint64_t>(input), expect)
+          << "64-bit records, flags " << joined(flags);
+
+      std::vector<std::string> streams(1 + rng() % 4);
+      for (std::string& s : streams)
+        s = spec->sort_stream(random_byte_stream(rng));
+      const std::vector<std::string_view> views(streams.begin(),
+                                                streams.end());
+      ASSERT_EQ(spec->merge_streams(views),
+                c_locale_sort(views, reverse, unique, stable, fold))
+          << "merge, flags " << joined(flags) << "trial " << trial;
     }
   }
 }
