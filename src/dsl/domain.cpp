@@ -1,5 +1,7 @@
 #include "dsl/domain.h"
 
+#include <cstring>
+
 #include "text/numbers.h"
 #include "text/padding.h"
 #include "text/streams.h"
@@ -48,20 +50,123 @@ bool legal_rec(const Node& b, std::string_view y) {
   }
 }
 
+namespace {
+
+// How a StructOp reads one field of a line through its RecOp child: any
+// bytes (concat, first, second), a non-empty digit run (add, L(add) =
+// [0-9]+), or through legal_rec (front, back, fuse).
+enum class Field { kAny, kDigits, kTree };
+
+Field field_of(const Node& b) {
+  switch (b.op) {
+    case Op::kAdd:
+      return Field::kDigits;
+    case Op::kConcat:
+    case Op::kFirst:
+    case Op::kSecond:
+      return Field::kAny;
+    default:
+      return Field::kTree;
+  }
+}
+
+bool is_digit(char c) { return c >= '0' && c <= '9'; }
+
+bool field_legal(Field f, const Node& b, const char* p, const char* e) {
+  switch (f) {
+    case Field::kAny:
+      return true;
+    case Field::kDigits:
+      if (p == e) return false;
+      for (; p < e; ++p)
+        if (!is_digit(*p)) return false;
+      return true;
+    case Field::kTree:
+      return legal_rec(b, std::string_view(p, static_cast<std::size_t>(e - p)));
+  }
+  return false;
+}
+
+// The line grammar of StructOp `s`, resolved once per operand. match<op>
+// checks one line [p, e), without its newline, in place, where op is
+// s.op. stitch2 and offset lines are  pad ++ head ++ d ++ tail
+// (parse_table_line's split): the pad is one tab or a run of spaces, at
+// least one character for stitch2, and the head runs to the line's first
+// d. Every other operator has no legal line.
+class LineGrammar {
+ public:
+  explicit LineGrammar(const Node& s)
+      : s_(s),
+        head_(s.child1 ? field_of(*s.child1) : Field::kAny),
+        tail_(s.child2 ? field_of(*s.child2) : Field::kAny) {
+    // A digit head ends at the first non-digit, which is the line's first
+    // d only when d is no digit.
+    if (head_ == Field::kDigits && is_digit(s.delim)) head_ = Field::kTree;
+  }
+
+  // Every line is legal: stitch over a child that accepts any bytes.
+  bool any_line() const {
+    return s_.op == Op::kStitch && head_ == Field::kAny;
+  }
+
+  template <Op kOp>
+  bool match(const char* p, const char* e) const {
+    if constexpr (kOp == Op::kStitch) {
+      return field_legal(head_, *s_.child1, p, e);
+    } else {
+      if (kOp == Op::kOffset && p == e) return true;  // nil lines
+      const char* head = p;
+      if (head < e && *head == '\t') {
+        ++head;
+      } else {
+        while (head < e && *head == ' ') ++head;
+      }
+      if (kOp == Op::kStitch2 && head == p) return false;
+      const char* d;
+      if (head_ == Field::kDigits) {
+        d = head;
+        while (d < e && is_digit(*d)) ++d;
+        if (d == head || d == e || *d != s_.delim) return false;
+      } else {
+        d = static_cast<const char*>(
+            std::memchr(head, s_.delim, static_cast<std::size_t>(e - head)));
+        if (!d || !field_legal(head_, *s_.child1, head, d)) return false;
+      }
+      return kOp == Op::kOffset || field_legal(tail_, *s_.child2, d + 1, e);
+    }
+  }
+
+ private:
+  const Node& s_;
+  Field head_;
+  Field tail_;
+};
+
+// Every line of stream y = [p, end) matches g's kOp grammar.
+template <Op kOp>
+bool all_lines(const LineGrammar& g, const char* p, const char* const end) {
+  while (p < end) {  // y ends in '\n', so every memchr finds one
+    const char* nl = static_cast<const char*>(
+        std::memchr(p, '\n', static_cast<std::size_t>(end - p)));
+    if (!g.match<kOp>(p, nl)) return false;
+    p = nl + 1;
+  }
+  return true;
+}
+
+}  // namespace
+
 bool struct_line_legal(const Node& s, std::string_view line) {
+  const LineGrammar g(s);
+  const char* p = line.data();
+  const char* e = p + line.size();
   switch (s.op) {
     case Op::kStitch:
-      return legal_rec(*s.child1, line);
-    case Op::kStitch2: {
-      TableLine t = parse_table_line(line, s.delim, /*require_padding=*/true);
-      return t.ok && legal_rec(*s.child1, t.head) &&
-             legal_rec(*s.child2, t.tail);
-    }
-    case Op::kOffset: {
-      if (line.empty()) return true;  // nil lines are allowed
-      TableLine t = parse_table_line(line, s.delim, /*require_padding=*/false);
-      return t.ok && legal_rec(*s.child1, t.head);
-    }
+      return g.match<Op::kStitch>(p, e);
+    case Op::kStitch2:
+      return g.match<Op::kStitch2>(p, e);
+    case Op::kOffset:
+      return g.match<Op::kOffset>(p, e);
     default:
       return false;
   }
@@ -69,12 +174,20 @@ bool struct_line_legal(const Node& s, std::string_view line) {
 
 bool struct_lines_legal(const Node& s, std::string_view y) {
   if (!text::is_stream(y)) return false;
-  for (std::size_t start = 0; start < y.size();) {
-    const std::size_t nl = y.find('\n', start);  // found: y ends in '\n'
-    if (!struct_line_legal(s, y.substr(start, nl - start))) return false;
-    start = nl + 1;
+  const LineGrammar g(s);
+  if (g.any_line()) return true;
+  const char* p = y.data();
+  const char* end = p + y.size();
+  switch (s.op) {
+    case Op::kStitch:
+      return all_lines<Op::kStitch>(g, p, end);
+    case Op::kStitch2:
+      return all_lines<Op::kStitch2>(g, p, end);
+    case Op::kOffset:
+      return all_lines<Op::kOffset>(g, p, end);
+    default:
+      return false;
   }
-  return true;
 }
 
 bool legal(const Combiner& g, std::string_view y) {

@@ -28,8 +28,12 @@ bool legal(const Combiner& g, std::string_view y);
 // table line with head ∈ L(b). False for every other operator.
 bool struct_line_legal(const Node& s, std::string_view line);
 
-// True iff `y` is a stream whose every line is struct_line_legal. Scans
-// once, without splitting `y` into a line vector.
+// True iff `y` is a stream whose every line is struct_line_legal. One pass
+// over the bytes: memchr finds each line end and the line is matched in
+// place by the grammar struct_line_legal uses, with add, concat, first and
+// second read inline (only front, back and fuse go through legal_rec).
+// When every line is legal (stitch over concat, first or second, as in
+// uniq's `stitch first`) it is is_stream alone.
 bool struct_lines_legal(const Node& s, std::string_view y);
 
 // A line of the form  pad ++ head ++ d ++ tail  with head ∈ L(b1) and

@@ -51,7 +51,8 @@ class Fold {
   bool push(std::string part, std::vector<std::string>* out, bool part_legal);
 
   // The check push() makes of every line of a part: struct_lines_legal for
-  // stitch, stitch2 and offset, and true for the rest (concat checks
+  // stitch, stitch2 and offset (one pass over the part, and is_stream alone
+  // for uniq's `stitch first`), and true for the rest (concat checks
   // nothing, and a whole-result fold's eval checks its own operands). It
   // reads only the combiner, so it may run on any thread while another
   // thread pushes.

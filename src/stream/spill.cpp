@@ -362,6 +362,23 @@ void wait_stealing(exec::ThreadPool& pool, std::future<void>& task) {
     }
 }
 
+// Appends `piece` to `batch`, a buffer that is written out once it reaches
+// `threshold` (0: never), so a batch ends with the piece that reaches it.
+// Once the string's next doubling would reach half of that, room for the
+// whole batch is reserved instead: doubled at the end, the string would
+// copy the batch into twice its size. The batch's room stays within the
+// threshold plus two of the largest pieces.
+void append_to_batch(std::string& batch, std::string_view piece,
+                     std::size_t threshold) {
+  const std::size_t need = batch.size() + piece.size();
+  if (threshold != 0 && need > batch.capacity()) {
+    const std::size_t whole = threshold + 2 * piece.size();
+    if (2 * std::max(need, 2 * batch.capacity()) >= whole)
+      batch.reserve(std::max(need, whole));
+  }
+  batch += piece;
+}
+
 }  // namespace
 
 // -------------------------------------------------------------- SpillFile --
@@ -410,7 +427,7 @@ RawSpool::~RawSpool() {
 
 bool RawSpool::add(std::string_view bytes) {
   if (!error_.empty()) return false;
-  buffer_.append(bytes);
+  append_to_batch(buffer_, bytes, threshold_);
   total_ += bytes.size();
   if (gauge_) gauge_->add(bytes.size());
   if (threshold_ == 0 || buffer_.size() < threshold_) return true;
@@ -434,23 +451,25 @@ bool RawSpool::take(std::string* out) {
   span.arg("bytes", total_);
   if (gauge_) gauge_->sub(buffer_.size());
   total_ = 0;
-  if (!file_) {  // nothing spilled: hand over the buffer without a copy
-    *out = std::move(buffer_);
-    buffer_ = std::string();
-    return true;
+  if (file_) {
+    // The spilled prefix is read in front of the in-memory tail, in the
+    // tail's own buffer grown once to the whole size: appended to a
+    // second string, the tail would sit beside a copy of itself, in a
+    // string that doubled past the whole.
+    const std::size_t spilled = file_->size();
+    const std::size_t tail = buffer_.size();
+    buffer_.resize(spilled + tail);
+    std::memmove(buffer_.data() + spilled, buffer_.data(), tail);
+    if (!file_->read_exact(0, buffer_.data(), spilled, &error_)) {
+      out->clear();
+      buffer_.clear();  // gauge already subtracted above; keep ~RawSpool at 0
+      buffer_.shrink_to_fit();
+      return false;
+    }
+    file_.reset();
   }
-  out->clear();
-  out->resize(file_->size());
-  if (!file_->read_exact(0, out->data(), file_->size(), &error_)) {
-    out->clear();
-    buffer_.clear();  // gauge already subtracted above; keep ~RawSpool at 0
-    buffer_.shrink_to_fit();
-    return false;
-  }
-  file_.reset();
-  out->append(buffer_);
-  buffer_.clear();
-  buffer_.shrink_to_fit();
+  *out = std::move(buffer_);  // moved, spilled or not: no second copy
+  buffer_ = std::string();
   return true;
 }
 
@@ -484,17 +503,7 @@ bool SpillMerger::add(std::string&& piece) {
   mem_bytes_ += piece.size();
   if (gauge_) gauge_->add(piece.size());
   if (mode_ == Input::kUnsortedBlocks) {
-    // A batch ends with the piece that reaches the threshold. Once the
-    // string's next doubling would reach half of that, room for the whole
-    // batch is reserved instead: doubled at the end, the string would copy
-    // the batch into twice its size.
-    const std::size_t need = buffer_.size() + piece.size();
-    if (threshold_ != 0 && need > buffer_.capacity()) {
-      const std::size_t whole = threshold_ + 2 * piece.size();
-      if (2 * std::max(need, 2 * buffer_.capacity()) >= whole)
-        buffer_.reserve(std::max(need, whole));
-    }
-    buffer_ += piece;
+    append_to_batch(buffer_, piece, threshold_);
   } else {
     if (!piece.empty()) parts_.push_back(std::move(piece));
   }

@@ -118,6 +118,9 @@ class RawSpool {
   std::size_t spilled_bytes() const { return spilled_bytes_; }
   std::size_t size() const { return total_; }
   const std::string& error() const { return error_; }
+  // The room the in-memory tranche holds: at most the threshold plus two of
+  // the largest pieces, as SpillMerger's batch (batch_capacity()).
+  std::size_t buffer_capacity() const { return buffer_.capacity(); }
 
   // Telemetry (src/obs/): spans "spool-spill" (each tranche moved to disk)
   // and "spool-take" (the replay) are recorded under `label` (the owning

@@ -14,6 +14,12 @@ namespace {
 
 bool is_blank(char c) { return c == ' ' || c == '\t'; }
 
+std::string_view skip_blanks(std::string_view s) {
+  std::size_t i = 0;
+  while (i < s.size() && is_blank(s[i])) ++i;
+  return s.substr(i);
+}
+
 // GNU-style numeric comparison of string prefixes: optional blanks, optional
 // minus sign, digits, optional fraction. Non-numeric prefixes compare as 0.
 struct NumView {
@@ -24,8 +30,8 @@ struct NumView {
 };
 
 NumView parse_numeric(std::string_view s) {
+  s = skip_blanks(s);
   std::size_t i = 0;
-  while (i < s.size() && is_blank(s[i])) ++i;
   NumView v;
   if (i < s.size() && s[i] == '-') {
     v.negative = true;
@@ -203,18 +209,24 @@ std::optional<SortSpec> SortSpec::parse(const std::vector<std::string>& flags,
         case 'u': spec.unique_ = true; break;
         case 'm': spec.merge_mode_ = true; break;
         case 's': spec.stable_only_ = true; break;
-        case 'b': break;  // leading-blank skipping is implied by our keys
+        case 'b': spec.blanks_ = true; break;
         default:
           if (error) *error = std::string("sort: unsupported flag -") + f[i];
           return std::nullopt;
       }
     }
   }
+  spec.raw_keys_ = spec.keys_.empty() && !spec.numeric_ && !spec.fold_ &&
+                   !spec.dictionary_ && !spec.blanks_;
+  // The canonical flags spell the order (merge and the sortedness checks
+  // parse them back): -s only where it drops a last-resort comparison.
   std::string global;
   if (spec.numeric_) global += "n";
   if (spec.reverse_) global += "r";
   if (spec.fold_) global += "f";
   if (spec.dictionary_) global += "d";
+  if (spec.blanks_) global += "b";
+  if (spec.stable_only_ && !spec.raw_keys_ && !spec.unique_) global += "s";
   if (spec.unique_) global += "u";
   // Appended, not `"-" + global`: the rvalue operator+ form trips GCC 12's
   // -Wrestrict false positive inside libstdc++ (GCC PR 105329).
@@ -236,13 +248,15 @@ std::optional<SortSpec> SortSpec::parse(const std::vector<std::string>& flags,
     if (k.fold) canon += "f";
   }
   spec.canonical_flags_ = canon;
-  spec.raw_keys_ = spec.keys_.empty() && !spec.numeric_ && !spec.fold_ &&
-                   !spec.dictionary_;
   return spec;
 }
 
 int SortSpec::compare_keys(std::string_view a, std::string_view b) const {
   if (keys_.empty()) {
+    if (blanks_) {
+      a = skip_blanks(a);
+      b = skip_blanks(b);
+    }
     if (numeric_) return numeric_compare(a, b);
     if (fold_ || dictionary_) return text_compare(a, b, fold_, dictionary_);
     return raw_compare(a, b);

@@ -2,7 +2,9 @@
 // `merge <flags>` combiner (§3.5: merge is "sort -m <flags>").
 //
 // Supported flags: -n (numeric), -r (reverse), -f (fold case), -u (unique),
-// -d (dictionary order), -m (merge mode), -kF[opts] single-key specs like
+// -d (dictionary order), -b (leading blanks skipped: a keyless compare
+// starts at each line's first non-blank, and a key's fields start there
+// already), -s (stable), -m (merge mode), -kF[opts] single-key specs like
 // -k1n / -k1,1 / -k2, and --parallel=N (accepted, ignored — the evaluation
 // infrastructure forces serial sort just like the paper's, §4).
 #pragma once
@@ -80,6 +82,7 @@ class SortSpec {
   bool reverse_ = false;
   bool fold_ = false;
   bool dictionary_ = false;
+  bool blanks_ = false;  // -b
   bool unique_ = false;
   bool merge_mode_ = false;
   bool stable_only_ = false;  // -s: no last-resort comparison

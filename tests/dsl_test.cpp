@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <map>
 #include <random>
 #include <set>
 
@@ -12,6 +14,7 @@
 #include "dsl/enumerate.h"
 #include "dsl/eval.h"
 #include "dsl/kway.h"
+#include "text/streams.h"
 #include "unixcmd/registry.h"
 
 namespace kq::dsl {
@@ -105,6 +108,119 @@ TEST(Domain, MergeRequiresSortedInput) {
   EXPECT_TRUE(legal(m, "a\nb\n"));
   EXPECT_FALSE(legal(m, "b\na\n"));
   EXPECT_TRUE(legal(m, ""));
+}
+
+// The per-line definition of a StructOp's legal lines, spelled as the
+// appendix spells it: parse_table_line splits a stitch2 or offset line, and
+// legal_rec checks each field.
+bool reference_line_legal(const Node& s, std::string_view line) {
+  switch (s.op) {
+    case Op::kStitch:
+      return legal_rec(*s.child1, line);
+    case Op::kStitch2: {
+      TableLine t = parse_table_line(line, s.delim, /*require_padding=*/true);
+      return t.ok && legal_rec(*s.child1, t.head) &&
+             legal_rec(*s.child2, t.tail);
+    }
+    case Op::kOffset: {
+      if (line.empty()) return true;
+      TableLine t = parse_table_line(line, s.delim, /*require_padding=*/false);
+      return t.ok && legal_rec(*s.child1, t.head);
+    }
+    default:
+      return false;
+  }
+}
+
+bool reference_lines_legal(const Node& s, std::string_view y) {
+  if (!text::is_stream(y)) return false;
+  for (std::string_view line : text::lines(y))
+    if (!reference_line_legal(s, line)) return false;
+  return true;
+}
+
+// A line over the pieces a table line is made of: tab and space pads, digit
+// and non-digit heads, bytes >= 0x80, the delimiter `d` (or another one)
+// between head and tail, and empty lines, pad-only lines and lines that
+// start or end with `d`. Under d = '\n' the "line" ends early: the
+// operand's next line starts where a one-pass matcher must not read.
+std::string random_table_line(std::mt19937& rng, char d) {
+  static const char* kPads[] = {"", "", " ", "      ", "\t", "\t\t", " \t",
+                                "\t "};
+  static const char* kHeads[] = {"",    "0",   "7",   "42", "1234567",
+                                 "x",   "4x",  "x4",  "\x80", "\xff" "9",
+                                 "1,2", "1 2", ",1,", " 1"};
+  static const char* kTails[] = {"",   "a",     "apple", "5",    "12",
+                                 "a b", "a,b",  "\t",    "\x80\xff", ",",
+                                 "1,2,3", " 1 2", "3,",  ",3"};
+  auto pick = [&rng](const auto& from) {
+    return std::string(from[rng() % std::size(from)]);
+  };
+  const char sep = rng() % 4 ? d : kDelims[rng() % std::size(kDelims)];
+  switch (rng() % 8) {
+    case 0:
+      return "";
+    case 1:
+      return pick(kPads);
+    case 2:
+      return sep + pick(kTails);
+    case 3:
+      return pick(kPads) + pick(kHeads) + sep;
+    default:
+      return pick(kPads) + pick(kHeads) + sep + pick(kTails);
+  }
+}
+
+// struct_lines_legal matches each line in one pass, with add, concat,
+// first and second read inline; struct_line_legal uses the same matcher.
+// Both must agree with the per-line definition on every StructOp over
+// every delimiter (among them '\n', which no line contains) and every
+// leaf, plus leaves checked through legal_rec.
+TEST(Domain, OnePassLineChecksMatchThePerLineDefinition) {
+  const NodeRef leaves[] = {
+      make_leaf(Op::kAdd),    make_leaf(Op::kConcat),
+      make_leaf(Op::kFirst),  make_leaf(Op::kSecond),
+      make_unary(Op::kFront, ',', make_leaf(Op::kAdd)),
+      make_unary(Op::kBack, ' ', make_leaf(Op::kAdd)),
+      make_unary(Op::kFuse, ',', make_leaf(Op::kAdd))};
+  std::vector<NodeRef> ops;
+  for (const NodeRef& b : leaves) {
+    ops.push_back(make_stitch(b));
+    for (char d : kDelims) {
+      ops.push_back(make_unary(Op::kOffset, d, b));
+      for (const NodeRef& b2 : leaves) ops.push_back(make_stitch2(d, b, b2));
+    }
+  }
+  std::mt19937 rng(23);
+  std::map<Op, std::pair<int, int>> verdicts;  // legal, illegal operands
+  for (const NodeRef& s : ops) {
+    const std::string name = node_to_string(*s);
+    std::vector<std::string> operands = {"",     "\n",    "\n\n",
+                                         "\t\n", "      1 a", "1\n"};
+    for (int i = 0; i < 150; ++i) {
+      std::string y;
+      for (int n = static_cast<int>(rng() % 5); n >= 0; --n) {
+        y += random_table_line(rng, s->delim);
+        y += '\n';
+      }
+      if (rng() % 4 == 0) y += random_table_line(rng, s->delim);
+      operands.push_back(std::move(y));
+    }
+    for (const std::string& y : operands) {
+      const bool expect = reference_lines_legal(*s, y);
+      ASSERT_EQ(struct_lines_legal(*s, y), expect) << name << " [" << y << "]";
+      auto& [legal_count, illegal_count] = verdicts[s->op];
+      ++(expect ? legal_count : illegal_count);
+      for (std::string_view line : text::lines(y))
+        ASSERT_EQ(struct_line_legal(*s, line), reference_line_legal(*s, line))
+            << name << " line [" << line << "]";
+    }
+  }
+  // Each operator met both verdicts often, so neither side is vacuous.
+  for (Op op : {Op::kStitch, Op::kStitch2, Op::kOffset}) {
+    EXPECT_GT(verdicts[op].first, 100) << static_cast<int>(op);
+    EXPECT_GT(verdicts[op].second, 100) << static_cast<int>(op);
+  }
 }
 
 // ------------------------------------------------------------ semantics --

@@ -383,63 +383,86 @@ TEST(ShardDataflow, UnterminatedPartsStayRecordAligned) {
 
 // The workers check each part's lines for the collector's fold, which then
 // checks only the seam. A part with an illegal line away from its seams
-// must still make the fold undefined: here `cat` over uniq -c's table
-// (stitch2) with one line that is no padded table line, in the middle of
-// the second of 10-line slices. Were the worker's verdict dropped, or
-// legal by default, the fold would pass the line through.
+// must still make the fold undefined. `cat` runs over 10-byte lines in
+// 10-line slices, one of them illegal:
+//  * uniq -c's table (stitch2 ' ' add first), and a line that is no padded
+//    table line in the middle of the second slice;
+//  * offset '\t' add, and a count with no tab after it in the middle of
+//    the first slice (offset rewrites every later part, and the rewrite
+//    would refuse it there);
+//  * stitch add, and a non-digit line in the middle of the second slice.
+// Were the worker's verdict dropped, legal by default, or a check that
+// accepts too much, the fold would pass the line through.
 TEST(ShardDataflow, IllegalLineAwayFromTheSeamFailsTheFold) {
-  const dsl::Combiner saf = dsl::combiner_stitch2_add_first(' ');
-  std::vector<exec::ExecStage> stages;
-  exec::ExecStage s;
-  s.command = cmd::make_command_line("cat");
-  s.parallel = true;
-  s.shardable = true;
-  s.memory_class = exec::MemoryClass::kStreaming;
-  s.combiner_name = dsl::to_string(saf);
-  s.combine = [saf](const std::vector<std::string>& parts) {
-    return dsl::combine_k(saf, parts);
+  struct Case {
+    dsl::Combiner g;
+    const char* format;  // the i-th line, from the count i % 7 + 1
+    int bad_at;
+    const char* bad;
   };
-  s.fold = [saf] { return dsl::Fold(saf); };
-  stages.push_back(std::move(s));
+  const Case cases[] = {
+      {dsl::combiner_stitch2_add_first(' '), "%7d x\n", 15, "not-a-row\n"},
+      {dsl::combiner_offset_add('\t'), "%7d\tx\n", 5, "   123456\n"},
+      {{dsl::make_stitch(dsl::make_leaf(dsl::Op::kAdd)), false, nullptr, ""},
+       "%09d\n",
+       15,
+       "not-digit\n"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(dsl::to_string(c.g));
+    const dsl::Combiner g = c.g;
+    std::vector<exec::ExecStage> stages;
+    exec::ExecStage s;
+    s.command = cmd::make_command_line("cat");
+    s.parallel = true;
+    s.shardable = true;
+    s.memory_class = exec::MemoryClass::kStreaming;
+    s.combiner_name = dsl::to_string(g);
+    s.combine = [g](const std::vector<std::string>& parts) {
+      return dsl::combine_k(g, parts);
+    };
+    s.fold = [g] { return dsl::Fold(g); };
+    stages.push_back(std::move(s));
 
-  // 10-byte lines in 100-byte blocks: every block, and so every slice, is
-  // ten whole lines. Line 15 is the bad one.
-  std::string input;
-  for (int i = 0; i < 60; ++i) {
-    char line[16];
-    std::snprintf(line, sizeof(line), "%7d x\n", i % 7 + 1);
-    input += i == 15 ? "not-a-row\n" : line;
+    // 10-byte lines in 100-byte blocks: every block, and so every slice,
+    // is ten whole lines.
+    std::string input;
+    for (int i = 0; i < 60; ++i) {
+      char line[16];
+      std::snprintf(line, sizeof(line), c.format, i % 7 + 1);
+      input += i == c.bad_at ? c.bad : line;
+    }
+    ASSERT_EQ(input.size(), 600u);
+    const std::string serial = exec::run_serial(stages, input);
+    ASSERT_EQ(serial, input);
+
+    kq::ExecOptions options = stream_options(4, 100);
+    options.stats = true;
+    kq::Executor executor(options);
+
+    FILE* file = std::tmpfile();
+    ASSERT_NE(file, nullptr);
+    std::fwrite(input.data(), 1, input.size(), file);
+    std::fflush(file);
+    std::rewind(file);
+    std::string sunk;
+    kq::ExecResult from_fd =
+        executor.run(stages, kq::Source::from_fd(fileno(file)),
+                     [&sunk](std::string_view bytes) {
+                       sunk.append(bytes);
+                       return true;
+                     });
+    std::fclose(file);
+    EXPECT_FALSE(from_fd.ok);
+    EXPECT_TRUE(from_fd.combine_undefined) << from_fd.error;
+    ASSERT_EQ(from_fd.nodes.size(), 1u);
+    EXPECT_TRUE(from_fd.nodes[0].sharded);
+
+    kq::ExecResult from_string = executor.run_collect(stages, input);
+    ASSERT_TRUE(from_string.ok) << from_string.error;
+    EXPECT_TRUE(from_string.batch_fallback);
+    EXPECT_EQ(from_string.output, serial);
   }
-  ASSERT_EQ(input.size(), 600u);
-  const std::string serial = exec::run_serial(stages, input);
-  ASSERT_EQ(serial, input);
-
-  kq::ExecOptions options = stream_options(4, 100);
-  options.stats = true;
-  kq::Executor executor(options);
-
-  FILE* file = std::tmpfile();
-  ASSERT_NE(file, nullptr);
-  std::fwrite(input.data(), 1, input.size(), file);
-  std::fflush(file);
-  std::rewind(file);
-  std::string sunk;
-  kq::ExecResult from_fd =
-      executor.run(stages, kq::Source::from_fd(fileno(file)),
-                   [&sunk](std::string_view bytes) {
-                     sunk.append(bytes);
-                     return true;
-                   });
-  std::fclose(file);
-  EXPECT_FALSE(from_fd.ok);
-  EXPECT_TRUE(from_fd.combine_undefined) << from_fd.error;
-  ASSERT_EQ(from_fd.nodes.size(), 1u);
-  EXPECT_TRUE(from_fd.nodes[0].sharded);
-
-  kq::ExecResult from_string = executor.run_collect(stages, input);
-  ASSERT_TRUE(from_string.ok) << from_string.error;
-  EXPECT_TRUE(from_string.batch_fallback);
-  EXPECT_EQ(from_string.output, serial);
 }
 
 // ------------------------------------------------ progress without stealing --

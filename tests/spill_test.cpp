@@ -122,6 +122,39 @@ TEST(RawSpool, ZeroThresholdNeverSpills) {
   EXPECT_FALSE(spool.spilled());
 }
 
+TEST(RawSpool, BufferStaysWithinThresholdPlusTwoPieces) {
+  // The tranche reserves threshold + 2 pieces before its doubling would
+  // overshoot, as SpillMerger's batch does: grown by doubling, 64 KiB
+  // pieces under a 1.5 MiB threshold would reach 2 MiB of room, and a
+  // 65 MiB tranche under the default 64 MiB threshold 128 MiB.
+  std::mt19937_64 rng(19);
+  for (std::size_t threshold :
+       {std::size_t{100} << 10, std::size_t{1536} << 10,
+        std::size_t{3} << 20}) {
+    for (bool fixed : {true, false}) {
+      RawSpool spool(threshold);
+      std::string whole;
+      std::size_t largest = 0;
+      while (whole.size() < 3 * threshold) {
+        const std::size_t size =
+            fixed ? std::size_t{64} << 10 : 1 + rng() % (96 << 10);
+        std::string piece(size, static_cast<char>('a' + rng() % 26));
+        piece.back() = '\n';
+        largest = std::max(largest, piece.size());
+        whole += piece;
+        ASSERT_TRUE(spool.add(piece));
+        ASSERT_LE(spool.buffer_capacity(), threshold + 2 * largest)
+            << "threshold " << threshold << (fixed ? " fixed" : " random")
+            << " pieces, after " << whole.size() << " bytes";
+      }
+      EXPECT_TRUE(spool.spilled());
+      std::string all;
+      ASSERT_TRUE(spool.take(&all));
+      EXPECT_TRUE(all == whole);  // not EXPECT_EQ: MiBs
+    }
+  }
+}
+
 // ---------------------------------------------- SpillMerger: external sort --
 
 TEST(SpillMerger, ExternalSortMatchesSortStream) {

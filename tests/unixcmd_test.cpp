@@ -189,6 +189,19 @@ TEST(Sort, NumericUniqueCollapsesZeroTies) {
   EXPECT_EQ(run("sort -nu", "xyz\nabc\n1\n0\n"), "xyz\n1\n");
 }
 
+TEST(Sort, BlanksFlagSkipsLeadingBlanks) {
+  // GNU (LC_ALL=C) compares keyless -b lines from their first non-blank,
+  // with the whole line's bytes as the last resort; without -b the blank
+  // sorts first.
+  EXPECT_EQ(run("sort -b", " b\na\n"), "a\n b\n");
+  EXPECT_EQ(run("sort", " b\na\n"), " b\na\n");
+  const std::string input = " b\na\n\ta\n a\nb\n";
+  EXPECT_EQ(run("sort -b", input), "\ta\n a\na\n b\nb\n");
+  EXPECT_EQ(run("sort -rb", input), "b\n b\na\n a\n\ta\n");
+  EXPECT_EQ(run("sort -bu", input), "a\n b\n");
+  EXPECT_EQ(run("sort -sb", input), "a\n\ta\n a\n b\nb\n");
+}
+
 TEST(Sort, ParallelFlagIgnored) {
   EXPECT_EQ(run("sort --parallel=1", "b\na\n"), "a\nb\n");
 }
@@ -456,13 +469,20 @@ std::vector<std::string> split_lines(
   return out;
 }
 
-// `sort [-r] [-u] [-s] [-f]` under LC_ALL=C without SortSpec: lines
-// ordered by their unsigned bytes (upper-cased under -f, where lines that
-// fold alike fall back to their own bytes unless -s or -u), equal keys
-// kept in input order, and deduped under -u.
+// `sort [-r] [-u] [-s] [-f] [-b]` under LC_ALL=C without SortSpec: lines
+// ordered by their unsigned bytes (from the first non-blank under -b,
+// upper-cased under -f; lines that -b or -f make alike fall back to their
+// own bytes unless -s or -u), equal keys kept in input order, and deduped
+// under -u.
 std::string c_locale_sort(const std::vector<std::string_view>& streams,
-                          bool reverse, bool unique, bool stable,
-                          bool fold) {
+                          bool reverse, bool unique, bool stable, bool fold,
+                          bool blanks = false) {
+  auto key = [blanks](const std::string& line) {
+    std::size_t i = 0;
+    while (blanks && i < line.size() && (line[i] == ' ' || line[i] == '\t'))
+      ++i;
+    return line.substr(i);
+  };
   auto bytes_cmp = [](const std::string& a, const std::string& b,
                       bool upper) {
     for (std::size_t i = 0; i < a.size() && i < b.size(); ++i) {
@@ -478,8 +498,9 @@ std::string c_locale_sort(const std::vector<std::string_view>& streams,
     return a.size() < b.size() ? -1 : 1;
   };
   auto cmp = [&](const std::string& a, const std::string& b) {
-    int c = bytes_cmp(a, b, fold);
-    if (c == 0 && fold && !stable && !unique) c = bytes_cmp(a, b, false);
+    int c = bytes_cmp(key(a), key(b), fold);
+    if (c == 0 && (fold || blanks) && !stable && !unique)
+      c = bytes_cmp(a, b, false);
     return reverse ? -c : c;
   };
   std::vector<std::string> ls = split_lines(streams);
@@ -501,27 +522,47 @@ std::string c_locale_sort(const std::vector<std::string_view>& streams,
   return out;
 }
 
+// `stream` with 1-3 blanks (spaces and tabs) in front of about half its
+// lines, so -b's key differs from the line.
+std::string with_leading_blanks(std::string_view stream,
+                                std::mt19937_64& rng) {
+  std::string out;
+  for (std::size_t start = 0; start < stream.size();) {
+    std::size_t end = stream.find('\n', start);
+    end = end == std::string_view::npos ? stream.size() : end + 1;
+    if (rng() % 2)
+      for (int n = 1 + static_cast<int>(rng() % 3); n > 0; --n)
+        out += rng() % 2 ? ' ' : '\t';
+    out.append(stream.substr(start, end - start));
+    start = end;
+  }
+  return out;
+}
+
 TEST(SortSpec, KeylessSortAndMergeMatchACLocaleReference) {
-  // Without a key, -n or -d, compare() is the bytewise compare (folded
-  // under -f, with a bytewise tiebreak only then). Checked here against an
-  // order built without SortSpec, over bytes where signed chars, an
-  // offset slip or a dropped tiebreak would show.
+  // Without a key, -n or -d, compare() is the bytewise compare (from the
+  // first non-blank under -b, folded under -f, with a bytewise tiebreak
+  // only then). Checked here against an order built without SortSpec, over
+  // bytes where signed chars, an offset slip or a dropped tiebreak would
+  // show, and over lines with leading blanks.
   std::mt19937_64 rng(80);
-  for (unsigned mask = 0; mask < 16; ++mask) {
+  for (unsigned mask = 0; mask < 32; ++mask) {
     const bool reverse = mask & 1, unique = mask & 2, stable = mask & 4,
-               fold = mask & 8;
+               fold = mask & 8, blanks = mask & 16;
     std::vector<std::string> flags;
     if (reverse) flags.emplace_back("-r");
     if (unique) flags.emplace_back("-u");
     if (stable) flags.emplace_back("-s");
     if (fold) flags.emplace_back("-f");
+    if (blanks) flags.emplace_back("-b");
     auto spec = SortSpec::parse(flags);
     ASSERT_TRUE(spec.has_value()) << joined(flags);
     for (int trial = 0; trial < 40; ++trial) {
-      const std::string input = trial % 4 == 3 ? random_sort_stream(rng)
-                                               : random_byte_stream(rng);
+      std::string input = trial % 4 == 3 ? random_sort_stream(rng)
+                                         : random_byte_stream(rng);
+      if (trial % 2) input = with_leading_blanks(input, rng);
       const std::string expect =
-          c_locale_sort({input}, reverse, unique, stable, fold);
+          c_locale_sort({input}, reverse, unique, stable, fold, blanks);
       ASSERT_EQ(spec->sort_stream(input), expect)
           << "flags " << joined(flags) << "trial " << trial;
       ASSERT_EQ(spec->sort_stream_with<std::uint64_t>(input), expect)
@@ -529,11 +570,12 @@ TEST(SortSpec, KeylessSortAndMergeMatchACLocaleReference) {
 
       std::vector<std::string> streams(1 + rng() % 4);
       for (std::string& s : streams)
-        s = spec->sort_stream(random_byte_stream(rng));
+        s = spec->sort_stream(
+            with_leading_blanks(random_byte_stream(rng), rng));
       const std::vector<std::string_view> views(streams.begin(),
                                                 streams.end());
       ASSERT_EQ(spec->merge_streams(views),
-                c_locale_sort(views, reverse, unique, stable, fold))
+                c_locale_sort(views, reverse, unique, stable, fold, blanks))
           << "merge, flags " << joined(flags) << "trial " << trial;
     }
   }
