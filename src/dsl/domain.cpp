@@ -98,11 +98,7 @@ class LineGrammar {
   explicit LineGrammar(const Node& s)
       : s_(s),
         head_(s.child1 ? field_of(*s.child1) : Field::kAny),
-        tail_(s.child2 ? field_of(*s.child2) : Field::kAny) {
-    // A digit head ends at the first non-digit, which is the line's first
-    // d only when d is no digit.
-    if (head_ == Field::kDigits && is_digit(s.delim)) head_ = Field::kTree;
-  }
+        tail_(s.child2 ? field_of(*s.child2) : Field::kAny) {}
 
   // Every line is legal: stitch over a child that accepts any bytes.
   bool any_line() const {
@@ -125,7 +121,7 @@ class LineGrammar {
       const char* d;
       if (head_ == Field::kDigits) {
         d = head;
-        while (d < e && is_digit(*d)) ++d;
+        while (d < e && *d != s_.delim && is_digit(*d)) ++d;
         if (d == head || d == e || *d != s_.delim) return false;
       } else {
         d = static_cast<const char*>(
@@ -138,8 +134,8 @@ class LineGrammar {
 
  private:
   const Node& s_;
-  Field head_;
-  Field tail_;
+  const Field head_;
+  const Field tail_;
 };
 
 // Every line of stream y = [p, end) matches g's kOp grammar.
