@@ -14,7 +14,8 @@ Asserts:
     counts re-add from the per-pipeline diagnostics exactly
   - every pipeline entry has name, pipeline, status, a stages list
     (index/display/mode/seq_reason/memory_class/rss_model) and a
-    diagnostics list
+    diagnostics list; a stage's memory_class is one of the labels the
+    runtime's placement gives a node (stream::place, docs/ARCHITECTURE.md)
   - every diagnostic has a KQ-* code, a known severity, a stage span with
     0 <= stage_begin <= stage_end < len(stages), and non-empty message
   - at most --max-errors error-severity diagnostics (default 0: the
@@ -32,6 +33,9 @@ import sys
 STATUSES = {"clean", "info", "warnings", "errors"}
 SEVERITIES = {"info", "warning", "error"}
 STAGE_KEYS = ("display", "mode", "seq_reason", "memory_class", "rss_model")
+PLACEMENT_LABELS = {"streaming", "sharded-streaming", "sortable-spill",
+                    "sharded-spill-merge", "materialize", "sharded",
+                    "stateless-stream", "window-stream"}
 
 
 def main() -> int:
@@ -122,6 +126,10 @@ def main() -> int:
             if stage.get("mode") not in ("parallel", "sequential"):
                 problems.append(
                     f"{where} stage {i}: bad mode {stage.get('mode')!r}")
+            if stage.get("memory_class") not in PLACEMENT_LABELS:
+                problems.append(f"{where} stage {i}: memory_class "
+                                f"{stage.get('memory_class')!r} is no "
+                                f"placement label")
         diags = entry.get("diagnostics")
         if not isinstance(diags, list):
             problems.append(f"{where}: missing diagnostics list")

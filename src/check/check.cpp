@@ -59,61 +59,26 @@ std::string span_display(const compile::Plan& plan, int begin, int end) {
   return out;
 }
 
-// Worst-case resident-set model per memory class, phrased against the
-// configured spill threshold. This is the "memory class → RSS" contract
-// docs/ARCHITECTURE.md describes in prose, emitted per stage as data.
-std::string rss_model(const compile::PlannedStage& planned,
-                      const exec::ExecStage& lowered,
-                      const Options& options) {
-  bool spill_on = options.spill_threshold > 0;
-  switch (lowered.memory_class) {
-    case exec::MemoryClass::kStreaming:
-      if (lowered.shardable)
-        return "O(parallelism x slice): sharded stream sub-chains feed a "
-               "boundary fold";
-      return "O(parallelism x block): chunk outputs stream through";
-    case exec::MemoryClass::kStatelessStream:
-      return "O(block): fused per-block stream chain";
-    case exec::MemoryClass::kWindowStream:
-      if (!planned.rewritten_from.empty())
-        return "O(N): fused bounded top-N window";
-      if (lowered.sort_spec)
-        return spill_on
-                   ? "O(min(window, spill-threshold)): oversized window "
-                     "exports sorted runs"
-                   : "O(window): sorted-run export disabled "
-                     "(--spill-threshold 0)";
-      return "O(window): bounded by the command's own window";
-    case exec::MemoryClass::kSortableSpill:
-      if (!spill_on)
-        return "O(input): spilling disabled (--spill-threshold 0)";
-      if (lowered.shardable)
-        return "O(parallelism x window + spill-threshold): sharded "
-               "sub-chains spill sorted runs, external k-way merge";
-      if (planned.parallel)
-        return "O(parallelism x block + spill-threshold): a sorted chunk "
-               "per slot, sorted runs on disk, external k-way merge";
-      return "O(spill-threshold): sorted runs on disk, external k-way merge";
-    case exec::MemoryClass::kMaterialize:
-      return "O(input): whole stream materializes";
-  }
-  return "?";
-}
-
 class Analyzer {
  public:
   Analyzer(const compile::Plan& plan,
            const std::vector<exec::ExecStage>& lowered,
            const Options& options)
-      : plan_(plan), lowered_(lowered), options_(options) {}
+      : plan_(plan),
+        lowered_(lowered),
+        options_(options),
+        nodes_(stream::place(lowered, Executor(options.run).options())) {
+    for (std::size_t n = 0; n < nodes_.size(); ++n)
+      node_of_.insert(node_of_.end(), nodes_[n].stages.size(), n);
+  }
 
   Report run() {
-    for (std::size_t i = 0; i < plan_.stages.size(); ++i) {
-      summarize(static_cast<int>(i));
-      check_exec(static_cast<int>(i));
-      check_mem(static_cast<int>(i));
-      check_probe(static_cast<int>(i));
-      check_order(static_cast<int>(i));
+    for (int i = 0; i < total(); ++i) {
+      summarize(i);
+      check_exec(i);
+      if (static_cast<int>(node(i).first) == i) check_mem(node(i));
+      check_probe(i);
+      check_order(i);
     }
     check_dead();
     check_rewrite();
@@ -131,6 +96,10 @@ class Analyzer {
   const exec::ExecStage& lowered(int i) const {
     return lowered_[static_cast<std::size_t>(i)];
   }
+  // The node the runtime runs stage `i` in.
+  const stream::Placement& node(int i) const {
+    return nodes_[node_of_[static_cast<std::size_t>(i)]];
+  }
   int total() const { return static_cast<int>(plan_.stages.size()); }
 
   void emit(std::string code, Severity severity, int begin, int end,
@@ -146,8 +115,8 @@ class Analyzer {
     s.display = p.parsed.display;
     s.mode = p.parallel ? "parallel" : "sequential";
     s.seq_reason = compile::seq_reason_name(p.seq_reason);
-    s.memory_class = exec::memory_class_name(lowered(i).memory_class);
-    s.rss_model = rss_model(p, lowered(i), options_);
+    s.memory_class = node(i).label;
+    s.bound = node(i).bound;
     report_.stages.push_back(std::move(s));
   }
 
@@ -166,50 +135,22 @@ class Analyzer {
          "for the supported set");
   }
 
-  // KQ-MEM: the stage has no bounded-memory execution path — it
-  // materializes its whole input (kMaterialize), or its only bound was the
-  // spill path and --spill-threshold 0 disabled it.
-  void check_mem(int i) {
-    const compile::PlannedStage& p = planned(i);
-    if (!p.command) return;  // KQ-EXEC already covers the stage
-    const exec::ExecStage& l = lowered(i);
-    bool spill_off = options_.spill_threshold == 0;
-    if (l.memory_class == exec::MemoryClass::kMaterialize) {
-      std::string message;
-      if (l.parallel && l.rerun_combiner) {
-        message =
-            "parallel rerun combiner: the k partial outputs concatenate and "
-            "rerun through the command whole, so worst-case RSS is O(input) "
-            "(deferred parts spool through disk, the rerun reads them back)";
-      } else {
-        message =
-            "stage declares no streamable or window-bounded form, so the "
-            "runtime materializes its whole input: worst-case RSS is "
-            "O(input) with no spill path at the configured spill threshold";
-      }
-      emit("KQ-MEM", Severity::kWarning, i, i, std::move(message),
-           "bound it upstream (filter or head before this stage) or teach "
-           "the built-in a StreamProcessor/WindowProcessor form");
-      return;
-    }
-    if (spill_off && l.memory_class == exec::MemoryClass::kSortableSpill) {
-      emit("KQ-MEM", Severity::kWarning, i, i,
-           "sort-class stage with spilling disabled (--spill-threshold 0): "
-           "the run accumulates unboundedly instead of exporting sorted "
-           "runs; worst-case RSS is O(input)",
-           "re-enable spilling (--spill-threshold N) to restore the "
-           "external-merge bound");
-      return;
-    }
-    if (spill_off && l.memory_class == exec::MemoryClass::kWindowStream &&
-        l.sort_spec && p.rewritten_from.empty()) {
-      emit("KQ-MEM", Severity::kWarning, i, i,
-           "distinct-set window (sort -u class) with spilling disabled "
-           "(--spill-threshold 0): the window grows with the number of "
-           "distinct records; worst-case RSS is O(distinct input)",
-           "re-enable spilling (--spill-threshold N) so the window exports "
-           "sorted runs past the threshold");
-    }
+  // KQ-MEM: the node running the stage holds O(input) at the run's
+  // settings (Placement::bounded). One diagnostic per node, spanning its
+  // stages, whose message is the node's bound; a node with a comparator
+  // (a sort, a merge, a distinct-set window) is bounded by spilling.
+  void check_mem(const stream::Placement& node) {
+    const int begin = static_cast<int>(node.first);
+    if (node.bounded || !planned(begin).command) return;  // or KQ-EXEC
+    emit("KQ-MEM", Severity::kWarning, begin,
+         begin + static_cast<int>(node.stages.size()) - 1,
+         concat({"the ", node.label, " node running this holds ",
+                 node.bound}),
+         node.spec ? "re-enable spilling (--spill-threshold N) so the node "
+                     "exports sorted runs past the threshold"
+                   : "bound it upstream (filter or head before this stage) "
+                     "or teach the built-in a StreamProcessor/"
+                     "WindowProcessor form");
   }
 
   // KQ-PROBE: the probe-coverage guard fired — the command's declared
@@ -266,8 +207,9 @@ class Analyzer {
            "outputs");
       return;
     }
-    if (p.parallel &&
-        lowered(i).memory_class == exec::MemoryClass::kSortableSpill) {
+    const stream::Placement& n = node(i);
+    if (n.combine == stream::Combine::kMerge &&
+        n.stages.back() == &lowered(i)) {
       emit("KQ-ORDER", Severity::kInfo, i, i,
            "parallel recombination is a k-way merge: output order is "
            "re-established by the comparator, and equal keys across chunk "
@@ -383,6 +325,8 @@ class Analyzer {
   const compile::Plan& plan_;
   const std::vector<exec::ExecStage>& lowered_;
   Options options_;
+  const std::vector<stream::Placement> nodes_;
+  std::vector<std::size_t> node_of_;  // per stage: its index in nodes_
   Report report_;
 };
 
@@ -475,7 +419,7 @@ void render_human(const Report& report, const std::string& pipeline,
     const StageSummary& s = report.stages[i];
     out << "  [" << i << "] " << s.display << "\n      " << s.mode;
     if (s.mode == "sequential") out << " (" << s.seq_reason << ")";
-    out << "  memory=" << s.memory_class << "  rss=" << s.rss_model << "\n";
+    out << "  memory=" << s.memory_class << "  rss=" << s.bound << "\n";
   }
   if (report.diagnostics.empty()) {
     out << "diagnostics: none\n";
@@ -531,7 +475,7 @@ void write_json(const std::vector<PipelineReport>& reports,
       out << ", ";
       write_string("memory_class", s.memory_class, out);
       out << ", ";
-      write_string("rss_model", s.rss_model, out);
+      write_string("rss_model", s.bound, out);
       out << "}";
     }
     out << (entry.report.stages.empty() ? "]" : "\n      ]");

@@ -5,15 +5,17 @@
 // are cataloged in docs/CHECKS.md:
 //
 //   KQ-EXEC    error    stage resolves to no executable command
-//   KQ-MEM     warning  unbounded-memory stage (kMaterialize, no spill path)
+//   KQ-MEM     warning  unbounded-memory node (O(input) at the run's settings)
 //   KQ-PROBE   warning  combiner certification blind past the probe cap
 //   KQ-ORDER   info/warning  order- or collation-dependent recombination
 //   KQ-DEAD    warning  redundant stage (cat mid-pipeline, sort|sort, ...)
 //   KQ-REWRITE info     bounded-window rewrite almost matched; says why not
 //
 // Everything here reads the classification rationale compile_pipeline
-// records (PlannedStage::seq_reason et al.) rather than re-deriving it, so
-// `check` can never disagree with the plan that `run` executes. Output is
+// records (PlannedStage::seq_reason et al.) rather than re-deriving it, and
+// each stage's memory label and bound are those of the node the runtime
+// places it in (stream::place) at the settings the plan runs under, so
+// `check` reports the nodes `run` builds at those settings. Output is
 // a human table (render_human) or a versioned JSON document (write_json,
 // schema validated by bench/check_diag_json.py); exit codes distinguish
 // clean/warnings/errors so CI can gate on the analyzer.
@@ -25,6 +27,7 @@
 #include <vector>
 
 #include "compile/plan.h"
+#include "exec/executor.h"
 
 namespace kq::check {
 
@@ -36,7 +39,8 @@ struct Diagnostic {
   std::string code;  // "KQ-MEM", "KQ-PROBE", ...
   Severity severity = Severity::kInfo;
   // Inclusive stage-index span in the compiled plan (a rewrite near-miss
-  // spans the whole almost-matched run; most diagnostics span one stage).
+  // spans the whole almost-matched run, KQ-MEM its node's stages; most
+  // diagnostics span one stage).
   int stage_begin = 0;
   int stage_end = 0;
   std::string stage;    // display text of the span, " | "-joined
@@ -50,14 +54,16 @@ struct StageSummary {
   std::string display;
   std::string mode;          // "parallel" | "sequential"
   std::string seq_reason;    // compile::seq_reason_name of the rationale
-  std::string memory_class;  // exec::memory_class_name of the lowering
-  std::string rss_model;     // worst-case resident-set model for the class
+  std::string memory_class;  // label of the node holding the stage
+  std::string bound;         // that node's worst-case resident set
 };
 
 struct Options {
-  // The spill threshold the memory models are phrased against (the `run`
-  // default; `check --spill-threshold` overrides, 0 = spilling disabled).
-  std::size_t spill_threshold = 64 << 20;
+  // The settings the plan runs under: k, the delimiter, elimination and
+  // the spill threshold decide each stage's node (stream::place). `run`'s
+  // defaults unless set; parallelism 0 resolves as kq::Executor resolves
+  // it.
+  ExecOptions run;
   // False when the plan was compiled with --no-rewrite: a fully matching
   // bounded-window pattern is then reported as blocked by the flag.
   bool rewrites_enabled = true;

@@ -104,11 +104,13 @@ struct CompiledPipeline {
 };
 
 // `parallelism` bounds the threads that synthesize the pipeline's
-// distinct commands (0 = the hardware default, as for -k).
+// distinct commands (0 = the hardware default, as for -k); `fs` holds the
+// files its stages name (the catalog's fixtures).
 std::optional<CompiledPipeline> compile_line(const std::string& pipeline,
                                              bool rewrite,
                                              obs::Tracer* tracer = nullptr,
-                                             int parallelism = 0) {
+                                             int parallelism = 0,
+                                             const vfs::Vfs* fs = nullptr) {
   std::string error;
   auto parsed = compile::parse_pipeline(pipeline, &error);
   if (!parsed) {
@@ -119,8 +121,8 @@ std::optional<CompiledPipeline> compile_line(const std::string& pipeline,
   compile::PlanOptions options;
   options.parallelism = parallelism;
   options.tracer = tracer;  // records "synthesize <cmd>" compile spans
-  CompiledPipeline out{compile::compile_pipeline(*parsed, cache, options),
-                       {}};
+  CompiledPipeline out{
+      compile::compile_pipeline(*parsed, cache, options, fs), {}};
   // Whole-pipeline rewrites (sort|head -> bounded top-n) run before
   // combiner elimination: a fused stage is sequential and ends an
   // elimination chain. --no-rewrite restores the per-stage plan.
@@ -131,10 +133,11 @@ std::optional<CompiledPipeline> compile_line(const std::string& pipeline,
 }
 
 // `compile` prints the plan with the analyzer's diagnostics inline next to
-// the memory:/rewritten-from: annotations — the diagnostics come from the
-// same check::analyze call `kumquat check` renders, so the two verbs can
-// never disagree. With --check the verdict also drives the exit code
-// (0 clean, 1 warnings, 2 errors); without it compile keeps exit 0.
+// the memory:/rewritten-from: annotations — the diagnostics and memory
+// labels come from the same check::analyze call `kumquat check` renders, at
+// `run`'s defaults, so the two verbs can never disagree. With --check the
+// verdict also drives the exit code (0 clean, 1 warnings, 2 errors);
+// without it compile keeps exit 0.
 int cmd_compile(const std::string& pipeline, bool rewrite, bool with_check) {
   auto compiled = compile_line(pipeline, rewrite);
   if (!compiled) return 2;
@@ -147,9 +150,6 @@ int cmd_compile(const std::string& pipeline, bool rewrite, bool with_check) {
             << compiled->plan.eliminated() << " combiner(s) eliminated\n";
   for (std::size_t i = 0; i < compiled->plan.stages.size(); ++i) {
     const auto& stage = compiled->plan.stages[i];
-    // lower_plan produces one ExecStage per planned stage, so the memory
-    // class (how the streaming runtime bounds this stage) indexes 1:1.
-    const exec::ExecStage& lowered = compiled->stages[i];
     std::cout << "  " << stage.parsed.display << "\n    combiner: "
               << (stage.synthesis && stage.synthesis->success
                       ? stage.synthesis->combiner.to_string()
@@ -166,8 +166,7 @@ int cmd_compile(const std::string& pipeline, bool rewrite, bool with_check) {
               << "\n";
     if (!stage.rewritten_from.empty())
       std::cout << "    rewritten-from: " << stage.rewritten_from << "\n";
-    std::cout << "    memory:   "
-              << exec::memory_class_name(lowered.memory_class) << "\n";
+    std::cout << "    memory:   " << report.stages[i].memory_class << "\n";
     // A multi-stage diagnostic (a rewrite near-miss span) prints once, at
     // the first stage of its span.
     for (const check::Diagnostic& d : report.diagnostics)
@@ -190,44 +189,28 @@ int cmd_compile(const std::string& pipeline, bool rewrite, bool with_check) {
 int cmd_check(const std::string& pipeline, bool rewrite, bool json,
               std::size_t spill_threshold, bool catalog) {
   check::Options options;
-  options.spill_threshold = spill_threshold;
+  options.run.spill_threshold = spill_threshold;
   options.rewrites_enabled = rewrite;
   std::vector<check::PipelineReport> reports;
+  auto add = [&](const std::string& name, const std::string& line,
+                 const vfs::Vfs* fs) {
+    auto compiled = compile_line(line, rewrite, nullptr, 0, fs);
+    if (!compiled) return false;
+    reports.push_back({name, line, check::analyze(compiled->plan,
+                                                  compiled->stages, options)});
+    return true;
+  };
   if (catalog) {
     // The catalog's file-consuming stages (comm, xargs, cat operands) need
     // their fixtures installed in a VFS before make_command resolves them.
     vfs::Vfs fs;
-    synth::SynthesisCache cache;
     for (const bench::Script& script : bench::all_scripts()) {
       bench::prepare_input(script, 1 << 10, 1, fs);
-      for (const std::string& line : script.pipelines) {
-        std::string error;
-        auto parsed = compile::parse_pipeline(line, &error);
-        if (!parsed) {
-          std::cerr << "kumquat: " << script.suite << "/" << script.name
-                    << ": " << error << "\n";
-          return 2;
-        }
-        compile::Plan plan =
-            compile::compile_pipeline(*parsed, cache, {}, &fs);
-        if (rewrite) compile::rewrite_bounded_windows(plan);
-        compile::eliminate_intermediate_combiners(plan);
-        std::vector<exec::ExecStage> stages = compile::lower_plan(plan);
-        check::PipelineReport entry;
-        entry.name = script.suite + "/" + script.name;
-        entry.pipeline = line;
-        entry.report = check::analyze(plan, stages, options);
-        reports.push_back(std::move(entry));
-      }
+      for (const std::string& line : script.pipelines)
+        if (!add(script.suite + "/" + script.name, line, &fs)) return 2;
     }
-  } else {
-    auto compiled = compile_line(pipeline, rewrite);
-    if (!compiled) return 2;
-    check::PipelineReport entry;
-    entry.name = pipeline;
-    entry.pipeline = pipeline;
-    entry.report = check::analyze(compiled->plan, compiled->stages, options);
-    reports.push_back(std::move(entry));
+  } else if (!add(pipeline, pipeline, nullptr)) {
+    return 2;
   }
   if (json) {
     check::write_json(reports, std::cout);
@@ -307,16 +290,29 @@ int cmd_run(const std::string& pipeline, int k, bool optimize, bool streaming,
             std::size_t block_size, std::size_t spill_threshold,
             char delimiter, bool rewrite, bool stats,
             const std::string& trace_path, bool check_only) {
-  // --check: static analysis of the exact plan this run would execute,
-  // then exit with the analyzer's verdict instead of reading stdin.
+  // One facade for both modes: --jobs/-k, elimination, and the streaming
+  // knobs resolve identically whether the staged runner or the dataflow
+  // runtime executes the plan. k == 0 resolves the hardware default.
+  kq::ExecOptions options;
+  options.mode = streaming ? kq::ExecMode::kStream : kq::ExecMode::kBatch;
+  options.parallelism = k;
+  options.use_elimination = optimize;
+  options.block_size = block_size;
+  options.spill_threshold = spill_threshold;
+  options.delimiter = delimiter;
+  options.stats = stats;
+
+  // --check: static analysis of the exact plan this run would execute, at
+  // these settings, then exit with the analyzer's verdict instead of
+  // reading stdin.
   if (check_only) {
     auto compiled = compile_line(pipeline, rewrite, nullptr, k);
     if (!compiled) return 2;
-    check::Options options;
-    options.spill_threshold = spill_threshold;
-    options.rewrites_enabled = rewrite;
+    check::Options check_options;
+    check_options.run = options;
+    check_options.rewrites_enabled = rewrite;
     check::Report report =
-        check::analyze(compiled->plan, compiled->stages, options);
+        check::analyze(compiled->plan, compiled->stages, check_options);
     check::render_human(report, pipeline, std::cout);
     return report.exit_code();
   }
@@ -354,17 +350,6 @@ int cmd_run(const std::string& pipeline, int k, bool optimize, bool streaming,
   }
   if (unresolved) return 2;
 
-  // One facade for both modes: --jobs/-k, elimination, and the streaming
-  // knobs resolve identically whether the staged runner or the dataflow
-  // runtime executes the plan. k == 0 resolves the hardware default.
-  kq::ExecOptions options;
-  options.mode = streaming ? kq::ExecMode::kStream : kq::ExecMode::kBatch;
-  options.parallelism = k;
-  options.use_elimination = optimize;
-  options.block_size = block_size;
-  options.spill_threshold = spill_threshold;
-  options.delimiter = delimiter;
-  options.stats = stats;
   options.tracer = tracer.get();
   kq::Executor executor(options);
   const int resolved_k = executor.options().parallelism;

@@ -24,53 +24,38 @@ namespace kq::exec {
 using KWayCombine =
     std::function<std::optional<std::string>(const std::vector<std::string>&)>;
 
-// How much of its input a stage must hold at once — drives the streaming
-// runtime's node choice (src/stream/dataflow.cpp) and when it may spill.
-// Each enumerator documents its tier's contract: what bounds the resident
-// state, and what the executor may assume about record alignment and
-// end-of-input semantics. Assigned by compile::lower_plan; the executor
-// re-checks at runtime (a plan-parallel stage forced sequential at k=1
-// falls back to its declared sequential tier). Prose walkthrough:
-// docs/ARCHITECTURE.md.
+// How much of its input a stage must hold at once, as compile::lower_plan
+// classes it from the plan alone. The streaming runtime's placement
+// (stream::place) reads it with the run's settings to pick the node that
+// runs the stage: a plan-parallel stage at k = 1 or under a custom
+// delimiter runs as its sequential form. The nodes, their labels and
+// their bounds: docs/ARCHITECTURE.md, "Placement".
 enum class MemoryClass {
-  // Bounded by construction: chunk outputs fold in order through the
-  // stage's boundary fold (dsl::Fold), which emits each part's settled
-  // bytes at once and carries only the seam — nothing for concat, one line
-  // for stitch/stitch2/offset, the (small) whole result for RecOps like
-  // wc's add. O(k · slice) in flight plus that boundary.
+  // A parallel stage whose chunk outputs fold in order through its
+  // boundary fold (dsl::Fold), which carries only the seam.
   kStreaming,
-  // Order-insensitive under a sort comparator: bounded runs can spill to
-  // disk sorted and re-stream through an external k-way merge
-  // (stream/spill.*) — a sequential `sort` stage, or a parallel stage
-  // whose combiner is a k-way merge.
+  // Order-insensitive under a sort comparator (`sort_spec`): a sequential
+  // `sort`, or a parallel stage whose combiner is a k-way merge. Runs can
+  // spill to disk sorted and re-stream through an external merge.
   kSortableSpill,
   // Must see the whole input (or all partial outputs) at once: unknown
-  // commands, rerun combiners. Accumulation can still spool through disk,
-  // but the single whole-stream execution materializes once.
+  // commands, rerun combiners.
   kMaterialize,
-  // Declared streamable (cmd::Streamability): the command runs per
-  // record-aligned block through a StreamProcessor, holding O(block) at a
-  // time. Adjacent such stages fuse into one chain node, and a
-  // prefix-bounded command (head) cancels its upstream once satisfied.
-  // Assigned to sequential per-record stages and to every prefix-bounded
-  // stage (where early exit beats data parallelism).
+  // Declared streamable (cmd::Streamability): runs per record-aligned
+  // block through a StreamProcessor. Sequential per-record stages, and
+  // every prefix-bounded stage (where early exit beats data parallelism).
   kStatelessStream,
-  // Declared window-bounded (cmd::Streamability::kWindow): the command
-  // needs the whole input but holds only a bounded window of state — tail
-  // -n N its ring of N records, uniq its current run, wc its counters,
-  // sort -u its distinct set, a fused top-n/top-k rewrite stage its N
-  // records under the sort comparator — absorbed per block through a
-  // cmd::WindowProcessor and flushed at end of input via finish(). Runs as
-  // the *terminal* stage of a fused stream chain (finish() reorders
-  // emission, so nothing fuses after it); a window that outgrows the spill
-  // threshold and declares drain_sorted_run (sort -u, top-n) exports
-  // sorted runs to disk (sort_spec carries the comparator) and re-streams
-  // the external merge, capped at the window's output_limit(). Assigned to
-  // sequential kWindow stages.
+  // Declared window-bounded (cmd::Streamability::kWindow), sequential: the
+  // command holds a bounded window of state — tail -n N its ring, uniq its
+  // run, wc its counters, sort -u its distinct set, a fused top-n/top-k
+  // its N records — and flushes it at end of input. A window past the
+  // spill threshold that declares drain_sorted_run (sort -u, top-n)
+  // exports sorted runs under `sort_spec`.
   kWindowStream,
 };
 
-// Human-readable memory-class names for plan reports and diagnostics.
+// Human-readable memory-class names for plan dumps (kqbench's reads them);
+// reports print the node's placement label instead.
 inline const char* memory_class_name(MemoryClass m) {
   switch (m) {
     case MemoryClass::kStreaming: return "streaming";
@@ -107,10 +92,10 @@ struct ExecStage {
   // stream sub-chain — it has a combiner and its command executes through a
   // cmd::StreamProcessor (kPerRecord) or cmd::WindowProcessor (kWindow), so
   // a shard worker holds O(block + window) instead of O(slice output) per
-  // hop. The streaming runtime shards a parallel segment when every fused
-  // member is shardable (and every non-terminal member is per-record);
-  // check's KQ-MEM model reads the same bit. Prefix-bounded stages (head)
-  // stay unshardable by design: their early exit beats data parallelism.
+  // hop. stream::place shards a parallel node when every fused member is
+  // shardable (and every non-terminal member is per-record). Prefix-bounded
+  // stages (head) stay unshardable by design: their early exit beats data
+  // parallelism.
   bool shardable = false;
   std::string combiner_name;       // for reports
 };

@@ -17,21 +17,19 @@ namespace kq::stream {
 // (tr, sed, head) then write into recycled capacity; PerBlockProcessor-
 // backed stages still pay their execute()'s internal allocation, which the
 // pool cannot reach.
-void run_stream_chain(const Segment& seg, NodeMetrics& metrics,
+void run_stream_chain(const Placement& node, NodeMetrics& metrics,
                       const Ports& io, const NodeTelemetry& tele,
                       Shared& shared, const ExecOptions& config) {
-  exec::Cascade cascade(seg.commands());
+  exec::Cascade cascade(node.commands());
   cmd::WindowProcessor* window = cascade.window();
-  const exec::ExecStage* wstage = window ? seg.chain.back() : nullptr;
+  const std::string& window_name = node.stages.back()->command->display_name();
 
   // A sort -u window whose distinct set outgrows the spill threshold
-  // exports sorted runs to disk (the window state is itself a sorted -u
-  // stream) and re-streams the k-way merge at end of input — the same
-  // external-merge bound as kSortableSpill, reached only when the window
-  // stops being small.
-  std::shared_ptr<const cmd::SortSpec> wspec;
-  if (wstage && config.spill_threshold != 0) wspec = own_sort_spec(*wstage);
-  bool window_spillable = wspec != nullptr;
+  // exports sorted runs to disk under the placement's comparator (the
+  // window state is itself a sorted -u stream) and re-streams the k-way
+  // merge at end of input — the same external-merge bound as an external
+  // sort, reached only when the window stops being small.
+  bool window_spillable = node.spec && config.spill_threshold != 0;
   std::unique_ptr<SpillMerger> merger;
   auto spill_window = [&]() -> bool {
     if (!window_spillable ||
@@ -44,13 +42,12 @@ void run_stream_chain(const Segment& seg, NodeMetrics& metrics,
     }
     if (!merger) {
       merger = std::make_unique<SpillMerger>(
-          wspec, SpillMerger::Input::kSortedParts, config.spill_threshold,
+          node.spec, SpillMerger::Input::kSortedParts, config.spill_threshold,
           &shared.gauge, config.fault_plan);
       merger->set_telemetry(tele.tracer, tele.label);
     }
     if (merger->add(std::move(run))) return true;
-    shared.fail_stage("spill", wstage->command->display_name(),
-                      merger->error());
+    shared.fail_stage("spill", window_name, merger->error());
     return false;
   };
 
@@ -156,8 +153,7 @@ void run_stream_chain(const Segment& seg, NodeMetrics& metrics,
             },
             config.block_size);
       if (!ok && !shared.halted() && !io.out_closed())
-        shared.fail_stage("spill merge", wstage->command->display_name(),
-                          merger->error());
+        shared.fail_stage("spill merge", window_name, merger->error());
     } else {
       // Window flush: emission stops the moment downstream closes —
       // cancellation propagates through finish().

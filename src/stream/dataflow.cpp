@@ -1,6 +1,7 @@
-// Graph wiring: cuts the plan into segments, connects them with bounded
-// channels, and runs each segment's node body (stream/nodes.h) on its own
-// thread until the stream drains, stops early, or fails.
+// Placement and graph wiring: place() cuts the plan into nodes, and
+// run_dataflow connects them with bounded channels and runs each node's
+// body (stream/nodes.h) on its own thread until the stream drains, stops
+// early, or fails.
 #include "stream/dataflow.h"
 
 #include <algorithm>
@@ -9,6 +10,7 @@
 #include <thread>
 
 #include "stream/nodes.h"
+#include "unixcmd/topn.h"
 
 namespace kq::stream {
 namespace {
@@ -17,106 +19,108 @@ double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-// True when the runtime will actually fan this stage out to workers: the
-// plan wanted parallelism, the config allows it, and records are '\n'
-// lines. Slices are cut at the record delimiter, so under a custom one a
-// slice can end mid-line and every line-based command (and combiner)
-// would see a truncated line. A plan-parallel stage that does not run
-// parallel (k = 1, or a custom delimiter) is a sequential node, where
-// declared streamability is strictly better than the materialize drain.
-bool runs_parallel(const exec::ExecStage& stage, const ExecOptions& config) {
-  return stage.parallel && config.parallelism > 1 &&
-         stage.combine != nullptr && config.delimiter == '\n';
-}
+// What one stage can become in this run, before fusion.
+enum class Role {
+  kParallel,  // fans out to the pool
+  kPerBlock,  // runs per block through its stream processor
+  kWindow,    // runs through its window processor, ending a chain
+  kWhole,     // needs its whole input in one node
+};
 
-// True when the stage may run as (part of) a per-block stream-chain node.
-// Streamability is a statement about *record*-aligned blocks, and the
-// line-based built-ins define records by '\n', so a custom delimiter keeps
-// the materialize path (same rule as the line-based spill paths).
-bool stream_chain_stage(const exec::ExecStage& stage,
-                        const ExecOptions& config) {
-  if (config.delimiter != '\n' || !stage.command) return false;
-  const cmd::Streamability s = stage.command->streamability();
-  if (s == cmd::Streamability::kNone || s == cmd::Streamability::kWindow)
-    return false;
-  if (stage.memory_class == exec::MemoryClass::kStatelessStream) return true;
-  return !runs_parallel(stage, config) && s == cmd::Streamability::kPerRecord;
-}
-
-// True when the stage runs as the window-bounded terminal of a stream
-// chain: declared kWindow and effectively sequential (the plan may still
-// parallelize a window command like wc through its synthesized combiner;
-// the window node only replaces the sequential materialize drain).
-bool window_stage(const exec::ExecStage& stage, const ExecOptions& config) {
-  if (config.delimiter != '\n' || !stage.command) return false;
-  if (stage.command->streamability() != cmd::Streamability::kWindow)
-    return false;
-  if (stage.memory_class == exec::MemoryClass::kWindowStream) return true;
-  return !runs_parallel(stage, config);
-}
-
-std::vector<Segment> build_segments(const std::vector<exec::ExecStage>& stages,
-                                    const ExecOptions& config) {
-  std::vector<Segment> segments;
-  std::size_t i = 0;
-  while (i < stages.size()) {
-    Segment seg;
-    seg.chain.push_back(&stages[i]);
-    if (window_stage(stages[i], config)) {
-      // A window stage is a complete (single-stage) chain: its finish()
-      // emission happens after all input, so nothing can fuse behind it.
-      seg.stream = true;
-      seg.window = true;
-    } else if (stream_chain_stage(stages[i], config)) {
-      // Fuse the maximal run of streamable stages into one per-block node:
-      // a `grep | tr | cut` chain costs one channel hop, not three. A
-      // window stage may join as the chain's terminal member — `grep |
-      // uniq` absorbs grep's per-block output directly into the run
-      // window — but ends the fusion: its emission order is finish()'s,
-      // not the input's.
-      seg.stream = true;
-      while (i + 1 < stages.size()) {
-        if (stream_chain_stage(stages[i + 1], config)) {
-          ++i;
-          seg.chain.push_back(&stages[i]);
-        } else if (window_stage(stages[i + 1], config)) {
-          ++i;
-          seg.chain.push_back(&stages[i]);
-          seg.window = true;
-          break;
-        } else {
-          break;
-        }
-      }
-    } else if (runs_parallel(stages[i], config)) {
-      seg.parallel = true;
-      // Mirror the batch runner's elimination condition: a stage whose
-      // concat combiner is eliminated feeds its substreams straight into
-      // the next parallel stage, which here means fusing both into one
-      // worker chain. A streamable next stage is left out: it prefers its
-      // own stream-chain node (head fused into a worker chain would lose
-      // the early exit that makes it O(blocks)).
-      while (config.use_elimination && seg.chain.back()->eliminate_combiner &&
-             i + 1 < stages.size() && runs_parallel(stages[i + 1], config) &&
-             !stream_chain_stage(stages[i + 1], config)) {
-        ++i;
-        seg.chain.push_back(&stages[i]);
-      }
-      // Sharded mode: every fused member was recorded shard-eligible by
-      // lower_plan (per-record or window) and every non-terminal member is
-      // per-record — a window's emission happens at slice end, so nothing
-      // can cascade behind it inside a slice.
-      seg.sharded = true;
-      for (const exec::ExecStage* s : seg.chain)
-        seg.sharded = seg.sharded && s->shardable && s->command &&
-                      (s == seg.chain.back() ||
-                       s->command->streamability() ==
-                           cmd::Streamability::kPerRecord);
-    }
-    ++i;
-    segments.push_back(std::move(seg));
+// A stage fans out when the plan made it parallel, k > 1, and records are
+// '\n' lines: slices are cut at the delimiter, so under a custom one a
+// slice could end mid-line, and the line-based built-ins (whose
+// streamability and comparators are statements about '\n' lines) run
+// whole. A plan-parallel stage that does not fan out runs sequentially,
+// where its declared streamability beats a whole-input run; a stage
+// lower_plan classed as a stream or window stage stays one at any k.
+Role role_of(const exec::ExecStage& stage, const ExecOptions& options) {
+  const bool lines = options.delimiter == '\n';
+  const bool fans_out = stage.parallel && stage.combine != nullptr &&
+                        options.parallelism > 1 && lines;
+  if (lines && stage.command) {
+    const cmd::Streamability s = stage.command->streamability();
+    const exec::MemoryClass m = stage.memory_class;
+    if (s == cmd::Streamability::kWindow &&
+        (m == exec::MemoryClass::kWindowStream || !fans_out))
+      return Role::kWindow;
+    if (s == cmd::Streamability::kPerRecord &&
+        (m == exec::MemoryClass::kStatelessStream || !fans_out))
+      return Role::kPerBlock;
+    if (s == cmd::Streamability::kPrefix &&
+        m == exec::MemoryClass::kStatelessStream)
+      return Role::kPerBlock;
   }
-  return segments;
+  return fans_out ? Role::kParallel : Role::kWhole;
+}
+
+// The comparator a stage orders its own input under: lower_plan's
+// sort_spec for a plan-sequential stage, re-derived for a plan-parallel
+// one, whose sort_spec is its merge combiner's (that orders f's outputs,
+// not raw input). Null for a command that is no sort.
+std::shared_ptr<const cmd::SortSpec> input_order(
+    const exec::ExecStage& stage) {
+  return stage.parallel ? cmd::sort_spec_of(*stage.command) : stage.sort_spec;
+}
+
+// Fills a placed node's label, bound and `bounded`: the table in
+// docs/ARCHITECTURE.md ("Placement").
+void describe(Placement& p, const ExecOptions& options) {
+  const bool spill = options.spill_threshold != 0;
+  const bool sharded = p.kind == NodeKind::kShardedParallel;
+  const char* no_spill = "O(input): spilling disabled (--spill-threshold 0)";
+  switch (p.kind) {
+    case NodeKind::kParallel:
+    case NodeKind::kShardedParallel:
+      if (p.combine == Combine::kFold) {
+        p.label = sharded ? "sharded-streaming" : "streaming";
+        p.bound = sharded ? "O(k x slice): sharded sub-chains feed a fold"
+                          : "O(k x block): chunk outputs feed a fold";
+      } else if (p.combine == Combine::kMerge) {
+        p.label = sharded ? "sharded-spill-merge" : "sortable-spill";
+        p.bounded = spill;
+        p.bound = !spill    ? no_spill
+                  : sharded ? "O(k x window + spill threshold): a window "
+                              "per slot, sorted runs on disk"
+                            : "O(k x block + spill threshold): a sorted "
+                              "chunk per slot, sorted runs on disk";
+      } else {
+        p.label = sharded ? "sharded" : "materialize";
+        p.bounded = false;
+        p.bound = p.combine == Combine::kRerunSpool
+                      ? "O(input): held parts spool, then one rerun"
+                      : "O(input): held parts wait for one k-way combine";
+      }
+      return;
+    case NodeKind::kStreamChain:
+      p.label = "stateless-stream";
+      p.bound = "O(block): fused per-block stream chain";
+      return;
+    case NodeKind::kWindowChain:
+      p.label = "window-stream";
+      if (cmd::fused_sort_spec_of(*p.stages.back()->command)) {
+        p.bound = "O(N): fused bounded top-N window";
+      } else if (!p.spec) {
+        p.bound = "O(window): bounded by the command's own window";
+      } else if (spill) {
+        p.bound = "O(min(window, spill threshold)): then sorted runs on disk";
+      } else {
+        p.bounded = false;
+        p.bound = "O(distinct input): sorted runs disabled "
+                  "(--spill-threshold 0)";
+      }
+      return;
+    case NodeKind::kExternalSort:
+      p.label = "sortable-spill";
+      p.bounded = spill;
+      p.bound = spill ? "O(spill threshold): sorted runs on disk" : no_spill;
+      return;
+    case NodeKind::kSpool:
+      p.label = "materialize";
+      p.bounded = false;
+      p.bound = "O(input): the stage runs once over its whole input";
+      return;
+  }
 }
 
 ExecOptions sanitize(ExecOptions config) {
@@ -128,34 +132,97 @@ ExecOptions sanitize(ExecOptions config) {
   return config;
 }
 
-// The memory class the runtime *actually* gives this node — mirrors the
-// dispatch in run_dataflow/run_sequential rather than echoing the
-// plan's label (under a custom delimiter a plan-parallel stage runs
-// sequential and a plan-sortable one materializes; a parallel segment's
-// residency is its combiner's).
-const char* node_memory_label(const Segment& seg, const ExecOptions& config) {
-  if (seg.window) return "window-stream";
-  if (seg.stream) return "stateless-stream";
-  if (seg.parallel) {
-    if (seg.sharded) {
-      // Shard workers hold O(block + window) each; the combining tree's
-      // residency is the combiner's (concat streams, merge spills).
-      switch (seg.chain.back()->memory_class) {
-        case exec::MemoryClass::kSortableSpill: return "sharded-spill-merge";
-        case exec::MemoryClass::kStreaming: return "sharded-streaming";
-        default: return "sharded";
-      }
-    }
-    return exec::memory_class_name(seg.chain.back()->memory_class);
-  }
-  const exec::ExecStage& stage = *seg.chain.front();
-  if (stage.memory_class == exec::MemoryClass::kSortableSpill &&
-      config.delimiter == '\n' && stage.command)
-    return "sortable-spill";
-  return "materialize";
+}  // namespace
+
+std::vector<const cmd::Command*> Placement::commands() const {
+  std::vector<const cmd::Command*> out;
+  for (const exec::ExecStage* s : stages) out.push_back(s->command.get());
+  return out;
 }
 
-}  // namespace
+std::string Placement::display() const {
+  std::string out;
+  for (const exec::ExecStage* s : stages) {
+    if (!out.empty()) out += " | ";
+    out += s->command->display_name();
+  }
+  return out;
+}
+
+std::vector<Placement> place(const std::vector<exec::ExecStage>& stages,
+                             const ExecOptions& options) {
+  std::vector<Placement> nodes;
+  for (std::size_t i = 0; i < stages.size(); ++i) {
+    Placement p;
+    p.first = i;
+    p.stages.push_back(&stages[i]);
+    const Role role = role_of(stages[i], options);
+    if (role == Role::kWindow) {
+      // A window's finish() emits after all its input, so nothing fuses
+      // behind it.
+      p.kind = NodeKind::kWindowChain;
+    } else if (role == Role::kPerBlock) {
+      // The maximal run of per-block stages is one node: a `grep | tr |
+      // cut` chain costs one channel hop, not three. A window stage may
+      // join as the terminal (`grep | uniq` absorbs grep's output into the
+      // run window), and ends the chain.
+      p.kind = NodeKind::kStreamChain;
+      while (p.kind == NodeKind::kStreamChain && i + 1 < stages.size()) {
+        const Role next = role_of(stages[i + 1], options);
+        if (next != Role::kPerBlock && next != Role::kWindow) break;
+        p.stages.push_back(&stages[++i]);
+        if (next == Role::kWindow) p.kind = NodeKind::kWindowChain;
+      }
+    } else if (role == Role::kParallel) {
+      // As in the batch runner, a stage whose concat combiner is
+      // eliminated feeds its parts straight into the next parallel stage:
+      // here, one worker chain. A next stage with a per-block role keeps
+      // its own chain node (head fused into a worker chain would lose the
+      // early exit that makes it O(blocks)).
+      while (options.use_elimination && p.stages.back()->eliminate_combiner &&
+             i + 1 < stages.size() &&
+             role_of(stages[i + 1], options) == Role::kParallel)
+        p.stages.push_back(&stages[++i]);
+      // Sharded: every member was recorded shard-eligible by lower_plan
+      // (it runs through a stream or window processor), and only the
+      // terminal may be a window, whose emission comes at slice end.
+      bool sharded = true;
+      for (const exec::ExecStage* s : p.stages)
+        sharded = sharded && s->shardable && s->command &&
+                  (s == p.stages.back() || s->command->streamability() ==
+                                               cmd::Streamability::kPerRecord);
+      p.kind = sharded ? NodeKind::kShardedParallel : NodeKind::kParallel;
+      // The collector's one strategy: the combining stage's fold, where
+      // lower_plan bound one; else a merge under the merge combiner's
+      // comparator; else held parts, which a rerun spools past the
+      // threshold.
+      const exec::ExecStage& combining = *p.stages.back();
+      if (combining.fold) {
+        p.combine = Combine::kFold;
+      } else if (combining.sort_spec && !combining.rerun_combiner) {
+        p.combine = Combine::kMerge;
+        p.spec = combining.sort_spec;
+      } else if (combining.rerun_combiner && options.spill_threshold != 0) {
+        p.combine = Combine::kRerunSpool;
+      } else {
+        p.combine = Combine::kDeferred;
+      }
+    } else {
+      // A sort-class stage sorts externally under its own comparator
+      // ('\n' records: sort is line-based); anything else spools.
+      const exec::ExecStage& s = stages[i];
+      if (s.memory_class == exec::MemoryClass::kSortableSpill && s.command &&
+          options.delimiter == '\n')
+        p.spec = input_order(s);
+      p.kind = p.spec ? NodeKind::kExternalSort : NodeKind::kSpool;
+    }
+    if (p.kind == NodeKind::kWindowChain)
+      p.spec = input_order(*p.stages.back());
+    describe(p, options);
+    nodes.push_back(std::move(p));
+  }
+  return nodes;
+}
 
 ExecResult run_dataflow(const std::vector<exec::ExecStage>& stages,
                         BlockReader& reader, const Sink& sink,
@@ -192,8 +259,8 @@ ExecResult run_dataflow(const std::vector<exec::ExecStage>& stages,
     return result;
   }
 
-  std::vector<Segment> segments = build_segments(stages, config);
-  const std::size_t n = segments.size();
+  const std::vector<Placement> nodes = place(stages, config);
+  const std::size_t n = nodes.size();
 
   Shared shared;
   shared.reader = &reader;
@@ -206,7 +273,7 @@ ExecResult run_dataflow(const std::vector<exec::ExecStage>& stages,
   // stream's blocks as dead pool capacity.
   const std::size_t inflight_budget = config.max_inflight * config.block_size;
   std::size_t pool_budget = inflight_budget;
-  std::vector<std::unique_ptr<Channel>> links;  // segment i -> i+1
+  std::vector<std::unique_ptr<Channel>> links;  // node i -> i+1
   for (std::size_t i = 0; i + 1 < n; ++i)
     links.push_back(
         std::make_unique<Channel>(config.max_inflight, &shared.gauge));
@@ -222,32 +289,32 @@ ExecResult run_dataflow(const std::vector<exec::ExecStage>& stages,
   }
   result.nodes.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
-    result.nodes[i].commands = segments[i].display();
-    result.nodes[i].parallel = segments[i].parallel;
-    result.nodes[i].per_block = segments[i].stream;
-    result.nodes[i].window = segments[i].window;
-    result.nodes[i].sharded = segments[i].sharded;
+    const Placement& node = nodes[i];
+    const bool sharded = node.kind == NodeKind::kShardedParallel;
+    result.nodes[i].commands = node.display();
+    result.nodes[i].parallel = node.parallel();
+    result.nodes[i].sharded = sharded;
     if (config.stats) {
       counters[i] = std::make_unique<obs::StageCounters>();
       teles[i].counters = counters[i].get();
-      result.nodes[i].memory = node_memory_label(segments[i], config);
+      result.nodes[i].memory = node.label;
     }
     teles[i].tracer = config.tracer;
     teles[i].label = result.nodes[i].commands;
-    if (segments[i].parallel) {
-      // Every parallel segment, sharded or not, fans out chunks of at most
+    if (node.parallel()) {
+      // Every parallel node, sharded or not, fans out chunks of at most
       // one block, at most max_inflight of them at once.
-      if (segments[i].sharded) {
+      if (sharded) {
         result.nodes[i].shard_slice_bytes = config.block_size;
         pool_budget += inflight_budget + config.block_size;
       }
       ctxs[i] = std::make_unique<ParallelCtx>(
           config.max_inflight, config.block_size, &shared.gauge);
-      ctxs[i]->sharded = segments[i].sharded;
-      ctxs[i]->chain = segments[i].commands();
-      const exec::ExecStage& combining = *segments[i].chain.back();
-      ctxs[i]->merge_spec = merge_spec_of(combining);
-      if (combining.fold) ctxs[i]->fold.emplace(combining.fold());
+      ctxs[i]->sharded = sharded;
+      ctxs[i]->chain = node.commands();
+      ctxs[i]->merge_spec = node.spec;  // a parallel node's is a merge's
+      if (node.combine == Combine::kFold)
+        ctxs[i]->fold.emplace(node.stages.back()->fold());
       // A feeder stalled on the in-flight bound is send-blocked: its
       // output backpressure arrives through the slot semaphore.
       if (config.stats)
@@ -338,7 +405,7 @@ ExecResult run_dataflow(const std::vector<exec::ExecStage>& stages,
     }
     // Upstream cancellation: read-close the incoming channel (wakes a
     // blocked producer, whose failed push cascades the close further up)
-    // and stop this segment's own feeder if it has one. The BlockReader is
+    // and stop this node's own feeder if it has one. The BlockReader is
     // cancelled outright — in a linear pipeline a close anywhere makes
     // everything upstream moot, and the reader's fd source polls, so even
     // a node-0 read blocked on an idle pipe wakes within one poll tick
@@ -355,7 +422,7 @@ ExecResult run_dataflow(const std::vector<exec::ExecStage>& stages,
       reader_ptr->cancel();
     };
 
-    const Segment& seg = segments[i];
+    const Placement& node = nodes[i];
     NodeMetrics& metrics = result.nodes[i];
     const NodeTelemetry& tele = teles[i];
 
@@ -383,7 +450,7 @@ ExecResult run_dataflow(const std::vector<exec::ExecStage>& stages,
       };
     }
 
-    if (seg.parallel) {
+    if (node.parallel()) {
       ParallelCtx& ctx = *ctxs[i];
       launch(
           tele, " (feeder)", "feeder failed: ",
@@ -396,16 +463,18 @@ ExecResult run_dataflow(const std::vector<exec::ExecStage>& stages,
           nullptr);
       launch(
           tele, " (collector)", "collector failed: ",
-          [&seg, &ctx, &metrics, io, &tele, &shared, &pool, &config] {
-            run_collector(seg, ctx, metrics, io, tele, shared, pool, config);
+          [&node, &ctx, &metrics, io, &tele, &shared, &pool, &config] {
+            run_collector(node, ctx, metrics, io, tele, shared, pool, config);
           },
           io.close_out, &metrics);
     } else {
-      auto run_node = seg.stream ? run_stream_chain : run_sequential;
+      const bool chain = node.kind == NodeKind::kStreamChain ||
+                         node.kind == NodeKind::kWindowChain;
+      auto run_node = chain ? run_stream_chain : run_sequential;
       launch(
-          tele, "", seg.stream ? "stream stage failed: " : "stage failed: ",
-          [run_node, &seg, &metrics, io, &tele, &shared, &config] {
-            run_node(seg, metrics, io, tele, shared, config);
+          tele, "", chain ? "stream stage failed: " : "stage failed: ",
+          [run_node, &node, &metrics, io, &tele, &shared, &config] {
+            run_node(node, metrics, io, tele, shared, config);
           },
           io.close_out, &metrics);
     }

@@ -1,52 +1,34 @@
-// The streaming dataflow execution runtime. Lowers the staged plan
-// (compile::lower_plan's ExecStages) into a graph of concurrently running
-// nodes — block reader → worker×k → incremental combiner per parallel
-// segment, drain nodes for sequential stages — connected by bounded
-// channels, in the spirit of PaSh-style dataflow shell runtimes.
-//
-// Contrasts with kq::Executor's batch path (`--batch`, the paper's staged
-// runner):
+// The streaming dataflow execution runtime. Runs the staged plan
+// (compile::lower_plan's ExecStages) as a graph of concurrently running
+// nodes connected by bounded channels, in the spirit of PaSh-style
+// dataflow shell runtimes. place() decides what each node is (NodeKind
+// below; docs/ARCHITECTURE.md, "Placement"). Against kq::Executor's batch
+// path (`--batch`, the paper's staged runner):
 //   - input is consumed in record-aligned blocks (stream::BlockReader)
-//     rather than slurped whole, so memory stays O(capacity · block_size)
-//     for concat-combined pipelines instead of O(input);
-//   - declared-streamable stages (exec::MemoryClass::kStatelessStream:
-//     per-record filters/maps like grep/tr/cut/sed, prefix-bounded head)
-//     run per block through cmd::StreamProcessors, with adjacent streamable
-//     stages fused into one chain node — a `grep | tr | cut` chain costs
-//     one channel hop — and a satisfied prefix (head) closes its input,
-//     the close propagating upstream channel by channel until the
-//     BlockReader stops reading: `head -n 10` costs O(blocks), not
-//     O(input);
-//   - window-bounded stages (exec::MemoryClass::kWindowStream: tail -n N,
-//     uniq, wc, sort -u, and the fused top-n/top-k rewrite stages from
-//     compile::rewrite_bounded_windows) absorb blocks into a
-//     cmd::WindowProcessor and flush the residue at end of input, holding
-//     O(window) instead of materializing; a window stage fuses as the
-//     *terminal* member of a stream chain (its finish() reorders emission,
-//     so nothing fuses after it), and a window past the spill threshold
-//     (sort -u's distinct set, a pathological-N top-n) exports sorted runs
-//     through the external merge — sealed first so cross-record residue
-//     survives, and re-streamed capped at the window's output limit;
-//   - all pipeline segments run concurrently instead of in stage barriers;
-//   - combining is incremental: each segment folds chunk outputs in input
-//     order through its combiner's boundary form (dsl::Fold), emitting
-//     what no later chunk can change the moment it is settled and carrying
-//     only the seam — nothing for concat, one line for stitch/stitch2/
-//     offset; the pool worker that made a part has already checked its
-//     lines, so the collector's share is the seam — and a fold costs
-//     O(output) in total and O(boundary)
-//     resident; merge and rerun combiners hold their chunk outputs for one
-//     k-way combine at end of stream;
-//   - accumulation past `spill_threshold` moves to disk (stream/spill.*,
-//     per the stage's exec::MemoryClass): merge-mode combiners spill chunk
-//     outputs as sorted runs and k-way-merge them back to the stream,
-//     sequential built-in sort stages run as an external merge sort, and
-//     rerun combiners and materialize stages spool their drain through a
-//     temp file — so with '\n' records every node's resident footprint is
-//     bounded, not just the parallel ones. (Under a custom delimiter a
+//     rather than slurped whole, and every node runs at once instead of in
+//     stage barriers;
+//   - declared-streamable stages run per block through
+//     cmd::StreamProcessors, adjacent ones fused into one chain node, and
+//     a satisfied prefix (head) closes its input, the close propagating
+//     upstream until the BlockReader stops reading: `head -n 10` costs
+//     O(blocks), not O(input);
+//   - window-bounded stages (tail -n N, uniq, wc, sort -u, the fused
+//     top-n/top-k rewrite stages) absorb blocks into a cmd::WindowProcessor
+//     and flush at end of input; a window ends its chain (finish()
+//     reorders emission), and one past the spill threshold (sort -u's
+//     distinct set, a pathological-N top-n) exports sorted runs through
+//     the external merge, sealed first and re-streamed capped at the
+//     window's output limit;
+//   - a parallel node's collector combines incrementally: a fold
+//     (dsl::Fold) emits what no later part can change and carries only the
+//     seam, O(output) in total; a merge spills sorted runs past the
+//     threshold; rerun and other held parts wait for one k-way combine;
+//   - sequential sorts run as an external merge sort, and a stage that
+//     needs its whole input spools its drain through a temp file, so with
+//     '\n' records no node's accumulation outgrows the spill threshold
+//     before its one whole-input run. (Under a custom delimiter a
 //     plan-parallel stage runs as a sequential node — a slice cut at the
-//     delimiter could end mid-line — and the line-based sort/merge spill
-//     paths stay in memory.)
+//     delimiter could end mid-line — and line-based stages run whole.)
 //
 // Output is byte-identical to the batch runner whenever the synthesized
 // combiners satisfy their defining property g(f(x), f(y)) = f(x · y) —
@@ -55,12 +37,14 @@
 //
 // The runtime has one entry point, run_dataflow, and callers reach it
 // through kq::Executor (exec/executor.h), which builds the BlockReader from
-// its Source and owns the options and result types.
+// its Source and owns the options and result types. `kumquat check` reads
+// the same place().
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -81,8 +65,6 @@ struct NodeMetrics {
   std::string commands;           // fused chain display, " | " separated
   bool parallel = false;
   bool streamed_combine = false;  // combined output streams as parts arrive
-  bool per_block = false;         // stream-chain node (kStatelessStream)
-  bool window = false;            // chain ends in a window stage (kWindow)
   // Parallel segment ran sharded: every member runs through a processor
   // cascade, so its workers (exec::run_slice_fused, as every parallel
   // worker) wrote their parts into pooled buffers, and the feeder sent a
@@ -98,7 +80,7 @@ struct NodeMetrics {
 
   // Populated only when ExecOptions::stats is on (see obs/metrics.h for
   // the counter semantics; docs/OBSERVABILITY.md for the full contract).
-  std::string memory;                  // exec::memory_class_name of the node
+  std::string memory;                  // the node's Placement::label
   std::uint64_t records_in = 0;        // records pulled from upstream
   std::uint64_t records_out = 0;       // records downstream accepted
   std::uint64_t send_blocked_ns = 0;   // waiting on a full output channel
@@ -119,6 +101,57 @@ struct NodeMetrics {
   bool combiner_eliminated = false;    // Theorem 5 applied to this stage
   bool combine_fallback = false;       // combiner failed; reran serially
 };
+
+// What one node of the dataflow graph is. The kinds, with the label
+// --stats and `kumquat check` print and the resident bound check reports
+// (docs/ARCHITECTURE.md, "Placement", has the table):
+enum class NodeKind {
+  kParallel,         // feeder, pool workers over block-sized chunks, and a
+                     // collector combining their parts in input order
+  kShardedParallel,  // the same, every member one processor cascade, so
+                     // workers write their parts into pooled buffers
+  kStreamChain,      // fused per-block stream processors
+  kWindowChain,      // a stream chain ending in one window stage
+  kExternalSort,     // a sort stage's external merge sort
+  kSpool,            // drains to a raw spool, runs the stage once
+};
+
+// How a parallel node's collector combines its parts.
+enum class Combine {
+  kNone,        // not a parallel node
+  kFold,        // each part folds in as it arrives (dsl::Fold)
+  kMerge,       // a SpillMerger under `spec`, sorted runs past the threshold
+  kRerunSpool,  // held parts spool past the threshold; one rerun at the end
+  kDeferred,    // held parts, one k-way combine at end of stream
+};
+
+struct Placement {
+  std::size_t first = 0;  // plan index of stages.front()
+  std::vector<const exec::ExecStage*> stages;  // fused members, in order
+  NodeKind kind = NodeKind::kSpool;
+  Combine combine = Combine::kNone;
+  // The comparator a merge combines under, an external sort sorts under,
+  // or a window chain's terminal spills its sorted runs under (null for a
+  // window that cannot spill).
+  std::shared_ptr<const cmd::SortSpec> spec;
+  const char* label = "";  // --stats memory=, check's memory_class
+  const char* bound = "";  // worst-case resident set, as check reports it
+  bool bounded = true;     // false: the resident set grows with the input
+
+  bool parallel() const {
+    return kind == NodeKind::kParallel || kind == NodeKind::kShardedParallel;
+  }
+  std::vector<const cmd::Command*> commands() const;
+  std::string display() const;  // members' display names, " | " joined
+};
+
+// The one placement decision: cuts `stages` into dataflow nodes under the
+// run's settings (k, the delimiter, elimination, the spill threshold) and
+// places each. run_dataflow builds exactly these nodes, --stats prints
+// their labels, and check::analyze reports them. `options.parallelism`
+// must be resolved (kq::Executor's options()).
+std::vector<Placement> place(const std::vector<exec::ExecStage>& stages,
+                             const ExecOptions& options);
 
 // Receives output in order; return false to stop the run early (the graph
 // tears down, the result stays ok with stopped_early set).

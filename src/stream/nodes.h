@@ -6,8 +6,8 @@
 //   chain_node.cpp       a fused run of streamable stages, block by block
 //                        through one exec::Cascade;
 //   sequential_node.cpp  an external sort, or a spooled whole-stream run.
-// dataflow.cpp builds the segments, wires the channels and runs each body
-// on its own thread.
+// dataflow.cpp places the nodes (stream::place), wires the channels and
+// runs each body on its own thread.
 #pragma once
 
 #include <atomic>
@@ -38,52 +38,17 @@ using Clock = std::chrono::steady_clock;
 
 // Per-node telemetry handles, both optional: `counters` exists only when
 // ExecOptions::stats is on, `tracer` only under --trace-json. One
-// NodeTelemetry per segment lives in run_dataflow for the whole run
+// NodeTelemetry per node lives in run_dataflow for the whole run
 // (pool tasks may hold pointers into it until their futures are waited
 // out). With both null
 // every instrumentation site is a pointer test.
 struct NodeTelemetry {
   obs::StageCounters* counters = nullptr;
   obs::Tracer* tracer = nullptr;
-  std::string label;  // the segment's display name, used in span names
+  std::string label;  // the node's display name, used in span names
 
   void note_early_exit(obs::EarlyExit cause) const {
     if (counters) counters->note_early_exit(cause);
-  }
-};
-
-// A pipeline segment: one node of the dataflow graph. Sequential stages
-// become single-stage drain nodes; consecutive parallel stages joined by
-// eliminated combiners fuse into one worker chain whose chunk outputs are
-// combined by the final stage's combiner; consecutive declared-streamable
-// stages fuse into one per-block stream-chain node, optionally terminated
-// by a single window-bounded stage (tail -n N, uniq, wc, sort -u) whose
-// finish() flushes at end of input. A parallel segment's last stage is its
-// combining stage.
-struct Segment {
-  std::vector<const exec::ExecStage*> chain;
-  bool parallel = false;
-  bool stream = false;       // per-block chain of cmd::StreamProcessors
-  bool window = false;       // chain.back() is a cmd::WindowProcessor stage
-  // Parallel segment whose every member runs through a processor cascade
-  // (per-record, the terminal possibly a window): its workers write their
-  // parts into pooled buffers, and a block filling at least half the slice
-  // target is a slice as it is, uncopied.
-  bool sharded = false;
-
-  std::vector<const cmd::Command*> commands() const {
-    std::vector<const cmd::Command*> out;
-    for (const exec::ExecStage* s : chain) out.push_back(s->command.get());
-    return out;
-  }
-
-  std::string display() const {
-    std::string out;
-    for (std::size_t i = 0; i < chain.size(); ++i) {
-      if (i) out += " | ";
-      out += chain[i]->command->display_name();
-    }
-    return out;
   }
 };
 
@@ -143,30 +108,12 @@ struct Shared {
   }
 };
 
-// The comparator a stage sorts its own input under, for the sequential
-// external sort and the window spill: lower_plan's sort_spec for a
-// plan-sequential stage; re-derived for a plan-parallel one forced
-// sequential (at k = 1), whose sort_spec is its merge combiner's — that
-// orders f's outputs, not raw input. Null for a command that is no sort.
-inline std::shared_ptr<const cmd::SortSpec> own_sort_spec(
-    const exec::ExecStage& stage) {
-  return stage.parallel ? cmd::sort_spec_of(*stage.command) : stage.sort_spec;
-}
-
-// The comparator a parallel segment's collector merges its parts under: the
-// merge combiner's spec, unless the combining stage folds (a sibling
-// combiner is not a merge) or reruns. Null for every other combiner.
-inline std::shared_ptr<const cmd::SortSpec> merge_spec_of(
-    const exec::ExecStage& stage) {
-  return stage.fold || stage.rerun_combiner ? nullptr : stage.sort_spec;
-}
-
 using Pull = std::function<std::optional<std::string>()>;
 using Push = std::function<bool(std::string&&)>;
 
 // How a node reaches its neighbours. A push fails once downstream closed
 // its read side; `out_closed` tells that clean early exit apart from a
-// failure. `cancel_upstream` read-closes the input, stops this segment's
+// failure. `cancel_upstream` read-closes the input, stops this node's
 // feeder if it has one, and cancels the BlockReader.
 struct Ports {
   Pull pull;
@@ -176,7 +123,7 @@ struct Ports {
   std::function<void()> cancel_upstream;
 };
 
-// Per-parallel-segment runtime state. Pool tasks run the slices and check
+// Per-parallel-node runtime state. Pool tasks run the slices and check
 // the parts: the feeder blocks on `slots` and the collector on `results`
 // (only a collector's SpillMerger, waiting for its key ranges, runs queued
 // pool tasks). That cannot deadlock, as no pool task blocks: a worker's
@@ -195,9 +142,9 @@ struct ParallelCtx {
   bool sharded = false;  // also names the worker span "shard-slice"
   const std::size_t slice_bytes;  // the feeder's chunk target (a ceiling)
   // The collector's legality checks, which each worker runs on its own
-  // part (Chunk::legal): set for a merge-combined segment (see
-  // merge_spec_of), or the combining stage's fold, whose lines_legal reads
-  // only the combiner.
+  // part (Chunk::legal): the merge's comparator (Combine::kMerge), or the
+  // combining stage's fold (Combine::kFold), whose lines_legal reads only
+  // the combiner.
   std::shared_ptr<const cmd::SortSpec> merge_spec;
   std::optional<const dsl::Fold> fold;
   std::atomic<std::ptrdiff_t> expected{-1};  // chunk count, once known
@@ -209,7 +156,7 @@ struct ParallelCtx {
   // Feeder-owned: the chunks submitted so far (the next chunk's index), and
   // the pool tasks that may still be running, oldest first (the feeder
   // drops finished ones as it submits more). run_dataflow waits out the
-  // rest after joining the feeder, before the segment's state goes away.
+  // rest after joining the feeder, before the node's state goes away.
   std::size_t submitted = 0;
   std::deque<std::future<void>> tasks;
 };
@@ -219,14 +166,15 @@ struct ParallelCtx {
 void run_feeder(ParallelCtx& ctx, NodeMetrics& metrics, const Pull& pull,
                 const NodeTelemetry& tele, Shared& shared,
                 exec::ThreadPool& pool);
-void run_collector(const Segment& seg, ParallelCtx& ctx, NodeMetrics& metrics,
-                   const Ports& io, const NodeTelemetry& tele, Shared& shared,
+void run_collector(const Placement& node, ParallelCtx& ctx,
+                   NodeMetrics& metrics, const Ports& io,
+                   const NodeTelemetry& tele, Shared& shared,
                    exec::ThreadPool& pool, const ExecOptions& config);
-void run_stream_chain(const Segment& seg, NodeMetrics& metrics,
+void run_stream_chain(const Placement& node, NodeMetrics& metrics,
                       const Ports& io, const NodeTelemetry& tele,
                       Shared& shared, const ExecOptions& config);
-void run_sequential(const Segment& seg, NodeMetrics& metrics, const Ports& io,
-                    const NodeTelemetry& tele, Shared& shared,
-                    const ExecOptions& config);
+void run_sequential(const Placement& node, NodeMetrics& metrics,
+                    const Ports& io, const NodeTelemetry& tele,
+                    Shared& shared, const ExecOptions& config);
 
 }  // namespace kq::stream

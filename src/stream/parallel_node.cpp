@@ -29,7 +29,7 @@ bool part_legal(const ParallelCtx& ctx, std::string_view part) {
   return !ctx.fold || ctx.fold->lines_legal(part);
 }
 
-// One pool task: runs the segment's chain over chunk `index`, checks the
+// One pool task: runs the node's chain over chunk `index`, checks the
 // part for the collector, and hands it over. Worker pushes never block —
 // results capacity exceeds the slot count. The chunk's in-flight bytes
 // leave the gauge once the chain has consumed it, before the part can free
@@ -118,7 +118,7 @@ class CombineTimer {
 
 }  // namespace
 
-// Feeder: pulls record-aligned pieces, coalesces them up to the segment's
+// Feeder: pulls record-aligned pieces, coalesces them up to the node's
 // chunk target (ParallelCtx::slice_bytes, one block), and fans chunks out
 // to the worker pool, blocking while every in-flight slot is taken. A
 // chunk never overshoots the target: the buffer goes out before a piece
@@ -185,36 +185,36 @@ void run_feeder(ParallelCtx& ctx, NodeMetrics& metrics, const Pull& pull,
   ctx.results.push(Chunk{kControlChunk, {}});  // wake the collector
 }
 
-// Collector: the segment's combining tree. Restores input order and
-// combines the parts by the combining stage's one strategy, chosen in this
-// order:
-//   1. a bound `fold` (dsl::Fold) folds each part in as it arrives: what no
-//      later part can change goes downstream at once — the part's own
-//      buffer, moved — and only the seam is carried (nothing for concat,
-//      one line for stitch, stitch2 and offset), not the output;
-//   2. a merge combiner (merge_spec_of) feeds every part to a SpillMerger,
-//      whose batches past the spill threshold become sorted runs on disk
-//      and whose final merge runs by key range on the pool. A part that
-//      fails its worker's legality check fails the node as
-//      combine-undefined. A lone part passes through unchecked, as in
-//      dsl::combine_k;
-//   3. otherwise the parts are held for one k-way combine at end of
-//      stream; a `rerun_combiner` spools them to disk past the spill
-//      threshold and reruns the command once over the spool.
+// Collector: the node's combining tree. Restores input order and combines
+// the parts by the placement's one strategy (Placement::combine):
+//   - kFold folds each part in as it arrives (dsl::Fold): what no later
+//     part can change goes downstream at once — the part's own buffer,
+//     moved — and only the seam is carried (nothing for concat, one line
+//     for stitch, stitch2 and offset), not the output;
+//   - kMerge feeds every part to a SpillMerger under the placement's
+//     comparator, whose batches past the spill threshold become sorted runs
+//     on disk and whose final merge runs by key range on the pool. A part
+//     that fails its worker's legality check fails the node as
+//     combine-undefined. A lone part passes through unchecked, as in
+//     dsl::combine_k;
+//   - kDeferred holds the parts for one k-way combine at end of stream,
+//     and kRerunSpool likewise, but spools them to disk past the spill
+//     threshold and reruns the command once over the spool.
 // A part whose combining stage got no input is f("") and is left out
 // (x ++ "" = x), unless no part had input. The workers checked each part's
 // legality (Chunk::legal), so a fold's per-part work is its seam. The
 // collector blocks on the results channel between parts; it runs pool
 // tasks only inside the merger, while it waits for a key range.
-void run_collector(const Segment& seg, ParallelCtx& ctx, NodeMetrics& metrics,
-                   const Ports& io, const NodeTelemetry& tele, Shared& shared,
+void run_collector(const Placement& node, ParallelCtx& ctx,
+                   NodeMetrics& metrics, const Ports& io,
+                   const NodeTelemetry& tele, Shared& shared,
                    exec::ThreadPool& pool, const ExecOptions& config) {
   std::map<std::size_t, Chunk> out_of_order;
   std::size_t next_emit = 0;
-  const exec::ExecStage& cstage = *seg.chain.back();
+  const exec::ExecStage& cstage = *node.stages.back();
 
   std::optional<dsl::Fold> fold;
-  if (cstage.fold) fold = cstage.fold();
+  if (node.combine == Combine::kFold) fold = cstage.fold();
   metrics.streamed_combine = fold && fold->streams();
   std::vector<std::string> pieces;    // one push's settled output
   std::string partial;                // a trailing record still open
@@ -231,15 +231,13 @@ void run_collector(const Segment& seg, ParallelCtx& ctx, NodeMetrics& metrics,
   // draining bound as the sequential materialize node.
   std::unique_ptr<SpillMerger> merger;
   std::optional<Chunk> lone;
-  if (ctx.merge_spec) {
+  if (node.combine == Combine::kMerge) {
     merger = std::make_unique<SpillMerger>(
-        ctx.merge_spec, SpillMerger::Input::kSortedParts,
-        config.spill_threshold, &shared.gauge, config.fault_plan);
+        node.spec, SpillMerger::Input::kSortedParts, config.spill_threshold,
+        &shared.gauge, config.fault_plan);
     merger->set_telemetry(tele.tracer, tele.label);
     merger->set_pool(&pool, config.parallelism);
   }
-  const bool spoolable_rerun =
-      !fold && config.spill_threshold != 0 && cstage.rerun_combiner;
   std::unique_ptr<RawSpool> spool;
 
   // Re-blocks combined output for downstream, cut at record boundaries.
@@ -320,8 +318,8 @@ void run_collector(const Segment& seg, ParallelCtx& ctx, NodeMetrics& metrics,
     // threshold. (A single part stays on the combine path, which passes it
     // through unchecked; spooling engages only once there are parts to
     // combine.)
-    if (spoolable_rerun && deferred_bytes >= config.spill_threshold &&
-        deferred.size() > 1) {
+    if (node.combine == Combine::kRerunSpool &&
+        deferred_bytes >= config.spill_threshold && deferred.size() > 1) {
       spool = std::make_unique<RawSpool>(config.spill_threshold,
                                          &shared.gauge, config.fault_plan);
       spool->set_telemetry(tele.tracer, tele.label);

@@ -11,20 +11,14 @@ namespace kq::stream {
 // (disk past the spill threshold), runs the stage once on the whole stream
 // — the floor for a black-box command — and re-blocks the output for
 // downstream nodes.
-void run_sequential(const Segment& seg, NodeMetrics& metrics, const Ports& io,
-                    const NodeTelemetry& tele, Shared& shared,
-                    const ExecOptions& config) {
-  const exec::ExecStage& stage = *seg.chain.front();
-  // External sorting needs the command's own spec and '\n' records (sort
-  // is line-based); a command with no spec materializes below.
-  std::shared_ptr<const cmd::SortSpec> spec;
-  if (stage.memory_class == exec::MemoryClass::kSortableSpill &&
-      config.delimiter == '\n' && stage.command)
-    spec = own_sort_spec(stage);
+void run_sequential(const Placement& node, NodeMetrics& metrics,
+                    const Ports& io, const NodeTelemetry& tele,
+                    Shared& shared, const ExecOptions& config) {
+  const exec::ExecStage& stage = *node.stages.front();
   std::optional<SpillMerger> sorter;
   std::optional<RawSpool> spool;
-  if (spec) {
-    sorter.emplace(std::move(spec), SpillMerger::Input::kUnsortedBlocks,
+  if (node.kind == NodeKind::kExternalSort) {
+    sorter.emplace(node.spec, SpillMerger::Input::kUnsortedBlocks,
                    config.spill_threshold, &shared.gauge, config.fault_plan);
     sorter->set_telemetry(tele.tracer, tele.label);
   } else {
@@ -76,13 +70,13 @@ void run_sequential(const Segment& seg, NodeMetrics& metrics, const Ports& io,
     metrics.spilled_bytes = sorter->spilled_bytes();
     metrics.spill_runs = sorter->runs_spilled();
     if (!ok && !shared.halted() && !io.out_closed())
-      shared.fail_stage("external sort", seg.display(), sorter->error());
+      shared.fail_stage("external sort", node.display(), sorter->error());
   } else if (!shared.halted() && !abandoned) {
     metrics.spilled_bytes = spool->spilled_bytes();
     std::string all;
     if (ok) ok = spool->take(&all);
     if (!ok) {
-      shared.fail_stage("input spool", seg.display(), spool->error());
+      shared.fail_stage("input spool", node.display(), spool->error());
     } else {
       auto span = obs::span(tele.tracer, tele.label + ": execute", "node");
       span.arg("bytes_in", all.size());

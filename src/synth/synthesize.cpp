@@ -38,6 +38,7 @@ SynthesisResult synthesize(const cmd::Command& f,
 
   // --- Preprocessing -----------------------------------------------------
   prep::CommandLiterals literals = prep::extract_literals(argv);
+  const std::string merge_flags = merge_flags_for(argv);
   result.input_class = prep::classify_inputs(f, *fs);
 
   shape::GenOptions gen;
@@ -67,6 +68,21 @@ SynthesisResult synthesize(const cmd::Command& f,
   for (const shape::Shape& s : number_shapes)
     for (int i = 0; i < 6; ++i)
       seed_pairs.push_back(shape::generate_pair(s, gen, rng));
+  // A numeric-key sort orders by numbers few random words start with, and
+  // a stable one (-s) with every key 0 is the identity, which concat
+  // explains. Its comparator seeds two pairs over words with distinct
+  // numeric keys, as argv's literals seed the dictionary above; they draw
+  // on their own generator, so every other input stays as it was.
+  if (merge_flags.find('n') != std::string::npos) {
+    shape::GenOptions numeric;
+    numeric.dictionary = {"1", "2", "9", "10", "010", "x"};
+    shape::Shape lines;
+    lines.lines = {4, 8, 100};
+    lines.words = {1, 2, 100};
+    std::mt19937_64 numeric_rng(config.seed);
+    for (int i = 0; i < 2; ++i)
+      seed_pairs.push_back(shape::generate_pair(lines, numeric, numeric_rng));
+  }
   std::vector<Observation> observations = observe_all(f, seed_pairs);
   if (observations.empty()) {
     result.failure_reason =
@@ -89,7 +105,7 @@ SynthesisResult synthesize(const cmd::Command& f,
   dsl::SpaceSpec space_spec;
   space_spec.delims = result.delims;
   space_spec.max_ops = config.max_ops;
-  space_spec.merge_flags = merge_flags_for(argv);
+  space_spec.merge_flags = merge_flags;
   result.space = dsl::count_candidates(result.delims.size(), config.max_ops);
 
   dsl::EvalContext ctx{&f};

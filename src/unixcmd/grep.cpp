@@ -3,9 +3,9 @@
 // follows grep: 0 if any line selected, 1 otherwise.
 
 #include <cctype>
+#include <cstring>
 
 #include "regex/regex.h"
-#include "text/streams.h"
 #include "text/strings.h"
 #include "unixcmd/builtins.h"
 
@@ -19,11 +19,18 @@ class GrepCommand final : public Command {
       : Command(std::move(name)), re_(std::move(re)), invert_(invert),
         count_(count), fold_(fold) {}
 
+  // Walks the lines in place (an unterminated last line is a line), so a
+  // whole-input run holds no index of them beside its input.
   Result execute(std::string_view input) const override {
     std::string lowered;
     std::uint64_t selected = 0;
     std::string out;
-    for (std::string_view line : text::lines(input)) {
+    for (std::string_view rest = input; !rest.empty();) {
+      const char* nl = static_cast<const char*>(
+          std::memchr(rest.data(), '\n', rest.size()));
+      const std::size_t len = nl ? nl - rest.data() : rest.size();
+      const std::string_view line = rest.substr(0, len);
+      rest.remove_prefix(nl ? len + 1 : len);
       bool hit;
       if (fold_) {
         lowered = text::to_lower(line);

@@ -1,9 +1,10 @@
 // Tests for the static pipeline analyzer (src/check/): one golden scenario
 // per diagnostic family (KQ-EXEC, KQ-MEM, KQ-PROBE, KQ-ORDER, KQ-DEAD,
 // KQ-REWRITE), the exit-code contract (0 clean/info, 1 warnings,
-// 2 errors), the JSON document structure, and a sweep of the full
-// 70-script crossval catalog asserting the checked-in benchmarks carry no
-// error-severity diagnostic.
+// 2 errors), the JSON document structure, a sweep of the full 70-script
+// crossval catalog asserting the checked-in benchmarks carry no
+// error-severity diagnostic, and the reconciliation of every stage's
+// memory label with the --stats label of the node that runs it.
 
 #include <gtest/gtest.h>
 
@@ -15,9 +16,18 @@
 #include "compile/optimize.h"
 #include "compile/pipeline.h"
 #include "compile/plan.h"
+#include "exec/executor.h"
 
 namespace kq::check {
 namespace {
+
+// The analyzer's options at k workers (default: 4, so plans that fan out
+// do so on any machine), `run`'s other defaults.
+Options at_k(int k = 4) {
+  Options options;
+  options.run.parallelism = k;
+  return options;
+}
 
 synth::SynthesisCache& shared_cache() {
   static synth::SynthesisCache cache;
@@ -30,7 +40,7 @@ struct Analyzed {
   Report report;
 };
 
-Analyzed analyze_line(const std::string& script, Options options = {},
+Analyzed analyze_line(const std::string& script, Options options = at_k(),
                       bool rewrite = true) {
   auto parsed = compile::parse_pipeline(script);
   EXPECT_TRUE(parsed.has_value()) << script;
@@ -116,8 +126,8 @@ TEST(Check, KqMemOnMaterializeStage) {
 }
 
 TEST(Check, KqMemOnSortWithSpillingDisabled) {
-  Options options;
-  options.spill_threshold = 0;
+  Options options = at_k();
+  options.run.spill_threshold = 0;
   auto a = analyze_line("sort", options);
   auto diags = with_code(a.report, "KQ-MEM");
   ASSERT_EQ(diags.size(), 1u);
@@ -135,32 +145,32 @@ TEST(Check, SortableSpillModelsNameWhatEachSortHolds) {
   auto parallel = analyze_line("sort");
   ASSERT_EQ(parallel.report.stages.size(), 1u);
   EXPECT_EQ(parallel.report.stages[0].memory_class, "sortable-spill");
-  EXPECT_EQ(parallel.report.stages[0].rss_model.rfind(
-                "O(parallelism x block + spill-threshold): a sorted chunk "
-                "per slot",
-                0),
+  EXPECT_EQ(parallel.report.stages[0].bound.rfind(
+                "O(k x block + spill threshold): a sorted chunk per slot", 0),
             0u)
-      << parallel.report.stages[0].rss_model;
+      << parallel.report.stages[0].bound;
 
   auto sharded = analyze_line("sort -u");
   ASSERT_EQ(sharded.report.stages.size(), 1u);
-  EXPECT_EQ(sharded.report.stages[0].rss_model.rfind(
-                "O(parallelism x window + spill-threshold): sharded", 0),
+  EXPECT_EQ(sharded.report.stages[0].memory_class, "sharded-spill-merge");
+  EXPECT_EQ(sharded.report.stages[0].bound.rfind(
+                "O(k x window + spill threshold): a window per slot", 0),
             0u)
-      << sharded.report.stages[0].rss_model;
+      << sharded.report.stages[0].bound;
 
   auto parsed = compile::parse_pipeline("sort");
   ASSERT_TRUE(parsed.has_value());
   compile::Plan plan = compile::compile_pipeline(*parsed, shared_cache());
   plan.stages[0].parallel = false;
   const auto stages = compile::lower_plan(plan);
-  const Report sequential = analyze(plan, stages, Options{});
+  const Report sequential = analyze(plan, stages, at_k());
   ASSERT_EQ(sequential.stages.size(), 1u);
   EXPECT_EQ(sequential.stages[0].memory_class, "sortable-spill");
-  EXPECT_EQ(sequential.stages[0].rss_model.rfind(
-                "O(spill-threshold): sorted runs on disk", 0),
-            0u)
-      << sequential.stages[0].rss_model;
+  EXPECT_EQ(sequential.stages[0].bound,
+            "O(spill threshold): sorted runs on disk");
+  // The parallel plan at k = 1 runs the same external sort.
+  const Report one = analyze_line("sort", at_k(1)).report;
+  EXPECT_EQ(one.stages[0].bound, sequential.stages[0].bound);
 }
 
 TEST(Check, KqMemOnDistinctWindowWithSpillingDisabled) {
@@ -173,14 +183,14 @@ TEST(Check, KqMemOnDistinctWindowWithSpillingDisabled) {
   plan.stages[0].parallel = false;
   auto stages = compile::lower_plan(plan);
   ASSERT_EQ(stages[0].memory_class, exec::MemoryClass::kWindowStream);
-  Options options;
-  options.spill_threshold = 0;
+  Options options = at_k();
+  options.run.spill_threshold = 0;
   Report report = analyze(plan, stages, options);
   auto diags = with_code(report, "KQ-MEM");
   ASSERT_EQ(diags.size(), 1u);
   EXPECT_NE(diags[0]->message.find("distinct"), std::string::npos);
   // With spilling on, the window exports sorted runs: bounded, no KQ-MEM.
-  EXPECT_TRUE(with_code(analyze(plan, stages), "KQ-MEM").empty());
+  EXPECT_TRUE(with_code(analyze(plan, stages, at_k()), "KQ-MEM").empty());
   // The parallel plan with spilling off is the sort-class warning instead.
   auto par = analyze_line("sort -u", options);
   auto par_diags = with_code(par.report, "KQ-MEM");
@@ -287,9 +297,56 @@ TEST(Check, FusedRewriteLeavesNoDiagnostic) {
   EXPECT_EQ(a.report.stages[0].mode, "sequential");
   EXPECT_EQ(a.report.stages[0].seq_reason, "fused-window");
   EXPECT_EQ(a.report.stages[0].memory_class, "window-stream");
-  EXPECT_NE(a.report.stages[0].rss_model.find("top-N"), std::string::npos);
+  EXPECT_NE(a.report.stages[0].bound.find("top-N"), std::string::npos);
   EXPECT_TRUE(with_code(a.report, "KQ-REWRITE").empty());
   EXPECT_EQ(a.report.exit_code(), 0);
+}
+
+// ----------------------------------------------------------- placement --
+
+TEST(Check, LabelsFollowTheRunsSettings) {
+  // grep -c declares no streamable form: it fans out at k > 1, and at
+  // k = 1, or under a custom delimiter, the runtime materializes it.
+  auto parallel = analyze_line("grep -c apple");
+  EXPECT_EQ(parallel.report.stages[0].memory_class, "streaming");
+  EXPECT_TRUE(with_code(parallel.report, "KQ-MEM").empty());
+  Options tab = at_k();
+  tab.run.delimiter = '\t';
+  for (const Options& options : {at_k(1), tab}) {
+    auto whole = analyze_line("grep -c apple", options);
+    EXPECT_EQ(whole.report.stages[0].memory_class, "materialize");
+    EXPECT_EQ(whole.report.stages[0].mode, "parallel");  // the plan's
+    ASSERT_EQ(with_code(whole.report, "KQ-MEM").size(), 1u);
+  }
+}
+
+TEST(Check, FusedStagesReportTheirNodesLabelAndKqMemSpansTheNode) {
+  // tr's concat combiner is eliminated, so at k = 4 it runs inside sort's
+  // worker chain, whose collector merges: both stages report the merge
+  // node, and with spilling off one KQ-MEM spans both. At k = 1 tr is a
+  // stream chain and sort an external sort.
+  auto fused = analyze_line("tr A-Z a-z | sort");
+  ASSERT_EQ(fused.report.stages.size(), 2u);
+  EXPECT_EQ(fused.report.stages[0].memory_class, "sortable-spill");
+  EXPECT_EQ(fused.report.stages[1].memory_class, "sortable-spill");
+  EXPECT_EQ(fused.report.stages[0].bound, fused.report.stages[1].bound);
+  auto order = with_code(fused.report, "KQ-ORDER");
+  ASSERT_EQ(order.size(), 1u);  // the merge belongs to the combining stage
+  EXPECT_EQ(order[0]->stage_begin, 1);
+
+  Options no_spill = at_k();
+  no_spill.run.spill_threshold = 0;
+  auto unbounded = analyze_line("tr A-Z a-z | sort", no_spill);
+  auto mem = with_code(unbounded.report, "KQ-MEM");
+  ASSERT_EQ(mem.size(), 1u);
+  EXPECT_EQ(mem[0]->stage_begin, 0);
+  EXPECT_EQ(mem[0]->stage_end, 1);
+  EXPECT_EQ(mem[0]->stage, "tr A-Z a-z | sort");
+
+  auto apart = analyze_line("tr A-Z a-z | sort", at_k(1));
+  EXPECT_EQ(apart.report.stages[0].memory_class, "stateless-stream");
+  EXPECT_EQ(apart.report.stages[1].memory_class, "sortable-spill");
+  EXPECT_TRUE(with_code(apart.report, "KQ-ORDER").empty());  // no merge
 }
 
 // -------------------------------------------------------------- output --
@@ -393,6 +450,56 @@ TEST(Check, CatalogSweepHasNoErrors) {
     }
   }
   EXPECT_GE(pipelines, 70);
+}
+
+TEST(Check, CatalogLabelsMatchTheRunsStatsLabels) {
+  // Every stage of every catalog pipeline: the memory label check reports
+  // is the --stats label of the node that runs the stage, at the same
+  // settings. A node's `commands` joins its members' display names.
+  vfs::Vfs fs;
+  struct Setting {
+    int k;
+    char delimiter;
+  };
+  for (Setting at : {Setting{1, '\n'}, Setting{4, '\n'}, Setting{4, '\t'}}) {
+    Options options = at_k(at.k);
+    options.run.delimiter = at.delimiter;
+    options.run.block_size = 4096;
+    options.run.stats = true;
+    int stages_seen = 0;
+    for (const bench::Script& script : bench::all_scripts()) {
+      const std::string input = bench::prepare_input(script, 24 << 10, 1, fs);
+      for (const std::string& line : script.pipelines) {
+        auto parsed = compile::parse_pipeline(line);
+        ASSERT_TRUE(parsed.has_value()) << line;
+        compile::Plan plan =
+            compile::compile_pipeline(*parsed, shared_cache(), {}, &fs);
+        compile::rewrite_bounded_windows(plan);
+        compile::eliminate_intermediate_combiners(plan);
+        const auto stages = compile::lower_plan(plan);
+        const Report report = analyze(plan, stages, options);
+        const ExecResult run = Executor(options.run).run_collect(stages, input);
+        ASSERT_TRUE(run.ok) << line << ": " << run.error;
+        ASSERT_FALSE(run.batch_fallback) << line;
+        std::size_t i = 0;
+        for (const stream::NodeMetrics& node : run.nodes) {
+          std::string members;
+          const std::size_t first = i;
+          while (i < stages.size() && members != node.commands) {
+            if (!members.empty()) members += " | ";
+            members += stages[i++].command->display_name();
+          }
+          ASSERT_EQ(members, node.commands) << line;
+          for (std::size_t j = first; j < i; ++j, ++stages_seen)
+            EXPECT_EQ(report.stages[j].memory_class, node.memory)
+                << "k=" << at.k << " delimiter=" << int(at.delimiter) << " "
+                << line << " stage " << j;
+        }
+        EXPECT_EQ(i, stages.size()) << line;
+      }
+    }
+    EXPECT_GE(stages_seen, 400);
+  }
 }
 
 }  // namespace

@@ -220,11 +220,12 @@ TEST(RewriteSpill, PathologicalNExportsRunsAndCapsOutput) {
   options.parallelism = 2;
   options.block_size = 512;
   options.spill_threshold = 2048;  // far below the ~2000-line window
+  options.stats = true;
   ExecResult r = Executor(options).run_collect(stages, input);
   ASSERT_TRUE(r.ok) << r.error;
   EXPECT_EQ(r.output, expected);
   ASSERT_EQ(r.nodes.size(), 1u);
-  EXPECT_TRUE(r.nodes[0].window);
+  EXPECT_EQ(r.nodes[0].memory, "window-stream");
   EXPECT_GT(r.nodes[0].spilled_bytes, 0u);
   EXPECT_GT(r.nodes[0].spill_runs, 1);
 }
@@ -270,10 +271,11 @@ TEST(RewriteFusion, StreamChainTerminatesInFusedTopN) {
   ExecOptions options;
   options.parallelism = 1;
   options.block_size = 128;
+  options.stats = true;
   ExecResult r = Executor(options).run_collect(stages, input);
   ASSERT_TRUE(r.ok) << r.error;
   ASSERT_EQ(r.nodes.size(), 1u);
-  EXPECT_TRUE(r.nodes[0].window);
+  EXPECT_EQ(r.nodes[0].memory, "window-stream");
   EXPECT_EQ(r.output, exec::run_serial(stages, input));
 }
 

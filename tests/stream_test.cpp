@@ -14,6 +14,7 @@
 #include <chrono>
 #include <csignal>
 #include <functional>
+#include <random>
 #include <sstream>
 #include <streambuf>
 #include <thread>
@@ -760,11 +761,12 @@ TEST(StreamChain, FusesAdjacentStreamableStagesIntoOneNode) {
   ExecOptions options;
   options.parallelism = 4;
   options.block_size = 128;
+  options.stats = true;
   ExecResult r = Executor(options).run_collect(stages, input);
   ASSERT_TRUE(r.ok) << r.error;
   // One channel hop for the whole chain, not three.
   ASSERT_EQ(r.nodes.size(), 1u);
-  EXPECT_TRUE(r.nodes[0].per_block);
+  EXPECT_EQ(r.nodes[0].memory, "stateless-stream");
   EXPECT_FALSE(r.nodes[0].parallel);
   EXPECT_EQ(r.nodes[0].commands, "grep a | tr a-z A-Z | cut -c 1-4");
   EXPECT_GT(r.nodes[0].chunks, 1);
@@ -1036,6 +1038,33 @@ INSTANTIATE_TEST_SUITE_P(
         out += std::isalnum(static_cast<unsigned char>(c)) ? c : '_';
       return out;
     });
+
+// A stable numeric sort's combiner must order numeric keys: over lines
+// whose keys are 1, 2, 9 and 10 (twice spelled, as 10 and 010), each slice
+// sorts correctly on its own, so a concat combiner is wrong at k > 1.
+TEST(StreamSort, StableNumericSortMatchesSerialAtFourWorkers) {
+  const char* pool[] = {"b 1", "a 2", "10 x", "9 y", "010 z"};
+  std::mt19937_64 rng(11);
+  std::string input;
+  for (int i = 0; i < 20000; ++i) {
+    input += pool[rng() % 5];
+    input += '\n';
+  }
+  synth::SynthesisCache cache;
+  for (const char* line : {"sort -sn", "sort -s -n", "sort -s -k1,1n"}) {
+    auto parsed = compile::parse_pipeline(line);
+    ASSERT_TRUE(parsed.has_value()) << line;
+    compile::Plan plan = compile::compile_pipeline(*parsed, cache);
+    const auto stages = compile::lower_plan(plan);
+    ExecOptions options;
+    options.parallelism = 4;
+    options.block_size = 4096;
+    ExecResult r = Executor(options).run_collect(stages, input);
+    ASSERT_TRUE(r.ok) << line << ": " << r.error;
+    EXPECT_FALSE(r.batch_fallback) << line;
+    EXPECT_EQ(r.output, exec::run_serial(stages, input)) << line;
+  }
+}
 
 }  // namespace
 }  // namespace kq::stream

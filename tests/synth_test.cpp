@@ -146,6 +146,23 @@ TEST(Synthesize, SortRnGetsMergeWithFlags) {
   expect_divide_and_conquer(s);
 }
 
+TEST(Synthesize, StableNumericSortsGetMergeOrRerun) {
+  // A stable sort over words whose numeric keys are all 0 is the identity,
+  // which concat explains; the comparator's own seed pairs have distinct
+  // numeric keys, so concat is refuted.
+  for (const char* line : {"sort -sn", "sort -s -n", "sort -s -k1,1n"}) {
+    auto s = synthesize_line(line);
+    ASSERT_TRUE(s.result.success) << line << ": " << s.result.failure_reason;
+    const dsl::Combiner* primary = s.result.combiner.primary();
+    ASSERT_NE(primary, nullptr) << line;
+    EXPECT_TRUE(primary->node->op == dsl::Op::kMerge ||
+                primary->node->op == dsl::Op::kRerun)
+        << line << ": " << plausible_list(s.result);
+    EXPECT_FALSE(has_combiner(s.result, "(concat a b)"))
+        << line << ": " << plausible_list(s.result);
+  }
+}
+
 TEST(Synthesize, UniqGetsStitchFirst) {
   auto s = synthesize_line("uniq");
   ASSERT_TRUE(s.result.success) << s.result.failure_reason;

@@ -649,6 +649,31 @@ TEST(Grep, FourLetterWords) {
   EXPECT_EQ(run("grep -c '^....$'", "word\nabcde\nfour\n"), "2\n");
 }
 
+// The line walk's edges, as GNU grep under LC_ALL=C answers them.
+TEST(Grep, UnterminatedLastLineIsALine) {
+  const std::string input = "apple\nbanana\napricot";
+  EXPECT_EQ(run("grep a", input), "apple\nbanana\napricot\n");
+  EXPECT_EQ(run("grep -c p", input), "2\n");
+  EXPECT_EQ(run("grep -v an", input), "apple\napricot\n");
+  EXPECT_EQ(run("grep -c ''", "x\ny"), "2\n");
+}
+
+TEST(Grep, EmptyLinesAreLines) {
+  const std::string input = "a\n\nb\n\n";
+  EXPECT_EQ(run("grep -v a", input), "\nb\n\n");
+  EXPECT_EQ(run("grep -c '^$'", input), "2\n");
+  EXPECT_EQ(run("grep -c ''", input), "4\n");
+  EXPECT_EQ(run("grep ''", "\n"), "\n");
+}
+
+TEST(Grep, EmptyInputHasNoLines) {
+  EXPECT_EQ(run("grep ''", ""), "");
+  EXPECT_EQ(exec("grep ''", "").status, 1);
+  EXPECT_EQ(run("grep -c ''", ""), "0\n");
+  EXPECT_EQ(run("grep -vc x", ""), "0\n");
+  EXPECT_EQ(exec("grep -c x", "").status, 1);
+}
+
 // ------------------------------------------------------------------ cut --
 
 TEST(Cut, CharacterRanges) {

@@ -76,11 +76,12 @@ TEST_P(WindowGolden, BatchStreamAndSpillAgree) {
     options.parallelism = 2;
     options.block_size = rc.block;
     options.spill_threshold = rc.spill;
+    options.stats = true;
     ExecResult r = Executor(options).run_collect(stages, c.input);
     ASSERT_TRUE(r.ok) << c.command << ": " << r.error;
     EXPECT_FALSE(r.batch_fallback) << c.command;
     ASSERT_EQ(r.nodes.size(), 1u);
-    EXPECT_TRUE(r.nodes[0].window)
+    EXPECT_EQ(r.nodes[0].memory, "window-stream")
         << c.command << " should run as a window node";
     EXPECT_EQ(r.output, c.expected)
         << c.command << " (stream, block=" << rc.block
@@ -203,14 +204,15 @@ TEST(WindowFusion, WindowTerminatesAFusedChain) {
   ExecOptions options;
   options.parallelism = 2;
   options.block_size = 4;
+  options.stats = true;
   ExecResult r = Executor(options).run_collect(stages, input);
   ASSERT_TRUE(r.ok) << r.error;
   EXPECT_EQ(r.output, "3\n");  // ab, ax, ab survive uniq
   ASSERT_EQ(r.nodes.size(), 2u);
   EXPECT_EQ(r.nodes[0].commands, "grep a | uniq");
-  EXPECT_TRUE(r.nodes[0].window);
+  EXPECT_EQ(r.nodes[0].memory, "window-stream");
   EXPECT_EQ(r.nodes[1].commands, "wc -l");
-  EXPECT_TRUE(r.nodes[1].window);
+  EXPECT_EQ(r.nodes[1].memory, "window-stream");
 }
 
 // The sort -u window past the spill threshold exports sorted runs and
@@ -229,11 +231,12 @@ TEST(WindowSpill, SortUniqueWindowSpillsSortedRuns) {
   options.parallelism = 2;
   options.block_size = 512;
   options.spill_threshold = 4096;  // far below the ~10 KB distinct set
+  options.stats = true;
   ExecResult r = Executor(options).run_collect(stages, input);
   ASSERT_TRUE(r.ok) << r.error;
   EXPECT_EQ(r.output, exec::run_serial(stages, input));
   ASSERT_EQ(r.nodes.size(), 1u);
-  EXPECT_TRUE(r.nodes[0].window);
+  EXPECT_EQ(r.nodes[0].memory, "window-stream");
   EXPECT_GT(r.nodes[0].spilled_bytes, 0u);
   EXPECT_GT(r.nodes[0].spill_runs, 1);
 }
@@ -269,11 +272,12 @@ TEST(WindowSpill, ParallelPlannedSortUniqueUsesOwnSpecAtKOne) {
   options.parallelism = 1;  // forces the sequential window lowering
   options.block_size = 512;
   options.spill_threshold = 2048;  // forces the window to export runs
+  options.stats = true;
   ExecResult r = Executor(options).run_collect(stages, input);
   ASSERT_TRUE(r.ok) << r.error;
   EXPECT_EQ(r.output, command->run(input));
   ASSERT_EQ(r.nodes.size(), 1u);
-  EXPECT_TRUE(r.nodes[0].window);
+  EXPECT_EQ(r.nodes[0].memory, "window-stream");
   EXPECT_GT(r.nodes[0].spilled_bytes, 0u);
 }
 
