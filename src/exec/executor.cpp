@@ -75,13 +75,28 @@ exec::ThreadPool& Executor::pool() {
   return *pool_;
 }
 
+// A stage that failed (cmd::Result::failed(): a regex search past its
+// backtracking budget) throws out of Command::run or a chunk's processor,
+// and the run fails with its message rather than pass partial output on.
+ExecResult Executor::run_batch(const std::vector<exec::ExecStage>& stages,
+                               std::string_view input) {
+  try {
+    return run_staged(stages, input);
+  } catch (const std::exception& e) {
+    ExecResult failed;
+    failed.ok = false;
+    failed.error = e.what();
+    return failed;
+  }
+}
+
 // The paper's staged runner (§4): every stage executes to completion before
 // the next starts, each parallel stage fans out to `parallelism` instances
 // of the original command, and (under use_elimination) a stage whose
 // combiner was eliminated streams its output substreams directly into the
 // next parallel stage.
-ExecResult Executor::run_batch(const std::vector<exec::ExecStage>& stages,
-                               std::string_view input) {
+ExecResult Executor::run_staged(const std::vector<exec::ExecStage>& stages,
+                                std::string_view input) {
   ExecResult result;
   const auto total_start = Clock::now();
   const int k = options_.parallelism;
@@ -188,7 +203,12 @@ ExecResult Executor::run_whole(const std::vector<exec::ExecStage>& stages,
   if (options_.mode == ExecMode::kBatch) return run_batch(stages, bytes);
   ExecResult result;
   const auto start = Clock::now();
-  result.output = exec::run_serial(stages, bytes);
+  try {
+    result.output = exec::run_serial(stages, bytes);
+  } catch (const std::exception& e) {
+    result.ok = false;
+    result.error = e.what();
+  }
   result.seconds = seconds_since(start);
   return result;
 }
@@ -237,10 +257,15 @@ ExecResult Executor::run_stream(const std::vector<exec::ExecStage>& stages,
       },
       pool(), options_);
   if (!out.ok && out.combine_undefined) {
-    *target = run_batch(stages, input.bytes_).output;
-    out.ok = true;
-    out.error.clear();
-    out.batch_fallback = true;
+    ExecResult batch = run_batch(stages, input.bytes_);
+    if (batch.ok) {
+      *target = std::move(batch.output);
+      out.ok = true;
+      out.error.clear();
+      out.batch_fallback = true;
+    } else {
+      out.error = std::move(batch.error);
+    }
   }
   if (out.ok && !collect && sink && !sink(buffered)) out.stopped_early = true;
   return out;

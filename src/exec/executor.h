@@ -190,6 +190,8 @@ class Executor {
                        Source input);
   ExecResult run_batch(const std::vector<exec::ExecStage>& stages,
                        std::string_view input);
+  ExecResult run_staged(const std::vector<exec::ExecStage>& stages,
+                        std::string_view input);  // throws on a failed stage
 
   ExecOptions options_;
   std::unique_ptr<exec::ThreadPool> pool_;

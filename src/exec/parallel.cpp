@@ -1,5 +1,8 @@
 #include "exec/parallel.h"
 
+#include <optional>
+#include <stdexcept>
+
 #include "exec/cascade.h"
 #include "text/streams.h"
 
@@ -100,17 +103,37 @@ std::vector<std::string> map_chunks_chain(
     const std::vector<const cmd::Command*>& chain,
     const std::vector<std::string_view>& chunks, ThreadPool& pool) {
   // Thin client of the fused slice executor: one pool task per chunk, each
-  // running the whole chain over its contiguous slice.
-  std::vector<std::future<std::string>> futures;
+  // running the whole chain over its contiguous slice. A chunk whose stage
+  // failed (Command::run throws) hands back the message, and this thread
+  // throws once every task is done: no task outlives `chain`, and no
+  // exception object is shared between threads.
+  struct Part {
+    std::string out;
+    std::optional<std::string> error;
+  };
+  std::vector<std::future<Part>> futures;
   futures.reserve(chunks.size());
   for (std::string_view chunk : chunks) {
     futures.push_back(pool.submit([&chain, chunk] {
-      return run_chain(chain, {}, &chunk, kSliceStep, nullptr, {}, nullptr);
+      Part part;
+      try {
+        part.out = run_chain(chain, {}, &chunk, kSliceStep, nullptr, {},
+                             nullptr);
+      } catch (const std::exception& e) {
+        part.error = e.what();
+      }
+      return part;
     }));
   }
   std::vector<std::string> outputs;
   outputs.reserve(futures.size());
-  for (auto& f : futures) outputs.push_back(f.get());
+  std::optional<std::string> error;
+  for (auto& f : futures) {
+    Part part = f.get();
+    if (part.error && !error) error = std::move(part.error);
+    outputs.push_back(std::move(part.out));
+  }
+  if (error) throw std::runtime_error(*error);
   return outputs;
 }
 

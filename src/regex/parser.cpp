@@ -2,10 +2,8 @@
 #include <string>
 
 #include "regex/node.h"
-#include "regex/regex.h"
 
-namespace kq::regex {
-namespace detail {
+namespace kq::regex::detail {
 namespace {
 
 class Parser {
@@ -164,10 +162,12 @@ class Parser {
       }
       // Range a-z (the '-' must not be last).
       if (pos_ + 2 < p_.size() && p_[pos_ + 1] == '-' && p_[pos_ + 2] != ']') {
-        char lo = c, hi = p_[pos_ + 2];
+        // Byte values, as LC_ALL=C compares them: [a-\xff] is a range.
+        const auto lo = static_cast<unsigned char>(c);
+        const auto hi = static_cast<unsigned char>(p_[pos_ + 2]);
         if (lo > hi) return fail("invalid range in bracket expression");
         for (int ch = lo; ch <= hi; ++ch)
-          n->cls.set(static_cast<unsigned char>(ch));
+          n->cls.set(static_cast<std::size_t>(ch));
         advance(3);
         continue;
       }
@@ -251,27 +251,17 @@ class Parser {
 };
 
 }  // namespace
-}  // namespace detail
 
-Regex::Regex() = default;
-Regex::Regex(Regex&&) noexcept = default;
-Regex& Regex::operator=(Regex&&) noexcept = default;
-Regex::~Regex() = default;
-
-std::optional<Regex> Regex::compile(std::string_view pattern,
-                                    std::string* error) {
-  detail::Parser parser(pattern, error);
+NodePtr parse(std::string_view pattern, int* groups, std::string* error) {
+  Parser parser(pattern, error);
   auto root = parser.parse_pattern(/*inside_group=*/false);
-  if (parser.failed() || !root) return std::nullopt;
+  if (parser.failed() || !root) return nullptr;
   if (!parser.at_end()) {
     if (error) *error = "unexpected token in pattern";
-    return std::nullopt;
+    return nullptr;
   }
-  Regex re;
-  re.pattern_ = std::string(pattern);
-  re.root_ = std::move(root);
-  re.group_count_ = parser.group_count();
-  return re;
+  *groups = parser.group_count();
+  return root;
 }
 
-}  // namespace kq::regex
+}  // namespace kq::regex::detail

@@ -51,10 +51,17 @@ bool contains_char(std::string_view s, char c) noexcept {
   return s.find(c) != std::string_view::npos;
 }
 
+// Branch-free over the bytes (the compiler vectorizes it): grep -i folds
+// whole blocks through here.
+void fold_lower(std::string* s) {
+  for (char& c : *s)
+    c = static_cast<char>(c +
+                          ((static_cast<unsigned char>(c - 'A') < 26) << 5));
+}
+
 std::string to_lower(std::string_view s) {
   std::string out(s);
-  for (char& c : out)
-    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+  fold_lower(&out);
   return out;
 }
 

@@ -27,6 +27,7 @@ bool contains_char(std::string_view s, char c) noexcept;
 
 // ASCII-only case conversion.
 std::string to_lower(std::string_view s);
+void fold_lower(std::string* s);  // to_lower in place
 std::string to_upper(std::string_view s);
 
 // Replaces every occurrence of `from` (non-empty) with `to`.

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstddef>
+#include <exception>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -27,6 +28,10 @@ using Argv = std::vector<std::string>;
 // position lists, fmt widths).
 std::optional<long> parse_count(std::string_view s);
 std::optional<std::size_t> parse_size_count(std::string_view s);
+
+// The coded message of a grep or sed stage whose regex search passed its
+// backtracking budget (regex::BudgetExceeded): the stage fails with it.
+std::string regex_trouble(const Command& command, const std::exception& e);
 
 CommandPtr make_cat(const Argv& argv, const vfs::Vfs* fs, std::string* error);
 CommandPtr make_tr(const Argv& argv, std::string* error);

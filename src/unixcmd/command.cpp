@@ -35,6 +35,14 @@ std::optional<std::size_t> parse_size_count(std::string_view s) {
   return parse_saturating<std::size_t>(s);
 }
 
+std::string regex_trouble(const Command& command, const std::exception& e) {
+  std::string message = "[KQ-REGEX] stage '";
+  message += command.display_name();
+  message += "': ";
+  message += e.what();
+  return message;
+}
+
 std::string argv_to_display(const std::vector<std::string>& argv) {
   std::string out;
   for (std::size_t i = 0; i < argv.size(); ++i) {

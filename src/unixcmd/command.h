@@ -12,6 +12,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -28,6 +29,12 @@ struct Result {
   std::string err;
 
   bool ok() const { return status == 0; }
+  // Status 2 and up is trouble, as grep and sed exit: the command could not
+  // compute its output (a regex search past its backtracking budget), so
+  // `out` is partial and `err` says why. Status 1 is a verdict (grep
+  // selected nothing) or a soft error (cat's missing file) whose output
+  // stands.
+  bool failed() const { return status >= 2; }
 };
 
 // How a command's output relates to record-aligned prefixes of its input.
@@ -184,8 +191,13 @@ class Command {
   // Runs the command on `input`, producing output and an exit status.
   virtual Result execute(std::string_view input) const = 0;
 
-  // Convenience wrapper for the common success path.
-  std::string run(std::string_view input) const { return execute(input).out; }
+  // Convenience wrapper for the common success path. Throws
+  // std::runtime_error with the command's message when it failed().
+  std::string run(std::string_view input) const {
+    Result r = execute(input);
+    if (r.failed()) throw std::runtime_error(r.err);
+    return std::move(r.out);
+  }
 
   // This command's streamability class; kNone unless a built-in declares
   // otherwise. Must agree with the processor factories: stream_processor()
@@ -231,9 +243,11 @@ class PerBlockProcessor final : public StreamProcessor {
   explicit PerBlockProcessor(const Command& command) : command_(command) {}
   // Appends to `out`, keeping its buffer: a caller's buffer with room for
   // the result (a pooled part or block) must not be swapped for this
-  // block's. Only an empty one too small to hold it takes the result's.
+  // block's. Only an empty one too small to hold it takes the result's. A
+  // block the command failed on fails the node (std::runtime_error).
   bool process(std::string_view block, std::string* out) override {
     Result r = command_.execute(block);
+    if (r.failed()) throw std::runtime_error(r.err);
     if (out->empty() && out->capacity() < r.out.size())
       *out = std::move(r.out);
     else

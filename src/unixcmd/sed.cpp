@@ -183,7 +183,11 @@ class SedCommand final : public Command {
     std::string out;
     out.reserve(input.size());
     long line_no = 0;
-    run_script(cmds_, input, &line_no, /*whole_input=*/true, &out);
+    try {
+      run_script(cmds_, input, &line_no, /*whole_input=*/true, &out);
+    } catch (const regex::BudgetExceeded& e) {
+      return {std::move(out), 2, regex_trouble(*this, e)};
+    }
     return {std::move(out), 0, {}};
   }
 
@@ -221,8 +225,12 @@ class SedStreamProcessor final : public StreamProcessor {
 
   bool process(std::string_view block, std::string* out) override {
     if (quit_) return false;
-    quit_ = run_script(command_.cmds_, block, &line_no_,
-                       /*whole_input=*/false, out);
+    try {
+      quit_ = run_script(command_.cmds_, block, &line_no_,
+                         /*whole_input=*/false, out);
+    } catch (const regex::BudgetExceeded& e) {
+      throw std::runtime_error(regex_trouble(command_, e));
+    }
     return !quit_;
   }
 

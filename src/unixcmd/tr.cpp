@@ -207,7 +207,9 @@ class TrCommand final : public Command {
 
   // The byte-level transform; `last_squeezed` carries the squeeze run
   // across calls so per-block streaming matches one whole-input pass even
-  // when a squeezed run straddles a block boundary.
+  // when a squeezed run straddles a block boundary. It holds the run's
+  // unsigned byte value, or -1 for none, so byte 0xFF is a byte like any
+  // other and not "no run".
   void transform(std::string_view input, std::string* out,
                  int* last_squeezed) const {
     out->reserve(out->size() + input.size());
@@ -215,16 +217,16 @@ class TrCommand final : public Command {
       unsigned char uc = static_cast<unsigned char>(c);
       if (delete_) {
         if (member1_[uc]) continue;
-        if (squeeze_ && squeeze_members_[uc] && *last_squeezed == c) continue;
+        if (squeeze_ && squeeze_members_[uc] && *last_squeezed == uc) continue;
         out->push_back(c);
-        *last_squeezed = squeeze_members_[uc] ? c : -1;
+        *last_squeezed = squeeze_members_[uc] ? uc : -1;
         continue;
       }
       char t = map_[uc];
       unsigned char ut = static_cast<unsigned char>(t);
-      if (squeeze_ && squeeze_members_[ut] && *last_squeezed == t) continue;
+      if (squeeze_ && squeeze_members_[ut] && *last_squeezed == ut) continue;
       out->push_back(t);
-      *last_squeezed = squeeze_members_[ut] ? t : -1;
+      *last_squeezed = squeeze_members_[ut] ? ut : -1;
     }
   }
 

@@ -305,19 +305,44 @@ TEST(Check, FusedRewriteLeavesNoDiagnostic) {
 // ----------------------------------------------------------- placement --
 
 TEST(Check, LabelsFollowTheRunsSettings) {
-  // grep -c declares no streamable form: it fans out at k > 1, and at
-  // k = 1, or under a custom delimiter, the runtime materializes it.
-  auto parallel = analyze_line("grep -c apple");
+  // tr -d '\n' declares no streamable form (it deletes the delimiter): it
+  // fans out at k > 1, and at k = 1, or under a custom delimiter, the
+  // runtime materializes it.
+  auto parallel = analyze_line("tr -d '\\n'");
   EXPECT_EQ(parallel.report.stages[0].memory_class, "streaming");
   EXPECT_TRUE(with_code(parallel.report, "KQ-MEM").empty());
   Options tab = at_k();
   tab.run.delimiter = '\t';
   for (const Options& options : {at_k(1), tab}) {
-    auto whole = analyze_line("grep -c apple", options);
+    auto whole = analyze_line("tr -d '\\n'", options);
     EXPECT_EQ(whole.report.stages[0].memory_class, "materialize");
     EXPECT_EQ(whole.report.stages[0].mode, "parallel");  // the plan's
     ASSERT_EQ(with_code(whole.report, "KQ-MEM").size(), 1u);
   }
+}
+
+TEST(Check, BatchRunsReportEveryStageMaterialized) {
+  // `run --check --batch` analyzes the staged runner, which holds each
+  // stage's whole input: every stage is its own materializing node with
+  // an O(input) bound and a KQ-MEM, where the streaming run at the same
+  // settings streams the tr and sorts externally.
+  Options batch = at_k(1);
+  batch.run.mode = ExecMode::kBatch;
+  auto whole = analyze_line("tr a-z A-Z | sort", batch);
+  ASSERT_EQ(whole.report.stages.size(), 2u);
+  for (const StageSummary& s : whole.report.stages) {
+    EXPECT_EQ(s.memory_class, "materialize");
+    EXPECT_EQ(s.bound.rfind("O(input)", 0), 0u) << s.bound;
+  }
+  auto mem = with_code(whole.report, "KQ-MEM");
+  ASSERT_EQ(mem.size(), 2u);
+  EXPECT_EQ(mem[0]->stage_begin, 0);
+  EXPECT_EQ(mem[1]->stage_begin, 1);
+
+  auto streamed = analyze_line("tr a-z A-Z | sort", at_k(1));
+  EXPECT_EQ(streamed.report.stages[0].memory_class, "stateless-stream");
+  EXPECT_EQ(streamed.report.stages[1].memory_class, "sortable-spill");
+  EXPECT_TRUE(with_code(streamed.report, "KQ-MEM").empty());
 }
 
 TEST(Check, FusedStagesReportTheirNodesLabelAndKqMemSpansTheNode) {

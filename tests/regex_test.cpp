@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "regex/node.h"
 #include "regex/regex.h"
 
 namespace kq::regex {
@@ -18,6 +19,65 @@ TEST(Compile, RejectsBadPatterns) {
   EXPECT_FALSE(Regex::compile("[abc").has_value());
   EXPECT_FALSE(Regex::compile("\\(x").has_value());
   EXPECT_FALSE(Regex::compile("a\\").has_value());
+}
+
+TEST(Compile, BracketRangesCompareByteValues) {
+  // LC_ALL=C grep accepts [a-\xff]: 0xFF sorts after 'a' as a byte.
+  EXPECT_TRUE(matches("[a-\xff]", "\xff"));
+  EXPECT_TRUE(matches("[a-\xff]", "z"));
+  EXPECT_FALSE(matches("[a-\xff]", "`"));  // 0x60, below 'a'
+  EXPECT_TRUE(matches("[\x80-\xff]", "x\x90"));
+  EXPECT_FALSE(Regex::compile("[\xff-a]").has_value());
+}
+
+TEST(Layers, RequiredLiteralIsReadOffTheTree) {
+  auto literal = [](const char* p) {
+    auto re = Regex::compile(p);
+    EXPECT_TRUE(re.has_value()) << p;
+    return std::make_pair(re->required_literal(), re->literal_only());
+  };
+  using L = std::pair<std::string, bool>;
+  EXPECT_EQ(literal("apple"), L("apple", true));
+  EXPECT_EQ(literal("\\."), L(".", true));
+  EXPECT_EQ(literal("To:"), L("To:", true));
+  EXPECT_EQ(literal("[@]"), L("@", true));  // a one-byte bracket
+  EXPECT_EQ(literal("\\(apple\\)"), L("apple", true));
+  EXPECT_EQ(literal(""), L("", true));  // every line matches
+  EXPECT_EQ(literal("^apple"), L("apple", false));
+  EXPECT_EQ(literal("light.*light"), L("light", false));
+  EXPECT_EQ(literal("ap*le"), L("le", false));
+  EXPECT_EQ(literal("ab\\+c"), L("ab", false));
+  EXPECT_EQ(literal("\\(apple\\|pineapple\\)"), L("apple", false));
+  EXPECT_EQ(literal("T\\(..\\):..:.."), L("T", false));
+  EXPECT_EQ(literal("[KQRBN]"), L("", false));
+  EXPECT_EQ(literal("x\\?"), L("", false));
+}
+
+TEST(Layers, PastTheDfaCapTheNfaIsSimulated) {
+  // An 'a' twelve bytes from the end of a match needs 2^12 DFA states,
+  // past the cap, and so does one twelve bytes from its start for the
+  // reversed automaton: search() and find() then run the NFA state set by
+  // state set.
+  std::string eleven;
+  for (int i = 0; i < 11; ++i) eleven += "[ab]";
+  const std::string p = "[ab]*a" + eleven + "\\|" + eleven + "a[ab]*";
+  int groups = 0;
+  auto root = detail::parse(p, &groups, nullptr);
+  ASSERT_NE(root, nullptr);
+  EXPECT_FALSE(detail::Automaton::build(*root, /*reverse=*/false)->has_dfa());
+  EXPECT_FALSE(detail::Automaton::build(*root, /*reverse=*/true)->has_dfa());
+  const std::string hit = "ba" + std::string(11, 'b');
+  EXPECT_TRUE(matches(p, hit));
+  EXPECT_TRUE(matches(p, "cc" + hit + "cc"));
+  EXPECT_FALSE(matches(p, std::string(13, 'b')));
+  auto re = Regex::compile(p);
+  auto m = re->find("cc" + hit + "cc");
+  ASSERT_TRUE(m.has_value());
+  EXPECT_EQ(m->begin, 2u);
+  EXPECT_EQ(m->end, 2u + hit.size());
+  // A small pattern keeps its table.
+  auto small = detail::parse("light.*light", &groups, nullptr);
+  EXPECT_TRUE(detail::Automaton::build(*small, false)->has_dfa());
 }
 
 TEST(Match, Literals) {

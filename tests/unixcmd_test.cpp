@@ -98,6 +98,17 @@ TEST(Tr, SqueezeOnly) {
   EXPECT_EQ(run("tr -s ' ' '\\n'", "a  b\n"), "a\nb\n");
 }
 
+TEST(Tr, SqueezeTreatsByteFFAsAByte) {
+  // As GNU tr answers under LC_ALL=C: a run of 0xFF squeezes to one 0xFF,
+  // leading, repeated or trailing, and never reads as "no run yet".
+  EXPECT_EQ(run("tr -s '\\377'", "\xff\xff" "a\xff"), "\xff" "a\xff");
+  EXPECT_EQ(run("tr -s '\\377'", "a\xff\xff\xff"), "a\xff");
+  EXPECT_EQ(run("tr -cs 'a-z'", "a\xff\xff" "b\n"), "a\xff" "b\n");
+  EXPECT_EQ(run("tr -cs 'a-z'", "\xff\xff" "a\xff\xff"), "\xff" "a\xff");
+  EXPECT_EQ(run("tr -ds 'a' '\\377'", "\xff\xff" "a\xff\xff" "b\xff\xff"),
+            "\xff" "b\xff");
+}
+
 TEST(Tr, OctalFillSet) {
   // poets: tr -sc '[A-Z][a-z]' '[\012*]' — complement to newlines, squeeze.
   EXPECT_EQ(run("tr -sc '[A-Z][a-z]' '[\\012*]'", "It's 42 words\n"),
