@@ -527,9 +527,9 @@ int main(int argc, char** argv) {
 
   // Per-block stream-chain section: the same streamable chain lowered
   // sequentially runs as one fused kStatelessStream node; its twin with
-  // the memory class forced back to kMaterialize is the PR 2 baseline
-  // (drain + spool + one whole-stream execution per stage). The chain must
-  // be at least as fast and stay block-bounded.
+  // the memory class forced back to kMaterialize is the whole-input
+  // baseline (each stage drains and joins its input, then runs once). The
+  // chain must be at least as fast and stay block-bounded.
   {
     const char* kChain = "grep a | tr a-z A-Z | cut -c 1-32";
     Compiled seq = compile_one(kChain, cache);

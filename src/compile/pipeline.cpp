@@ -23,11 +23,7 @@ std::optional<ParsedPipeline> parse_pipeline(std::string_view script,
       if (error) *error = "empty pipeline stage";
       return std::nullopt;
     }
-    if (i == 0 && (*words)[0] == "cat" && words->size() <= 2) {
-      out.had_leading_cat = true;
-      if (words->size() == 2) out.leading_cat_operand = (*words)[1];
-      continue;
-    }
+    if (i == 0 && (*words)[0] == "cat" && words->size() <= 2) continue;
     ParsedStage stage;
     stage.display = std::string(text::trim((*stage_lines)[i]));
     stage.argv = std::move(*words);

@@ -1,6 +1,6 @@
 // Pipeline parsing: split a shell pipeline script into stages (Figure 2,
-// step 1). A leading `cat FILE` stage is recorded but excluded from the
-// stage list, matching the paper's stage accounting (footnote 3).
+// step 1). A leading `cat` or `cat FILE` stage is dropped from the stage
+// list, matching the paper's stage accounting (footnote 3).
 #pragma once
 
 #include <optional>
@@ -16,8 +16,6 @@ struct ParsedStage {
 
 struct ParsedPipeline {
   std::vector<ParsedStage> stages;
-  bool had_leading_cat = false;
-  std::string leading_cat_operand;  // e.g. "$IN"
 };
 
 std::optional<ParsedPipeline> parse_pipeline(std::string_view script,

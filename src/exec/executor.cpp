@@ -220,55 +220,35 @@ ExecResult Executor::run_stream(const std::vector<exec::ExecStage>& stages,
   // loudly (EMSGSIZE) rather than growing the reader without bound.
   const stream::BlockReaderOptions read_options{
       options_.block_size, options_.delimiter, options_.spill_threshold};
-  if (input.kind_ != Source::Kind::kString) {
-    stream::Sink deliver = sink;
-    if (collect) {
-      deliver = [collect](std::string_view bytes) {
-        collect->append(bytes);
-        return true;
-      };
-    }
-    if (input.kind_ == Source::Kind::kFd) {
-      stream::BlockReader reader(input.fd_, read_options, options_.fault_plan);
-      return stream::run_dataflow(stages, reader, deliver, pool(), options_);
-    }
-    stream::BlockReader reader(*input.in_, read_options);
-    return stream::run_dataflow(stages, reader, deliver, pool(), options_);
+  stream::Sink deliver = sink;
+  if (collect) {
+    deliver = [collect](std::string_view bytes) {
+      collect->append(bytes);
+      return true;
+    };
   }
-
-  // The string source reads the caller's bytes in place and keeps them at
-  // hand for the batch rerun, so its output is buffered and handed to the
-  // sink once at the end: a fallback after incremental delivery would
-  // otherwise duplicate the already-delivered prefix.
-  std::string buffered;
-  std::string* target = collect ? collect : &buffered;
-  stream::BlockReader reader(
-      [rest = input.bytes_](char* buf, std::size_t n) mutable {
-        const std::size_t got = rest.copy(buf, n);
-        rest.remove_prefix(got);
-        return got;
-      },
-      read_options);
-  ExecResult out = stream::run_dataflow(
-      stages, reader,
-      [target](std::string_view bytes) {
-        target->append(bytes);
-        return true;
-      },
-      pool(), options_);
-  if (!out.ok && out.combine_undefined) {
-    ExecResult batch = run_batch(stages, input.bytes_);
-    if (batch.ok) {
-      *target = std::move(batch.output);
-      out.ok = true;
-      out.error.clear();
-      out.batch_fallback = true;
-    } else {
-      out.error = std::move(batch.error);
-    }
+  // One reader per source kind; the string source reads the caller's bytes
+  // in place.
+  std::unique_ptr<stream::BlockReader> reader;
+  switch (input.kind_) {
+    case Source::Kind::kFd:
+      reader = std::make_unique<stream::BlockReader>(input.fd_, read_options,
+                                                     options_.fault_plan);
+      break;
+    case Source::Kind::kIstream:
+      reader = std::make_unique<stream::BlockReader>(*input.in_, read_options);
+      break;
+    case Source::Kind::kString:
+      reader = std::make_unique<stream::BlockReader>(
+          [rest = input.bytes_](char* buf, std::size_t n) mutable {
+            const std::size_t got = rest.copy(buf, n);
+            rest.remove_prefix(got);
+            return got;
+          },
+          read_options);
+      break;
   }
-  if (out.ok && !collect && sink && !sink(buffered)) out.stopped_early = true;
-  return out;
+  return stream::run_dataflow(stages, *reader, deliver, pool(), options_);
 }
 
 ExecResult Executor::run(const std::vector<exec::ExecStage>& stages,

@@ -9,7 +9,8 @@
 //   kStream (default) — the dataflow runtime (stream/dataflow.h):
 //     record-aligned blocks, bounded channels, fused stream chains,
 //     sharded parallel segments, spill. Memory O(k · window + in-flight
-//     budget) regardless of input.
+//     budget) regardless of input, except where a stage needs its whole
+//     input (a black-box command, a rerun combine): that node holds it.
 //   kBatch  — the paper's staged runner (§4), private to the Executor:
 //     input slurped whole, stage barriers, k-way split + combine, and a
 //     serial rerun of any stage whose combine is undefined. Memory
@@ -81,11 +82,13 @@ struct ExecOptions {
   // max_inflight · block_size). 0 derives 2 · parallelism + 2.
   std::size_t max_inflight = 0;
   char delimiter = '\n';
-  // In-memory accumulation budget per node before spilling to disk
-  // (sorted-run external merge for sortable stages, raw spool for
-  // materialize/rerun stages). Also caps a single delimiter-free record:
-  // one that outgrows a block and this threshold fails loudly (EMSGSIZE)
-  // instead of ballooning RSS. 0 disables spilling (and the record cap).
+  // In-memory accumulation budget per node before spilling sorted runs to
+  // disk: an external sort, a merge-combined collector, a window that
+  // exports sorted runs. A stage that needs its whole input (materialize,
+  // rerun) holds it in memory whatever the threshold. Also caps a single
+  // delimiter-free record: one that outgrows a block and this threshold
+  // fails loudly (EMSGSIZE) instead of ballooning RSS. 0 disables spilling
+  // (and the record cap).
   std::size_t spill_threshold = 64 << 20;
   // Deterministic fault-injection seam (tests only): scripted failpoints
   // the stream run's fd source and spill files consult (src/io/fault.h).
@@ -145,7 +148,6 @@ struct ExecResult {
   std::string io_backend;
   bool stopped_early = false;      // the sink returned false (ok stays true)
   bool combine_undefined = false;  // !ok: a combiner bailed mid-fold
-  bool batch_fallback = false;     // stream-over-string reran via batch
   std::vector<stream::NodeMetrics> nodes;
 };
 
@@ -179,9 +181,9 @@ class Executor {
 
  private:
   exec::ThreadPool& pool();
-  // kStream. A string source keeps the input at hand, so a mid-stream
-  // undefined combine reruns through run_batch (batch_fallback set)
-  // instead of failing; its output is buffered and reaches the sink once.
+  // kStream: every source reads through a BlockReader, and output reaches
+  // the sink (or `collect`) as it is produced. An undefined combine fails
+  // the run (combine_undefined set) whatever the source.
   ExecResult run_stream(const std::vector<exec::ExecStage>& stages,
                         Source input, const stream::Sink& sink,
                         std::string* collect);

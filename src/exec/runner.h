@@ -79,8 +79,8 @@ struct ExecStage {
   bool parallel = false;           // data-parallel execution planned
   bool eliminate_combiner = false; // Theorem 5 optimization applies
   // The primary combiner is a rerun (§3.4): k-way combining concatenates
-  // the partial outputs and reruns the command once, so the collector's
-  // held parts can spool through disk instead of accumulating in memory.
+  // the partial outputs and reruns the command once, so the collector
+  // joins its held parts in place for that one run.
   bool rerun_combiner = false;
   // Set by compile::lower_plan. For kSortableSpill, `sort_spec` carries the
   // comparator: the synthesized merge combiner's spec when the stage is

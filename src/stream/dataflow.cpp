@@ -87,8 +87,8 @@ void describe(Placement& p, const ExecOptions& options) {
       } else {
         p.label = sharded ? "sharded" : "materialize";
         p.bounded = false;
-        p.bound = p.combine == Combine::kRerunSpool
-                      ? "O(input): held parts spool, then one rerun"
+        p.bound = p.combine == Combine::kRerun
+                      ? "O(input): held parts joined for one rerun"
                       : "O(input): held parts wait for one k-way combine";
       }
       return;
@@ -115,7 +115,7 @@ void describe(Placement& p, const ExecOptions& options) {
       p.bounded = spill;
       p.bound = spill ? "O(spill threshold): sorted runs on disk" : no_spill;
       return;
-    case NodeKind::kSpool:
+    case NodeKind::kWholeInput:
       p.label = "materialize";
       p.bounded = false;
       p.bound = "O(input): the stage runs once over its whole input";
@@ -194,27 +194,28 @@ std::vector<Placement> place(const std::vector<exec::ExecStage>& stages,
       p.kind = sharded ? NodeKind::kShardedParallel : NodeKind::kParallel;
       // The collector's one strategy: the combining stage's fold, where
       // lower_plan bound one; else a merge under the merge combiner's
-      // comparator; else held parts, which a rerun spools past the
-      // threshold.
+      // comparator; else held parts, joined for a rerun or handed to the
+      // k-way combine.
       const exec::ExecStage& combining = *p.stages.back();
       if (combining.fold) {
         p.combine = Combine::kFold;
       } else if (combining.sort_spec && !combining.rerun_combiner) {
         p.combine = Combine::kMerge;
         p.spec = combining.sort_spec;
-      } else if (combining.rerun_combiner && options.spill_threshold != 0) {
-        p.combine = Combine::kRerunSpool;
+      } else if (combining.rerun_combiner) {
+        p.combine = Combine::kRerun;
       } else {
         p.combine = Combine::kDeferred;
       }
     } else {
       // A sort-class stage sorts externally under its own comparator
-      // ('\n' records: sort is line-based); anything else spools.
+      // ('\n' records: sort is line-based); anything else runs once over
+      // its whole input.
       const exec::ExecStage& s = stages[i];
       if (s.memory_class == exec::MemoryClass::kSortableSpill && s.command &&
           options.delimiter == '\n')
         p.spec = input_order(s);
-      p.kind = p.spec ? NodeKind::kExternalSort : NodeKind::kSpool;
+      p.kind = p.spec ? NodeKind::kExternalSort : NodeKind::kWholeInput;
     }
     if (p.kind == NodeKind::kWindowChain)
       p.spec = input_order(*p.stages.back());

@@ -22,11 +22,12 @@
 //   - a parallel node's collector combines incrementally: a fold
 //     (dsl::Fold) emits what no later part can change and carries only the
 //     seam, O(output) in total; a merge spills sorted runs past the
-//     threshold; rerun and other held parts wait for one k-way combine;
+//     threshold; a rerun's parts are joined once for the rerun, and other
+//     held parts wait for one k-way combine;
 //   - sequential sorts run as an external merge sort, and a stage that
-//     needs its whole input spools its drain through a temp file, so with
-//     '\n' records no node's accumulation outgrows the spill threshold
-//     before its one whole-input run. (Under a custom delimiter a
+//     needs its whole input holds it once and runs over it once: O(input),
+//     the floor for a black-box command, and the one kind of node whose
+//     resident set grows with the input. (Under a custom delimiter a
 //     plan-parallel stage runs as a sequential node — a slice cut at the
 //     delimiter could end mid-line — and line-based stages run whole.)
 //
@@ -113,7 +114,7 @@ enum class NodeKind {
   kStreamChain,      // fused per-block stream processors
   kWindowChain,      // a stream chain ending in one window stage
   kExternalSort,     // a sort stage's external merge sort
-  kSpool,            // drains to a raw spool, runs the stage once
+  kWholeInput,       // holds its whole input, runs the stage once
 };
 
 // How a parallel node's collector combines its parts.
@@ -121,14 +122,14 @@ enum class Combine {
   kNone,        // not a parallel node
   kFold,        // each part folds in as it arrives (dsl::Fold)
   kMerge,       // a SpillMerger under `spec`, sorted runs past the threshold
-  kRerunSpool,  // held parts spool past the threshold; one rerun at the end
+  kRerun,       // held parts, joined once for one rerun at end of stream
   kDeferred,    // held parts, one k-way combine at end of stream
 };
 
 struct Placement {
   std::size_t first = 0;  // plan index of stages.front()
   std::vector<const exec::ExecStage*> stages;  // fused members, in order
-  NodeKind kind = NodeKind::kSpool;
+  NodeKind kind = NodeKind::kWholeInput;
   Combine combine = Combine::kNone;
   // The comparator a merge combines under, an external sort sorts under,
   // or a window chain's terminal spills its sorted runs under (null for a
@@ -160,7 +161,7 @@ using Sink = std::function<bool(std::string_view)>;
 // Drains `reader` through the dataflow graph of `stages` into `sink`, with
 // pool tasks (shard workers) on `pool`. Reads the stream knobs of `options`
 // (its mode is not consulted) and fills every ExecResult field except
-// `output` and `batch_fallback`, which belong to the Executor.
+// `output`, which belongs to the Executor.
 ExecResult run_dataflow(const std::vector<exec::ExecStage>& stages,
                         BlockReader& reader, const Sink& sink,
                         exec::ThreadPool& pool, const ExecOptions& options);

@@ -197,9 +197,10 @@ void run_feeder(ParallelCtx& ctx, NodeMetrics& metrics, const Pull& pull,
 //     that fails its worker's legality check fails the node as
 //     combine-undefined. A lone part passes through unchecked, as in
 //     dsl::combine_k;
-//   - kDeferred holds the parts for one k-way combine at end of stream,
-//     and kRerunSpool likewise, but spools them to disk past the spill
-//     threshold and reruns the command once over the spool.
+//   - kRerun holds the parts, joins them once at end of stream and reruns
+//     the command over the join (a lone part passes as it stands, as in
+//     dsl::combine_k);
+//   - kDeferred holds the parts for one k-way combine at end of stream.
 // A part whose combining stage got no input is f("") and is left out
 // (x ++ "" = x), unless no part had input. The workers checked each part's
 // legality (Chunk::legal), so a fold's per-part work is its seam. The
@@ -219,16 +220,13 @@ void run_collector(const Placement& node, ParallelCtx& ctx,
   std::vector<std::string> pieces;    // one push's settled output
   std::string partial;                // a trailing record still open
   std::vector<std::string> deferred;  // held parts, no fold or merge
-  std::size_t deferred_bytes = 0;
+  HeldInput rerun_parts;              // held parts, for the rerun
   bool any_input = false;         // some part's combining stage had input
   std::optional<Chunk> no_input;  // f(""), while no part had input
 
   // The merge feeds a SpillMerger from the first part; a threshold of 0
   // keeps every part in memory until finish(). The first part is held back
-  // until a second one shows it is not alone. A rerun's held parts spool
-  // to disk only past the spill threshold: the spool materializes the
-  // concatenation once, for the rerun — the same O(threshold)-while-
-  // draining bound as the sequential materialize node.
+  // until a second one shows it is not alone.
   std::unique_ptr<SpillMerger> merger;
   std::optional<Chunk> lone;
   if (node.combine == Combine::kMerge) {
@@ -238,7 +236,6 @@ void run_collector(const Placement& node, ParallelCtx& ctx,
     merger->set_telemetry(tele.tracer, tele.label);
     merger->set_pool(&pool, config.parallelism);
   }
-  std::unique_ptr<RawSpool> spool;
 
   // Re-blocks combined output for downstream, cut at record boundaries.
   auto push_blocks = [&](std::string_view data) {
@@ -252,12 +249,6 @@ void run_collector(const Placement& node, ParallelCtx& ctx,
     if (!part.legal) return false;  // combine undefined
     if (merger->add(std::move(part.bytes))) return true;
     shared.fail_stage("spill", name, merger->error());
-    return false;
-  };
-
-  auto spool_part = [&](std::string_view part) -> bool {
-    if (spool->add(part)) return true;
-    shared.fail_stage("spill", name, spool->error());
     return false;
   };
 
@@ -297,7 +288,6 @@ void run_collector(const Placement& node, ParallelCtx& ctx,
         return false;
       return merge_part(std::move(part));
     }
-    if (spool) return spool_part(part.bytes);
     if (fold) {
       {
         auto span = obs::span(tele.tracer, "combine-fold", "combine");
@@ -312,21 +302,10 @@ void run_collector(const Placement& node, ParallelCtx& ctx,
       pieces.clear();
       return true;
     }
-    deferred_bytes += part.bytes.size();
-    deferred.push_back(std::move(part.bytes));
-    // A rerun's held parts migrate to disk once they outgrow the spill
-    // threshold. (A single part stays on the combine path, which passes it
-    // through unchecked; spooling engages only once there are parts to
-    // combine.)
-    if (node.combine == Combine::kRerunSpool &&
-        deferred_bytes >= config.spill_threshold && deferred.size() > 1) {
-      spool = std::make_unique<RawSpool>(config.spill_threshold,
-                                         &shared.gauge, config.fault_plan);
-      spool->set_telemetry(tele.tracer, tele.label);
-      for (const std::string& held : deferred)
-        if (!spool_part(held)) return false;
-      deferred.clear();
-      deferred_bytes = 0;
+    if (node.combine == Combine::kRerun) {
+      rerun_parts.add(part.bytes);
+    } else {
+      deferred.push_back(std::move(part.bytes));
     }
     return true;
   };
@@ -403,37 +382,26 @@ void run_collector(const Placement& node, ParallelCtx& ctx,
         tele.note_early_exit(obs::EarlyExit::kDownstreamClosed);
       if (!ok && !shared.halted() && !io.out_closed())
         shared.fail_stage("spill merge", name, merger->error());
-    } else if (spool) {
-      // The k-way rerun: run the command once over the concatenation of
-      // every spooled part (mirroring dsl::combine_k's kRerun).
-      std::string joined;
-      if (!spool->take(&joined)) {
-        shared.fail_stage("spill", name, spool->error());
-      } else {
-        auto span =
-            obs::span(tele.tracer, tele.label + ": combine-rerun", "combine");
-        span.arg("bytes_in", joined.size());
-        cmd::Result rerun;
-        {
-          CombineTimer timer(tele.counters);
-          rerun = cstage.command->execute(joined);
-        }
-        joined.clear();
-        joined.shrink_to_fit();
-        if (!rerun.ok()) {
-          fail_undefined();
-        } else {
-          metrics.out_bytes += rerun.out.size();
-          push_blocks(rerun.out);
-        }
-      }
     } else {
-      // The fold's carried boundary, or the deferred k-way combine.
+      // The fold's carried boundary, the rerun over the joined parts
+      // (mirroring dsl::combine_k's kRerun), or the deferred k-way combine.
       std::optional<std::string> rest;
       {
         CombineTimer timer(tele.counters);
         if (fold) {
           rest = fold->finish();
+        } else if (node.combine == Combine::kRerun) {
+          const std::size_t parts = rerun_parts.pieces();
+          std::string joined = rerun_parts.join();
+          if (parts < 2) {
+            rest = std::move(joined);  // a lone part, as it stands
+          } else {
+            auto span = obs::span(tele.tracer,
+                                  tele.label + ": combine-rerun", "combine");
+            span.arg("bytes_in", joined.size());
+            cmd::Result rerun = cstage.command->execute(joined);
+            if (rerun.ok()) rest = std::move(rerun.out);
+          }
         } else {
           rest = cstage.combine(deferred);
         }
@@ -442,7 +410,11 @@ void run_collector(const Placement& node, ParallelCtx& ctx,
       ok = rest.has_value();
       if (ok) {
         metrics.out_bytes += rest->size();
-        partial += *rest;
+        if (partial.empty()) {
+          partial = std::move(*rest);
+        } else {
+          partial += *rest;
+        }
         ok = push_blocks(partial);
       }
       if (!ok && !shared.halted() && !io.out_closed()) fail_undefined();
@@ -451,8 +423,6 @@ void run_collector(const Placement& node, ParallelCtx& ctx,
   if (merger) {
     metrics.spilled_bytes = merger->spilled_bytes();
     metrics.spill_runs = merger->runs_spilled();
-  } else if (spool) {
-    metrics.spilled_bytes = spool->spilled_bytes();
   }
   io.close_out();
 }

@@ -8,7 +8,6 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdlib>
-#include <cstring>
 #include <future>
 #include <utility>
 
@@ -413,64 +412,6 @@ bool SpillFile::append(std::string_view bytes) {
 bool SpillFile::read_exact(std::size_t offset, char* buf, std::size_t n,
                            std::string* error) const {
   return engine_.read_at(fd_, buf, n, offset, error);
-}
-
-// --------------------------------------------------------------- RawSpool --
-
-RawSpool::RawSpool(std::size_t threshold, MemoryGauge* gauge,
-                   io::FaultPlan* faults)
-    : threshold_(threshold), gauge_(gauge), faults_(faults) {}
-
-RawSpool::~RawSpool() {
-  if (gauge_) gauge_->sub(buffer_.size());
-}
-
-bool RawSpool::add(std::string_view bytes) {
-  if (!error_.empty()) return false;
-  append_to_batch(buffer_, bytes, threshold_);
-  total_ += bytes.size();
-  if (gauge_) gauge_->add(bytes.size());
-  if (threshold_ == 0 || buffer_.size() < threshold_) return true;
-  auto span = obs::span(tracer_, label_ + ": spool-spill", "spill");
-  span.arg("bytes", buffer_.size());
-  if (!file_) file_ = std::make_unique<SpillFile>(faults_);
-  if (!file_->append(buffer_)) {
-    error_ = file_->error();
-    return false;
-  }
-  spilled_bytes_ += buffer_.size();
-  if (gauge_) gauge_->sub(buffer_.size());
-  buffer_.clear();
-  buffer_.shrink_to_fit();
-  return true;
-}
-
-bool RawSpool::take(std::string* out) {
-  if (!error_.empty()) return false;
-  auto span = obs::span(tracer_, label_ + ": spool-take", "spill");
-  span.arg("bytes", total_);
-  if (gauge_) gauge_->sub(buffer_.size());
-  total_ = 0;
-  if (file_) {
-    // The spilled prefix is read in front of the in-memory tail, in the
-    // tail's own buffer grown once to the whole size: appended to a
-    // second string, the tail would sit beside a copy of itself, in a
-    // string that doubled past the whole.
-    const std::size_t spilled = file_->size();
-    const std::size_t tail = buffer_.size();
-    buffer_.resize(spilled + tail);
-    std::memmove(buffer_.data() + spilled, buffer_.data(), tail);
-    if (!file_->read_exact(0, buffer_.data(), spilled, &error_)) {
-      out->clear();
-      buffer_.clear();  // gauge already subtracted above; keep ~RawSpool at 0
-      buffer_.shrink_to_fit();
-      return false;
-    }
-    file_.reset();
-  }
-  *out = std::move(buffer_);  // moved, spilled or not: no second copy
-  buffer_ = std::string();
-  return true;
 }
 
 // ------------------------------------------------------------ SpillMerger --

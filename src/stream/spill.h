@@ -1,14 +1,9 @@
-// Spill-to-disk machinery that makes *every* dataflow node's memory
-// bounded, not just the parallel concat-combined ones. Three pieces:
+// Spill-to-disk machinery that bounds the sort-class dataflow nodes: an
+// external sort, a merge-combined collector, and a window that exports
+// sorted runs. Two pieces:
 //
 //   - SpillFile: an anonymous (created-and-unlinked) temp file holding
 //     spilled runs; positioned reads (pread) let many cursors share one fd.
-//   - RawSpool: an accumulate-then-replay byte spool for stages that must
-//     see their whole input (MemoryClass::kMaterialize). Accumulation past
-//     the spill threshold moves to disk, so the in-memory footprint while
-//     *draining* stays O(threshold); the single whole-stream execution
-//     still materializes the input once, which is the floor for a
-//     black-box command.
 //   - SpillMerger: the external-merge engine behind
 //     MemoryClass::kSortableSpill. Bounded in-memory batches become sorted
 //     runs on disk (sorting each batch for a sequential `sort` stage,
@@ -16,6 +11,10 @@
 //     final merge — the k-way `sort -m` of §3.5, lifted from whole
 //     in-memory streams to disk-backed run cursors — re-streams the result
 //     downstream in record-aligned blocks.
+//
+// A stage that needs its whole input (a black-box command, a rerun
+// combine) does not spill: it holds the input once for its one run, the
+// floor for such a command (stream/sequential_node.cpp).
 //
 // Both merges (a batch of parts into one run, and every run at the end)
 // go through one key-range merge. Splitters sampled from the runs cut
@@ -35,21 +34,20 @@
 // each buffering at most ~64 KiB or its range's extent in its run.
 // resident_bound() is the sum of the first two.
 //
-// Thread safety: RawSpool and SpillMerger are thread-COMPATIBLE, not
-// thread-safe — each instance is owned by exactly one dataflow node thread
-// for its whole lifetime. A merger with a pool runs its range tasks on
-// pool threads, but only inside its own merge calls, which wait out every
-// task before returning; the tasks share the runs read-only. SpillFile
-// reads are safe to share: pread(2) carries its own offset and every
-// read_exact() reports its error to its caller, so range tasks read one
-// file at once with no shared mutable state. Appends stay with the owner
-// and never overlap reads. docs/CONCURRENCY.md spells out this convention.
+// Thread safety: SpillMerger is thread-COMPATIBLE, not thread-safe — each
+// instance is owned by exactly one dataflow node thread for its whole
+// lifetime. A merger with a pool runs its range tasks on pool threads, but
+// only inside its own merge calls, which wait out every task before
+// returning; the tasks share the runs read-only. SpillFile reads are safe
+// to share: pread(2) carries its own offset and every read_exact() reports
+// its error to its caller, so range tasks read one file at once with no
+// shared mutable state. Appends stay with the owner and never overlap
+// reads. docs/CONCURRENCY.md spells out this convention.
 #pragma once
 
 #include <cstddef>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -98,48 +96,6 @@ class SpillFile {
   io::Engine engine_;
   int fd_ = -1;
   std::size_t size_ = 0;
-  std::string error_;
-};
-
-// Byte spool for materialize-class accumulation: buffers up to `threshold`
-// in memory, spills the rest, and replays everything on take(). A
-// threshold of 0 disables spilling (pure in-memory accumulation).
-class RawSpool {
- public:
-  explicit RawSpool(std::size_t threshold, MemoryGauge* gauge = nullptr,
-                    io::FaultPlan* faults = nullptr);
-  ~RawSpool();
-
-  bool add(std::string_view bytes);
-  // Moves the full accumulation (disk prefix + in-memory tail) into `out`.
-  bool take(std::string* out);
-
-  bool spilled() const { return file_ != nullptr; }
-  std::size_t spilled_bytes() const { return spilled_bytes_; }
-  std::size_t size() const { return total_; }
-  const std::string& error() const { return error_; }
-  // The room the in-memory tranche holds: at most the threshold plus two of
-  // the largest pieces, as SpillMerger's batch (batch_capacity()).
-  std::size_t buffer_capacity() const { return buffer_.capacity(); }
-
-  // Telemetry (src/obs/): spans "spool-spill" (each tranche moved to disk)
-  // and "spool-take" (the replay) are recorded under `label` (the owning
-  // stage's display name). Null tracer = no cost beyond one branch.
-  void set_telemetry(obs::Tracer* tracer, std::string label) {
-    tracer_ = tracer;
-    label_ = std::move(label);
-  }
-
- private:
-  const std::size_t threshold_;
-  MemoryGauge* const gauge_;
-  io::FaultPlan* const faults_;
-  obs::Tracer* tracer_ = nullptr;
-  std::string label_;
-  std::string buffer_;
-  std::unique_ptr<SpillFile> file_;
-  std::size_t spilled_bytes_ = 0;
-  std::size_t total_ = 0;
   std::string error_;
 };
 

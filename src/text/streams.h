@@ -71,16 +71,6 @@ struct NonemptyLineSplit {
 };
 NonemptyLineSplit split_last_nonempty_line(std::string_view y) noexcept;
 
-// True iff every line of stream `y` is sorted no worse than its successor
-// under `less_equal` (used by merge-combiner legality checks).
-template <typename LessEq>
-bool lines_sorted(std::string_view y, LessEq&& le) {
-  auto ls = lines(y);
-  for (std::size_t i = 1; i < ls.size(); ++i)
-    if (!le(ls[i - 1], ls[i])) return false;
-  return true;
-}
-
 // Cuts `data` into record-aligned blocks of about `step` bytes (step >= 1)
 // and hands each to `fn` in order. A block ends at the last `delimiter`
 // within its first `step` bytes, or at the first one past them when the

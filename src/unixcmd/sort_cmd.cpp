@@ -108,30 +108,28 @@ int text_compare(std::string_view a, std::string_view b, bool fold,
   return a_done ? -1 : 1;
 }
 
-// Extracts fields `start..end` (1-based; end 0 = end of line). Fields are
-// maximal non-blank runs; this simplified model matches GNU for the key
-// specs used in the benchmarks (-k1n, -k1,1, -k2).
-std::string_view extract_key(std::string_view line, int start_field,
-                             int end_field) {
+// The offset just past the first `fields` fields of `line`. As GNU sort
+// splits a line without -t, a field is a run of blanks and the non-blank
+// run after it, so a field's leading blanks belong to it.
+std::size_t skip_fields(std::string_view line, int fields) {
   std::size_t pos = 0;
-  int field = 0;
-  std::size_t key_begin = line.size();
-  std::size_t key_end = line.size();
-  while (pos < line.size()) {
+  for (; fields > 0 && pos < line.size(); --fields) {
     while (pos < line.size() && is_blank(line[pos])) ++pos;
-    if (pos >= line.size()) break;
-    ++field;
-    std::size_t fstart = pos;
     while (pos < line.size() && !is_blank(line[pos])) ++pos;
-    if (field == start_field) key_begin = fstart;
-    if (end_field != 0 && field == end_field) {
-      key_end = pos;
-      break;
-    }
   }
-  if (key_begin >= line.size()) return {};
-  if (end_field == 0 || key_end < key_begin) key_end = line.size();
-  return line.substr(key_begin, key_end - key_begin);
+  return pos;
+}
+
+// The key `key` selects from `line`: from the start of its first field
+// (past that field's leading blanks under -b) to the end of its last
+// field, or of the line. A key that ends before it starts is empty.
+std::string_view extract_key(std::string_view line, const SortKey& key) {
+  std::size_t begin = skip_fields(line, key.start_field - 1);
+  if (key.blanks)
+    while (begin < line.size() && is_blank(line[begin])) ++begin;
+  const std::size_t end =
+      key.end_field == 0 ? line.size() : skip_fields(line, key.end_field);
+  return end <= begin ? std::string_view() : line.substr(begin, end - begin);
 }
 
 }  // namespace
@@ -169,6 +167,10 @@ std::optional<SortSpec> SortSpec::parse(const std::vector<std::string>& flags,
         if (error) *error = "sort: bad key spec " + f;
         return std::nullopt;
       }
+      if (key.start_field == 0) {
+        if (error) *error = "sort: field number is zero in " + f;
+        return std::nullopt;
+      }
       auto read_opts = [&](SortKey& k) {
         while (i < f.size() && f[i] != ',') {
           switch (f[i]) {
@@ -190,6 +192,10 @@ std::optional<SortSpec> SortSpec::parse(const std::vector<std::string>& flags,
         ++i;
         if (!read_int(key.end_field)) {
           if (error) *error = "sort: bad key spec " + f;
+          return std::nullopt;
+        }
+        if (key.end_field == 0) {
+          if (error) *error = "sort: field number is zero in " + f;
           return std::nullopt;
         }
         if (!read_opts(key)) {
@@ -219,7 +225,9 @@ std::optional<SortSpec> SortSpec::parse(const std::vector<std::string>& flags,
   spec.raw_keys_ = spec.keys_.empty() && !spec.numeric_ && !spec.fold_ &&
                    !spec.dictionary_ && !spec.blanks_;
   // The canonical flags spell the order (merge and the sortedness checks
-  // parse them back): -s only where it drops a last-resort comparison.
+  // parse them back): -s only where it drops a last-resort comparison. They
+  // spell the keys as written, before the inheritance below, which parsing
+  // them back repeats.
   std::string global;
   if (spec.numeric_) global += "n";
   if (spec.reverse_) global += "r";
@@ -246,8 +254,19 @@ std::optional<SortSpec> SortSpec::parse(const std::vector<std::string>& flags,
     if (k.numeric) canon += "n";
     if (k.reverse) canon += "r";
     if (k.fold) canon += "f";
+    if (k.dictionary) canon += "d";
   }
   spec.canonical_flags_ = canon;
+  // As in GNU sort, a key with no ordering option of its own takes every
+  // global one (-n, -f, -d, -b and -r); a key with any takes none.
+  for (SortKey& k : spec.keys_) {
+    if (k.numeric || k.reverse || k.fold || k.dictionary) continue;
+    k.numeric = spec.numeric_;
+    k.reverse = spec.reverse_;
+    k.fold = spec.fold_;
+    k.dictionary = spec.dictionary_;
+    k.blanks = spec.blanks_;
+  }
   return spec;
 }
 
@@ -262,24 +281,26 @@ int SortSpec::compare_keys(std::string_view a, std::string_view b) const {
     return raw_compare(a, b);
   }
   for (const SortKey& key : keys_) {
-    std::string_view ka = extract_key(a, key.start_field, key.end_field);
-    std::string_view kb = extract_key(b, key.start_field, key.end_field);
-    bool numeric = key.numeric || numeric_;
-    bool fold = key.fold || fold_;
-    bool dict = key.dictionary || dictionary_;
-    int c = numeric ? numeric_compare(ka, kb)
-                    : (fold || dict ? text_compare(ka, kb, fold, dict)
-                                    : raw_compare(ka, kb));
+    const std::string_view ka = extract_key(a, key);
+    const std::string_view kb = extract_key(b, key);
+    int c = key.numeric ? numeric_compare(ka, kb)
+            : key.fold || key.dictionary
+                ? text_compare(ka, kb, key.fold, key.dictionary)
+                : raw_compare(ka, kb);
     if (key.reverse) c = -c;
     if (c != 0) return c;
   }
   return 0;
 }
 
+// GNU's order: the keys (each reversed by its own -r; without -k, the
+// whole line under the global options, reversed by -r), then the whole
+// line's bytes, reversed by the global -r, unless -s or -u.
 int SortSpec::compare(std::string_view a, std::string_view b) const {
   int c = compare_keys(a, b);
-  if (c == 0 && !raw_keys_ && !stable_only_ && !unique_)
-    c = raw_compare(a, b);
+  if (keys_.empty() && reverse_) c = -c;
+  if (c != 0 || raw_keys_ || stable_only_ || unique_) return c;
+  c = raw_compare(a, b);
   return reverse_ ? -c : c;
 }
 

@@ -3,10 +3,13 @@
 //
 // Supported flags: -n (numeric), -r (reverse), -f (fold case), -u (unique),
 // -d (dictionary order), -b (leading blanks skipped: a keyless compare
-// starts at each line's first non-blank, and a key's fields start there
-// already), -s (stable), -m (merge mode), -kF[opts] single-key specs like
-// -k1n / -k1,1 / -k2, and --parallel=N (accepted, ignored — the evaluation
-// infrastructure forces serial sort just like the paper's, §4).
+// starts at each line's first non-blank, and a key at its first field's
+// first non-blank), -s (stable), -m (merge mode), -kF[,G][opts] key specs
+// like -k1n / -k1,1 / -k2, and --parallel=N (accepted, ignored — the
+// evaluation infrastructure forces serial sort just like the paper's, §4).
+// Keys follow GNU sort without -t: a field is a run of blanks and the
+// non-blank run after it, so a key keeps its leading blanks unless -b, and
+// a key with no option of its own takes the global ones.
 #pragma once
 
 #include <functional>
@@ -27,6 +30,7 @@ struct SortKey {
   bool reverse = false;
   bool fold = false;
   bool dictionary = false;
+  bool blanks = false;   // skip the first field's leading blanks (-b)
 };
 
 class SortSpec {
@@ -36,8 +40,7 @@ class SortSpec {
   static std::optional<SortSpec> parse(const std::vector<std::string>& flags,
                                        std::string* error = nullptr);
 
-  // Three-way comparison of two lines under this spec (ignoring -r at the
-  // top level when `apply_reverse` is false; merge needs the forward order).
+  // Three-way comparison of two lines under this spec, in output order.
   int compare(std::string_view a, std::string_view b) const;
 
   // True iff a precedes-or-equals b in output order.

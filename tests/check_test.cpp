@@ -505,7 +505,6 @@ TEST(Check, CatalogLabelsMatchTheRunsStatsLabels) {
         const Report report = analyze(plan, stages, options);
         const ExecResult run = Executor(options.run).run_collect(stages, input);
         ASSERT_TRUE(run.ok) << line << ": " << run.error;
-        ASSERT_FALSE(run.batch_fallback) << line;
         std::size_t i = 0;
         for (const stream::NodeMetrics& node : run.nodes) {
           std::string members;

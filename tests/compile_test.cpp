@@ -27,14 +27,11 @@ TEST(ParsePipeline, SplitsStages) {
   ASSERT_EQ(p->stages.size(), 3u);
   EXPECT_EQ(p->stages[0].argv[0], "tr");
   EXPECT_EQ(p->stages[2].display, "uniq -c");
-  EXPECT_FALSE(p->had_leading_cat);
 }
 
 TEST(ParsePipeline, DropsLeadingCat) {
   auto p = parse_pipeline("cat $IN | sort | uniq");
   ASSERT_TRUE(p.has_value());
-  EXPECT_TRUE(p->had_leading_cat);
-  EXPECT_EQ(p->leading_cat_operand, "$IN");
   EXPECT_EQ(p->stages.size(), 2u);
 }
 

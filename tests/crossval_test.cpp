@@ -5,15 +5,20 @@
 // automatically when a binary is unavailable.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <cctype>
-#include <thread>
+#include <iterator>
 #include <random>
+#include <thread>
 
+#include "compile/plan.h"
+#include "exec/executor.h"
 #include "procexec/external_command.h"
 #include "text/shellwords.h"
 #include "unixcmd/registry.h"
+#include "unixcmd/sort_cmd.h"
 
 namespace kq {
 namespace {
@@ -132,6 +137,79 @@ TEST(CrossValidationFmt, MatchesRealFmtOnCleanText) {
     cmd::Result theirs = real.execute(input);
     if (theirs.status == 127) GTEST_SKIP();
     EXPECT_EQ(builtin->run(input), theirs.out) << "seed " << seed;
+  }
+}
+
+// Lines of 0-3 fields with 0-3 spaces or tabs before, between and after
+// them, drawn from a few words and numbers, so keys collide and a key's
+// leading blanks decide the order unless -b drops them.
+std::string blank_separated_fields(std::uint64_t seed, int lines) {
+  static constexpr const char* kWords[] = {"a", "b",  "B",   "ab", "x",
+                                           "0", "10", "9",   "-3", "2.5"};
+  std::mt19937_64 rng(seed);
+  auto blanks = [&rng](std::string* out) {
+    for (int n = static_cast<int>(rng() % 4); n > 0; --n)
+      out->push_back(rng() % 2 ? ' ' : '\t');
+  };
+  std::string out;
+  for (int i = 0; i < lines; ++i) {
+    blanks(&out);
+    const int fields = static_cast<int>(rng() % 4);
+    for (int f = 0; f < fields; ++f) {
+      if (f != 0) {
+        out.push_back(rng() % 2 ? ' ' : '\t');
+        blanks(&out);
+      }
+      out += kWords[rng() % std::size(kWords)];
+    }
+    blanks(&out);
+    out.push_back('\n');
+  }
+  return out;
+}
+
+// `sort` with -k keys against GNU sort under LC_ALL=C: through SortSpec
+// alone, and through the streaming runtime at k=4 over 4 KiB blocks (the
+// stage runs parallel, its sorted parts merged under the same comparator),
+// in memory and spilled at 8 KiB.
+TEST(SortKeys, MatchGnuSortOverBlankSeparatedFields) {
+  if (::access("/usr/bin/sort", X_OK) != 0)
+    GTEST_SKIP() << "no /usr/bin/sort";
+  const std::vector<std::vector<std::string>> flag_sets = {
+      {"-k1"},         {"-k2"},           {"-k1,1"},
+      {"-k2,2"},       {"-k2n"},          {"-k2r"},
+      {"-b", "-k2"},   {"-b", "-k2,2"},   {"-s", "-k2,2"},
+      {"-u", "-k2,2"}, {"-b", "-k2r"},    {"-r", "-k2"},
+      {"-r", "-k2n"},  {"-n", "-k3"},     {"-f", "-k2,3"}};
+  synth::SynthesisCache cache;
+  const std::string input = blank_separated_fields(26, 3000);
+  for (const std::vector<std::string>& flags : flag_sets) {
+    std::string line = "sort";
+    for (const std::string& f : flags) line += " " + f;
+    SCOPED_TRACE(line);
+    std::vector<std::string> argv = {"/usr/bin/sort"};
+    argv.insert(argv.end(), flags.begin(), flags.end());
+    const cmd::Result gnu = procexec::ExternalCommand(argv).execute(input);
+    ASSERT_EQ(gnu.status, 0) << gnu.err;
+
+    auto spec = cmd::SortSpec::parse(flags);
+    ASSERT_TRUE(spec.has_value());
+    EXPECT_TRUE(spec->sort_stream(input) == gnu.out) << "sort_stream";
+
+    auto parsed = compile::parse_pipeline(line);
+    ASSERT_TRUE(parsed.has_value());
+    const auto stages =
+        compile::lower_plan(compile::compile_pipeline(*parsed, cache));
+    for (std::size_t threshold : {std::size_t{64} << 20, std::size_t{8192}}) {
+      ExecOptions options;
+      options.parallelism = 4;
+      options.block_size = 4096;
+      options.spill_threshold = threshold;
+      const ExecResult r = Executor(options).run_collect(stages, input);
+      ASSERT_TRUE(r.ok) << r.error;
+      EXPECT_TRUE(r.output == gnu.out)
+          << "k=4, 4K blocks, spill threshold " << threshold;
+    }
   }
 }
 

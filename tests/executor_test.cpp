@@ -1,8 +1,8 @@
 // Tests for the kq::Executor facade (exec/executor.h): every mode
 // (serial / batch / stream) over every source shape (string / istream /
 // fd) must produce byte-identical output, options must resolve the unified
-// parallelism default, and the string-source stream path must rerun
-// through the batch path when a combine turns out undefined mid-stream.
+// parallelism default, and an undefined combine must fail a stream run
+// the same way whatever the source.
 
 #include <gtest/gtest.h>
 
@@ -150,10 +150,10 @@ TEST(Executor, SinkFalseStopsEarly) {
   EXPECT_TRUE(r.stopped_early);
 }
 
-TEST(Executor, StringSourceStreamFallsBackToBatchOnUndefinedCombine) {
-  // A deliberately broken combiner: streaming must bail mid-fold, and the
-  // string source (the only shape whose input is still at hand) must rerun
-  // through the batch path exactly once — no duplicated prefix.
+TEST(Executor, StringSourceFailsAnUndefinedCombineAsAnFdDoes) {
+  // A deliberately broken combiner: the stream run bails at the combine,
+  // and a string source fails it with the fd source's message. No source
+  // reruns through the batch path; --batch is the caller's choice.
   std::vector<exec::ExecStage> stages;
   exec::ExecStage s;
   s.command = cmd::make_command_line("tr a-z A-Z");
@@ -167,10 +167,23 @@ TEST(Executor, StringSourceStreamFallsBackToBatchOnUndefinedCombine) {
   options.parallelism = 2;
   options.block_size = 4;
   Executor executor(options);
-  kq::ExecResult r = executor.run_collect(stages, "ab\ncd\nef\ngh\n");
-  ASSERT_TRUE(r.ok) << r.error;
-  EXPECT_TRUE(r.batch_fallback);
-  EXPECT_EQ(r.output, "AB\nCD\nEF\nGH\n");
+  const std::string input = "ab\ncd\nef\ngh\n";
+  kq::ExecResult from_string = executor.run_collect(stages, input);
+  EXPECT_FALSE(from_string.ok);
+  EXPECT_TRUE(from_string.combine_undefined) << from_string.error;
+  EXPECT_NE(from_string.error.find(
+                "incremental combine undefined for stage 'tr a-z A-Z'"),
+            std::string::npos)
+      << from_string.error;
+
+  FILE* keepalive = nullptr;
+  const int fd = fd_with(input, &keepalive);
+  kq::ExecResult from_fd = executor.run(
+      stages, Source::from_fd(fd), [](std::string_view) { return true; });
+  fclose(keepalive);
+  EXPECT_FALSE(from_fd.ok);
+  EXPECT_TRUE(from_fd.combine_undefined) << from_fd.error;
+  EXPECT_EQ(from_string.error, from_fd.error);
 }
 
 }  // namespace

@@ -247,23 +247,6 @@ TEST(IoFaultTest, SpillReadEintrRetriesToFullRead) {
   EXPECT_EQ(plan.fired(), 6u);
 }
 
-TEST(IoFaultTest, RawSpoolSurvivesShortWriteStorm) {
-  io::FaultPlan plan;
-  plan.add(fault(io::FaultOp::kSpillWrite, io::Fault::Kind::kShortOp,
-            /*at=*/0, /*repeat=*/64, /*cap=*/11));
-  plan.add(fault(io::FaultOp::kSpillWrite, io::Fault::Kind::kEintr,
-            /*at=*/64, /*repeat=*/8));
-  stream::RawSpool spool(/*threshold=*/256, nullptr, &plan);
-  const std::string payload = lines(120);
-  for (std::size_t i = 0; i < payload.size(); i += 100)
-    ASSERT_TRUE(spool.add(payload.substr(i, 100))) << spool.error();
-  EXPECT_TRUE(spool.spilled());
-  std::string back;
-  ASSERT_TRUE(spool.take(&back)) << spool.error();
-  EXPECT_EQ(back, payload);
-  EXPECT_GT(plan.fired(), 0u);
-}
-
 TEST(IoFaultTest, SpillMergerEnospcFailsCleanly) {
   io::FaultPlan plan;
   plan.add(fault(io::FaultOp::kSpillWrite, io::Fault::Kind::kErrno,

@@ -299,7 +299,6 @@ TEST(Counters, CombineTimeOnlyUnderStats) {
     options.stats = stats;
     ExecResult r = Executor(options).run_collect(stages, input);
     ASSERT_TRUE(r.ok) << r.error;
-    EXPECT_FALSE(r.batch_fallback);
     EXPECT_EQ(r.output, golden);
     ASSERT_EQ(r.nodes.size(), 1u);
     EXPECT_TRUE(r.nodes[0].sharded);

@@ -161,7 +161,6 @@ void expect_rewrite_identity(const std::string& pipeline,
     options.spill_threshold = cfg.spill;
     ExecResult r = Executor(options).run_collect(stages, input);
     ASSERT_TRUE(r.ok) << pipeline << ": " << r.error;
-    EXPECT_FALSE(r.batch_fallback) << pipeline;
     EXPECT_EQ(r.output, expected)
         << pipeline << " (stream, block=" << cfg.block
         << ", spill=" << cfg.spill << ")";

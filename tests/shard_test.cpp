@@ -107,7 +107,6 @@ TEST(ShardDataflow, EligibleSegmentRunsShardedWithSliceTelemetry) {
   kq::Executor executor(options);
   kq::ExecResult r = executor.run_collect(stages, input);
   ASSERT_TRUE(r.ok) << r.error;
-  EXPECT_FALSE(r.batch_fallback);
   EXPECT_EQ(r.output, exec::run_serial(stages, input));
   ASSERT_EQ(r.nodes.size(), 1u);  // fused into one parallel segment
   EXPECT_TRUE(r.nodes[0].sharded);
@@ -289,7 +288,6 @@ TEST(ShardDataflow, ForcedSpillShardedSortMatchesSerial) {
   kq::Executor executor(options);
   kq::ExecResult r = executor.run_collect(stages, input);
   ASSERT_TRUE(r.ok) << r.error;
-  EXPECT_FALSE(r.batch_fallback);
   EXPECT_EQ(r.output, exec::run_serial(stages, input));
   EXPECT_GT(r.spilled_bytes, 0u);
   bool any_sharded_spill = false;
@@ -349,7 +347,6 @@ TEST(ShardDataflow, SlicesWithoutCombiningInputAreLeftOut) {
         kq::Executor executor(options);
         kq::ExecResult r = executor.run_collect(stages, *input);
         EXPECT_TRUE(r.ok) << pipeline << " k=" << k << ": " << r.error;
-        EXPECT_FALSE(r.batch_fallback) << pipeline << " k=" << k;
         EXPECT_EQ(r.output, serial) << pipeline << " k=" << k;
         ASSERT_EQ(r.nodes.size(), 1u) << pipeline;
         EXPECT_TRUE(r.nodes[0].sharded) << pipeline;
@@ -372,7 +369,6 @@ TEST(ShardDataflow, UnterminatedPartsStayRecordAligned) {
     kq::Executor executor(stream_options(k, 4096));
     kq::ExecResult r = executor.run_collect(stages, input);
     EXPECT_TRUE(r.ok) << "k=" << k << ": " << r.error;
-    EXPECT_FALSE(r.batch_fallback) << "k=" << k;
     EXPECT_EQ(r.output, serial) << "k=" << k;
     ASSERT_EQ(r.nodes.size(), 2u) << "k=" << k;
     EXPECT_TRUE(r.nodes[0].streamed_combine) << "k=" << k;
@@ -458,10 +454,12 @@ TEST(ShardDataflow, IllegalLineAwayFromTheSeamFailsTheFold) {
     ASSERT_EQ(from_fd.nodes.size(), 1u);
     EXPECT_TRUE(from_fd.nodes[0].sharded);
 
+    // A string source fails the same way: no source reruns through the
+    // batch path.
     kq::ExecResult from_string = executor.run_collect(stages, input);
-    ASSERT_TRUE(from_string.ok) << from_string.error;
-    EXPECT_TRUE(from_string.batch_fallback);
-    EXPECT_EQ(from_string.output, serial);
+    EXPECT_FALSE(from_string.ok);
+    EXPECT_TRUE(from_string.combine_undefined) << from_string.error;
+    EXPECT_EQ(from_string.error, from_fd.error);
   }
 }
 
@@ -502,7 +500,6 @@ TEST(ShardDataflow, NodesSharingOnePoolProgressWithoutStealing) {
       options.stats = true;
       kq::ExecResult r = kq::Executor(options).run_collect(stages, input);
       ASSERT_TRUE(r.ok) << r.error;
-      EXPECT_FALSE(r.batch_fallback);
       EXPECT_EQ(r.output, serial);
       int parallel = 0, sharded = 0;
       bool merged_from_disk = false;
@@ -543,8 +540,6 @@ TEST_P(ShardCatalogCrossval, ShardedStreamingMatchesSerial) {
       kq::Executor executor(stream_options(k, 2048));
       kq::ExecResult r = executor.run_collect(stages, input);
       EXPECT_TRUE(r.ok) << pipeline << " k=" << k << ": " << r.error;
-      EXPECT_FALSE(r.batch_fallback)
-          << pipeline << " k=" << k << ": incremental combine bailed";
       EXPECT_EQ(r.output, serial)
           << script.suite << "/" << script.name << ": " << pipeline
           << " k=" << k;

@@ -1,8 +1,9 @@
 // Tests for the spill-to-disk subsystem (stream/spill.*): temp-file
-// plumbing, raw spooling, external merge sort and sorted-part merging
-// against their in-memory references, the dataflow runtime's spill-backed
-// nodes, and cross-validation of forced-spill streaming against the serial
-// oracle on every catalog pipeline.
+// plumbing, external merge sort and sorted-part merging against their
+// in-memory references, the dataflow runtime's spill-backed nodes and its
+// whole-input nodes (which never spill), and cross-validation of
+// forced-spill streaming against the serial oracle on every catalog
+// pipeline.
 
 #include <gtest/gtest.h>
 #include <malloc.h>
@@ -87,72 +88,6 @@ TEST(SpillFile, ReadPastEndFails) {
   std::string error;
   EXPECT_FALSE(file.read_exact(0, buf.data(), 8, &error));
   EXPECT_FALSE(error.empty());
-}
-
-// --------------------------------------------------------------- RawSpool --
-
-TEST(RawSpool, StaysInMemoryBelowThreshold) {
-  RawSpool spool(1024);
-  ASSERT_TRUE(spool.add("alpha\n"));
-  ASSERT_TRUE(spool.add("beta\n"));
-  EXPECT_FALSE(spool.spilled());
-  std::string all;
-  ASSERT_TRUE(spool.take(&all));
-  EXPECT_EQ(all, "alpha\nbeta\n");
-}
-
-TEST(RawSpool, SpillsPastThresholdAndReplaysAllBytes) {
-  RawSpool spool(64);
-  std::string expect;
-  for (int i = 0; i < 100; ++i) {
-    std::string piece = "piece-" + std::to_string(i) + "\n";
-    expect += piece;
-    ASSERT_TRUE(spool.add(piece));
-  }
-  EXPECT_TRUE(spool.spilled());
-  EXPECT_GT(spool.spilled_bytes(), 0u);
-  std::string all;
-  ASSERT_TRUE(spool.take(&all));
-  EXPECT_EQ(all, expect);
-}
-
-TEST(RawSpool, ZeroThresholdNeverSpills) {
-  RawSpool spool(0);
-  for (int i = 0; i < 100; ++i) ASSERT_TRUE(spool.add("data data data\n"));
-  EXPECT_FALSE(spool.spilled());
-}
-
-TEST(RawSpool, BufferStaysWithinThresholdPlusTwoPieces) {
-  // The tranche reserves threshold + 2 pieces before its doubling would
-  // overshoot, as SpillMerger's batch does: grown by doubling, 64 KiB
-  // pieces under a 1.5 MiB threshold would reach 2 MiB of room, and a
-  // 65 MiB tranche under the default 64 MiB threshold 128 MiB.
-  std::mt19937_64 rng(19);
-  for (std::size_t threshold :
-       {std::size_t{100} << 10, std::size_t{1536} << 10,
-        std::size_t{3} << 20}) {
-    for (bool fixed : {true, false}) {
-      RawSpool spool(threshold);
-      std::string whole;
-      std::size_t largest = 0;
-      while (whole.size() < 3 * threshold) {
-        const std::size_t size =
-            fixed ? std::size_t{64} << 10 : 1 + rng() % (96 << 10);
-        std::string piece(size, static_cast<char>('a' + rng() % 26));
-        piece.back() = '\n';
-        largest = std::max(largest, piece.size());
-        whole += piece;
-        ASSERT_TRUE(spool.add(piece));
-        ASSERT_LE(spool.buffer_capacity(), threshold + 2 * largest)
-            << "threshold " << threshold << (fixed ? " fixed" : " random")
-            << " pieces, after " << whole.size() << " bytes";
-      }
-      EXPECT_TRUE(spool.spilled());
-      std::string all;
-      ASSERT_TRUE(spool.take(&all));
-      EXPECT_TRUE(all == whole);  // not EXPECT_EQ: MiBs
-    }
-  }
 }
 
 // ---------------------------------------------- SpillMerger: external sort --
@@ -525,7 +460,6 @@ TEST(SpillDataflow, ParallelMergeCombinerSpillsChunkOutputs) {
   options.spill_threshold = 4096;
   ExecResult r = Executor(options).run_collect(stages, input);
   ASSERT_TRUE(r.ok) << r.error;
-  EXPECT_FALSE(r.batch_fallback);
   EXPECT_EQ(r.output, exec::run_serial(stages, input));
   ASSERT_EQ(r.nodes.size(), 1u);
   EXPECT_GT(r.nodes[0].spilled_bytes, 0u);
@@ -553,14 +487,91 @@ constexpr bool kSanitized = false;
 constexpr bool kSanitized = false;
 #endif
 
+// An unlinked temp file holding `input`, rewound: the CLI reads its input
+// from a file descriptor, and a string source would hold the input in the
+// measured process besides.
+int input_fd(const std::string& input) {
+  const char* dir = std::getenv("TMPDIR");
+  std::string path = dir != nullptr && *dir != '\0' ? dir : "/tmp";
+  path += "/kumquat-spill-test-XXXXXX";
+  const int fd = ::mkstemp(path.data());
+  if (fd < 0) return -1;
+  ::unlink(path.c_str());
+  if (::write(fd, input.data(), input.size()) !=
+          static_cast<ssize_t>(input.size()) ||
+      ::lseek(fd, 0, SEEK_SET) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+// What a run in a forked child reports: whether it succeeded, its output
+// bytes, and how far its peak RSS rose.
+struct ChildRun {
+  bool measured = false;  // the child ran and reported
+  bool ok = false;
+  std::size_t out_bytes = 0;
+  std::size_t rss_growth = 0;
+};
+
+// Runs `stages` over `fd` (closed here) in a forked child, measured the way
+// bench/stream_throughput does it: the child's VmHWM starts at its RSS at
+// fork, and the child pins glibc's mmap threshold as the CLI does.
+ChildRun run_in_child(const std::vector<exec::ExecStage>& stages, int fd,
+                      const ExecOptions& options) {
+  ChildRun result;
+  int fds[2];
+  if (::pipe(fds) != 0) {
+    ::close(fd);
+    return result;
+  }
+  const pid_t pid = ::fork();
+  if (pid < 0) {
+    ::close(fds[0]);
+    ::close(fds[1]);
+    ::close(fd);
+    return result;
+  }
+  if (pid == 0) {
+    ::close(fds[0]);
+#ifdef __GLIBC__
+    mallopt(M_MMAP_THRESHOLD, 128 << 10);
+#endif
+    const std::size_t baseline = peak_rss_bytes();
+    std::size_t out = 0;
+    const ExecResult r = Executor(options).run(
+        stages, Source::from_fd(fd), [&out](std::string_view bytes) {
+          out += bytes.size();
+          return true;
+        });
+    std::size_t report[3] = {r.ok ? 1u : 0u, out,
+                             peak_rss_bytes() - baseline};
+    const bool sent = ::write(fds[1], report, sizeof(report)) ==
+                      static_cast<ssize_t>(sizeof(report));
+    ::_exit(sent ? 0 : 1);
+  }
+  ::close(fds[1]);
+  ::close(fd);
+  std::size_t report[3] = {0, 0, 0};
+  const bool got = ::read(fds[0], report, sizeof(report)) ==
+                   static_cast<ssize_t>(sizeof(report));
+  ::close(fds[0]);
+  int status = 0;
+  ::waitpid(pid, &status, 0);
+  result.measured = got && WIFEXITED(status) && WEXITSTATUS(status) == 0;
+  result.ok = report[0] == 1;
+  result.out_bytes = report[1];
+  result.rss_growth = report[2];
+  return result;
+}
+
 TEST(SpillDataflow, ParallelSortChunksHoldEightBytesPerLine) {
   // `sort` at k=4 over 8 MiB of 6-byte lines at 1 MiB blocks: each of the
   // four chunk sorts holds its chunk, 8-byte line records (1.4 MB),
   // stable_sort's half-size buffer and its output. The run grows RSS by
   // about 21 MiB; with a 16-byte view per line, grown by push_back to
-  // 4 MiB per chunk, it grew by 30-33 MiB. Measured the way
-  // bench/stream_throughput does it: in a forked child, whose VmHWM starts
-  // at its RSS at fork, with the CLI's mmap threshold pin.
+  // 4 MiB per chunk, it grew by 30-33 MiB.
   if (kSanitized) GTEST_SKIP() << "sanitizers' shadow memory swamps RSS";
   synth::SynthesisCache cache;
   auto parsed = compile::parse_pipeline("sort");
@@ -570,8 +581,6 @@ TEST(SpillDataflow, ParallelSortChunksHoldEightBytesPerLine) {
   ASSERT_EQ(stages.size(), 1u);
   ASSERT_NE(stages[0].sort_spec, nullptr);
 
-  // The input comes from a file descriptor, as in the CLI: a string
-  // source would buffer the whole output before the sink.
   std::mt19937_64 rng(5);
   std::string input;
   input.reserve(8 << 20);
@@ -580,62 +589,80 @@ TEST(SpillDataflow, ParallelSortChunksHoldEightBytesPerLine) {
       input += static_cast<char>('a' + rng() % 26);
     input += '\n';
   }
-  const char* dir = std::getenv("TMPDIR");
-  std::string path = dir != nullptr && *dir != '\0' ? dir : "/tmp";
-  path += "/kumquat-spill-test-XXXXXX";
-  const int fd = ::mkstemp(path.data());
+  const int fd = input_fd(input);
   ASSERT_GE(fd, 0);
-  ::unlink(path.c_str());
-  ASSERT_EQ(::write(fd, input.data(), input.size()),
-            static_cast<ssize_t>(input.size()));
-  ASSERT_EQ(::lseek(fd, 0, SEEK_SET), 0);
   const std::size_t in_bytes = input.size();
   input = std::string();
 
-  int fds[2];
-  ASSERT_EQ(::pipe(fds), 0);
-  const pid_t pid = ::fork();
-  ASSERT_GE(pid, 0);
-  if (pid == 0) {
-    ::close(fds[0]);
-#ifdef __GLIBC__
-    mallopt(M_MMAP_THRESHOLD, 128 << 10);
-#endif
-    const std::size_t baseline = peak_rss_bytes();
-    ExecOptions options;
-    options.parallelism = 4;
-    options.block_size = 1 << 20;
-    options.spill_threshold = 1 << 20;
-    std::size_t out = 0;
-    const ExecResult r = Executor(options).run(
-        stages, Source::from_fd(fd), [&out](std::string_view bytes) {
-          out += bytes.size();
-          return true;
-        });
-    std::size_t report[2] = {r.ok && out == in_bytes ? 1u : 0u,
-                             peak_rss_bytes() - baseline};
-    const bool sent = ::write(fds[1], report, sizeof(report)) ==
-                      static_cast<ssize_t>(sizeof(report));
-    ::_exit(sent ? 0 : 1);
-  }
-  ::close(fds[1]);
-  ::close(fd);
-  std::size_t report[2] = {0, 0};
-  const bool got = ::read(fds[0], report, sizeof(report)) ==
-                   static_cast<ssize_t>(sizeof(report));
-  ::close(fds[0]);
-  int status = 0;
-  ::waitpid(pid, &status, 0);
-  ASSERT_TRUE(got && WIFEXITED(status) && WEXITSTATUS(status) == 0);
-  EXPECT_EQ(report[0], 1u) << "the run failed or lost bytes";
-  EXPECT_LT(report[1], std::size_t{25} << 20)
-      << "RSS grew " << (report[1] >> 10) << " KiB";
+  ExecOptions options;
+  options.parallelism = 4;
+  options.block_size = 1 << 20;
+  options.spill_threshold = 1 << 20;
+  const ChildRun run = run_in_child(stages, fd, options);
+  ASSERT_TRUE(run.measured);
+  EXPECT_TRUE(run.ok && run.out_bytes == in_bytes)
+      << "the run failed or lost bytes";
+  EXPECT_LT(run.rss_growth, std::size_t{25} << 20)
+      << "RSS grew " << (run.rss_growth >> 10) << " KiB";
 }
 
-TEST(SpillDataflow, ParallelRerunCombinerSpoolsThroughDisk) {
-  // A rerun-combined parallel stage: chunk outputs spool to disk past the
-  // threshold and the command reruns once over their concatenation —
-  // byte-identical to the in-memory k-way rerun.
+TEST(SpillDataflow, WholeInputNodeJoinsItsInputOnce) {
+  // An opaque stage (no streamability, no combiner) at k=1 runs once over
+  // its whole input: 32 MiB, under a spill threshold of 1 MiB that decides
+  // nothing for it. The node copies the blocks it drains into 1 MiB held
+  // buffers and joins those into one string reserved to their total,
+  // freeing each buffer once copied, so the run grows RSS by about the
+  // input; a join beside every held buffer would take twice that. At
+  // 64 KiB blocks, holding each block as it came takes twice that too: the
+  // freed blocks stay resident in the allocator. The output is small (a
+  // byte per 4 KiB of input), so it adds nothing.
+  if (kSanitized) GTEST_SKIP() << "sanitizers' shadow memory swamps RSS";
+  std::vector<exec::ExecStage> stages;
+  exec::ExecStage s;
+  s.command = cmd::make_lambda_command("opaque", [](std::string_view in) {
+    return std::string(in.size() / 4096, 'x');
+  });
+  stages.push_back(std::move(s));
+
+  std::mt19937_64 rng(11);
+  std::string input;
+  input.reserve(32 << 20);
+  while (input.size() < (32u << 20)) {
+    for (int i = 0; i < 31; ++i)
+      input += static_cast<char>('a' + rng() % 26);
+    input += '\n';
+  }
+  const std::size_t block_sizes[] = {std::size_t{1} << 20, 64 << 10};
+  int fds[2];
+  for (int& fd : fds) {
+    fd = input_fd(input);
+    ASSERT_GE(fd, 0);
+  }
+  const std::size_t in_bytes = input.size();
+  input = std::string();
+
+  for (int i = 0; i < 2; ++i) {
+    ExecOptions options;
+    options.parallelism = 1;
+    options.block_size = block_sizes[i];
+    options.spill_threshold = 1 << 20;
+    ASSERT_EQ(place(stages, options).front().kind, NodeKind::kWholeInput);
+    const ChildRun run = run_in_child(stages, fds[i], options);
+    ASSERT_TRUE(run.measured);
+    EXPECT_TRUE(run.ok && run.out_bytes == in_bytes / 4096)
+        << "the run failed or lost bytes at " << (block_sizes[i] >> 10)
+        << " KiB blocks";
+    EXPECT_LT(run.rss_growth, in_bytes + in_bytes / 2)
+        << "RSS grew " << (run.rss_growth >> 10) << " KiB over "
+        << (in_bytes >> 10) << " KiB of input at " << (block_sizes[i] >> 10)
+        << " KiB blocks";
+  }
+}
+
+TEST(SpillDataflow, ParallelRerunCombinerJoinsHeldParts) {
+  // A rerun-combined parallel stage: the collector holds the chunk outputs,
+  // joins them once and reruns the command over the join — byte-identical
+  // to the k-way rerun, and spilling nothing whatever the threshold.
   std::vector<exec::ExecStage> stages;
   exec::ExecStage s;
   s.command = cmd::make_command_line("uniq");
@@ -664,18 +691,17 @@ TEST(SpillDataflow, ParallelRerunCombinerSpoolsThroughDisk) {
   options.spill_threshold = 2048;
   ExecResult r = Executor(options).run_collect(stages, input);
   ASSERT_TRUE(r.ok) << r.error;
-  EXPECT_FALSE(r.batch_fallback);
   EXPECT_EQ(r.output, exec::run_serial(stages, input));
   ASSERT_EQ(r.nodes.size(), 1u);
-  EXPECT_GT(r.nodes[0].spilled_bytes, 0u);
+  EXPECT_EQ(r.nodes[0].spilled_bytes, 0u);
 }
 
-TEST(SpillDataflow, MaterializeNodeSpoolsThroughDisk) {
-  // An unknown-to-synthesis sequential stage must still produce exact
-  // output when its drain spools through the temp file. uniq itself now
-  // window-streams (kWindowStream), so wrap it as an opaque lambda — same
-  // semantics, no streamability declaration — to keep a true materialize
-  // witness.
+TEST(SpillDataflow, MaterializeNodeRunsOnceOverItsWholeInput) {
+  // An unknown-to-synthesis sequential stage must produce exact output
+  // from the blocks it holds, joined once, with an input far past the
+  // spill threshold. uniq itself window-streams (kWindowStream), so wrap
+  // it as an opaque lambda — same semantics, no streamability
+  // declaration — to keep a true materialize witness.
   std::vector<exec::ExecStage> stages;
   exec::ExecStage s;
   cmd::CommandPtr uniq = cmd::make_command_line("uniq -c");
@@ -698,7 +724,7 @@ TEST(SpillDataflow, MaterializeNodeSpoolsThroughDisk) {
   ASSERT_TRUE(r.ok) << r.error;
   EXPECT_EQ(r.output, exec::run_serial(stages, input));
   ASSERT_EQ(r.nodes.size(), 1u);
-  EXPECT_GT(r.nodes[0].spilled_bytes, 0u);
+  EXPECT_EQ(r.nodes[0].spilled_bytes, 0u);
 }
 
 TEST(SpillDataflow, OversizedRecordFailsWithDiagnostic) {
@@ -774,8 +800,6 @@ TEST_P(SpillCatalogCrossval, ForcedSpillMatchesSerial) {
     options.spill_threshold = 1024;  // force every spillable node to spill
     ExecResult r = Executor(options).run_collect(stages, input);
     EXPECT_TRUE(r.ok) << pipeline << ": " << r.error;
-    EXPECT_FALSE(r.batch_fallback)
-        << pipeline << ": incremental combine bailed: " << r.error;
     EXPECT_EQ(r.output, serial)
         << script.suite << "/" << script.name << ": " << pipeline;
   }

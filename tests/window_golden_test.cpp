@@ -79,7 +79,6 @@ TEST_P(WindowGolden, BatchStreamAndSpillAgree) {
     options.stats = true;
     ExecResult r = Executor(options).run_collect(stages, c.input);
     ASSERT_TRUE(r.ok) << c.command << ": " << r.error;
-    EXPECT_FALSE(r.batch_fallback) << c.command;
     ASSERT_EQ(r.nodes.size(), 1u);
     EXPECT_EQ(r.nodes[0].memory, "window-stream")
         << c.command << " should run as a window node";
