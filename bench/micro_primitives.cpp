@@ -7,8 +7,8 @@
 #include "bench_support/workloads.h"
 #include "dsl/eval.h"
 #include "dsl/kway.h"
-#include "exec/parallel.h"
 #include "exec/splitter.h"
+#include "exec/thread_pool.h"
 #include "regex/regex.h"
 #include "unixcmd/registry.h"
 #include "unixcmd/sort_cmd.h"
@@ -101,8 +101,14 @@ void BM_ParallelMap(benchmark::State& state) {
   auto chunks =
       kq::exec::split_stream(input, static_cast<int>(state.range(0)));
   for (auto _ : state) {
-    auto outputs = kq::exec::map_chunks(*command, chunks, pool);
-    benchmark::DoNotOptimize(outputs);
+    std::vector<std::future<std::string>> runs;
+    for (std::string_view chunk : chunks)
+      runs.push_back(
+          pool.submit([&command, chunk] { return command->run(chunk); }));
+    for (auto& run : runs) {
+      std::string out = run.get();
+      benchmark::DoNotOptimize(out);
+    }
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(input.size()));

@@ -1,5 +1,6 @@
-// Streaming vs batch execution: wall-clock throughput and peak RSS on a
-// generated input much larger than the streaming runtime's block budget.
+// The streaming runtime against the serial oracle (exec::run_serial over
+// the whole input): wall-clock throughput and peak RSS on a generated
+// input much larger than the streaming runtime's block budget.
 //
 //   ./build/bench/stream_throughput [--mb=N] [--block-kb=N] [--k=N]
 //                                   [--spill-mb=N] [--no-speed-check]
@@ -18,10 +19,10 @@
 // Defaults: 256 MiB input, 1 MiB blocks, k=4, spill threshold
 // max(8 MiB, input/8) — the input is ~10x the streaming block budget
 // (max_inflight · block_size per segment), so a bounded-memory runtime
-// shows a peak RSS far below the input size while the batch runner's RSS
+// shows a peak RSS far below the input size while the serial run's RSS
 // scales with it. CI runs the fast smoke configuration (--mb=16) to keep
 // throughput regressions visible per-PR; --no-speed-check drops the
-// stream-vs-batch timing verdict for sanitizer builds, where timing is
+// stream-vs-serial timing verdict for sanitizer builds, where timing is
 // meaningless but the memory/output checks still matter.
 //
 // RSS measurement: VmHWM is monotonic per process, so a naive read would
@@ -41,6 +42,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -128,7 +130,7 @@ Compiled compile_one(const std::string& pipeline, synth::SynthesisCache& cache,
   Compiled out{compile::compile_pipeline(*parsed, cache), {}};
   // Mirror the CLI's default compile: bounded top-n/top-k rewriting first
   // (no-op for pipelines without a target), then combiner elimination.
-  // rewrite = false is the --no-rewrite twin, used as the batch baseline
+  // rewrite = false is the --no-rewrite twin, used as the serial baseline
   // for the rewritten window scenarios.
   if (rewrite) compile::rewrite_bounded_windows(out.plan);
   compile::eliminate_intermediate_combiners(out.plan);
@@ -261,7 +263,6 @@ Measurement run_streaming_file(const Compiled& compiled,
   mallopt(M_MMAP_THRESHOLD, 128 << 10);
 #endif
   std::size_t baseline = peak_rss_bytes();  // == current RSS post-fork
-  options.mode = kq::ExecMode::kStream;
   options.parallelism = k;
   kq::Executor executor(options);
   std::ifstream in(path, std::ios::binary);
@@ -300,7 +301,6 @@ Measurement run_streaming_fd_file(const Compiled& compiled,
   mallopt(M_MMAP_THRESHOLD, 128 << 10);
 #endif
   std::size_t baseline = peak_rss_bytes();
-  options.mode = kq::ExecMode::kStream;
   options.parallelism = k;
   kq::Executor executor(options);
   int fd = ::open(path.c_str(), O_RDONLY);
@@ -351,28 +351,35 @@ Measurement run_streaming_telemetry(const Compiled& compiled,
   return run_streaming_file(compiled, path, k, options);
 }
 
-Measurement run_batch_file(const Compiled& compiled, const std::string& path,
-                           int k) {
+// The serial oracle over the whole file: every scenario's whole-input
+// twin, whose output is the identity reference, whose RSS scales with the
+// input, and whose time is the speed verdict's yardstick. The measured wall
+// time covers reading the file as well as the run.
+Measurement run_serial_file(const Compiled& compiled,
+                            const std::string& path) {
   Measurement m;
   std::size_t baseline = peak_rss_bytes();
-  kq::ExecOptions options;
-  options.mode = kq::ExecMode::kBatch;
-  options.parallelism = k;
-  kq::Executor executor(options);
   auto start = std::chrono::steady_clock::now();
-  std::ifstream in(path, std::ios::binary);
-  // The istream source is slurped inside the facade, so the measured wall
-  // time covers reading the file as well as the batch run.
-  kq::ExecResult r = executor.run_collect(compiled.stages, in);
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
+  std::string input(static_cast<std::size_t>(in.tellg()), '\0');
+  in.seekg(0);
+  in.read(input.data(), static_cast<std::streamsize>(input.size()));
+  std::string output;
+  try {
+    output = exec::run_serial(compiled.stages, input);
+  } catch (const std::exception& e) {
+    std::cerr << "serial run failed: " << e.what() << "\n";
+    m.ok = false;
+  }
   StreamHash hash;  // timed, as the streaming sinks hash inside the run
-  hash.update(r.output);
+  hash.update(output);
   m.out_hash = hash.digest();
   m.seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                             start)
                   .count();
   std::size_t peak = peak_rss_bytes();
   m.rss_growth = peak > baseline ? peak - baseline : 0;
-  m.out_bytes = r.output.size();
+  m.out_bytes = output.size();
   return m;
 }
 
@@ -506,14 +513,14 @@ int main(int argc, char** argv) {
     gate_records.push_back({std::string("stream:") + pipeline.cmd, s});
 
     Measurement b =
-        run_isolated([&] { return run_batch_file(compiled, path, k); });
-    std::cout << "  batch:  " << b.seconds << " s, "
+        run_isolated([&] { return run_serial_file(compiled, path); });
+    std::cout << "  serial: " << b.seconds << " s, "
               << mib_per_s(input_bytes, b.seconds) << " MiB/s, RSS growth "
               << (b.rss_growth >> 20) << " MiB\n";
 
     if (!s.ok || !b.ok) all_ok = false;
-    if (!same_output("stream", s, "batch", b)) all_ok = false;
-    std::cout << "  speedup stream/batch: " << b.seconds / s.seconds
+    if (!same_output("stream", s, "serial", b)) all_ok = false;
+    std::cout << "  speedup stream/serial: " << b.seconds / s.seconds
               << "x\n";
     if (speed_check && pipeline.gate_speed && s.seconds > b.seconds * 1.05)
       all_faster = false;
@@ -607,17 +614,17 @@ int main(int argc, char** argv) {
       std::cout << "  window-stream: " << w.seconds << " s, "
                 << mib_per_s(input_bytes, w.seconds) << " MiB/s, RSS growth "
                 << (w.rss_growth >> 20) << " MiB (gate < 16 MiB)\n";
-      // The batch twin compiles with the rewrite SKIPPED: it measures the
+      // The serial twin compiles with the rewrite SKIPPED: it measures the
       // original multi-stage plan (for sort|head, a full in-memory sort),
       // and its output doubles as a cross-plan identity witness for the
       // rewritten window node at bench scale.
       Compiled base = compile_one(wcmd, cache, /*rewrite=*/false);
       Measurement b =
-          run_isolated([&] { return run_batch_file(base, path, 1); });
-      std::cout << "  batch:         " << b.seconds << " s, RSS growth "
+          run_isolated([&] { return run_serial_file(base, path); });
+      std::cout << "  serial:        " << b.seconds << " s, RSS growth "
                 << (b.rss_growth >> 20) << " MiB\n";
       if (!w.ok || !b.ok) all_ok = false;
-      if (!same_output("window", w, "batch", b)) all_ok = false;
+      if (!same_output("window", w, "serial", b)) all_ok = false;
       if (memory_check && !fork_fallback_used &&
           w.rss_growth > (std::size_t(16) << 20)) {
         std::cout << "  ERROR: window RSS growth exceeds 16 MiB — the "
@@ -777,8 +784,8 @@ int main(int argc, char** argv) {
   std::cout << "\nverdict: streaming "
             << (!speed_check
                     ? "speed check skipped"
-                    : (all_faster ? "matches or beats batch"
-                                  : "SLOWER than batch"))
+                    : (all_faster ? "matches or beats serial"
+                                  : "SLOWER than serial"))
             << " at k=" << k << "; memory "
             << (fork_fallback_used
                     ? "verdict skipped (fork unavailable: in-process VmHWM "

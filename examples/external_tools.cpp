@@ -8,8 +8,8 @@
 #include <iostream>
 
 #include "dsl/kway.h"
-#include "exec/parallel.h"
 #include "exec/splitter.h"
+#include "exec/thread_pool.h"
 #include "procexec/external_command.h"
 #include "synth/synthesize.h"
 #include "text/shellwords.h"
@@ -50,8 +50,12 @@ int main() {
               << "  (" << result.observation_count << " observations, "
               << result.seconds << " s)\n";
 
-    auto chunks = exec::split_stream(input, 4);
-    auto outputs = exec::map_chunks(*command, chunks, pool);
+    std::vector<std::future<std::string>> runs;
+    for (std::string_view chunk : exec::split_stream(input, 4))
+      runs.push_back(
+          pool.submit([&command, chunk] { return command->run(chunk); }));
+    std::vector<std::string> outputs;
+    for (auto& run : runs) outputs.push_back(run.get());
     dsl::EvalContext ctx{command.get()};
     auto combined = result.combiner.apply_k(outputs, ctx);
     std::cout << "  4-way parallel output "

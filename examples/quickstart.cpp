@@ -4,13 +4,14 @@
 //   $ ./build/examples/quickstart
 //
 // Walks through the core API: build a Command, call synth::synthesize,
-// inspect the plausible combiners, then split/map/combine an input.
+// inspect the plausible combiners, then split an input, run the command
+// on each piece on a thread pool, and combine the outputs.
 
 #include <iostream>
 
 #include "dsl/kway.h"
-#include "exec/parallel.h"
 #include "exec/splitter.h"
+#include "exec/thread_pool.h"
 #include "synth/synthesize.h"
 #include "text/shellwords.h"
 #include "unixcmd/registry.h"
@@ -40,8 +41,12 @@ int main() {
   for (int i = 0; i < 100000; ++i) input += "line " + std::to_string(i) + "\n";
 
   exec::ThreadPool pool(4);
-  auto chunks = exec::split_stream(input, 4);
-  std::vector<std::string> outputs = exec::map_chunks(*command, chunks, pool);
+  std::vector<std::future<std::string>> runs;
+  for (std::string_view chunk : exec::split_stream(input, 4))
+    runs.push_back(
+        pool.submit([&command, chunk] { return command->run(chunk); }));
+  std::vector<std::string> outputs;
+  for (auto& run : runs) outputs.push_back(run.get());
 
   dsl::EvalContext ctx{command.get()};
   auto combined = result.combiner.apply_k(outputs, ctx);

@@ -4,6 +4,7 @@
 //
 //   $ ./build/examples/word_frequency [k]
 
+#include <chrono>
 #include <cstdlib>
 #include <iostream>
 
@@ -42,20 +43,19 @@ int main(int argc, char** argv) {
       bench::generate_workload(bench::Workload::kGutenberg, 4 << 20, 1, fs);
 
   auto stages = compile::lower_plan(plan);
-  kq::ExecOptions serial_options;
-  serial_options.mode = kq::ExecMode::kSerial;
-  kq::ExecResult serial =
-      kq::Executor(serial_options).run_collect(stages, input);
-  kq::ExecOptions batch_options;
-  batch_options.mode = kq::ExecMode::kBatch;
-  batch_options.parallelism = k;
-  kq::ExecResult parallel =
-      kq::Executor(batch_options).run_collect(stages, input);
+  const auto start = std::chrono::steady_clock::now();
+  const std::string serial = exec::run_serial(stages, input);
+  const double serial_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+          .count();
+  kq::ExecOptions options;
+  options.parallelism = k;
+  kq::ExecResult parallel = kq::Executor(options).run_collect(stages, input);
 
-  std::cout << "\nserial " << serial.seconds << " s, " << k << "-way "
+  std::cout << "\nserial " << serial_seconds << " s, " << k << "-way "
             << parallel.seconds << " s ("
-            << serial.seconds / parallel.seconds << "x), outputs "
-            << (serial.output == parallel.output ? "match" : "MISMATCH")
+            << serial_seconds / parallel.seconds << "x), outputs "
+            << (serial == parallel.output ? "match" : "MISMATCH")
             << "\n\ntop five words:\n";
   std::size_t pos = 0;
   for (int i = 0; i < 5 && pos < parallel.output.size(); ++i) {

@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -110,40 +111,40 @@ ScriptReport run_script(const Script& script, synth::SynthesisCache& cache,
     report.pipelines.push_back(std::move(p));
   }
 
-  auto batch_options = [&](int k, bool eliminate) {
-    kq::ExecOptions o;
-    o.mode = kq::ExecMode::kBatch;
-    o.parallelism = k;
-    o.use_elimination = eliminate;
-    return o;
-  };
-
   // Serial reference outputs (also the u_1 measurement).
   std::vector<std::string> serial_outputs;
   {
-    kq::ExecOptions serial;
-    serial.mode = kq::ExecMode::kSerial;
-    serial.parallelism = 1;
-    kq::Executor executor(serial);
     auto start = Clock::now();
     for (const CompiledPipeline& c : compiled)
-      serial_outputs.push_back(
-          executor.run_collect(c.stages, input).output);
+      serial_outputs.push_back(exec::run_serial(c.stages, input));
     double elapsed = seconds_since(start);
     report.unoptimized[1] = elapsed;
     report.optimized[1] = elapsed;
   }
 
+  // Two blocks per worker: at the default 1 MiB block the tables' 256-384
+  // KiB inputs would be a single chunk. Of input / k, 2k, 4k and 8k,
+  // input / 2k read the highest median T4 over Table 6's scripts (one run
+  // each).
+  auto parallel_options = [&](int k, bool eliminate) {
+    kq::ExecOptions o;
+    o.parallelism = k;
+    o.use_elimination = eliminate;
+    o.block_size = std::max<std::size_t>(
+        4 << 10, input.size() / (2 * static_cast<std::size_t>(k)));
+    return o;
+  };
+
   for (int k : options.parallelism) {
     if (k <= 1) continue;
-    kq::Executor unopt(batch_options(k, /*eliminate=*/false));
+    kq::Executor unopt(parallel_options(k, /*eliminate=*/false));
     auto u_start = Clock::now();
     std::vector<std::string> u_outputs;
     for (const CompiledPipeline& c : compiled)
       u_outputs.push_back(unopt.run_collect(c.stages, input).output);
     report.unoptimized[k] = seconds_since(u_start);
 
-    kq::Executor opt(batch_options(k, /*eliminate=*/true));
+    kq::Executor opt(parallel_options(k, /*eliminate=*/true));
     auto t_start = Clock::now();
     std::vector<std::string> t_outputs;
     for (const CompiledPipeline& c : compiled)

@@ -48,8 +48,8 @@ struct ScriptReport {
   std::string eliminated_cell() const;
 };
 
-// Executes through kq::Executor (serial reference + batch at each width);
-// the facade owns the worker pools, so callers no longer pass one.
+// Runs the serial reference (exec::run_serial), then every width through
+// kq::Executor with and without combiner elimination.
 ScriptReport run_script(const Script& script, synth::SynthesisCache& cache,
                         const HarnessOptions& options, vfs::Vfs& fs);
 

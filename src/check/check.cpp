@@ -59,27 +59,6 @@ std::string span_display(const compile::Plan& plan, int begin, int end) {
   return out;
 }
 
-// The nodes the run builds at its settings: stream::place's for a
-// streaming run. A batch or serial run (Executor::run_whole, the staged
-// runner of `run --batch`) holds each stage's whole input, so each stage
-// is its own materializing node.
-std::vector<stream::Placement> nodes_of(
-    const std::vector<exec::ExecStage>& lowered, const ExecOptions& run) {
-  const ExecOptions resolved = Executor(run).options();
-  if (resolved.mode == ExecMode::kStream)
-    return stream::place(lowered, resolved);
-  std::vector<stream::Placement> nodes(lowered.size());
-  for (std::size_t i = 0; i < lowered.size(); ++i) {
-    stream::Placement& p = nodes[i];
-    p.first = i;
-    p.stages = {&lowered[i]};
-    p.label = "materialize";
-    p.bound = "O(input): the staged runner holds the stage's whole input";
-    p.bounded = false;
-  }
-  return nodes;
-}
-
 class Analyzer {
  public:
   Analyzer(const compile::Plan& plan,
@@ -88,7 +67,8 @@ class Analyzer {
       : plan_(plan),
         lowered_(lowered),
         options_(options),
-        nodes_(nodes_of(lowered, options.run)) {
+        // The nodes the run builds at its settings.
+        nodes_(stream::place(lowered, Executor(options.run).options())) {
     for (std::size_t n = 0; n < nodes_.size(); ++n)
       node_of_.insert(node_of_.end(), nodes_[n].stages.size(), n);
   }
@@ -167,14 +147,11 @@ class Analyzer {
          begin + static_cast<int>(node.stages.size()) - 1,
          concat({"the ", node.label, " node running this holds ",
                  node.bound}),
-         options_.run.mode != ExecMode::kStream
-             ? "drop --batch: the streaming runtime runs the stage in "
-               "bounded blocks where it can"
-         : node.spec ? "re-enable spilling (--spill-threshold N) so the node "
-                       "exports sorted runs past the threshold"
-                     : "bound it upstream (filter or head before this stage) "
-                       "or teach the built-in a StreamProcessor/"
-                       "WindowProcessor form");
+         node.spec ? "re-enable spilling (--spill-threshold N) so the node "
+                     "exports sorted runs past the threshold"
+                   : "bound it upstream (filter or head before this stage) "
+                     "or teach the built-in a StreamProcessor/"
+                     "WindowProcessor form");
   }
 
   // KQ-PROBE: the probe-coverage guard fired — the command's declared

@@ -4,19 +4,18 @@
 //   kumquat synthesize '<command>'          synthesize and print combiners
 //   kumquat compile '<pipeline>'            print the parallel plan
 //   kumquat check [--json] '<pipeline>'     static diagnostics, no execution
-//   kumquat run [--jobs N] [--no-opt] [--stream|--batch] [--block-size N]
-//               '<pipeline>'                execute data-parallel,
+//   kumquat run [--jobs N] [--no-opt] [--block-size N] '<pipeline>'
+//                                           execute data-parallel,
 //                                           stdin -> stdout
 //
-// `run` executes through kq::Executor (exec/executor.h), defaulting to the
-// streaming dataflow runtime (src/stream/): stdin is consumed in
-// record-aligned blocks and never materialized whole, so memory stays
-// bounded on arbitrarily large inputs; eligible parallel segments run
-// sharded (per-shard stream sub-chains feeding an incremental combining
-// tree). `--batch` selects the original in-memory staged runner through
-// the same facade. --jobs (alias -k) defaults to the hardware thread
-// count, capped at 16, identically in both modes, and also bounds the
-// threads that synthesize the pipeline's combiners before the run.
+// `run` executes through kq::Executor (exec/executor.h), the streaming
+// dataflow runtime (src/stream/): stdin is consumed in record-aligned
+// blocks and never materialized whole, so memory stays bounded on
+// arbitrarily large inputs; eligible parallel segments run sharded
+// (per-shard stream sub-chains feeding an incremental combining tree).
+// --jobs (alias -k) defaults to the hardware thread count, capped at 16,
+// and also bounds the threads that synthesize the pipeline's combiners
+// before the run.
 //
 // `synthesize` resolves a command to a built-in when known, otherwise to a
 // real binary through fork/exec — synthesis needs nothing from a command
@@ -270,31 +269,12 @@ void print_stream_stats(const kq::ExecResult& result) {
   }
 }
 
-// Batch-path --stats: the staged runner's per-stage metrics, carried in the
-// same unified NodeMetrics rows the facade returns for stream runs.
-void print_batch_stats(const kq::ExecResult& result) {
-  std::cerr << "kumquat stats: " << result.nodes.size()
-            << " stage(s), batch\n";
-  for (std::size_t i = 0; i < result.nodes.size(); ++i) {
-    const stream::NodeMetrics& n = result.nodes[i];
-    std::cerr << "  [" << i << "] " << n.commands << "\n"
-              << "      " << (n.parallel ? "parallel" : "sequential")
-              << (n.combiner_eliminated ? " (combiner eliminated)" : "")
-              << (n.combine_fallback ? " (combine fallback)" : "")
-              << " chunks=" << n.chunks << " bytes=" << n.in_bytes << "/"
-              << n.out_bytes << " seconds=" << n.seconds << "\n";
-  }
-}
-
-int cmd_run(const std::string& pipeline, int k, bool optimize, bool streaming,
+int cmd_run(const std::string& pipeline, int k, bool optimize,
             std::size_t block_size, std::size_t spill_threshold,
             char delimiter, bool rewrite, bool stats,
             const std::string& trace_path, bool check_only) {
-  // One facade for both modes: --jobs/-k, elimination, and the streaming
-  // knobs resolve identically whether the staged runner or the dataflow
-  // runtime executes the plan. k == 0 resolves the hardware default.
+  // k == 0 resolves the hardware default.
   kq::ExecOptions options;
-  options.mode = streaming ? kq::ExecMode::kStream : kq::ExecMode::kBatch;
   options.parallelism = k;
   options.use_elimination = optimize;
   options.block_size = block_size;
@@ -369,56 +349,46 @@ int cmd_run(const std::string& pipeline, int k, bool optimize, bool streaming,
     return true;
   };
 
-  if (streaming) {
 #ifdef __GLIBC__
-    // Keep block-sized strings mmap-backed: glibc's dynamic mmap threshold
-    // would otherwise grow past the block size and retire freed blocks
-    // into resident arena pages, inflating RSS by O(100 MiB) on long runs
-    // — allocator slack, but indistinguishable from a leak to anyone
-    // watching the bounded-memory runtime. The sharded path's blocks,
-    // slices and parts now circulate through the run's BufferPool, so the
-    // pin's remaining cost is the per-block kernels' line indexes in a
-    // chain node (a 1 MiB block of short lines indexes past 128 KiB).
-    // Measured without it on kqbench's inputs (4-vCPU VM): fold's k=1 run
-    // took 23% less CPU, but wf's k=4 peak RSS rose from 28.2 to 41.7 MiB.
-    // It can go once those kernels stop building line vectors (ROADMAP's
-    // byte-kernel item).
-    mallopt(M_MMAP_THRESHOLD, 128 << 10);
+  // Keep block-sized strings mmap-backed: glibc's dynamic mmap threshold
+  // would otherwise grow past the block size and retire freed blocks into
+  // resident arena pages, inflating RSS by O(100 MiB) on long runs —
+  // allocator slack, but indistinguishable from a leak to anyone watching
+  // the bounded-memory runtime. The sharded path's blocks, slices and
+  // parts now circulate through the run's BufferPool, so the pin's
+  // remaining cost is the per-block kernels' line indexes in a chain node
+  // (a 1 MiB block of short lines indexes past 128 KiB). Measured without
+  // it on kqbench's inputs (4-vCPU VM): fold's k=1 run took 23% less CPU,
+  // but wf's k=4 peak RSS rose from 28.2 to 41.7 MiB. It can go once those
+  // kernels stop building line vectors (ROADMAP's byte-kernel item).
+  mallopt(M_MMAP_THRESHOLD, 128 << 10);
 #endif
-    std::ios::sync_with_stdio(false);
-  }
-  // Read stdin by fd, not istream: in stream mode the fd source is
-  // poll(2)-driven, so an early exit (a satisfied `head`) wakes a read
-  // blocked on an idle pipe promptly instead of at the next block
-  // boundary; in batch mode the facade slurps the fd whole.
+  std::ios::sync_with_stdio(false);
+  // Read stdin by fd, not istream: the fd source is poll(2)-driven, so an
+  // early exit (a satisfied `head`) wakes a read blocked on an idle pipe
+  // promptly instead of at the next block boundary.
   kq::ExecResult result = executor.run(
       compiled->stages, kq::Source::from_fd(STDIN_FILENO), std::cout);
   std::cout.flush();
   bool trace_ok = write_trace();
   if (!result.ok) {
-    // An undefined combine is the one failure --batch recovers from: its
-    // per-stage serial fallback reruns the stage whole.
-    std::cerr << "kumquat: " << (streaming ? "streaming " : "") << "run failed: "
-              << result.error
-              << (result.combine_undefined ? " (rerun with --batch)" : "")
+    // An undefined combine fails a run at k > 1; at k = 1 every stage runs
+    // sequentially and nothing combines.
+    std::cerr << "kumquat: run failed: " << result.error
+              << (result.combine_undefined ? " (rerun with -k 1)" : "")
               << "\n";
     return 1;
   }
-  std::cerr << "kumquat: " << result.seconds << " s at k=" << resolved_k;
-  if (streaming) {
-    // kqbench/run.py fingerprints a run by this "(io=...)" field.
-    std::cerr << ", streaming (io=" << result.io_backend << ")";
-    std::cerr << ", read " << result.bytes_read
-              << " input bytes, peak " << result.peak_inflight_bytes
-              << " bytes in flight";
-    if (result.spilled_bytes != 0)
-      std::cerr << ", spilled " << result.spilled_bytes << " bytes to disk";
-    std::cerr << "\n";
-    if (stats) print_stream_stats(result);
-  } else {
-    std::cerr << ", batch\n";
-    if (stats) print_batch_stats(result);
-  }
+  // kqbench/run.py reads the resolved k, the "(io=...)" field and the
+  // spilled bytes off this line.
+  std::cerr << "kumquat: " << result.seconds << " s at k=" << resolved_k
+            << ", streaming (io=" << result.io_backend << "), read "
+            << result.bytes_read << " input bytes, peak "
+            << result.peak_inflight_bytes << " bytes in flight";
+  if (result.spilled_bytes != 0)
+    std::cerr << ", spilled " << result.spilled_bytes << " bytes to disk";
+  std::cerr << "\n";
+  if (stats) print_stream_stats(result);
   return trace_ok ? 0 : 1;
 }
 
@@ -505,8 +475,7 @@ void usage() {
                "  kumquat check [--json] [--no-rewrite] "
                "[--spill-threshold N[K|M|G]|0]\n"
                "                [--catalog | '<pipeline>']\n"
-               "  kumquat run [--jobs N|-k N] [--no-opt] [--no-rewrite] "
-               "[--stream|--batch]\n"
+               "  kumquat run [--jobs N|-k N] [--no-opt] [--no-rewrite]\n"
                "              [--block-size N[K|M|G]] "
                "[--spill-threshold N[K|M|G]|0]\n"
                "              [--delimiter C]\n"
@@ -514,18 +483,18 @@ void usage() {
                "              [--check] '<pipeline>'  (stdin -> stdout)\n"
                "\n"
                "  run executes through kq::Executor: the streaming dataflow\n"
-               "  runtime by default (bounded memory, default 1M blocks;\n"
-               "  eligible parallel stages run sharded). Nodes that would\n"
+               "  runtime (bounded memory, default 1M blocks; eligible\n"
+               "  parallel stages run sharded). Nodes that would\n"
                "  accumulate more than --spill-threshold (default 64M) spill\n"
                "  to disk; 0 disables spilling. --delimiter sets the record\n"
                "  byte the streaming reader realigns on (default \\n; accepts\n"
                "  \\t \\n \\0 escapes; under any other byte, parallel stages\n"
-               "  run sequentially). --batch selects the in-memory staged\n"
-               "  runner, which ignores the streaming-only flags. --jobs\n"
-               "  (alias -k) defaults to the hardware thread count (max 16),\n"
-               "  accepts 1 to 1024, and applies identically in both modes.\n"
-               "  It also bounds the threads that synthesize the pipeline's\n"
+               "  run sequentially). --jobs (alias -k) defaults to the\n"
+               "  hardware thread count (max 16) and accepts 1 to 1024. It\n"
+               "  also bounds the threads that synthesize the pipeline's\n"
                "  combiners before the run (-k 1 synthesizes on one thread).\n"
+               "  A run whose combine is undefined on its parts fails; -k 1\n"
+               "  runs every stage sequentially and combines nothing.\n"
                "\n"
                "  compile and run fuse bounded top-N patterns by default\n"
                "  ('sort | head -n N', 'uniq -c | sort -rn | head -n K')\n"
@@ -628,7 +597,6 @@ int main(int argc, char** argv) {
   if (verb == "run") {
     int k = 0;  // 0 = the hardware default (kq::default_parallelism())
     bool optimize = true;
-    bool streaming = true;
     bool rewrite = true;
     std::size_t block_size = 1 << 20;
     std::size_t spill_threshold = 64 << 20;
@@ -648,10 +616,6 @@ int main(int argc, char** argv) {
         rewrite = false;
       } else if (std::strcmp(argv[i], "--check") == 0) {
         check_only = true;
-      } else if (std::strcmp(argv[i], "--stream") == 0) {
-        streaming = true;
-      } else if (std::strcmp(argv[i], "--batch") == 0) {
-        streaming = false;
       } else if (std::strcmp(argv[i], "--block-size") == 0) {
         const char* value = flag_operand("run", argc, argv, &i);
         if (!value || !parse_size_flag(flag, value, false, &block_size))
@@ -695,9 +659,8 @@ int main(int argc, char** argv) {
       usage();
       return 2;
     }
-    return cmd_run(pipeline, k, optimize, streaming, block_size,
-                   spill_threshold, delimiter, rewrite, stats, trace_path,
-                   check_only);
+    return cmd_run(pipeline, k, optimize, block_size, spill_threshold,
+                   delimiter, rewrite, stats, trace_path, check_only);
   }
   usage();
   return 2;

@@ -1,6 +1,8 @@
 // Pipeline parsing: split a shell pipeline script into stages (Figure 2,
-// step 1). A leading `cat` or `cat FILE` stage is dropped from the stage
-// list, matching the paper's stage accounting (footnote 3).
+// step 1). A leading `cat`, `cat -` or `cat $IN` stage names the
+// pipeline's input, which is read from stdin: it is dropped from the stage
+// list, matching the paper's stage accounting (footnote 3). A leading cat
+// of any other operand is an error, not a stage silently fed stdin.
 #pragma once
 
 #include <optional>

@@ -174,11 +174,11 @@ std::vector<Placement> place(const std::vector<exec::ExecStage>& stages,
         if (next == Role::kWindow) p.kind = NodeKind::kWindowChain;
       }
     } else if (role == Role::kParallel) {
-      // As in the batch runner, a stage whose concat combiner is
-      // eliminated feeds its parts straight into the next parallel stage:
-      // here, one worker chain. A next stage with a per-block role keeps
-      // its own chain node (head fused into a worker chain would lose the
-      // early exit that makes it O(blocks)).
+      // A stage whose concat combiner is eliminated (Theorem 5) feeds its
+      // parts straight into the next parallel stage: here, one worker
+      // chain. A next stage with a per-block role keeps its own chain node
+      // (head fused into a worker chain would lose the early exit that
+      // makes it O(blocks)).
       while (options.use_elimination && p.stages.back()->eliminate_combiner &&
              i + 1 < stages.size() &&
              role_of(stages[i + 1], options) == Role::kParallel)

@@ -2,8 +2,8 @@
 // (compile::lower_plan's ExecStages) as a graph of concurrently running
 // nodes connected by bounded channels, in the spirit of PaSh-style
 // dataflow shell runtimes. place() decides what each node is (NodeKind
-// below; docs/ARCHITECTURE.md, "Placement"). Against kq::Executor's batch
-// path (`--batch`, the paper's staged runner):
+// below; docs/ARCHITECTURE.md, "Placement"). Against the paper's staged
+// runner (§4: split, run every piece, combine, one stage at a time):
 //   - input is consumed in record-aligned blocks (stream::BlockReader)
 //     rather than slurped whole, and every node runs at once instead of in
 //     stage barriers;
@@ -31,10 +31,10 @@
 //     plan-parallel stage runs as a sequential node — a slice cut at the
 //     delimiter could end mid-line — and line-based stages run whole.)
 //
-// Output is byte-identical to the batch runner whenever the synthesized
-// combiners satisfy their defining property g(f(x), f(y)) = f(x · y) —
-// both runtimes compute f over the whole stream, they just chunk
-// differently.
+// Output is byte-identical to the serial run (exec::run_serial) whenever
+// the synthesized combiners satisfy their defining property
+// g(f(x), f(y)) = f(x · y) — both compute f over the whole stream, the
+// dataflow graph just chunks it.
 //
 // The runtime has one entry point, run_dataflow, and callers reach it
 // through kq::Executor (exec/executor.h), which builds the BlockReader from
@@ -94,13 +94,6 @@ struct NodeMetrics {
   std::uint64_t combine_ns = 0;        // collector time spent combining
   std::string early_exit;              // why input stopped early ("" = ran
                                        // to end of stream)
-
-  // Filled by batch runs, which report one node per stage through this same
-  // shape. Zero/false on streaming runs, where combining is incremental and
-  // per-node.
-  std::string combiner;                // synthesized combiner display name
-  bool combiner_eliminated = false;    // Theorem 5 applied to this stage
-  bool combine_fallback = false;       // combiner failed; reran serially
 };
 
 // What one node of the dataflow graph is. The kinds, with the label
@@ -159,9 +152,9 @@ std::vector<Placement> place(const std::vector<exec::ExecStage>& stages,
 using Sink = std::function<bool(std::string_view)>;
 
 // Drains `reader` through the dataflow graph of `stages` into `sink`, with
-// pool tasks (shard workers) on `pool`. Reads the stream knobs of `options`
-// (its mode is not consulted) and fills every ExecResult field except
-// `output`, which belongs to the Executor.
+// pool tasks (shard workers) on `pool`. Reads the knobs of `options` and
+// fills every ExecResult field except `output`, which belongs to the
+// Executor.
 ExecResult run_dataflow(const std::vector<exec::ExecStage>& stages,
                         BlockReader& reader, const Sink& sink,
                         exec::ThreadPool& pool, const ExecOptions& options);

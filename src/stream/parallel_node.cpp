@@ -177,8 +177,8 @@ void run_feeder(ParallelCtx& ctx, NodeMetrics& metrics, const Pull& pull,
   }
   if (!shared.halted() && !ctx.stop_input.load()) {
     if (!buf.empty()) submit(std::move(buf));
-    // Empty input still runs the chain once, mirroring the batch splitter's
-    // single empty chunk, so f("") reaches the output.
+    // Empty input still runs the chain once, as the serial run does, so
+    // f("") reaches the output.
     if (ctx.submitted == 0) submit(std::string());
   }
   ctx.expected.store(static_cast<std::ptrdiff_t>(ctx.submitted));

@@ -1,11 +1,15 @@
 // Built-in micro-awk covering the programs in the benchmark suite:
 // pattern-only rules ($1 >= 1000, length >= 16, 1), print actions with
 // field/NF/$0 expressions and OFS joining, record-rebuilding assignments
-// ({$1=$1}), -v OFS=... pre-assignments, and ';'-separated rules.
+// ({$1=$1}), -v OFS=... pre-assignments, and ';'-separated rules. A
+// program outside that subset is refused, never run with a guessed
+// meaning: one that names another keyword, built-in function or built-in
+// variable, or redirects a print's output.
 //
 // Field semantics follow awk defaults: records split on runs of blanks with
 // leading blanks ignored; assigning any field rebuilds $0 joined by OFS.
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <cstdio>
@@ -142,6 +146,26 @@ class Record {
   bool split_done_ = false;
   bool rebuilt_ = false;
 };
+
+// Names awk gives a meaning this subset does not implement: its keywords,
+// built-in functions and built-in variables, but for print, length and NF.
+// Read as plain variables they would be "", and `END {print NR}` would
+// print nothing with status 0.
+bool unsupported_name(std::string_view name) {
+  static constexpr std::string_view kNames[] = {
+      "BEGIN", "END", "BEGINFILE", "ENDFILE", "function", "func", "if",
+      "else", "while", "for", "do", "break", "continue", "next", "nextfile",
+      "exit", "return", "delete", "in", "getline", "print", "printf",
+      "substr", "index", "split", "sub", "gsub", "gensub", "match",
+      "sprintf", "sin", "cos", "atan2", "exp", "log", "sqrt", "int", "rand",
+      "srand", "tolower", "toupper", "system", "close", "fflush", "systime",
+      "strftime", "asort", "asorti", "NR", "FNR", "FS", "OFS", "ORS", "RS",
+      "RT", "FILENAME", "SUBSEP", "RSTART", "RLENGTH", "CONVFMT", "OFMT",
+      "ENVIRON", "ARGC", "ARGV", "FPAT", "FIELDWIDTHS", "IGNORECASE",
+      "PROCINFO", "ERRNO"};
+  return std::find(std::begin(kNames), std::end(kNames), name) !=
+         std::end(kNames);
+}
 
 // ------------------------------------------------------------------- ast --
 
@@ -336,6 +360,10 @@ class Parser {
         while (true) {
           ExprPtr e = parse_expr();
           if (!e) return std::nullopt;
+          // awk reads a top-level '>' in a print list as output
+          // redirection (mawk reads `>=` there the same way).
+          if (e->kind == Expr::Kind::kCompare && e->text[0] == '>')
+            return std::nullopt;
           stmt.args.push_back(std::move(e));
           if (lex_.peek().kind == Token::Kind::kComma) {
             lex_.take();
@@ -425,6 +453,8 @@ class Parser {
       }
       case Token::Kind::kIdent: {
         std::string name = lex_.take().text;
+        if (name != "NF" && name != "length" && unsupported_name(name))
+          return nullptr;
         auto e = std::make_unique<Expr>();
         if (name == "NF") {
           e->kind = Expr::Kind::kNf;
@@ -600,8 +630,14 @@ CommandPtr make_awk(const Argv& argv, std::string* error) {
         if (error) *error = "awk: bad -v assignment";
         return nullptr;
       }
-      vars[assignment.substr(0, eq)] =
-          unescape_assignment_value(assignment.substr(eq + 1));
+      // OFS is the one built-in variable the subset implements (FS, say,
+      // would be ignored and every field split on blanks).
+      const std::string name = assignment.substr(0, eq);
+      if (name != "OFS" && unsupported_name(name)) {
+        if (error) (*error = "awk: unsupported -v ").append(name);
+        return nullptr;
+      }
+      vars[name] = unescape_assignment_value(assignment.substr(eq + 1));
       continue;
     }
     if (!have_program) {

@@ -241,7 +241,7 @@ class TrCommand final : public Command {
   // downstream consumer (stream chains, parallel feeders, spill sorts)
   // assumes mid-stream blocks end on a record boundary. A tr that deletes
   // or translates away '\n' emits blocks that end mid-record — the exact
-  // case the batch path guards with outputs_newline_terminated — so it
+  // case combiner elimination guards with outputs_newline_terminated — so it
   // must materialize. Translating *into* '\n' or squeezing it is fine: the
   // final byte of an aligned block stays '\n' (a squeeze can only drop a
   // leading repeat, never the block's last newline).

@@ -321,30 +321,6 @@ TEST(Check, LabelsFollowTheRunsSettings) {
   }
 }
 
-TEST(Check, BatchRunsReportEveryStageMaterialized) {
-  // `run --check --batch` analyzes the staged runner, which holds each
-  // stage's whole input: every stage is its own materializing node with
-  // an O(input) bound and a KQ-MEM, where the streaming run at the same
-  // settings streams the tr and sorts externally.
-  Options batch = at_k(1);
-  batch.run.mode = ExecMode::kBatch;
-  auto whole = analyze_line("tr a-z A-Z | sort", batch);
-  ASSERT_EQ(whole.report.stages.size(), 2u);
-  for (const StageSummary& s : whole.report.stages) {
-    EXPECT_EQ(s.memory_class, "materialize");
-    EXPECT_EQ(s.bound.rfind("O(input)", 0), 0u) << s.bound;
-  }
-  auto mem = with_code(whole.report, "KQ-MEM");
-  ASSERT_EQ(mem.size(), 2u);
-  EXPECT_EQ(mem[0]->stage_begin, 0);
-  EXPECT_EQ(mem[1]->stage_begin, 1);
-
-  auto streamed = analyze_line("tr a-z A-Z | sort", at_k(1));
-  EXPECT_EQ(streamed.report.stages[0].memory_class, "stateless-stream");
-  EXPECT_EQ(streamed.report.stages[1].memory_class, "sortable-spill");
-  EXPECT_TRUE(with_code(streamed.report, "KQ-MEM").empty());
-}
-
 TEST(Check, FusedStagesReportTheirNodesLabelAndKqMemSpansTheNode) {
   // tr's concat combiner is eliminated, so at k = 4 it runs inside sort's
   // worker chain, whose collector merges: both stages report the merge
@@ -372,6 +348,7 @@ TEST(Check, FusedStagesReportTheirNodesLabelAndKqMemSpansTheNode) {
   EXPECT_EQ(apart.report.stages[0].memory_class, "stateless-stream");
   EXPECT_EQ(apart.report.stages[1].memory_class, "sortable-spill");
   EXPECT_TRUE(with_code(apart.report, "KQ-ORDER").empty());  // no merge
+  EXPECT_TRUE(with_code(apart.report, "KQ-MEM").empty());
 }
 
 // -------------------------------------------------------------- output --

@@ -33,6 +33,28 @@ TEST(ParsePipeline, DropsLeadingCat) {
   auto p = parse_pipeline("cat $IN | sort | uniq");
   ASSERT_TRUE(p.has_value());
   EXPECT_EQ(p->stages.size(), 2u);
+  // The pipeline's input is stdin: a leading cat of nothing, of `-` or of
+  // a shell parameter names it.
+  for (const char* line : {"cat | sort", "cat - | sort", "cat ${IN} | sort"}) {
+    p = parse_pipeline(line);
+    ASSERT_TRUE(p.has_value()) << line;
+    ASSERT_EQ(p->stages.size(), 1u) << line;
+    EXPECT_EQ(p->stages[0].display, "sort") << line;
+  }
+}
+
+TEST(ParsePipeline, RefusesALeadingCatOfAFile) {
+  // Dropped like `cat $IN`, a leading cat of a file had the run read stdin
+  // in the file's place. It is refused, naming the file.
+  for (const std::string line :
+       {"cat /etc/passwd | sort", "cat a b | sort", "cat - a | sort"}) {
+    std::string error;
+    EXPECT_FALSE(parse_pipeline(line, &error).has_value()) << line;
+    std::string quoted = "'";
+    quoted.append(line, 0, line.find(" |")).append("'");
+    EXPECT_NE(error.find(quoted), std::string::npos) << error;
+    EXPECT_NE(error.find("stdin"), std::string::npos) << error;
+  }
 }
 
 TEST(ParsePipeline, QuotedPipeCharacter) {
@@ -271,11 +293,13 @@ TEST_P(PipelineEquivalence, ParallelMatchesSerial) {
   const std::string serial = exec::run_serial(stages, input);
   for (int k : {2, 3, 5}) {
     for (bool optimized : {false, true}) {
-      ExecOptions batch;
-      batch.mode = ExecMode::kBatch;
-      batch.parallelism = k;
-      batch.use_elimination = optimized;
-      EXPECT_EQ(Executor(batch).run_collect(stages, input).output, serial)
+      ExecOptions options;
+      options.parallelism = k;
+      options.use_elimination = optimized;
+      options.block_size = 4 << 10;
+      ExecResult r = Executor(options).run_collect(stages, input);
+      EXPECT_TRUE(r.ok) << script << ": " << r.error;
+      EXPECT_EQ(r.output, serial)
           << script << (optimized ? " (optimized" : " (unoptimized")
           << ", k=" << k << ")";
     }

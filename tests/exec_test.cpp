@@ -1,6 +1,6 @@
 // Tests for the parallel runtime: newline-aligned splitting, the thread
-// pool, chunk mapping, and the staged batch runner through kq::Executor
-// (optimized and unoptimized modes, combine-failure fallback) against the
+// pool, and hand-built parallel stages through kq::Executor (optimized and
+// unoptimized, with a sequential stage between parallel ones) against the
 // serial oracle.
 
 #include <gtest/gtest.h>
@@ -10,7 +10,6 @@
 
 #include "dsl/kway.h"
 #include "exec/executor.h"
-#include "exec/parallel.h"
 #include "exec/runner.h"
 #include "exec/splitter.h"
 #include "exec/thread_pool.h"
@@ -102,28 +101,6 @@ TEST(ThreadPool, DestructorJoinsCleanly) {
   EXPECT_EQ(ran.load(), 10);
 }
 
-// ------------------------------------------------------------ map chunks --
-
-TEST(MapChunks, PreservesOrder) {
-  ThreadPool pool(4);
-  cmd::CommandPtr upper = cmd::make_command_line("tr a-z A-Z");
-  std::vector<std::string_view> chunks = {"a\n", "b\n", "c\n", "d\n"};
-  auto outputs = map_chunks(*upper, chunks, pool);
-  ASSERT_EQ(outputs.size(), 4u);
-  EXPECT_EQ(outputs[0], "A\n");
-  EXPECT_EQ(outputs[3], "D\n");
-}
-
-TEST(MapChunksChain, AppliesStagesInOrder) {
-  ThreadPool pool(2);
-  cmd::CommandPtr upper = cmd::make_command_line("tr a-z A-Z");
-  cmd::CommandPtr rev = cmd::make_command_line("rev");
-  std::vector<const cmd::Command*> chain = {upper.get(), rev.get()};
-  auto outputs = map_chunks_chain(chain, {"abc\n"}, pool);
-  ASSERT_EQ(outputs.size(), 1u);
-  EXPECT_EQ(outputs[0], "CBA\n");
-}
-
 // --------------------------------------------------------------- runner --
 
 std::vector<ExecStage> word_count_stages() {
@@ -178,14 +155,15 @@ std::string sample_words() {
   return input;
 }
 
-// The staged batch runner at width k, through the facade.
-kq::ExecResult run_batch(const std::vector<ExecStage>& stages,
-                         std::string_view input, int k,
-                         bool use_elimination = true) {
+// A run at width k through the facade. The inputs here are 1-3 KiB, so
+// 128-byte blocks cut each into many chunks.
+kq::ExecResult run_parallel(const std::vector<ExecStage>& stages,
+                            std::string_view input, int k,
+                            bool use_elimination = true) {
   kq::ExecOptions options;
-  options.mode = kq::ExecMode::kBatch;
   options.parallelism = k;
   options.use_elimination = use_elimination;
+  options.block_size = 128;
   return kq::Executor(options).run_collect(stages, input);
 }
 
@@ -203,23 +181,25 @@ TEST(Runner, ParallelUnoptimizedMatchesSerial) {
   const std::string serial = run_serial(stages, input);
   for (int k : {2, 3, 8}) {
     kq::ExecResult parallel =
-        run_batch(stages, input, k, /*use_elimination=*/false);
+        run_parallel(stages, input, k, /*use_elimination=*/false);
+    ASSERT_TRUE(parallel.ok) << parallel.error;
     EXPECT_EQ(parallel.output, serial) << "k=" << k;
-    for (const auto& m : parallel.nodes) {
-      EXPECT_FALSE(m.combiner_eliminated);
-      EXPECT_FALSE(m.combine_fallback) << m.commands;
-    }
+    // No stage fuses into the next: one node per stage.
+    ASSERT_EQ(parallel.nodes.size(), 3u) << "k=" << k;
+    EXPECT_GT(parallel.nodes[0].chunks, 1) << "k=" << k;
   }
 }
 
 TEST(Runner, ParallelOptimizedMatchesSerial) {
   auto stages = word_count_stages();
   std::string input = sample_words();
-  kq::ExecResult parallel = run_batch(stages, input, 4);
+  kq::ExecResult parallel = run_parallel(stages, input, 4);
+  ASSERT_TRUE(parallel.ok) << parallel.error;
   EXPECT_EQ(parallel.output, run_serial(stages, input));
-  ASSERT_EQ(parallel.nodes.size(), 3u);
-  EXPECT_TRUE(parallel.nodes[0].combiner_eliminated);
-  EXPECT_FALSE(parallel.nodes[1].combiner_eliminated);
+  // tr's concat combiner is eliminated: tr runs in sort's worker chain.
+  ASSERT_EQ(parallel.nodes.size(), 2u);
+  EXPECT_EQ(parallel.nodes[0].commands, "tr A-Z a-z | sort");
+  EXPECT_EQ(parallel.nodes[1].commands, "uniq -c");
 }
 
 TEST(Runner, SequentialStageAfterEliminatedConcat) {
@@ -228,30 +208,17 @@ TEST(Runner, SequentialStageAfterEliminatedConcat) {
   auto stages = word_count_stages();
   stages[1].parallel = false;  // force sort sequential
   std::string input = sample_words();
-  EXPECT_EQ(run_batch(stages, input, 4).output, run_serial(stages, input));
-}
-
-TEST(Runner, CombineFailureFallsBackToSerial) {
-  std::vector<ExecStage> stages;
-  ExecStage s;
-  s.command = cmd::make_command_line("tr a-z A-Z");
-  s.parallel = true;
-  s.combiner_name = "(broken)";
-  s.combine = [](const std::vector<std::string>&)
-      -> std::optional<std::string> { return std::nullopt; };
-  stages.push_back(std::move(s));
-  kq::ExecResult r = run_batch(stages, "ab\ncd\nef\ngh\n", 2);
-  EXPECT_EQ(r.output, "AB\nCD\nEF\nGH\n");
-  ASSERT_EQ(r.nodes.size(), 1u);
-  EXPECT_TRUE(r.nodes[0].combine_fallback);
+  kq::ExecResult r = run_parallel(stages, input, 4);
+  ASSERT_TRUE(r.ok) << r.error;
+  EXPECT_EQ(r.output, run_serial(stages, input));
 }
 
 TEST(Runner, ChunksWithoutInputAreLeftOutOfTheCombine) {
-  // grep apple | tail -n 1 / uniq -c: the eliminated grep hands the second
-  // stage its substreams, and a match-free chunk arrives empty. Its output
-  // is f(""), which `second` would keep as the answer and stitch2 rejects;
-  // the combine sees only the parts whose chunk had input, and f("") when
-  // none had.
+  // grep apple | tail -n 1 / uniq -c: the eliminated grep runs in the
+  // second stage's worker chain, and a match-free chunk hands the second
+  // stage nothing. Its output is f(""), which `second` would keep as the
+  // answer and stitch2 rejects; the combine sees only the parts whose
+  // chunk fed the second stage, and f("") when none did.
   auto stages_with = [](const char* second, dsl::Combiner g) {
     std::vector<ExecStage> stages;
     ExecStage grep;
@@ -284,12 +251,13 @@ TEST(Runner, ChunksWithoutInputAreLeftOutOfTheCombine) {
     for (const std::string* input : inputs) {
       const std::string serial = run_serial(stages, *input);
       for (int k : {2, 4, 8}) {
-        kq::ExecResult r = run_batch(stages, *input, k);
+        kq::ExecResult r = run_parallel(stages, *input, k);
         const std::string name = stages[1].command->display_name();
+        ASSERT_TRUE(r.ok) << name << " k=" << k << ": " << r.error;
         EXPECT_EQ(r.output, serial) << name << " k=" << k;
-        ASSERT_EQ(r.nodes.size(), 2u) << name;
-        EXPECT_TRUE(r.nodes[0].combiner_eliminated) << name;
-        EXPECT_FALSE(r.nodes[1].combine_fallback) << name << " k=" << k;
+        // grep's combiner is eliminated: it runs in the second stage's
+        // worker chain.
+        ASSERT_EQ(r.nodes.size(), 1u) << name;
       }
     }
   }
@@ -298,19 +266,10 @@ TEST(Runner, ChunksWithoutInputAreLeftOutOfTheCombine) {
 TEST(Runner, ParallelismOneIsSerial) {
   auto stages = word_count_stages();
   std::string input = sample_words();
-  kq::ExecResult r = run_batch(stages, input, 1);
+  kq::ExecResult r = run_parallel(stages, input, 1);
+  ASSERT_TRUE(r.ok) << r.error;
   EXPECT_EQ(r.output, run_serial(stages, input));
   for (const auto& m : r.nodes) EXPECT_FALSE(m.parallel);
-}
-
-TEST(Runner, MetricsAccounting) {
-  auto stages = word_count_stages();
-  std::string input = sample_words();
-  kq::ExecResult r = run_batch(stages, input, 2);
-  ASSERT_EQ(r.nodes.size(), 3u);
-  EXPECT_EQ(r.nodes[0].in_bytes, input.size());
-  EXPECT_GT(r.nodes[2].out_bytes, 0u);
-  EXPECT_EQ(r.nodes[0].chunks, 2);
 }
 
 }  // namespace

@@ -1,8 +1,7 @@
-// Tests for the kq::Executor facade (exec/executor.h): every mode
-// (serial / batch / stream) over every source shape (string / istream /
-// fd) must produce byte-identical output, options must resolve the unified
-// parallelism default, and an undefined combine must fail a stream run
-// the same way whatever the source.
+// Tests for the kq::Executor facade (exec/executor.h): every source shape
+// (string / istream / fd) must produce the serial oracle's output, options
+// must resolve the parallelism default, and an undefined combine must fail
+// a run the same way whatever the source.
 
 #include <gtest/gtest.h>
 
@@ -62,48 +61,41 @@ TEST(Executor, DefaultParallelismIsHardwareDerivedAndCapped) {
   EXPECT_EQ(chosen.options().parallelism, 3);
 }
 
-TEST(Executor, AllModesAllSourcesByteIdentical) {
+TEST(Executor, AllSourcesByteIdentical) {
   auto stages = compile_stages("tr a-z A-Z | grep ALPHA | wc -l");
   const std::string input = sample_input();
   const std::string golden = exec::run_serial(stages, input);
   ASSERT_FALSE(golden.empty());
 
-  for (ExecMode mode :
-       {ExecMode::kSerial, ExecMode::kBatch, ExecMode::kStream}) {
-    ExecOptions options;
-    options.mode = mode;
-    options.parallelism = 4;
-    options.block_size = 2048;
-    Executor executor(options);
+  ExecOptions options;
+  options.parallelism = 4;
+  options.block_size = 4 << 10;
+  Executor executor(options);
 
-    // String source, collected.
-    kq::ExecResult from_string = executor.run_collect(stages, input);
-    ASSERT_TRUE(from_string.ok) << exec_mode_name(mode) << ": "
-                                << from_string.error;
-    EXPECT_EQ(from_string.output, golden) << exec_mode_name(mode);
+  // String source, collected.
+  kq::ExecResult from_string = executor.run_collect(stages, input);
+  ASSERT_TRUE(from_string.ok) << from_string.error;
+  EXPECT_EQ(from_string.output, golden);
 
-    // istream source through the sink overload.
-    std::istringstream in(input);
-    std::string sunk;
-    kq::ExecResult from_stream = executor.run(
-        stages, in, [&sunk](std::string_view bytes) {
-          sunk.append(bytes);
-          return true;
-        });
-    ASSERT_TRUE(from_stream.ok) << exec_mode_name(mode) << ": "
-                                << from_stream.error;
-    EXPECT_EQ(sunk, golden) << exec_mode_name(mode);
+  // istream source through the sink overload.
+  std::istringstream in(input);
+  std::string sunk;
+  kq::ExecResult from_stream =
+      executor.run(stages, in, [&sunk](std::string_view bytes) {
+        sunk.append(bytes);
+        return true;
+      });
+  ASSERT_TRUE(from_stream.ok) << from_stream.error;
+  EXPECT_EQ(sunk, golden);
 
-    // fd source through the ostream overload.
-    FILE* keepalive = nullptr;
-    int fd = fd_with(input, &keepalive);
-    std::ostringstream out;
-    kq::ExecResult from_fd =
-        executor.run(stages, Source::from_fd(fd), out);
-    ASSERT_TRUE(from_fd.ok) << exec_mode_name(mode) << ": " << from_fd.error;
-    EXPECT_EQ(out.str(), golden) << exec_mode_name(mode);
-    fclose(keepalive);
-  }
+  // fd source through the ostream overload.
+  FILE* keepalive = nullptr;
+  int fd = fd_with(input, &keepalive);
+  std::ostringstream out;
+  kq::ExecResult from_fd = executor.run(stages, Source::from_fd(fd), out);
+  ASSERT_TRUE(from_fd.ok) << from_fd.error;
+  EXPECT_EQ(out.str(), golden);
+  fclose(keepalive);
 }
 
 TEST(Executor, StreamModeReportsStreamTelemetry) {
@@ -118,21 +110,6 @@ TEST(Executor, StreamModeReportsStreamTelemetry) {
   EXPECT_EQ(r.bytes_read, input.size());
   EXPECT_GT(r.peak_inflight_bytes, 0u);
   EXPECT_FALSE(r.nodes.empty());
-}
-
-TEST(Executor, BatchModeFillsOneNodePerStage) {
-  auto stages = compile_stages("tr a-z A-Z | wc -l");
-  ExecOptions options;
-  options.mode = ExecMode::kBatch;
-  options.parallelism = 2;
-  Executor executor(options);
-  kq::ExecResult r = executor.run_collect(stages, sample_input());
-  ASSERT_TRUE(r.ok) << r.error;
-  ASSERT_EQ(r.nodes.size(), 2u);
-  EXPECT_EQ(r.nodes[0].commands, "tr a-z A-Z");
-  EXPECT_TRUE(r.nodes[0].parallel);
-  EXPECT_FALSE(r.nodes[0].combiner.empty());
-  EXPECT_GT(r.nodes[0].in_bytes, 0u);
 }
 
 TEST(Executor, SinkFalseStopsEarly) {
@@ -151,9 +128,8 @@ TEST(Executor, SinkFalseStopsEarly) {
 }
 
 TEST(Executor, StringSourceFailsAnUndefinedCombineAsAnFdDoes) {
-  // A deliberately broken combiner: the stream run bails at the combine,
-  // and a string source fails it with the fd source's message. No source
-  // reruns through the batch path; --batch is the caller's choice.
+  // A deliberately broken combiner: the run bails at the combine, and a
+  // string source fails it with the fd source's message.
   std::vector<exec::ExecStage> stages;
   exec::ExecStage s;
   s.command = cmd::make_command_line("tr a-z A-Z");

@@ -53,7 +53,7 @@ TEST_P(HeadTailGolden, BatchStreamAndSpillAgree) {
   cmd::CommandPtr command = cmd::make_command_line(c.command, &error);
   ASSERT_NE(command, nullptr) << c.command << ": " << error;
 
-  // Direct execution (the batch runner's sequential floor).
+  // Direct execution (the serial oracle's floor).
   EXPECT_EQ(command->run(c.input), c.expected) << c.command;
 
   std::vector<exec::ExecStage> stages{make_stage(command)};
@@ -224,11 +224,12 @@ TEST(ProbeCoverageGuard, BatchHugeTailMatchesDirectExecution) {
   ASSERT_TRUE(parsed.has_value());
   compile::Plan plan = compile::compile_pipeline(*parsed, cache);
   auto stages = compile::lower_plan(plan);
-  ExecOptions batch;
-  batch.mode = ExecMode::kBatch;
-  batch.parallelism = 4;
-  EXPECT_EQ(Executor(batch).run_collect(stages, input).output,
-            stages[0].command->run(input));
+  ExecOptions options;
+  options.parallelism = 4;
+  options.block_size = 4 << 10;
+  ExecResult r = Executor(options).run_collect(stages, input);
+  ASSERT_TRUE(r.ok) << r.error;
+  EXPECT_EQ(r.output, stages[0].command->run(input));
 }
 
 TEST(HeadTailParse, LiteralExtractionSaturatesHugeCounts) {

@@ -66,7 +66,6 @@ class FdInput {
 kq::ExecOptions stream_options(int k, char delimiter,
                                std::size_t block_size = 2048) {
   kq::ExecOptions o;
-  o.mode = kq::ExecMode::kStream;
   o.parallelism = k;
   o.block_size = block_size;
   o.delimiter = delimiter;

@@ -278,7 +278,6 @@ TEST(IoFaultTest, SpillReadFailureWhileRangesReadConcurrently) {
             /*at=*/5, /*repeat=*/1, /*cap=*/0, /*err=*/EIO));
 
   kq::ExecOptions options;
-  options.mode = kq::ExecMode::kStream;
   options.parallelism = 4;
   options.block_size = 4096;
   options.spill_threshold = 16 * 1024;
@@ -308,7 +307,6 @@ TEST(IoFaultTest, PipelineSurvivesSourceFaultStorm) {
             /*at=*/0, /*repeat=*/16, /*cap=*/37));
 
   kq::ExecOptions options;
-  options.mode = kq::ExecMode::kStream;
   options.parallelism = 2;
   options.block_size = 1024;
   options.spill_threshold = 4096;  // force the spill path under the faults
@@ -329,7 +327,6 @@ TEST(IoFaultTest, PipelineEnospcFailsWithCodedErrorNotTruncation) {
             /*at=*/2, /*repeat=*/1, /*cap=*/0, /*err=*/ENOSPC));
 
   kq::ExecOptions options;
-  options.mode = kq::ExecMode::kStream;
   options.parallelism = 2;
   options.block_size = 1024;
   options.spill_threshold = 2048;

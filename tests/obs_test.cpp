@@ -125,11 +125,11 @@ TEST(Tracer, InertSpanAndNullHelpersAreSafe) {
   EXPECT_EQ(tracer.event_count(), 0u);
 }
 
-// ----------------------------------------- counters vs batch-run goldens --
+// ---------------------------------------- counters vs serial-run goldens --
 
 TEST(Counters, StreamChainMatchesGolden) {
   // grep a | tr a-z A-Z fuses into one per-block stream chain; its counters
-  // must reconcile exactly with the input and the batch runner's output.
+  // must reconcile exactly with the input and the serial run's output.
   auto stages = stages_for("grep a | tr a-z A-Z", /*rewrite=*/false,
                            /*force_sequential=*/true);
   const std::string input = mixed_lines(3000);
@@ -426,26 +426,6 @@ TEST(Counters, EarlyStoppedExternalMergeCountsAcceptedBytes) {
     EXPECT_EQ(r.nodes[0].out_bytes, accepted) << "k=" << k;
     EXPECT_EQ(r.nodes[0].early_exit, "downstream-closed") << "k=" << k;
   }
-}
-
-// -------------------------------------------------- batch-mode metrics --
-
-TEST(Counters, BatchNodeBytesReconcile) {
-  // The batch runner's per-stage byte accounting (surfaced by
-  // `kumquat run --batch --stats`) must chain: each stage's output bytes
-  // are the next stage's input bytes, ends anchored at the real sizes.
-  auto stages = stages_for("tr A-Z a-z | sort | uniq -c");
-  const std::string input = mixed_lines(2000);
-  ExecOptions batch;
-  batch.mode = ExecMode::kBatch;
-  batch.parallelism = 4;
-  ExecResult result = Executor(batch).run_collect(stages, input);
-  ASSERT_EQ(result.nodes.size(), stages.size());
-  EXPECT_EQ(result.nodes.front().in_bytes, input.size());
-  EXPECT_EQ(result.nodes.back().out_bytes, result.output.size());
-  for (std::size_t i = 0; i + 1 < result.nodes.size(); ++i)
-    EXPECT_EQ(result.nodes[i].out_bytes, result.nodes[i + 1].in_bytes)
-        << "stage " << i;
 }
 
 // --------------------------------------------- end-to-end trace content --

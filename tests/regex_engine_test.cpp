@@ -3,7 +3,7 @@
 // positions against the continuation-passing backtracker the engine
 // replaced, kept below as the oracle), grep's block search at block edges,
 // linear time on patterns that drove the old engine exponential, and the
-// backtracking budget's coded failure through `run` and `--batch`.
+// backtracking budget's coded failure through `run` and the serial run.
 
 #include <gtest/gtest.h>
 
@@ -465,18 +465,15 @@ synth::SynthesisCache& shared_cache() {
   return cache;
 }
 
-ExecResult run_pipeline(const std::string& pipeline, ExecMode mode) {
+std::vector<exec::ExecStage> stages_of(const std::string& pipeline) {
   auto parsed = compile::parse_pipeline(pipeline);
   EXPECT_TRUE(parsed.has_value());
   compile::Plan plan = compile::compile_pipeline(*parsed, shared_cache(), {});
   compile::eliminate_intermediate_combiners(plan);
-  ExecOptions options;
-  options.mode = mode;
-  options.parallelism = 2;
-  const std::string input = "x\n" + explosive_input() + "y\n";
-  return Executor(options).run_collect(compile::lower_plan(plan),
-                                       Source(input));
+  return compile::lower_plan(plan);
 }
+
+std::string budget_input() { return "x\n" + explosive_input() + "y\n"; }
 
 TEST(Budget, APatternPastTheBudgetFailsTheStageWithACodedMessage) {
   cmd::Result r = command(kExplosive)->execute(explosive_input());
@@ -519,15 +516,24 @@ TEST(Budget, ABackreferenceIsChargedTheBytesItCompares) {
   EXPECT_LT(s, 1.0 * kSlowdown);
 }
 
-TEST(Budget, RunAndBatchFailInsteadOfAnsweringNoMatch) {
-  for (ExecMode mode : {ExecMode::kStream, ExecMode::kBatch}) {
-    for (const std::string& pipeline :
-         {std::string(kExplosive), std::string(kExplosive) + " | wc -l",
-          std::string("sed 's/\\(a*\\)*\\1b/X/'")}) {
-      SCOPED_TRACE(pipeline + " mode=" + exec_mode_name(mode));
-      ExecResult r = run_pipeline(pipeline, mode);
-      EXPECT_FALSE(r.ok);
-      EXPECT_NE(r.error.find("[KQ-REGEX]"), std::string::npos) << r.error;
+TEST(Budget, RunAndSerialFailInsteadOfAnsweringNoMatch) {
+  for (const std::string& pipeline :
+       {std::string(kExplosive), std::string(kExplosive) + " | wc -l",
+        std::string("sed 's/\\(a*\\)*\\1b/X/'")}) {
+    SCOPED_TRACE(pipeline);
+    const std::vector<exec::ExecStage> stages = stages_of(pipeline);
+    ExecOptions options;
+    options.parallelism = 2;
+    options.block_size = 4 << 10;
+    ExecResult r = Executor(options).run_collect(stages, budget_input());
+    EXPECT_FALSE(r.ok);
+    EXPECT_NE(r.error.find("[KQ-REGEX]"), std::string::npos) << r.error;
+    try {
+      exec::run_serial(stages, budget_input());
+      ADD_FAILURE() << "the serial run answered";
+    } catch (const std::exception& e) {
+      EXPECT_NE(std::string(e.what()).find("[KQ-REGEX]"), std::string::npos)
+          << e.what();
     }
   }
 }

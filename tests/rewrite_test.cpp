@@ -3,7 +3,7 @@
 // `uniq … | sort <spec> | head -n N` into a bounded top-k stage. Tests
 // cover the plan shapes (what fuses, what must not, the rewritten-from
 // annotation and kWindowStream lowering), byte-identity of rewritten plans
-// against their unrewritten serial twins — through the batch runner, the
+// against their unrewritten serial twins — through the serial run, the
 // streaming runtime at several block sizes, and the streaming runtime with
 // the window forced through its sorted-run spill export — and the full
 // 70-script catalog cross-validated with the rewrite pass on.
@@ -129,9 +129,9 @@ std::string random_lines(std::uint64_t seed, int n, int distinct,
   return out;
 }
 
-// Runs `pipeline` rewritten — batch, serial, and streamed at several
-// block/spill configurations — and expects every output byte-identical to
-// the unrewritten plan's serial output.
+// Runs `pipeline` rewritten — serial, and streamed at several block/spill
+// configurations — and expects every output byte-identical to the
+// unrewritten plan's serial output.
 void expect_rewrite_identity(const std::string& pipeline,
                              const std::string& input) {
   compile::Plan baseline = plan_for(pipeline, /*rewrite=*/false);
@@ -142,19 +142,14 @@ void expect_rewrite_identity(const std::string& pipeline,
   EXPECT_LT(rewritten.stages.size(), baseline.stages.size()) << pipeline;
   auto stages = compile::lower_plan(rewritten);
 
-  ExecOptions batch;
-  batch.mode = ExecMode::kBatch;
-  batch.parallelism = 4;
-  EXPECT_EQ(Executor(batch).run_collect(stages, input).output, expected)
-      << pipeline << " (batch, rewritten)";
   EXPECT_EQ(exec::run_serial(stages, input), expected)
       << pipeline << " (serial, rewritten)";
 
   struct Cfg {
     std::size_t block, spill;
   };
-  for (Cfg cfg : {Cfg{64, 64 << 20}, Cfg{1 << 20, 64 << 20},
-                  Cfg{512, 1 << 10}}) {
+  for (Cfg cfg : {Cfg{64, 64 << 20}, Cfg{4 << 10, 64 << 20},
+                  Cfg{1 << 20, 64 << 20}, Cfg{512, 1 << 10}}) {
     ExecOptions options;
     options.parallelism = 4;
     options.block_size = cfg.block;

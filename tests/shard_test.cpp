@@ -52,7 +52,6 @@ std::vector<exec::ExecStage> compile_stages(const std::string& pipeline,
 
 kq::ExecOptions stream_options(int k, std::size_t block_size) {
   kq::ExecOptions o;
-  o.mode = kq::ExecMode::kStream;
   o.parallelism = k;
   o.block_size = block_size;
   return o;
@@ -454,8 +453,7 @@ TEST(ShardDataflow, IllegalLineAwayFromTheSeamFailsTheFold) {
     ASSERT_EQ(from_fd.nodes.size(), 1u);
     EXPECT_TRUE(from_fd.nodes[0].sharded);
 
-    // A string source fails the same way: no source reruns through the
-    // batch path.
+    // A string source fails the same way.
     kq::ExecResult from_string = executor.run_collect(stages, input);
     EXPECT_FALSE(from_string.ok);
     EXPECT_TRUE(from_string.combine_undefined) << from_string.error;

@@ -633,7 +633,7 @@ TEST(Dataflow, SequentialStageMidPipeline) {
 
 TEST(Dataflow, EmptyInputMatchesBatch) {
   // wc -l on empty input must still produce "0\n": the chain runs once on
-  // the empty stream, mirroring the batch splitter's single empty chunk.
+  // the empty stream, as the serial run does.
   std::vector<exec::ExecStage> stages;
   exec::ExecStage s;
   s.command = cmd::make_command_line("wc -l");
@@ -704,7 +704,7 @@ TEST(Dataflow, ParallelismOneRunsSequentially) {
 
 TEST(Dataflow, SinkEarlyStopIsCleanNotAnError) {
   // A head-like sink that refuses data after the first delivery must stop
-  // the run cleanly: ok stays true, stopped_early is set, no batch rerun.
+  // the run cleanly: ok stays true and stopped_early is set.
   std::vector<exec::ExecStage> stages;
   exec::ExecStage s;
   s.command = cmd::make_command_line("tr a-z A-Z");
@@ -856,7 +856,7 @@ TEST(StreamChain, HeadOverIdlePipeCompletesWithoutEof) {
 TEST(StreamChain, PrefixEarlyExitCancelsParallelUpstream) {
   // tr runs as a parallel concat segment; head's close must propagate back
   // through the channel so the feeder (and reader) stop — and the clean
-  // early exit must not read as a combine failure or batch fallback.
+  // early exit must not read as a combine failure.
   std::vector<exec::ExecStage> stages;
   {
     exec::ExecStage s;

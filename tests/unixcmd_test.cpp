@@ -807,6 +807,31 @@ TEST(Awk, TruthyConstantRule) {
   EXPECT_EQ(run("awk 1", "a\nb\n"), "a\nb\n");
 }
 
+TEST(Awk, ProgramsOutsideTheSubsetAreRefused) {
+  // These names once read as plain variables ("") and a print's '>' as a
+  // comparison, so the program answered with status 0: `END {print NR}`
+  // printed nothing, `{print $1 > "x"}` printed 0 twice. They are refused
+  // when the command is built.
+  for (const char* line :
+       {"awk 'END {print NR}'", "awk 'BEGIN {print 1}'", "awk 'NR==1'",
+        "awk 'FNR == 2'", "awk '{printf $1}'", "awk '{print $1 > \"x\"}'",
+        "awk '{print $2, $1 > $3}'", "awk '{print $1 >= 2}'",
+        "awk '{next}'", "awk '{exit}'",
+        "awk '$1 == 1 {getline}'", "awk '{print OFS}'", "awk '{print FS}'",
+        "awk 'FILENAME'", "awk '{print RSTART, RLENGTH}'", "awk 'if'",
+        "awk '{print substr}'", "awk -v FS=, '{print $1}'"}) {
+    std::string error;
+    EXPECT_EQ(make_command_line(line, &error), nullptr) << line;
+    EXPECT_EQ(error.rfind("awk: unsupported", 0), 0u) << line << ": " << error;
+  }
+  // What the subset implements still builds.
+  for (const char* line :
+       {"awk '{print NF}'", "awk 'length >= 8'", "awk '$1 >= 2 {print $2}'",
+        "awk -v OFS=, '{print $2,$1}'", "awk -v x=3 '$1 > x'",
+        "awk '$1 > 2 {print $1 < 2}'"})
+    EXPECT_NE(make_command_line(line), nullptr) << line;
+}
+
 // ----------------------------------------------------------- head / tail --
 
 TEST(Head, DefaultTen) {

@@ -56,7 +56,7 @@ TEST_P(WindowGolden, BatchStreamAndSpillAgree) {
       << c.command << " should be window-bounded";
   ASSERT_NE(command->window_processor(), nullptr) << c.command;
 
-  // Direct execution (the batch runner's sequential floor).
+  // Direct execution (the serial oracle's floor).
   EXPECT_EQ(command->run(c.input), c.expected) << c.command;
 
   std::vector<exec::ExecStage> stages{make_stage(command)};
@@ -215,7 +215,7 @@ TEST(WindowFusion, WindowTerminatesAFusedChain) {
 }
 
 // The sort -u window past the spill threshold exports sorted runs and
-// re-streams the external merge: byte-identical to batch, with spill
+// re-streams the external merge: byte-identical to serial, with spill
 // metrics on the window node.
 TEST(WindowSpill, SortUniqueWindowSpillsSortedRuns) {
   cmd::CommandPtr command = cmd::make_command_line("sort -u");
