@@ -7,12 +7,15 @@ flags (both read stream::place; docs/CHECKS.md).
 
 Runs `KUMQUAT run --check FLAGS PIPELINE`, then `KUMQUAT run --stats FLAGS
 PIPELINE < INPUT`, maps each --stats node to the stages its row joins
-(" | "-separated stage displays), and compares the labels stage by stage.
+(" | "-separated stage displays, compared as shell words: --check prints a
+stage as written, --stats its command's display name, which drops quotes a
+word does not need), and compares the labels stage by stage.
 
 Exit status: 0 every label matches, 1 a mismatch, 2 usage or run error.
 """
 
 import re
+import shlex
 import subprocess
 import sys
 
@@ -59,17 +62,20 @@ def main() -> int:
     stages = rows(check.stdout, stop="diagnostics:")
     nodes = rows(run.stderr)
 
+    def words(members):
+        return shlex.split(" | ".join(members))
+
     problems = []
     i = 0
     for commands, label in nodes:
         members = []
-        while i < len(stages) and " | ".join(members) != commands:
+        while i < len(stages) and words(members) != words([commands]):
             members.append(stages[i][0])
             if stages[i][1] != label:
                 problems.append(f"stage [{i}] {stages[i][0]}: check says "
                                 f"{stages[i][1]}, --stats says {label}")
             i += 1
-        if " | ".join(members) != commands:
+        if words(members) != words([commands]):
             problems.append(f"no stages join into the node '{commands}'")
             break
     if not nodes or i != len(stages):

@@ -533,10 +533,10 @@ int main(int argc, char** argv) {
   }
 
   // Per-block stream-chain section: the same streamable chain lowered
-  // sequentially runs as one fused kStatelessStream node; its twin with
-  // the memory class forced back to kMaterialize is the whole-input
-  // baseline (each stage drains and joins its input, then runs once). The
-  // chain must be at least as fast and stay block-bounded.
+  // sequentially runs as one fused stream-chain node; its twin of opaque
+  // commands is the whole-input baseline (each stage drains and joins its
+  // input, then runs once). The chain must be at least as fast and stay
+  // block-bounded.
   {
     const char* kChain = "grep a | tr a-z A-Z | cut -c 1-32";
     Compiled seq = compile_one(kChain, cache);
@@ -551,7 +551,6 @@ int main(int argc, char** argv) {
       stage.command = cmd::make_lambda_command(
           orig->display_name(),
           [orig](std::string_view in) { return orig->run(in); });
-      stage.memory_class = exec::MemoryClass::kMaterialize;
     }
 
     std::cout << "\nsequential streamable chain: " << kChain << "\n";

@@ -194,8 +194,10 @@ class Analyzer {
   void check_order(int i) {
     const compile::PlannedStage& p = planned(i);
     if (!p.command) return;
-    auto spec = spec_of(p);
-    if (!spec) spec = lowered(i).sort_spec;
+    const exec::ExecStage& stage = lowered(i);
+    auto spec = stage.sort_spec;
+    if (!spec && stage.parallel && stage.primary)
+      spec = stage.primary->merge_spec;  // the order its parts merge under
     if (spec && collation_sensitive(*spec)) {
       emit("KQ-ORDER", Severity::kWarning, i, i,
            concat({"comparator is collation-sensitive (canonical flags ",

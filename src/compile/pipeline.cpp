@@ -59,10 +59,6 @@ std::optional<ParsedPipeline> parse_pipeline(std::string_view script,
     stage.argv = std::move(*words);
     out.stages.push_back(std::move(stage));
   }
-  if (out.stages.empty()) {
-    if (error) *error = "pipeline has no processing stages";
-    return std::nullopt;
-  }
   return out;
 }
 

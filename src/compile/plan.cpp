@@ -188,82 +188,49 @@ std::vector<exec::ExecStage> lower_plan(const Plan& plan) {
     stage.parallel = p.parallel;
     stage.eliminate_combiner = p.eliminate;
     if (p.synthesis && p.synthesis->success) {
-      stage.combiner_name = p.synthesis->combiner.to_string();
-      synth::CompositeCombiner combiner = p.synthesis->combiner;
+      const synth::CompositeCombiner& combiner = p.synthesis->combiner;
+      stage.combiner_name = combiner.to_string();
+      // How a parallel node combines: by the primary alone. select() keeps
+      // one operator class, so a merge or rerun primary has no foldable
+      // sibling, and a fold's boundary form emits as it goes, so unlike
+      // apply_k it cannot fall back to a sibling once a part is rejected
+      // (the run is combine-undefined).
+      if (combiner.primary()) stage.primary = *combiner.primary();
       cmd::CommandPtr command = p.command;
-      stage.combine =
-          [combiner, command](const std::vector<std::string>& parts) {
-            dsl::EvalContext ctx{command.get()};
-            return combiner.apply_k(parts, ctx);
-          };
-      // The collector folds with the primary combiner alone: its boundary
-      // form emits as it goes, so unlike apply_k it cannot fall back to a
-      // sibling once a part is rejected (the run is combine-undefined).
-      // When every plausible combiner is a merge or a rerun, folding buys
-      // nothing (the parts must be held whole anyway), so no fold is bound
-      // and the collector waits for one k-way combine.
-      const std::vector<dsl::Combiner>& all = combiner.combiners();
-      const bool held_whole =
-          std::all_of(all.begin(), all.end(), [](const dsl::Combiner& g) {
-            return g.node->op == dsl::Op::kMerge ||
-                   g.node->op == dsl::Op::kRerun;
-          });
-      if (!held_whole && combiner.primary()) {
-        stage.fold = [primary = *combiner.primary(), command] {
-          return dsl::Fold(primary, dsl::EvalContext{command.get()});
-        };
-      }
+      stage.combine = [combiner, command](
+                          const std::vector<std::string>& parts) {
+        dsl::EvalContext ctx{command.get()};
+        return combiner.apply_k(parts, ctx);
+      };
     }
-    // Memory class: how the streaming runtime may bound this stage. A
-    // declared-streamable command runs per block through a fused
-    // stream-chain node: every prefix-bounded stage (head — early exit and
-    // upstream cancellation beat data parallelism on a command whose output
-    // is a bounded prefix) and any per-record stage the plan left
-    // sequential (synthesis failed, rerun does not reduce, or k = 1). A
-    // sequential window-bounded stage (tail -n N, uniq, wc, sort -u) runs
-    // as the window-terminated tail of a stream chain, holding O(window)
-    // instead of materializing; a sort -u window additionally carries the
-    // command's own comparator so an outsized distinct set can spill as
-    // sorted runs. A parallel merge-combined stage spills its sorted chunk
-    // outputs as runs (comparator = the combiner's merge spec); a
-    // sequential built-in sort externalizes with its own spec; parallel
-    // concat/fold stages are bounded already; everything else must
-    // materialize.
-    const dsl::Combiner* primary =
-        p.synthesis && p.synthesis->success ? p.synthesis->combiner.primary()
-                                            : nullptr;
-    stage.rerun_combiner = primary && primary->node->op == dsl::Op::kRerun;
+    // The order the command itself sorts under: a sort's own spec, or the
+    // fused spec of a rewritten top-n/top-k stage.
+    if (p.command) {
+      stage.sort_spec = cmd::sort_spec_of(*p.command);
+      if (!stage.sort_spec)
+        stage.sort_spec = cmd::fused_sort_spec_of(*p.command);
+    }
+    // Memory class and shard eligibility, which only plan dumps read (the
+    // runtime places the stage by stream::place). Per block: a prefix stage
+    // (head's early exit beats data parallelism) or a sequential per-record
+    // one; a window: a sequential window stage; sortable-spill: a parallel
+    // merge or a sequential sort; streaming: a parallel fold; else
+    // materialize. Shardable: a parallel combined stage that runs through a
+    // stream or window processor.
     const cmd::Streamability streamable =
         p.command ? p.command->streamability() : cmd::Streamability::kNone;
+    const dsl::Op* op = stage.primary ? &stage.primary->node->op : nullptr;
     if (streamable == cmd::Streamability::kPrefix ||
         (streamable == cmd::Streamability::kPerRecord && !stage.parallel)) {
       stage.memory_class = exec::MemoryClass::kStatelessStream;
     } else if (streamable == cmd::Streamability::kWindow && !stage.parallel) {
       stage.memory_class = exec::MemoryClass::kWindowStream;
-      // The comparator an outsized window spills sorted runs under: the
-      // command's own spec for sort -u, the fused spec for a rewritten
-      // top-n/top-k stage, null (no spill) for tail -n/uniq/wc.
-      stage.sort_spec = cmd::sort_spec_of(*p.command);
-      if (!stage.sort_spec)
-        stage.sort_spec = cmd::fused_sort_spec_of(*p.command);
-    } else if (stage.parallel && primary &&
-               primary->node->op == dsl::Op::kMerge && primary->merge_spec) {
+    } else if (stage.parallel ? op && *op == dsl::Op::kMerge
+                              : stage.sort_spec != nullptr) {
       stage.memory_class = exec::MemoryClass::kSortableSpill;
-      stage.sort_spec = primary->merge_spec;
-    } else if (stage.parallel && stage.fold) {
+    } else if (stage.parallel && op && *op != dsl::Op::kRerun) {
       stage.memory_class = exec::MemoryClass::kStreaming;
-    } else if (!stage.parallel && p.command) {
-      if (auto spec = cmd::sort_spec_of(*p.command)) {
-        stage.memory_class = exec::MemoryClass::kSortableSpill;
-        stage.sort_spec = std::move(spec);
-      }
     }
-    // Shard eligibility: a parallel combined stage whose command executes
-    // through a stream/window processor runs block by block inside each
-    // worker's slice (exec::run_slice_fused), bounding each shard worker at
-    // O(block + window), so it can take larger slices. Prefix-bounded
-    // stages are deliberately excluded — their streaming early exit (head
-    // reads O(blocks)) beats any data parallelism.
     stage.shardable = stage.parallel && stage.combine != nullptr &&
                       (streamable == cmd::Streamability::kPerRecord ||
                        streamable == cmd::Streamability::kWindow);

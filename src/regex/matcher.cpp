@@ -93,15 +93,17 @@ class ProgramBuilder {
  private:
   // Greedy: one more repetition is tried before what follows. A repetition
   // of a one-byte atom is one kRun, which backtracks a byte at a time
-  // without a stack entry per byte.
+  // without a stack entry per byte. An optional iteration that matched
+  // empty is refused (its progress guard), which ends an empty loop; the
+  // mandatory first iteration of \+ may match empty, as in POSIX.
   void build_repeat(const Node& n) {
     const Node& child = *n.children[0];
     if (is_atom(child)) {
       emit({Inst::kRun, 0, n.min_repeat, n.max_repeat, set_of(child)});
       return;
     }
-    auto iteration = [&] {
-      const bool guard = nullable(child);
+    auto iteration = [&](bool optional) {
+      const bool guard = optional && nullable(child);
       const int reg = guard ? p_.registers++ : 0;
       if (guard) emit({Inst::kMark, reg});
       build(child);
@@ -109,13 +111,13 @@ class ProgramBuilder {
     };
     if (n.max_repeat == 1) {
       const int split = emit({Inst::kSplit});
-      iteration();
+      iteration(true);
       p_.code[static_cast<std::size_t>(split)].x = here();
       return;
     }
-    if (n.min_repeat > 0) iteration();
+    if (n.min_repeat > 0) iteration(false);
     const int loop = emit({Inst::kSplit});
-    iteration();
+    iteration(true);
     emit({Inst::kJmp, loop});
     p_.code[static_cast<std::size_t>(loop)].x = here();
   }
@@ -420,10 +422,19 @@ std::string Regex::replace(std::string_view line, std::string_view replacement,
   detail::Finder finder(*compiled_, line, pattern_, group_count_);
   std::string out;
   std::size_t pos = 0;
+  std::size_t last_end = std::string_view::npos;  // the last match's end
   bool any = false;
   while (pos <= line.size()) {
     auto m = finder.next(pos);
     if (!m) break;
+    if (m->begin == m->end && m->begin == last_end) {
+      // An empty match where the last match ended is no match, as in POSIX
+      // and GNU sed: `s/a*/X/g` makes `baaac` `XbXcX`.
+      if (pos < line.size()) out.push_back(line[pos]);
+      ++pos;
+      continue;
+    }
+    last_end = m->end;
     out.append(line.substr(pos, m->begin - pos));
     expand_replacement(out, replacement, line, *m);
     any = true;

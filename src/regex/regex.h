@@ -33,14 +33,13 @@
 //      with backreferences, which no automaton answers.
 //
 // Positions are leftmost-greedy (leftmost start, greedy quantifiers, an
-// empty repetition refused), as the backtracking engine before the
-// automaton reported them; sed output is unchanged by the layers. GNU sed
-// reports POSIX leftmost-longest positions instead, so the two differ where
-// an earlier alternative is a shorter match: `echo ab | sed 's/a\|ab/X/'`
-// prints `Xb` here and `X` under GNU. The refusal also covers the first
-// repetition under \+, so a group that can only match empty never matches
-// under it: `sed 's/\(\)\+/X/'` leaves a line alone, while grep, answered
-// by the automaton as GNU answers it, matches every line.
+// optional repetition that matched empty refused; the first repetition
+// under \+ may match empty, as in POSIX, so `sed 's/\(\)\+/X/'` prints
+// `Xx` for `x` as GNU does). GNU sed reports POSIX leftmost-longest
+// positions instead, so the two differ where an earlier alternative is a
+// shorter match: `echo ab | sed 's/a\|ab/X/'` prints `Xb` here and `X`
+// under GNU. replace() skips an empty match where the last match ended,
+// as POSIX and GNU sed do: `s/a*/X/g` makes `baaac` `XbXcX`.
 //
 // The backtracking of one line (one search() of a line with
 // backreferences, one find(), or every match of one replace()) may take at

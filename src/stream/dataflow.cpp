@@ -5,6 +5,7 @@
 #include "stream/dataflow.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cerrno>
 #include <memory>
 #include <thread>
@@ -31,36 +32,21 @@ enum class Role {
 // '\n' lines: slices are cut at the delimiter, so under a custom one a
 // slice could end mid-line, and the line-based built-ins (whose
 // streamability and comparators are statements about '\n' lines) run
-// whole. A plan-parallel stage that does not fan out runs sequentially,
-// where its declared streamability beats a whole-input run; a stage
-// lower_plan classed as a stream or window stage stays one at any k.
+// whole. A streamable stage that does not fan out runs by its declared
+// streamability, which beats a whole-input run; a prefix stage (head) runs
+// per block at any k, as its early exit beats data parallelism.
 Role role_of(const exec::ExecStage& stage, const ExecOptions& options) {
   const bool lines = options.delimiter == '\n';
-  const bool fans_out = stage.parallel && stage.combine != nullptr &&
+  const bool fans_out = stage.parallel && stage.primary &&
                         options.parallelism > 1 && lines;
   if (lines && stage.command) {
     const cmd::Streamability s = stage.command->streamability();
-    const exec::MemoryClass m = stage.memory_class;
-    if (s == cmd::Streamability::kWindow &&
-        (m == exec::MemoryClass::kWindowStream || !fans_out))
-      return Role::kWindow;
-    if (s == cmd::Streamability::kPerRecord &&
-        (m == exec::MemoryClass::kStatelessStream || !fans_out))
+    if (s == cmd::Streamability::kPrefix ||
+        (s == cmd::Streamability::kPerRecord && !fans_out))
       return Role::kPerBlock;
-    if (s == cmd::Streamability::kPrefix &&
-        m == exec::MemoryClass::kStatelessStream)
-      return Role::kPerBlock;
+    if (s == cmd::Streamability::kWindow && !fans_out) return Role::kWindow;
   }
   return fans_out ? Role::kParallel : Role::kWhole;
-}
-
-// The comparator a stage orders its own input under: lower_plan's
-// sort_spec for a plan-sequential stage, re-derived for a plan-parallel
-// one, whose sort_spec is its merge combiner's (that orders f's outputs,
-// not raw input). Null for a command that is no sort.
-std::shared_ptr<const cmd::SortSpec> input_order(
-    const exec::ExecStage& stage) {
-  return stage.parallel ? cmd::sort_spec_of(*stage.command) : stage.sort_spec;
 }
 
 // Fills a placed node's label, bound and `bounded`: the table in
@@ -87,9 +73,7 @@ void describe(Placement& p, const ExecOptions& options) {
       } else {
         p.label = sharded ? "sharded" : "materialize";
         p.bounded = false;
-        p.bound = p.combine == Combine::kRerun
-                      ? "O(input): held parts joined for one rerun"
-                      : "O(input): held parts wait for one k-way combine";
+        p.bound = "O(input): held parts joined for one rerun";
       }
       return;
     case NodeKind::kStreamChain:
@@ -149,6 +133,12 @@ std::string Placement::display() const {
   return out;
 }
 
+dsl::Fold Placement::fold() const {
+  const exec::ExecStage& combining = *stages.back();
+  return dsl::Fold(*combining.primary,
+                   dsl::EvalContext{combining.command.get()});
+}
+
 std::vector<Placement> place(const std::vector<exec::ExecStage>& stages,
                              const ExecOptions& options) {
   std::vector<Placement> nodes;
@@ -183,42 +173,44 @@ std::vector<Placement> place(const std::vector<exec::ExecStage>& stages,
              i + 1 < stages.size() &&
              role_of(stages[i + 1], options) == Role::kParallel)
         p.stages.push_back(&stages[++i]);
-      // Sharded: every member was recorded shard-eligible by lower_plan
-      // (it runs through a stream or window processor), and only the
-      // terminal may be a window, whose emission comes at slice end.
+      // Sharded: every member runs through a stream or window processor,
+      // and only the terminal may be a window, whose emission comes at
+      // slice end.
       bool sharded = true;
-      for (const exec::ExecStage* s : p.stages)
-        sharded = sharded && s->shardable && s->command &&
-                  (s == p.stages.back() || s->command->streamability() ==
-                                               cmd::Streamability::kPerRecord);
+      for (const exec::ExecStage* s : p.stages) {
+        const cmd::Streamability streamable = s->command->streamability();
+        sharded = sharded &&
+                  (streamable == cmd::Streamability::kPerRecord ||
+                   (streamable == cmd::Streamability::kWindow &&
+                    s == p.stages.back()));
+      }
       p.kind = sharded ? NodeKind::kShardedParallel : NodeKind::kParallel;
-      // The collector's one strategy: the combining stage's fold, where
-      // lower_plan bound one; else a merge under the merge combiner's
-      // comparator; else held parts, joined for a rerun or handed to the
-      // k-way combine.
-      const exec::ExecStage& combining = *p.stages.back();
-      if (combining.fold) {
-        p.combine = Combine::kFold;
-      } else if (combining.sort_spec && !combining.rerun_combiner) {
-        p.combine = Combine::kMerge;
-        p.spec = combining.sort_spec;
-      } else if (combining.rerun_combiner) {
-        p.combine = Combine::kRerun;
-      } else {
-        p.combine = Combine::kDeferred;
+      // The collector's one strategy, by the combining stage's primary
+      // operator: a k-way merge under its comparator, one rerun over the
+      // joined parts, or a fold for every other operator.
+      const dsl::Combiner& primary = *p.stages.back()->primary;
+      switch (primary.node->op) {
+        case dsl::Op::kMerge:
+          // A merge without a comparator evaluates to nothing, so it is
+          // never plausible.
+          assert(primary.merge_spec);
+          p.combine = Combine::kMerge;
+          p.spec = primary.merge_spec;
+          break;
+        case dsl::Op::kRerun:
+          p.combine = Combine::kRerun;
+          break;
+        default:
+          p.combine = Combine::kFold;
+          break;
       }
     } else {
-      // A sort-class stage sorts externally under its own comparator
-      // ('\n' records: sort is line-based); anything else runs once over
-      // its whole input.
-      const exec::ExecStage& s = stages[i];
-      if (s.memory_class == exec::MemoryClass::kSortableSpill && s.command &&
-          options.delimiter == '\n')
-        p.spec = input_order(s);
+      // A sort sorts externally under its own comparator ('\n' records:
+      // sort is line-based); anything else runs once over its whole input.
+      if (options.delimiter == '\n') p.spec = stages[i].sort_spec;
       p.kind = p.spec ? NodeKind::kExternalSort : NodeKind::kWholeInput;
     }
-    if (p.kind == NodeKind::kWindowChain)
-      p.spec = input_order(*p.stages.back());
+    if (p.kind == NodeKind::kWindowChain) p.spec = p.stages.back()->sort_spec;
     describe(p, options);
     nodes.push_back(std::move(p));
   }
@@ -314,8 +306,7 @@ ExecResult run_dataflow(const std::vector<exec::ExecStage>& stages,
       ctxs[i]->sharded = sharded;
       ctxs[i]->chain = node.commands();
       ctxs[i]->merge_spec = node.spec;  // a parallel node's is a merge's
-      if (node.combine == Combine::kFold)
-        ctxs[i]->fold.emplace(node.stages.back()->fold());
+      if (node.combine == Combine::kFold) ctxs[i]->fold.emplace(node.fold());
       // A feeder stalled on the in-flight bound is send-blocked: its
       // output backpressure arrives through the slot semaphore.
       if (config.stats)

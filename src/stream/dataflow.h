@@ -19,11 +19,10 @@
 //     distinct set, a pathological-N top-n) exports sorted runs through
 //     the external merge, sealed first and re-streamed capped at the
 //     window's output limit;
-//   - a parallel node's collector combines incrementally: a fold
-//     (dsl::Fold) emits what no later part can change and carries only the
-//     seam, O(output) in total; a merge spills sorted runs past the
-//     threshold; a rerun's parts are joined once for the rerun, and other
-//     held parts wait for one k-way combine;
+//   - a parallel node's collector combines by the stage's primary
+//     combiner: a fold (dsl::Fold) emits what no later part can change and
+//     carries only the seam, O(output) in total; a merge spills sorted runs
+//     past the threshold; a rerun's parts are joined once for the rerun;
 //   - sequential sorts run as an external merge sort, and a stage that
 //     needs its whole input holds it once and runs over it once: O(input),
 //     the floor for a black-box command, and the one kind of node whose
@@ -110,13 +109,14 @@ enum class NodeKind {
   kWholeInput,       // holds its whole input, runs the stage once
 };
 
-// How a parallel node's collector combines its parts.
+// How a parallel node's collector combines its parts: fixed by the
+// operator of the combining stage's primary combiner (§3.5).
 enum class Combine {
-  kNone,        // not a parallel node
-  kFold,        // each part folds in as it arrives (dsl::Fold)
-  kMerge,       // a SpillMerger under `spec`, sorted runs past the threshold
-  kRerun,       // held parts, joined once for one rerun at end of stream
-  kDeferred,    // held parts, one k-way combine at end of stream
+  kNone,   // not a parallel node
+  kFold,   // any operator but merge and rerun: each part folds in as it
+           // arrives (dsl::Fold)
+  kMerge,  // a SpillMerger under `spec`, sorted runs past the threshold
+  kRerun,  // held parts, joined once for one rerun at end of stream
 };
 
 struct Placement {
@@ -124,9 +124,10 @@ struct Placement {
   std::vector<const exec::ExecStage*> stages;  // fused members, in order
   NodeKind kind = NodeKind::kWholeInput;
   Combine combine = Combine::kNone;
-  // The comparator a merge combines under, an external sort sorts under,
-  // or a window chain's terminal spills its sorted runs under (null for a
-  // window that cannot spill).
+  // The comparator a merge combines under (the primary's merge_spec), or
+  // the one an external sort sorts under or a window chain's terminal
+  // spills its sorted runs under (the stage's sort_spec; null for a window
+  // that cannot spill).
   std::shared_ptr<const cmd::SortSpec> spec;
   const char* label = "";  // --stats memory=, check's memory_class
   const char* bound = "";  // worst-case resident set, as check reports it
@@ -137,6 +138,8 @@ struct Placement {
   }
   std::vector<const cmd::Command*> commands() const;
   std::string display() const;  // members' display names, " | " joined
+  // A fresh boundary fold of the combining stage's primary (kFold only).
+  dsl::Fold fold() const;
 };
 
 // The one placement decision: cuts `stages` into dataflow nodes under the

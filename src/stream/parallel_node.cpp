@@ -56,10 +56,10 @@ void run_worker(ParallelCtx& ctx, const NodeTelemetry& tele, std::size_t index,
     // buffer with room for the slice, so the part never grows. Its
     // consumed slice goes back to the pool, and so does the buffer of a
     // part filling less than half of it, so a part the collector holds (a
-    // merge's, or one kept for the k-way combine) keeps at most twice its
-    // size. A black-box chain's chunk is freed once consumed, as its part
-    // is the command's own buffer: pooled, such chunks sat idle through a
-    // sort's merge (kqbench wf's peak RSS rose by 3 MiB).
+    // merge's) keeps at most twice its size. A black-box chain's chunk is
+    // freed once consumed, as its part is the command's own buffer: pooled,
+    // such chunks sat idle through a sort's merge (kqbench wf's peak RSS
+    // rose by 3 MiB).
     part = shared.acquire(std::max(data.size(), ctx.slice_bytes), tele);
     recycle = [&shared](std::string&& spent) {
       shared.pool.release(std::move(spent));
@@ -186,7 +186,8 @@ void run_feeder(ParallelCtx& ctx, NodeMetrics& metrics, const Pull& pull,
 }
 
 // Collector: the node's combining tree. Restores input order and combines
-// the parts by the placement's one strategy (Placement::combine):
+// the parts by the placement's one strategy (Placement::combine, fixed by
+// the combining stage's primary operator):
 //   - kFold folds each part in as it arrives (dsl::Fold): what no later
 //     part can change goes downstream at once — the part's own buffer,
 //     moved — and only the seam is carried (nothing for concat, one line
@@ -199,8 +200,7 @@ void run_feeder(ParallelCtx& ctx, NodeMetrics& metrics, const Pull& pull,
 //     dsl::combine_k;
 //   - kRerun holds the parts, joins them once at end of stream and reruns
 //     the command over the join (a lone part passes as it stands, as in
-//     dsl::combine_k);
-//   - kDeferred holds the parts for one k-way combine at end of stream.
+//     dsl::combine_k).
 // A part whose combining stage got no input is f("") and is left out
 // (x ++ "" = x), unless no part had input. The workers checked each part's
 // legality (Chunk::legal), so a fold's per-part work is its seam. The
@@ -215,12 +215,11 @@ void run_collector(const Placement& node, ParallelCtx& ctx,
   const exec::ExecStage& cstage = *node.stages.back();
 
   std::optional<dsl::Fold> fold;
-  if (node.combine == Combine::kFold) fold = cstage.fold();
+  if (node.combine == Combine::kFold) fold = node.fold();
   metrics.streamed_combine = fold && fold->streams();
-  std::vector<std::string> pieces;    // one push's settled output
-  std::string partial;                // a trailing record still open
-  std::vector<std::string> deferred;  // held parts, no fold or merge
-  HeldInput rerun_parts;              // held parts, for the rerun
+  std::vector<std::string> pieces;  // one push's settled output
+  std::string partial;              // a trailing record still open
+  HeldInput rerun_parts;            // held parts, for the rerun
   bool any_input = false;         // some part's combining stage had input
   std::optional<Chunk> no_input;  // f(""), while no part had input
 
@@ -302,11 +301,7 @@ void run_collector(const Placement& node, ParallelCtx& ctx,
       pieces.clear();
       return true;
     }
-    if (node.combine == Combine::kRerun) {
-      rerun_parts.add(part.bytes);
-    } else {
-      deferred.push_back(std::move(part.bytes));
-    }
+    rerun_parts.add(part.bytes);
     return true;
   };
 
@@ -383,14 +378,14 @@ void run_collector(const Placement& node, ParallelCtx& ctx,
       if (!ok && !shared.halted() && !io.out_closed())
         shared.fail_stage("spill merge", name, merger->error());
     } else {
-      // The fold's carried boundary, the rerun over the joined parts
-      // (mirroring dsl::combine_k's kRerun), or the deferred k-way combine.
+      // The fold's carried boundary, or the rerun over the joined parts
+      // (mirroring dsl::combine_k's kRerun).
       std::optional<std::string> rest;
       {
         CombineTimer timer(tele.counters);
         if (fold) {
           rest = fold->finish();
-        } else if (node.combine == Combine::kRerun) {
+        } else {
           const std::size_t parts = rerun_parts.pieces();
           std::string joined = rerun_parts.join();
           if (parts < 2) {
@@ -402,11 +397,8 @@ void run_collector(const Placement& node, ParallelCtx& ctx,
             cmd::Result rerun = cstage.command->execute(joined);
             if (rerun.ok()) rest = std::move(rerun.out);
           }
-        } else {
-          rest = cstage.combine(deferred);
         }
       }
-      deferred.clear();
       ok = rest.has_value();
       if (ok) {
         metrics.out_bytes += rest->size();

@@ -41,6 +41,12 @@ TEST(ParsePipeline, DropsLeadingCat) {
     ASSERT_EQ(p->stages.size(), 1u) << line;
     EXPECT_EQ(p->stages[0].display, "sort") << line;
   }
+  // Alone, such a cat leaves no stages: the pipeline is the identity.
+  for (const char* line : {"cat", " cat ", "cat -", "cat $IN", "cat ${IN}"}) {
+    p = parse_pipeline(line);
+    ASSERT_TRUE(p.has_value()) << line;
+    EXPECT_TRUE(p->stages.empty()) << line;
+  }
 }
 
 TEST(ParsePipeline, RefusesALeadingCatOfAFile) {

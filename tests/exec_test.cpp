@@ -15,7 +15,6 @@
 #include "exec/thread_pool.h"
 #include "text/streams.h"
 #include "unixcmd/registry.h"
-#include "unixcmd/sort_cmd.h"
 
 namespace kq::exec {
 namespace {
@@ -104,46 +103,16 @@ TEST(ThreadPool, DestructorJoinsCleanly) {
 // --------------------------------------------------------------- runner --
 
 std::vector<ExecStage> word_count_stages() {
-  // tr A-Z a-z | sort | uniq -c  with hand-built combiners.
-  std::vector<ExecStage> stages;
-  {
-    ExecStage s;
-    s.command = cmd::make_command_line("tr A-Z a-z");
-    s.parallel = true;
-    s.eliminate_combiner = true;
-    s.combiner_name = "(concat a b)";
-    s.combine = [](const std::vector<std::string>& parts)
-        -> std::optional<std::string> {
-      std::string out;
-      for (const auto& p : parts) out += p;
-      return out;
-    };
-    stages.push_back(std::move(s));
-  }
-  {
-    ExecStage s;
-    s.command = cmd::make_command_line("sort");
-    s.parallel = true;
-    s.combiner_name = "(merge a b)";
-    s.combine = [](const std::vector<std::string>& parts)
-        -> std::optional<std::string> {
-      auto spec = cmd::SortSpec::parse({});
-      std::vector<std::string_view> views(parts.begin(), parts.end());
-      return spec->merge_streams(views);
-    };
-    stages.push_back(std::move(s));
-  }
-  {
-    ExecStage s;
-    s.command = cmd::make_command_line("uniq -c");
-    s.parallel = true;
-    s.combiner_name = "((stitch2 ' ' add first) a b)";
-    dsl::Combiner saf = dsl::combiner_stitch2_add_first(' ');
-    s.combine = [saf](const std::vector<std::string>& parts) {
-      return dsl::combine_k(saf, parts);
-    };
-    stages.push_back(std::move(s));
-  }
+  // tr A-Z a-z | sort | uniq -c with hand-picked primary combiners.
+  std::vector<ExecStage> stages(3);
+  stages[0].command = cmd::make_command_line("tr A-Z a-z");
+  stages[0].eliminate_combiner = true;
+  stages[0].primary = dsl::combiner_concat();
+  stages[1].command = cmd::make_command_line("sort");
+  stages[1].primary = dsl::combiner_merge("");
+  stages[2].command = cmd::make_command_line("uniq -c");
+  stages[2].primary = dsl::combiner_stitch2_add_first(' ');
+  for (ExecStage& s : stages) s.parallel = true;
   return stages;
 }
 
@@ -220,22 +189,13 @@ TEST(Runner, ChunksWithoutInputAreLeftOutOfTheCombine) {
   // answer and stitch2 rejects; the combine sees only the parts whose
   // chunk fed the second stage, and f("") when none did.
   auto stages_with = [](const char* second, dsl::Combiner g) {
-    std::vector<ExecStage> stages;
-    ExecStage grep;
-    grep.command = cmd::make_command_line("grep apple");
-    grep.parallel = true;
-    grep.eliminate_combiner = true;
-    grep.combine = [](const std::vector<std::string>& parts) {
-      return dsl::combine_k(dsl::combiner_concat(), parts);
-    };
-    stages.push_back(std::move(grep));
-    ExecStage s;
-    s.command = cmd::make_command_line(second);
-    s.parallel = true;
-    s.combine = [g](const std::vector<std::string>& parts) {
-      return dsl::combine_k(g, parts);
-    };
-    stages.push_back(std::move(s));
+    std::vector<ExecStage> stages(2);
+    stages[0].command = cmd::make_command_line("grep apple");
+    stages[0].eliminate_combiner = true;
+    stages[0].primary = dsl::combiner_concat();
+    stages[1].command = cmd::make_command_line(second);
+    stages[1].primary = std::move(g);
+    for (ExecStage& s : stages) s.parallel = true;
     return stages;
   };
   std::string apples_then_pears;

@@ -15,6 +15,7 @@
 
 #include "compile/optimize.h"
 #include "compile/plan.h"
+#include "dsl/ast.h"
 #include "exec/executor.h"
 #include "exec/runner.h"
 #include "unixcmd/registry.h"
@@ -128,16 +129,13 @@ TEST(Executor, SinkFalseStopsEarly) {
 }
 
 TEST(Executor, StringSourceFailsAnUndefinedCombineAsAnFdDoes) {
-  // A deliberately broken combiner: the run bails at the combine, and a
-  // string source fails it with the fd source's message.
-  std::vector<exec::ExecStage> stages;
-  exec::ExecStage s;
-  s.command = cmd::make_command_line("tr a-z A-Z");
-  s.parallel = true;
-  s.combiner_name = "(broken)";
-  s.combine = [](const std::vector<std::string>&)
-      -> std::optional<std::string> { return std::nullopt; };
-  stages.push_back(std::move(s));
+  // A combiner undefined on tr's parts (they are no "<count> <line>"
+  // lines): the run bails at the combine, and a string source fails it
+  // with the fd source's message.
+  std::vector<exec::ExecStage> stages(1);
+  stages[0].command = cmd::make_command_line("tr a-z A-Z");
+  stages[0].parallel = true;
+  stages[0].primary = dsl::combiner_stitch2_add_first(' ');
 
   ExecOptions options;
   options.parallelism = 2;

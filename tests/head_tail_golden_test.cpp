@@ -32,16 +32,12 @@ struct GoldenCase {
   const char* expected;  // GNU-verified bytes
 };
 
-// Mirrors compile::lower_plan's streamability classification for a
-// hand-built sequential stage, so the streaming run exercises the
-// stream-chain node exactly as a compiled pipeline would.
+// A hand-built sequential stage: placement runs it by the command's
+// declared streamability, so the streaming run exercises the stream-chain
+// node exactly as a compiled pipeline would.
 exec::ExecStage make_stage(const cmd::CommandPtr& command) {
   exec::ExecStage stage;
   stage.command = command;
-  if (command->streamability() == cmd::Streamability::kWindow)
-    stage.memory_class = exec::MemoryClass::kWindowStream;
-  else if (command->streamability() != cmd::Streamability::kNone)
-    stage.memory_class = exec::MemoryClass::kStatelessStream;
   return stage;
 }
 

@@ -319,28 +319,12 @@ TEST(Counters, SendBlockedTimeAccruesAgainstSlowConsumer) {
   // upstream node's pushes must wait — the send-blocked counter is exactly
   // that wait. (The final node's push *is* the sink call, so only an
   // inter-node channel can accrue send-blocked time.)
-  std::vector<exec::ExecStage> stages;
-  {
-    exec::ExecStage s;
-    s.command = cmd::make_command_line("tr a-z A-Z");
-    s.parallel = true;
-    s.fold = [] { return dsl::Fold(dsl::combiner_concat()); };
-    s.combiner_name = "(concat a b)";
-    s.combine = [](const std::vector<std::string>& parts)
-        -> std::optional<std::string> {
-      std::string out;
-      for (const auto& p : parts) out += p;
-      return out;
-    };
-    stages.push_back(std::move(s));
-  }
-  {
-    exec::ExecStage s;
-    s.command = cmd::make_command_line("grep ALPHA");
-    ASSERT_NE(s.command, nullptr);
-    s.memory_class = exec::MemoryClass::kStatelessStream;
-    stages.push_back(std::move(s));
-  }
+  std::vector<exec::ExecStage> stages(2);
+  stages[0].command = cmd::make_command_line("tr a-z A-Z");
+  stages[0].parallel = true;
+  stages[0].primary = dsl::combiner_concat();
+  stages[1].command = cmd::make_command_line("grep ALPHA");
+  ASSERT_NE(stages[1].command, nullptr);
   const std::string input = mixed_lines(2000);
   ExecOptions options;
   options.parallelism = 4;

@@ -405,19 +405,10 @@ TEST(ShardDataflow, IllegalLineAwayFromTheSeamFailsTheFold) {
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(dsl::to_string(c.g));
-    const dsl::Combiner g = c.g;
-    std::vector<exec::ExecStage> stages;
-    exec::ExecStage s;
-    s.command = cmd::make_command_line("cat");
-    s.parallel = true;
-    s.shardable = true;
-    s.memory_class = exec::MemoryClass::kStreaming;
-    s.combiner_name = dsl::to_string(g);
-    s.combine = [g](const std::vector<std::string>& parts) {
-      return dsl::combine_k(g, parts);
-    };
-    s.fold = [g] { return dsl::Fold(g); };
-    stages.push_back(std::move(s));
+    std::vector<exec::ExecStage> stages(1);
+    stages[0].command = cmd::make_command_line("cat");
+    stages[0].parallel = true;
+    stages[0].primary = c.g;
 
     // 10-byte lines in 100-byte blocks: every block, and so every slice,
     // is ten whole lines.

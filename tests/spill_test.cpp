@@ -20,6 +20,7 @@
 #include "bench_support/catalog.h"
 #include "compile/optimize.h"
 #include "compile/plan.h"
+#include "dsl/ast.h"
 #include "exec/executor.h"
 #include "exec/runner.h"
 #include "exec/thread_pool.h"
@@ -413,7 +414,6 @@ TEST(SpillDataflow, SequentialSortNodeExternalSorts) {
   s.command = cmd::make_command_line("sort");
   ASSERT_NE(s.command, nullptr);
   s.parallel = false;  // force the sequential node
-  s.memory_class = exec::MemoryClass::kSortableSpill;
   s.sort_spec = cmd::sort_spec_of(*s.command);
   ASSERT_NE(s.sort_spec, nullptr);
   stages.push_back(std::move(s));
@@ -439,15 +439,7 @@ TEST(SpillDataflow, ParallelMergeCombinerSpillsChunkOutputs) {
   exec::ExecStage s;
   s.command = cmd::make_command_line("sort");
   s.parallel = true;
-  s.memory_class = exec::MemoryClass::kSortableSpill;
-  s.sort_spec = cmd::sort_spec_of(*s.command);
-  s.combiner_name = "(merge a b)";
-  auto spec = s.sort_spec;
-  s.combine = [spec](const std::vector<std::string>& parts)
-      -> std::optional<std::string> {
-    std::vector<std::string_view> views(parts.begin(), parts.end());
-    return spec->merge_streams(views);
-  };
+  s.primary = dsl::combiner_merge("");
   stages.push_back(std::move(s));
 
   std::string input;
@@ -668,17 +660,7 @@ TEST(SpillDataflow, ParallelRerunCombinerJoinsHeldParts) {
   s.command = cmd::make_command_line("uniq");
   ASSERT_NE(s.command, nullptr);
   s.parallel = true;
-  s.rerun_combiner = true;
-  s.combiner_name = "(rerun a b)";
-  auto command = s.command;
-  s.combine = [command](const std::vector<std::string>& parts)
-      -> std::optional<std::string> {
-    std::string joined;
-    for (const std::string& p : parts) joined += p;
-    cmd::Result r = command->execute(joined);
-    if (!r.ok()) return std::nullopt;
-    return std::move(r.out);
-  };
+  s.primary = dsl::combiner_rerun();
   stages.push_back(std::move(s));
 
   std::string input;
@@ -752,14 +734,21 @@ TEST(SpillDataflow, LowerPlanAssignsMemoryClasses) {
   compile::Plan plan = compile::compile_pipeline(*parsed, cache);
   auto stages = compile::lower_plan(plan);
   ASSERT_EQ(stages.size(), 3u);
-  // sort: parallel, merge-combined -> sortable spill with a comparator.
+  // sort: parallel, merge-combined -> sortable spill, and its own order.
   EXPECT_EQ(stages[0].memory_class, exec::MemoryClass::kSortableSpill);
   EXPECT_NE(stages[0].sort_spec, nullptr);
+  ASSERT_TRUE(stages[0].primary.has_value());
+  EXPECT_EQ(stages[0].primary->node->op, dsl::Op::kMerge);
+  EXPECT_NE(stages[0].primary->merge_spec, nullptr);
   // wc -l: parallel fold (add) -> bounded by construction.
   EXPECT_EQ(stages[1].memory_class, exec::MemoryClass::kStreaming);
-  // unknown command -> sequential materialize.
+  EXPECT_EQ(stages[1].sort_spec, nullptr);
+  ASSERT_TRUE(stages[1].primary.has_value());
+  EXPECT_EQ(stages[1].primary->node->op, dsl::Op::kBack);  // (back '\n' add)
+  // unknown command -> sequential materialize, no combiner.
   EXPECT_EQ(stages[2].memory_class, exec::MemoryClass::kMaterialize);
   EXPECT_EQ(stages[2].sort_spec, nullptr);
+  EXPECT_FALSE(stages[2].primary.has_value());
 }
 
 // ------------------------------------------------ catalog cross-validation --

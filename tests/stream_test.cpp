@@ -518,48 +518,17 @@ TEST(BufferPool, ByteBudgetBoundsRetainedCapacity) {
 // ------------------------------------------------------------- dataflow --
 
 // The exec_test word-count stages: tr A-Z a-z | sort | uniq -c with
-// hand-built combiners, the §2 running example.
+// hand-picked primary combiners, the §2 running example.
 std::vector<exec::ExecStage> word_count_stages() {
-  std::vector<exec::ExecStage> stages;
-  {
-    exec::ExecStage s;
-    s.command = cmd::make_command_line("tr A-Z a-z");
-    s.parallel = true;
-    s.eliminate_combiner = true;
-    s.fold = [] { return dsl::Fold(dsl::combiner_concat()); };
-    s.combiner_name = "(concat a b)";
-    s.combine = [](const std::vector<std::string>& parts)
-        -> std::optional<std::string> {
-      std::string out;
-      for (const auto& p : parts) out += p;
-      return out;
-    };
-    stages.push_back(std::move(s));
-  }
-  {
-    exec::ExecStage s;
-    s.command = cmd::make_command_line("sort");
-    s.parallel = true;
-    s.combiner_name = "(merge a b)";
-    s.combine = [](const std::vector<std::string>& parts)
-        -> std::optional<std::string> {
-      auto spec = cmd::SortSpec::parse({});
-      std::vector<std::string_view> views(parts.begin(), parts.end());
-      return spec->merge_streams(views);
-    };
-    stages.push_back(std::move(s));
-  }
-  {
-    exec::ExecStage s;
-    s.command = cmd::make_command_line("uniq -c");
-    s.parallel = true;
-    s.combiner_name = "((stitch2 ' ' add first) a b)";
-    dsl::Combiner saf = dsl::combiner_stitch2_add_first(' ');
-    s.combine = [saf](const std::vector<std::string>& parts) {
-      return dsl::combine_k(saf, parts);
-    };
-    stages.push_back(std::move(s));
-  }
+  std::vector<exec::ExecStage> stages(3);
+  stages[0].command = cmd::make_command_line("tr A-Z a-z");
+  stages[0].eliminate_combiner = true;
+  stages[0].primary = dsl::combiner_concat();
+  stages[1].command = cmd::make_command_line("sort");
+  stages[1].primary = dsl::combiner_merge("");
+  stages[2].command = cmd::make_command_line("uniq -c");
+  stages[2].primary = dsl::combiner_stitch2_add_first(' ');
+  for (exec::ExecStage& s : stages) s.parallel = true;
   return stages;
 }
 
@@ -634,16 +603,10 @@ TEST(Dataflow, SequentialStageMidPipeline) {
 TEST(Dataflow, EmptyInputMatchesBatch) {
   // wc -l on empty input must still produce "0\n": the chain runs once on
   // the empty stream, as the serial run does.
-  std::vector<exec::ExecStage> stages;
-  exec::ExecStage s;
-  s.command = cmd::make_command_line("wc -l");
-  s.parallel = true;
-  s.combiner_name = "(add a b)";
-  dsl::Combiner add = dsl::combiner_add();
-  s.combine = [add](const std::vector<std::string>& parts) {
-    return dsl::combine_k(add, parts);
-  };
-  stages.push_back(std::move(s));
+  std::vector<exec::ExecStage> stages(1);
+  stages[0].command = cmd::make_command_line("wc -l");
+  stages[0].parallel = true;
+  stages[0].primary = dsl::combiner_add();
 
   ExecOptions options;
   options.parallelism = 2;
@@ -656,19 +619,10 @@ TEST(Dataflow, EmptyInputMatchesBatch) {
 TEST(Dataflow, ConcatEmissionKeepsMemoryBounded) {
   // A pure concat pipeline over a large input: peak bytes in flight must
   // stay O(max_inflight · block_size), far below the input size.
-  std::vector<exec::ExecStage> stages;
-  exec::ExecStage s;
-  s.command = cmd::make_command_line("tr a-z A-Z");
-  s.parallel = true;
-  s.fold = [] { return dsl::Fold(dsl::combiner_concat()); };
-  s.combiner_name = "(concat a b)";
-  s.combine = [](const std::vector<std::string>& parts)
-      -> std::optional<std::string> {
-    std::string out;
-    for (const auto& p : parts) out += p;
-    return out;
-  };
-  stages.push_back(std::move(s));
+  std::vector<exec::ExecStage> stages(1);
+  stages[0].command = cmd::make_command_line("tr a-z A-Z");
+  stages[0].parallel = true;
+  stages[0].primary = dsl::combiner_concat();
 
   std::string input;
   for (int i = 0; i < 200000; ++i) input += "abcdefghijklmnop\n";  // ~3.4 MB
@@ -690,6 +644,66 @@ TEST(Dataflow, ConcatEmissionKeepsMemoryBounded) {
   EXPECT_LT(budget, input.size());
 }
 
+// The collector follows the combining stage's primary operator alone: a
+// merge (either operand order) merges under the primary's comparator, a
+// rerun reruns, and every other operator folds. At k = 1 the same stage
+// places as its plan-sequential twin does.
+TEST(Placement, CollectorFollowsThePrimaryOperator) {
+  auto swapped = [](dsl::Combiner g) {
+    g.swapped = true;
+    return g;
+  };
+  struct Case {
+    const char* command;
+    dsl::Combiner primary;
+    Combine combine;
+  };
+  const Case cases[] = {
+      {"tr a-z A-Z", dsl::combiner_concat(), Combine::kFold},
+      {"uniq", dsl::combiner_stitch_first(), Combine::kFold},
+      {"uniq -c", dsl::combiner_stitch2_add_first(' '), Combine::kFold},
+      {"cat", dsl::combiner_offset_add('\t'), Combine::kFold},
+      {"wc -l", dsl::combiner_add(), Combine::kFold},
+      {"tail -n 1", swapped(dsl::combiner_first()), Combine::kFold},
+      {"sort", dsl::combiner_merge(""), Combine::kMerge},
+      {"sort -r", swapped(dsl::combiner_merge("-r")), Combine::kMerge},
+      {"tr -sc '[A-Z]' '[\\012*]'", dsl::combiner_rerun(), Combine::kRerun},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.command);
+    std::vector<exec::ExecStage> stages(1);
+    stages[0].command = cmd::make_command_line(c.command);
+    ASSERT_NE(stages[0].command, nullptr);
+    stages[0].parallel = true;
+    stages[0].primary = c.primary;
+    stages[0].sort_spec = cmd::sort_spec_of(*stages[0].command);
+
+    ExecOptions options;
+    options.parallelism = 4;
+    std::vector<Placement> nodes = place(stages, options);
+    ASSERT_EQ(nodes.size(), 1u);
+    EXPECT_TRUE(nodes[0].parallel());
+    EXPECT_EQ(nodes[0].combine, c.combine);
+    if (c.combine == Combine::kMerge) {
+      EXPECT_EQ(nodes[0].spec, c.primary.merge_spec);
+    } else {
+      EXPECT_EQ(nodes[0].spec, nullptr);
+    }
+
+    options.parallelism = 1;
+    const std::vector<Placement> at_one = place(stages, options);
+    stages[0].parallel = false;
+    const std::vector<Placement> sequential = place(stages, options);
+    ASSERT_EQ(at_one.size(), 1u);
+    ASSERT_EQ(sequential.size(), 1u);
+    EXPECT_FALSE(at_one[0].parallel());
+    EXPECT_EQ(at_one[0].kind, sequential[0].kind);
+    EXPECT_EQ(at_one[0].combine, Combine::kNone);
+    EXPECT_EQ(at_one[0].spec, sequential[0].spec);
+    EXPECT_STREQ(at_one[0].label, sequential[0].label);
+  }
+}
+
 TEST(Dataflow, ParallelismOneRunsSequentially) {
   auto stages = word_count_stages();
   std::string input = sample_words();
@@ -705,19 +719,10 @@ TEST(Dataflow, ParallelismOneRunsSequentially) {
 TEST(Dataflow, SinkEarlyStopIsCleanNotAnError) {
   // A head-like sink that refuses data after the first delivery must stop
   // the run cleanly: ok stays true and stopped_early is set.
-  std::vector<exec::ExecStage> stages;
-  exec::ExecStage s;
-  s.command = cmd::make_command_line("tr a-z A-Z");
-  s.parallel = true;
-  s.fold = [] { return dsl::Fold(dsl::combiner_concat()); };
-  s.combiner_name = "(concat a b)";
-  s.combine = [](const std::vector<std::string>& parts)
-      -> std::optional<std::string> {
-    std::string out;
-    for (const auto& p : parts) out += p;
-    return out;
-  };
-  stages.push_back(std::move(s));
+  std::vector<exec::ExecStage> stages(1);
+  stages[0].command = cmd::make_command_line("tr a-z A-Z");
+  stages[0].parallel = true;
+  stages[0].primary = dsl::combiner_concat();
 
   std::string input;
   for (int i = 0; i < 5000; ++i) input += "abcdefgh\n";
@@ -737,14 +742,14 @@ TEST(Dataflow, SinkEarlyStopIsCleanNotAnError) {
 
 // ------------------------------------------- per-block stream chains --
 
-// A sequential streamable stage, classified as compile::lower_plan would.
+// A sequential streamable stage: placement runs it by its declared
+// streamability.
 exec::ExecStage streamable_stage(const char* command_line) {
   exec::ExecStage s;
   s.command = cmd::make_command_line(command_line);
   EXPECT_NE(s.command, nullptr) << command_line;
   EXPECT_NE(s.command->streamability(), cmd::Streamability::kNone)
       << command_line;
-  s.memory_class = exec::MemoryClass::kStatelessStream;
   return s;
 }
 
@@ -857,21 +862,10 @@ TEST(StreamChain, PrefixEarlyExitCancelsParallelUpstream) {
   // tr runs as a parallel concat segment; head's close must propagate back
   // through the channel so the feeder (and reader) stop — and the clean
   // early exit must not read as a combine failure.
-  std::vector<exec::ExecStage> stages;
-  {
-    exec::ExecStage s;
-    s.command = cmd::make_command_line("tr a-z A-Z");
-    s.parallel = true;
-    s.fold = [] { return dsl::Fold(dsl::combiner_concat()); };
-    s.combiner_name = "(concat a b)";
-    s.combine = [](const std::vector<std::string>& parts)
-        -> std::optional<std::string> {
-      std::string out;
-      for (const auto& p : parts) out += p;
-      return out;
-    };
-    stages.push_back(std::move(s));
-  }
+  std::vector<exec::ExecStage> stages(1);
+  stages[0].command = cmd::make_command_line("tr a-z A-Z");
+  stages[0].parallel = true;
+  stages[0].primary = dsl::combiner_concat();
   stages.push_back(streamable_stage("head -n 5"));
 
   std::string input;
@@ -929,7 +923,6 @@ TEST(StreamChain, PrefixAfterExternalSortStopsMergeCleanly) {
     exec::ExecStage s;
     s.command = cmd::make_command_line("sort");
     ASSERT_NE(s.command, nullptr);
-    s.memory_class = exec::MemoryClass::kSortableSpill;
     s.sort_spec = cmd::sort_spec_of(*s.command);
     ASSERT_NE(s.sort_spec, nullptr);
     stages.push_back(std::move(s));

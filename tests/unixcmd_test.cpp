@@ -764,6 +764,27 @@ TEST(Sed, DeleteLastLine) {
   EXPECT_EQ(run("sed '$d'", "a\nb\nc\n"), "a\nb\n");
 }
 
+TEST(Sed, EmptyMatchesAnswerAsGnuSed) {
+  // Bytes from GNU sed 4.9 under LC_ALL=C. The mandatory first iteration of
+  // \+ may match empty, and under /g an empty match where the last match
+  // ended is no match.
+  struct Case {
+    const char* script;
+    const char* input;
+    const char* gnu;
+  };
+  const Case cases[] = {
+      {"sed 's/x\\(y*\\)\\+z/Q/'", "xz\n", "Q\n"},
+      {"sed 's/\\(a*\\)\\+b/X/'", "b\n", "X\n"},
+      {"sed 's/\\(\\)\\+/X/'", "x\n", "Xx\n"},
+      {"sed 's/ */_/g'", "a  b\n", "_a_b_\n"},
+      {"sed 's/[0-9]*/#/g'", "ab12c\n", "#a#b#c#\n"},
+      {"sed 's/a*/X/g'", "baaac\n", "XbXcX\n"},
+  };
+  for (const Case& c : cases)
+    EXPECT_EQ(run(c.script, c.input), c.gnu) << c.script;
+}
+
 // ------------------------------------------------------------------ awk --
 
 TEST(Awk, NumericPatternSelectsLines) {

@@ -17,8 +17,10 @@
 #include "bench_support/catalog.h"
 #include "compile/optimize.h"
 #include "compile/plan.h"
+#include "dsl/ast.h"
 #include "exec/executor.h"
 #include "exec/runner.h"
+#include "stream/dataflow.h"
 #include "unixcmd/registry.h"
 #include "unixcmd/sort_cmd.h"
 
@@ -31,17 +33,12 @@ struct GoldenCase {
   const char* expected;  // GNU-verified bytes
 };
 
-// Mirrors compile::lower_plan's streamability classification for a
-// hand-built sequential stage.
+// A hand-built sequential stage with the order its command sorts under,
+// as compile::lower_plan sets it: a sort -u window spills runs under it.
 exec::ExecStage make_stage(const cmd::CommandPtr& command) {
   exec::ExecStage stage;
   stage.command = command;
-  if (command->streamability() == cmd::Streamability::kWindow) {
-    stage.memory_class = exec::MemoryClass::kWindowStream;
-    stage.sort_spec = cmd::sort_spec_of(*command);
-  } else if (command->streamability() != cmd::Streamability::kNone) {
-    stage.memory_class = exec::MemoryClass::kStatelessStream;
-  }
+  stage.sort_spec = cmd::sort_spec_of(*command);
   return stage;
 }
 
@@ -240,27 +237,18 @@ TEST(WindowSpill, SortUniqueWindowSpillsSortedRuns) {
   EXPECT_GT(r.nodes[0].spill_runs, 1);
 }
 
-// A plan-parallel sort -u stage forced sequential at k = 1 carries its
-// *combiner's* merge spec in sort_spec (it orders f's outputs, not raw
-// input); the window spill must re-derive the command's own spec, like
-// run_sequential does. Hand-build the hazard with a deliberately wrong
-// sort_spec and check the spilled window still matches serial output.
+// A plan-parallel sort -u stage runs as a window at k = 1, and its window
+// spills sorted runs under the command's own order (sort_spec), never
+// under its primary's merge spec, which orders f's outputs, not raw input.
+// Hand-build a primary that merges in the wrong order and check the
+// spilled window still matches the command's output.
 TEST(WindowSpill, ParallelPlannedSortUniqueUsesOwnSpecAtKOne) {
   cmd::CommandPtr command = cmd::make_command_line("sort -nu");
   ASSERT_NE(command, nullptr);
-  exec::ExecStage stage;
-  stage.command = command;
+  exec::ExecStage stage = make_stage(command);
+  ASSERT_NE(stage.sort_spec, nullptr);
   stage.parallel = true;  // plan said parallel; runtime k=1 forces window
-  stage.memory_class = exec::MemoryClass::kSortableSpill;
-  auto wrong = cmd::SortSpec::parse({"-r"});  // not the command's order
-  ASSERT_TRUE(wrong.has_value());
-  stage.sort_spec = std::make_shared<const cmd::SortSpec>(*wrong);
-  stage.combine = [](const std::vector<std::string>& parts)
-      -> std::optional<std::string> {
-    std::string joined;
-    for (const std::string& p : parts) joined += p;
-    return joined;  // never reached at k=1; presence marks "parallel-able"
-  };
+  stage.primary = dsl::combiner_merge("-r");  // not the command's order
   std::vector<exec::ExecStage> stages{std::move(stage)};
 
   std::string input;
@@ -272,6 +260,10 @@ TEST(WindowSpill, ParallelPlannedSortUniqueUsesOwnSpecAtKOne) {
   options.block_size = 512;
   options.spill_threshold = 2048;  // forces the window to export runs
   options.stats = true;
+  const std::vector<stream::Placement> nodes = stream::place(stages, options);
+  ASSERT_EQ(nodes.size(), 1u);
+  EXPECT_EQ(nodes[0].kind, stream::NodeKind::kWindowChain);
+  EXPECT_EQ(nodes[0].spec, stages[0].sort_spec);
   ExecResult r = Executor(options).run_collect(stages, input);
   ASSERT_TRUE(r.ok) << r.error;
   EXPECT_EQ(r.output, command->run(input));
